@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
@@ -34,16 +33,6 @@ EXIT_BOUNDS = 4
 
 RESIDUAL_PASS = 1e-10
 REFLECTION_TOL = 0.02
-
-
-def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("EVO_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def _load(args: argparse.Namespace) -> Scenario:
@@ -65,7 +54,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_OK
     try:
         prob = _build(scenario)
-        report = solve_frequency(prob, threads=_thread_count(args))
+        report = solve_frequency(prob)
     except (SolverError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -75,11 +64,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     (out / "report.txt").write_text(report.to_text())
     sys.stdout.write(report.to_text())
     residual_ok = report.residual_rel <= RESIDUAL_PASS
-    if residual_ok and report.energy_bound_ok():
+    if residual_ok and report.bounds_ok():
         return EXIT_OK
     print(
         f"bound violation: residual_ok={residual_ok} "
-        f"energy_bound_ok={report.energy_bound_ok()}",
+        f"energy_bound_ok={report.energy_bound_ok()} "
+        f"causality_ok={report.causality_ok()}",
         file=sys.stderr,
     )
     return EXIT_BOUNDS
@@ -220,12 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario file path")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads for per-frequency solves (default: EVO_THREADS or 1)",
-        )
         if dump_flag:
             p.add_argument(
                 "--dump-config",

@@ -111,11 +111,6 @@ class RationalMatrixFunction:
             residues=np.conj(np.swapaxes(self.residues, 1, 2)),
         )
 
-    def scaled(self, factor: complex) -> "RationalMatrixFunction":
-        return RationalMatrixFunction(
-            factor * self.const, factor * self.lin, self.poles, factor * self.residues
-        )
-
     def check_holomorphic(self, r: float, n_boundary: int = 256) -> float:
         """Verify holomorphy on B(r, r); returns the sampled sup norm there.
 

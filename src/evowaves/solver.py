@@ -8,10 +8,10 @@ with M the (diagonal, per-component) material law lifted onto the
 staggered grid and A(s) the reduced spatial operator with eliminated
 boundary faces.  Two solvers are provided and cross-checked:
 
-* solve_frequency: exact per-frequency linear solves.  In the interleaved
-  unknown ordering (p_0, v_1, p_1, v_2, ..., p_last) the matrix is
-  tridiagonal with constant off-diagonals +-1/dx, so each frequency costs
-  O(n) through a banded LU.  This is the trusted oracle.
+* solve_frequency: exact per-frequency linear solves.  Each frequency's
+  matrix (spatial.ReducedOperator) is tridiagonal up to a reordering of
+  the unknowns, so all frequencies are solved together in one batched
+  Thomas sweep at O(n) each.  This is the trusted oracle.
 * solve_timestep: causal implicit Euler marching with all memory kernels
   (material and boundary) realized as finite state-space recursions, so no
   history is stored.  First order in the step, strictly causal by
@@ -24,24 +24,20 @@ against the solvability margin, a causality margin and conditioning info.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
-from .material import MaterialLaw, coercivity, memory_bound
+from .material import MaterialLaw, coercivity, law_symbol, memory_bound
 from .rational import RationalMatrixFunction
 from .signals import WeightedGrid, WeightedSignal, rho_norm
 from .spatial import (
     BoundaryLaw,
+    ReducedOperator,
     SpatialDiscretization,
-    apply_spatial_op_adjoint_freq,
-    apply_spatial_op_freq,
-    split_stacked,
-    stack_reduced,
+    _solve_range_pivoted,  # noqa: F401 -- bench/tracing.py counts pivot fallbacks by this name
+    reduced_operator,
 )
 from .transform import (
     SpectralSignal,
@@ -66,6 +62,7 @@ __all__ = [
 
 ENERGY_SLACK = 0.02          # tolerated relative slack on the energy bound
 CAUSALITY_SLACK = 1e-6       # tolerated causality margin, relative to ||f||
+N_COND_SAMPLES = 8           # frequencies at which solve_frequency estimates conditioning
 
 
 class SolverError(RuntimeError):
@@ -128,15 +125,13 @@ class EvoProblem:
         """Holomorphy radius for the composite problem: min over both laws."""
         return min(self.law.r, self.bl.r)
 
-    def component_symbols(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-frequency scalar symbols (i s + rho) * m(z) for p and v blocks."""
+    def operator(self, s: np.ndarray) -> ReducedOperator:
+        """The per-frequency operator (i s + rho) M(z_s) + A(s) on frequencies s."""
         rho = self.grid.rho
         w = 1j * np.asarray(s, dtype=float) + rho
-        zs = 1.0 / w
-        m1 = self.law.m1.eval_many(zs)
-        m_p = self.law.m0[0, 0] + zs * m1[:, 0, 0]
-        m_v = self.law.m0[1, 1] + zs * m1[:, 1, 1]
-        return w * m_p, w * m_v
+        m = law_symbol(self.law, s, rho)
+        flux = self.bl.flux_symbol(s, rho)
+        return reduced_operator(self.sd, self.bl, flux, w * m[:, 0, 0], w * m[:, 1, 1])
 
     def margin_constants(self) -> tuple[float, float, float]:
         """(gamma0, mu0, beta0) for this problem at its operating weight."""
@@ -148,23 +143,15 @@ class EvoProblem:
 def apply_evo_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
     """Apply the full space-time operator (time-derivative material part plus A)."""
     u_hat = forward_transform(u)
-    s = u_hat.freqs
-    sym_p, sym_v = prob.component_symbols(s)
-    p, v = split_stacked(prob.sd, u_hat.values)
-    out = stack_reduced(sym_p[:, None] * p, sym_v[:, None] * v)
-    out += apply_spatial_op_freq(prob.sd, prob.bl, u_hat.values, s, prob.grid.rho)
-    return inverse_transform(SpectralSignal(s, out, u_hat.rho), u.grid)
+    out = prob.operator(u_hat.freqs).matvec(u_hat.values)
+    return inverse_transform(SpectralSignal(u_hat.freqs, out, u_hat.rho), u.grid)
 
 
 def apply_evo_adjoint_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
     """Apply the adjoint space-time operator (conjugate symbols, adjoint A)."""
     u_hat = forward_transform(u)
-    s = u_hat.freqs
-    sym_p, sym_v = prob.component_symbols(s)
-    p, v = split_stacked(prob.sd, u_hat.values)
-    out = stack_reduced(np.conj(sym_p)[:, None] * p, np.conj(sym_v)[:, None] * v)
-    out += apply_spatial_op_adjoint_freq(prob.sd, prob.bl, u_hat.values, s, prob.grid.rho)
-    return inverse_transform(SpectralSignal(s, out, u_hat.rho), u.grid)
+    out = prob.operator(u_hat.freqs).adjoint().matvec(u_hat.values)
+    return inverse_transform(SpectralSignal(u_hat.freqs, out, u_hat.rho), u.grid)
 
 
 def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
@@ -387,183 +374,32 @@ def _f_padding_ok(prob: EvoProblem) -> bool:
     return (prob.grid.n - 1 - j1) >= (j1 - j0 + 1)
 
 
-class _PivotBreakdown(RuntimeError):
-    pass
-
-
-def _solve_tridiagonal_batch(diag: np.ndarray, inv_dx: float, rhs: np.ndarray) -> np.ndarray:
-    """Thomas elimination vectorized across frequencies (axis 0).
-
-    The per-frequency matrices share constant off-diagonals +-1/dx, and
-    their Hermitian part is diagonal with entries bounded below by the
-    solvability margin, which keeps every elimination pivot away from
-    zero without row exchanges.  Should a pivot still collapse (an
-    inadmissible scenario), the caller falls back to the pivoted solver.
-    """
-    dim = diag.shape[1]
-    # work in (dim, n) layout: the sweeps then touch contiguous rows
-    d = np.ascontiguousarray(diag.T)
-    y = np.ascontiguousarray(rhs.T)
-    floor = 1e-14 * max(float(np.abs(diag).max()), inv_dx)
-    if np.abs(d[0]).min() < floor:
-        raise _PivotBreakdown
-    for i in range(1, dim):
-        piv = d[i - 1]
-        if np.abs(piv).min() < floor:
-            raise _PivotBreakdown
-        ell = -inv_dx / piv
-        d[i] = d[i] - ell * inv_dx
-        y[i] -= ell * y[i - 1]
-    if np.abs(d[dim - 1]).min() < floor:
-        raise _PivotBreakdown
-    y[dim - 1] /= d[dim - 1]
-    for i in range(dim - 2, -1, -1):
-        y[i] = (y[i] - inv_dx * y[i + 1]) / d[i]
-    return y.T
-
-
-def _solve_range_pivoted(
-    diag: np.ndarray,
-    inv_dx: float,
-    rhs_all: np.ndarray,
-    out: np.ndarray,
-    s: np.ndarray,
-    k0: int,
-    k1: int,
-) -> None:
-    dim = diag.shape[1]
-    ab = np.zeros((3, dim), dtype=complex)
-    ab[0, 1:] = inv_dx
-    ab[2, :-1] = -inv_dx
-    for k in range(k0, k1):
-        ab[1, :] = diag[k]
-        try:
-            out[k] = scipy.linalg.solve_banded(
-                (1, 1), ab, rhs_all[k], overwrite_ab=False, check_finite=False
-            )
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"singular operator at frequency s = {s[k]:.9g} "
-                "(the solvability margin is not positive, or the boundary "
-                "law is inadmissible)"
-            ) from exc
-
-
-def _cond1_tridiagonal(diag: np.ndarray, inv_dx: float) -> float:
-    """1-norm condition number of diag +- 1/dx off-diagonals.
-
-    Dense for small systems; for large ones the inverse norm comes from
-    the Hager-style estimator driven by banded LU solves.
-    """
-    dim = diag.size
-    upper = np.full(dim - 1, inv_dx)
-    lower = np.full(dim - 1, -inv_dx)
-    if dim <= 384:
-        mat = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
-        norm_a = np.abs(mat).sum(axis=0).max()
-        norm_inv = np.abs(np.linalg.inv(mat)).sum(axis=0).max()
-        return float(norm_a * norm_inv)
-    col_sums = np.abs(diag).astype(float)
-    col_sums[1:] += np.abs(lower)
-    col_sums[:-1] += np.abs(upper)
-    norm_a = float(col_sums.max())
-    mat = scipy.sparse.diags_array([lower, diag, upper], offsets=[-1, 0, 1], format="csc")
-    lu = scipy.sparse.linalg.splu(mat)
-    op = scipy.sparse.linalg.LinearOperator(
-        (dim, dim),
-        dtype=complex,
-        matvec=lu.solve,
-        matmat=lu.solve,
-        rmatvec=lambda x: lu.solve(x, trans="H"),
-    )
-    return norm_a * float(scipy.sparse.linalg.onenormest(op))
-
-
-# interleaved ordering (p_0, v_1, p_1, ..., v_last, p_last) makes the
-# per-frequency matrix tridiagonal with off-diagonals +-1/dx
-
-def _interleave_perm(sd: SpatialDiscretization) -> np.ndarray:
-    nc = sd.n_cells
-    perm = np.empty(sd.n_reduced, dtype=int)
-    perm[0::2] = np.arange(nc)            # pressure block positions
-    perm[1::2] = nc + np.arange(nc - 1)   # interior-face positions
-    return perm
-
-
-def _diagonal_stack(prob: EvoProblem, s: np.ndarray) -> np.ndarray:
-    """Interleaved diagonal of the per-frequency matrices, shape (n, dim)."""
-    sd = prob.sd
-    nc = sd.n_cells
-    sym_p, sym_v = prob.component_symbols(s)
-    flux = prob.bl.flux_symbol(s, prob.grid.rho)
-    a0, aL = prob.bl.normal_alpha
-    diag = np.empty((s.size, sd.n_reduced), dtype=complex)
-    diag[:, 0::2] = sym_p[:, None]
-    diag[:, 1::2] = sym_v[:, None]
-    diag[:, 0] += flux * a0 / sd.dx
-    diag[:, 2 * (nc - 1)] += flux * aL / sd.dx
-    return diag
-
-
-def solve_frequency(prob: EvoProblem, threads: int = 1, n_cond_samples: int = 8) -> SolveReport:
+def solve_frequency(prob: EvoProblem) -> SolveReport:
     """Exact per-frequency solve (the oracle path).
 
-    Each frequency is an independent tridiagonal solve; with threads > 1
-    they are distributed over a thread pool (the LAPACK calls release the
-    GIL).  Condition numbers (1-norm) are sampled on a subset of
-    frequencies, since estimating all of them would dominate the run time.
+    All frequencies are solved in one batched Thomas sweep; any frequency
+    where a pivot breaks down is re-solved by pivoted banded LU and named
+    in the report's warnings.  Condition numbers (1-norm) are sampled on
+    N_COND_SAMPLES frequencies, since estimating all of them would
+    dominate the run time.
     """
     t_start = time.perf_counter()
     grid = prob.grid
-    sd = prob.sd
     s = frequencies_for(grid)
-    f_hat = forward_transform(prob.f)
-    diag = _diagonal_stack(prob, s)
-    perm = _interleave_perm(sd)
-    inv_perm = np.argsort(perm)
-    rhs_all = f_hat.values[:, perm]
-    dim = sd.n_reduced
-    inv_dx = 1.0 / sd.dx
-
-    u_hat_int = np.empty_like(rhs_all)
-
-    def solve_range(k0: int, k1: int) -> None:
-        try:
-            u_hat_int[k0:k1] = _solve_tridiagonal_batch(
-                diag[k0:k1], inv_dx, rhs_all[k0:k1]
-            )
-        except _PivotBreakdown:
-            _solve_range_pivoted(diag, inv_dx, rhs_all, u_hat_int, s, k0, k1)
-        if not np.all(np.isfinite(u_hat_int[k0:k1])):
-            bad = k0 + int(np.argmax(~np.isfinite(u_hat_int[k0:k1]).all(axis=1)))
-            raise SolverError(
-                f"singular operator at frequency s = {s[bad]:.9g} "
-                "(the solvability margin is not positive, or the boundary "
-                "law is inadmissible)"
-            )
-
-    n = s.size
-    threads = max(1, int(threads))
-    if threads == 1:
-        solve_range(0, n)
-    else:
-        bounds = np.linspace(0, n, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(solve_range, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
-            for fut in futures:
-                fut.result()
-
-    u_hat = u_hat_int[:, inv_perm]
+    op = prob.operator(s)
+    u_hat, pivoted = op.solve(forward_transform(prob.f).values)
+    singular = ~np.isfinite(u_hat).all(axis=1)
+    if singular.any():
+        raise SolverError(
+            f"singular operator at frequency s = {s[np.argmax(singular)]:.9g} "
+            "(the solvability margin is not positive, or the boundary "
+            "law is inadmissible)"
+        )
     u = inverse_transform(SpectralSignal(s, u_hat, grid.rho), grid)
+    del u_hat  # the residual recheck below allocates several spectra of its own
 
-    cond = 0.0
-    sample_idx = np.unique(np.linspace(0, n - 1, max(2, n_cond_samples), dtype=int))
-    for k in sample_idx:
-        cond = max(cond, _cond1_tridiagonal(diag[k], inv_dx))
+    sample_idx = np.unique(np.linspace(0, s.size - 1, N_COND_SAMPLES, dtype=int))
+    cond = max(op.cond1(k) for k in sample_idx)
 
     res, res_rel = residual_norm(prob, u)
     gamma, mu, beta0 = prob.margin_constants()
@@ -584,6 +420,12 @@ def solve_frequency(prob: EvoProblem, threads: int = 1, n_cond_samples: int = 8)
         method="frequency",
         f_padded_ok=_f_padding_ok(prob),
     )
+    if pivoted.size:
+        report.warnings.append(
+            f"Thomas pivot broke down at {pivoted.size} of {s.size} frequencies in "
+            f"s = [{s[pivoted[0]]:.9g}, {s[pivoted[-1]]:.9g}]; those were solved "
+            "by pivoted banded LU"
+        )
     if not report.f_padded_ok:
         report.warnings.append(
             "source has less trailing padding than its support; causality "
@@ -640,36 +482,30 @@ def solve_timestep(prob: EvoProblem, dt_sub: float | None = None) -> SolveReport
         raise ValueError(f"dt_sub={delta} does not divide the grid step {grid.dt}")
     delta = grid.dt / n_sub
 
-    m1 = prob.law.m1
-    mem_p = _ImplicitMemory(realize(m1, rho), delta, nc, entry=0)
-    mem_v = _ImplicitMemory(realize(m1, rho), delta, nc - 1, entry=1)
-    flux_real = realize_flux(prob.bl, rho)
-    flux0 = _ImplicitMemory(flux_real, delta, 1)
-    fluxL = _ImplicitMemory(flux_real, delta, 1)
+    mem_real = realize(prob.law.m1, rho)
+    mem_p = _ImplicitMemory(mem_real, delta, nc, entry=0)
+    mem_v = _ImplicitMemory(mem_real, delta, nc - 1, entry=1)
+    # one state column per boundary end: inputs (n.alpha) * p at the left and right cell
+    flux = _ImplicitMemory(realize_flux(prob.bl, rho), delta, 2)
     a0, aL = prob.bl.normal_alpha
 
     m0_p = complex(prob.law.m0[0, 0])
     m0_v = complex(prob.law.m0[1, 1])
 
-    dim = sd.n_reduced
     inv_dx = 1.0 / sd.dx
-    perm = _interleave_perm(sd)
-    inv_perm = np.argsort(perm)
-    diag = np.empty(dim, dtype=complex)
-    diag[0::2] = m0_p / delta + mem_p.transfer
-    diag[1::2] = m0_v / delta + mem_v.transfer
-    diag[0] += flux0.transfer * a0 * inv_dx
-    diag[2 * (nc - 1)] += fluxL.transfer * aL * inv_dx
-    mat = scipy.sparse.diags_array(
-        [np.full(dim - 1, -inv_dx), diag, np.full(dim - 1, inv_dx)],
-        offsets=[-1, 0, 1],
-        format="csc",
+    # the one-step operator is the reduced operator at the implicit-Euler transfer values
+    step_op = reduced_operator(
+        sd,
+        prob.bl,
+        np.asarray([flux.transfer]),
+        m0_p / delta + mem_p.transfer,
+        m0_v / delta + mem_v.transfer,
     )
-    lu = scipy.sparse.linalg.splu(mat)
+    lu = scipy.sparse.linalg.splu(step_op.sparse(0))
 
     f_vals = prob.f.values
-    out = np.zeros((grid.n, dim), dtype=complex)
-    u_prev = np.zeros(dim, dtype=complex)  # blocked layout [p, v_int]
+    out = np.zeros((grid.n, sd.n_reduced), dtype=complex)
+    u_prev = np.zeros(sd.n_reduced, dtype=complex)  # blocked layout [p, v_int]
     m0_vec = np.concatenate([np.full(nc, m0_p), np.full(nc - 1, m0_v)])
 
     for step in range(1, (grid.n - 1) * n_sub + 1):
@@ -681,14 +517,14 @@ def solve_timestep(prob: EvoProblem, dt_sub: float | None = None) -> SolveReport
         rhs = f_new + (m0_vec / delta) * u_prev
         rhs[:nc] -= mem_p.history()
         rhs[nc:] -= mem_v.history()
-        rhs[0] -= flux0.history()[0] * inv_dx
-        rhs[nc - 1] -= fluxL.history()[0] * inv_dx
-        u_new = lu.solve(rhs[perm])[inv_perm]
+        flux_hist = flux.history()
+        rhs[0] -= flux_hist[0] * inv_dx
+        rhs[nc - 1] -= flux_hist[1] * inv_dx
+        u_new = lu.solve(rhs)
 
         mem_p.advance(u_new[:nc])
         mem_v.advance(u_new[nc:])
-        flux0.advance(np.asarray([a0 * u_new[0]]))
-        fluxL.advance(np.asarray([aL * u_new[nc - 1]]))
+        flux.advance(np.asarray([a0 * u_new[0], aL * u_new[nc - 1]]))
         u_prev = u_new
         if step % n_sub == 0:
             out[step // n_sub] = u_new

@@ -22,7 +22,7 @@ Eliminating the two boundary-face velocities with this relation (boundary
 pressure taken from the adjacent cell) keeps the reduced operator square
 and makes the Robin case g(z) = k z exact: its flux symbol is the
 constant k.  The elimination also makes the reduced adjoint equal to the
-per-frequency conjugate transpose, which the assembly verifies.
+per-frequency conjugate transpose, which the adjoint_lemma check verifies.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .rational import PoleError, RationalMatrixFunction, scalar_rational, scalar_values
 from .signals import WeightedSignal
@@ -39,17 +42,18 @@ __all__ = [
     "SpatialDiscretization",
     "build_grid",
     "BoundaryLaw",
+    "ReducedOperator",
+    "reduced_operator",
     "assemble_spatial_op",
     "assemble_spatial_op_adjoint",
     "apply_spatial_op_freq",
     "apply_spatial_op_adjoint_freq",
-    "apply_spatial_op_time",
     "boundary_sign_functional",
     "cell_to_face",
-    "face_to_cell",
     "split_stacked",
-    "stack_reduced",
 ]
+
+PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
 
 
 @dataclass(frozen=True)
@@ -143,11 +147,6 @@ def cell_to_face(sd: SpatialDiscretization, q: np.ndarray) -> np.ndarray:
     out[..., 0] = q[..., 0]
     out[..., -1] = q[..., -1]
     return out
-
-
-def face_to_cell(sd: SpatialDiscretization, w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w)
-    return 0.5 * (w[..., 1:] + w[..., :-1])
 
 
 @dataclass(frozen=True)
@@ -259,91 +258,231 @@ class BoundaryLaw:
         return BoundaryLaw(g, alpha, div_alpha, r)
 
 
-def _corner_coefficients(
-    sd: SpatialDiscretization, bl: BoundaryLaw, flux: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal corrections at the first/last pressure cell from elimination.
+@dataclass(frozen=True, eq=False)
+class ReducedOperator:
+    """The reduced per-frequency operator (i s + rho) M(z_s) + A(s), batched.
+
+    Unknowns are stacked as [p (n_cells), v_interior (n_cells - 1)].  At
+    frequency k the matrix has sym_p[k] on the pressure diagonal, sym_v[k]
+    on the velocity diagonal, the eliminated boundary faces as corner[k]
+    terms on the first and last pressure cell, and the staggered
+    differences with coefficient off = 1/dx: pressure row c reads
+    off * (v_{c+1} - v_c) and velocity row f reads off * (p_f - p_{f-1}).
+    The adjoint conjugates the four vectors and negates off.
+
+    Interleaving the unknowns as (p_0, v_1, p_1, ..., v_last, p_last)
+    makes every matrix tridiagonal with sub-diagonal -off and
+    super-diagonal +off; only the solver kernel uses that order.
+    """
+
+    sym_p: np.ndarray      # (n_freq,) pressure symbol
+    sym_v: np.ndarray      # (n_freq,) velocity symbol
+    corner0: np.ndarray    # (n_freq,) left corner term
+    cornerL: np.ndarray    # (n_freq,) right corner term
+    off: float
+    n_cells: int
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.n_cells - 1
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """Apply the operator to (n_freq, dim) stacked values."""
+        nc = self.n_cells
+        p, v = u[:, :nc], u[:, nc:]
+        out = np.empty(u.shape, dtype=complex)
+        out_p, out_v = out[:, :nc], out[:, nc:]
+        np.multiply(self.sym_p[:, None], p, out=out_p)
+        dv = self.off * v
+        out_p[:, :-1] += dv
+        out_p[:, 1:] -= dv
+        out_p[:, 0] += self.corner0 * p[:, 0]
+        out_p[:, -1] += self.cornerL * p[:, -1]
+        np.multiply(self.sym_v[:, None], v, out=out_v)
+        out_v += self.off * (p[:, 1:] - p[:, :-1])
+        return out
+
+    def adjoint(self) -> "ReducedOperator":
+        """The per-frequency conjugate transpose."""
+        return ReducedOperator(
+            np.conj(self.sym_p),
+            np.conj(self.sym_v),
+            np.conj(self.corner0),
+            np.conj(self.cornerL),
+            -self.off,
+            self.n_cells,
+        )
+
+    def _bands(self, k: int) -> tuple[list[np.ndarray], list[int]]:
+        """Diagonals and offsets of the stacked-order matrix at frequency index k.
+
+        The differences sit on four diagonals: +-off at offsets +-n_cells,
+        and at offsets +-(n_cells - 1), whose first entry pairs the last
+        pressure cell with the first one and is zero.
+        """
+        nc = self.n_cells
+        diag = np.concatenate([np.full(nc, self.sym_p[k]), np.full(nc - 1, self.sym_v[k])])
+        diag[0] += self.corner0[k]
+        diag[nc - 1] += self.cornerL[k]
+        near = np.full(nc, self.off)
+        near[0] = 0.0
+        far = np.full(nc - 1, self.off)
+        return [-far, near, diag, -near, far], [-nc, 1 - nc, 0, nc - 1, nc]
+
+    def sparse(self, k: int = 0) -> scipy.sparse.csc_array:
+        """The stacked-order matrix at frequency index k."""
+        bands, offsets = self._bands(k)
+        return scipy.sparse.diags_array(bands, offsets=offsets, format="csc")
+
+    def dense(self, k: int = 0) -> np.ndarray:
+        """The stacked-order matrix at frequency index k, as a dense array."""
+        return sum(np.diag(band, offset) for band, offset in zip(*self._bands(k)))
+
+    def cond1(self, k: int) -> float:
+        """1-norm condition number at frequency index k.
+
+        Dense for small systems; for large ones the inverse norm comes from
+        the Hager-style estimator driven by sparse LU solves.
+        """
+        mat = self.sparse(k)
+        norm_a = float(abs(mat).sum(axis=0).max())
+        if self.dim <= 384:
+            return norm_a * float(np.abs(np.linalg.inv(mat.toarray())).sum(axis=0).max())
+        lu = scipy.sparse.linalg.splu(mat)
+        inv = scipy.sparse.linalg.LinearOperator(
+            mat.shape,
+            dtype=complex,
+            matvec=lu.solve,
+            matmat=lu.solve,
+            rmatvec=lambda x: lu.solve(x, trans="H"),
+        )
+        return norm_a * float(scipy.sparse.linalg.onenormest(inv))
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve every frequency's system for (n_freq, dim) stacked values.
+
+        One Thomas sweep runs across all frequencies at once.  The
+        Hermitian part of each matrix is diagonal and bounded below by the
+        solvability margin, which keeps the pivots away from zero without
+        row exchanges.  Frequencies where a pivot still collapses (an
+        inadmissible scenario) are re-solved by pivoted banded LU; their
+        indices are returned next to the solution.  A frequency whose
+        matrix is singular comes back as non-finite values.
+        """
+        d = self._diagonal()
+        y = self._interleaved(rhs)
+        # rows 0, 1, 2 and -1 hold every distinct diagonal value before the sweep
+        floor = PIVOT_FLOOR * max(float(np.abs(d[[0, 1, 2, -1]]).max()), abs(self.off))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(1, self.dim):
+                ell = -self.off / d[i - 1]
+                d[i] = d[i] - ell * self.off
+                y[i] -= ell * y[i - 1]
+            y[-1] /= d[-1]
+            for i in range(self.dim - 2, -1, -1):
+                y[i] = (y[i] - self.off * y[i + 1]) / d[i]
+        broken = np.flatnonzero(~(np.abs(d) >= floor).all(axis=0))
+        del d
+        out = self._stacked(y)
+        if broken.size:
+            _solve_range_pivoted(self, rhs, out, broken)
+        return out, broken
+
+    # interleaved (dim, n_freq) work layout of the solver kernel
+
+    def _diagonal(self, ks: np.ndarray | slice = slice(None)) -> np.ndarray:
+        sym_p = self.sym_p[ks]
+        d = np.empty((self.dim, sym_p.size), dtype=complex)
+        d[0::2] = sym_p
+        d[1::2] = self.sym_v[ks]
+        d[0] += self.corner0[ks]
+        d[-1] += self.cornerL[ks]
+        return d
+
+    def _interleaved(self, x: np.ndarray) -> np.ndarray:
+        nc = self.n_cells
+        out = np.empty((self.dim, x.shape[0]), dtype=complex)
+        out[0::2] = x[:, :nc].T
+        out[1::2] = x[:, nc:].T
+        return out
+
+    def _stacked(self, y: np.ndarray) -> np.ndarray:
+        nc = self.n_cells
+        out = np.empty((y.shape[1], self.dim), dtype=complex)
+        out[:, :nc] = y[0::2].T
+        out[:, nc:] = y[1::2].T
+        return out
+
+
+def _solve_range_pivoted(
+    op: ReducedOperator, rhs: np.ndarray, out: np.ndarray, ks: np.ndarray
+) -> None:
+    """Re-solve frequencies ks into out by banded LU with partial pivoting."""
+    ab = np.zeros((3, op.dim), dtype=complex)
+    ab[0, 1:] = op.off
+    ab[2, :-1] = -op.off
+    diag = op._diagonal(ks)
+    y = op._interleaved(rhs[ks])
+    for j in range(ks.size):
+        ab[1] = diag[:, j]
+        try:
+            y[:, j] = scipy.linalg.solve_banded((1, 1), ab, y[:, j], check_finite=False)
+        except np.linalg.LinAlgError:
+            y[:, j] = np.nan
+    out[ks] = op._stacked(y)
+
+
+def reduced_operator(
+    sd: SpatialDiscretization,
+    bl: BoundaryLaw,
+    flux: np.ndarray,
+    sym_p: np.ndarray | complex = 0.0,
+    sym_v: np.ndarray | complex = 0.0,
+) -> ReducedOperator:
+    """The reduced operator for flux symbol values flux(s_k), plus material symbols.
 
     Eliminating v at a boundary face through
-    (n . v) = flux * (n . alpha) * p_cell adds +flux * (n.alpha) / dx to the
-    matching diagonal entry of the pressure block, with the same sign at
-    both ends (the outward normal absorbs the orientation).
+    (n . v) = flux * (n . alpha) * p_cell adds flux * (n . alpha) / dx to
+    the matching diagonal entry of the pressure block, with the same sign
+    at both ends (the outward normal absorbs the orientation).
     """
+    flux = np.asarray(flux, dtype=complex)
     a0, aL = bl.normal_alpha
-    return flux * a0 / sd.dx, flux * aL / sd.dx
+    return ReducedOperator(
+        np.broadcast_to(np.asarray(sym_p, dtype=complex), flux.shape),
+        np.broadcast_to(np.asarray(sym_v, dtype=complex), flux.shape),
+        flux * a0 / sd.dx,
+        flux * aL / sd.dx,
+        1.0 / sd.dx,
+        sd.n_cells,
+    )
 
 
 def assemble_spatial_op(
     sd: SpatialDiscretization, bl: BoundaryLaw, s: float, rho: float
 ) -> tuple[np.ndarray, tuple[complex, complex]]:
-    """Dense reduced operator at one frequency, plus the elimination map.
+    """Dense reduced spatial operator at one frequency, plus the elimination map.
 
-    Layout: unknowns are [p (n_cells), v_interior (n_cells - 1)].  The
-    returned elimination pair (e0, eL) reconstructs the boundary-face
+    The returned elimination pair (e0, eL) reconstructs the boundary-face
     velocities as v_0 = e0 * p_0 and v_last = eL * p_last (in x-components).
     """
-    flux = complex(bl.flux_symbol(np.asarray([s]), rho)[0])
-    nc = sd.n_cells
-    dim = sd.n_reduced
-    mat = np.zeros((dim, dim), dtype=complex)
-    inv_dx = 1.0 / sd.dx
-    # pressure rows: divergence of [v_0, v_int, v_last] with eliminated ends
-    idx = np.arange(nc)
-    vcol = nc + np.arange(nc - 1)
-    mat[idx[:-1], vcol] += inv_dx        # cell c gets +v_{c+1}/dx
-    mat[idx[1:], vcol] -= inv_dx         # cell c gets -v_c/dx
-    c0, cL = _corner_coefficients(sd, bl, flux)
-    mat[0, 0] += c0
-    mat[nc - 1, nc - 1] += cL
-    # interior-face velocity rows: gradient of p
-    mat[vcol, idx[1:]] += inv_dx
-    mat[vcol, idx[:-1]] -= inv_dx
+    flux = bl.flux_symbol(np.asarray([s]), rho)
     a0, aL = bl.normal_alpha
-    elim = (-flux * a0, flux * aL)
-    return mat, elim
+    elim = (complex(-flux[0] * a0), complex(flux[0] * aL))
+    return reduced_operator(sd, bl, flux).dense(0), elim
 
 
 def assemble_spatial_op_adjoint(
     sd: SpatialDiscretization, bl: BoundaryLaw, s: float, rho: float
 ) -> np.ndarray:
-    """Reduced adjoint at one frequency, by its own structural elimination.
-
-    The adjoint flips the sign of the block operator and conjugates the
-    boundary kernel; assembling it that way must reproduce the conjugate
-    transpose of the forward matrix exactly, which is asserted here.
-    """
-    flux = complex(bl.flux_symbol(np.asarray([s]), rho)[0])
-    nc = sd.n_cells
-    dim = sd.n_reduced
-    mat = np.zeros((dim, dim), dtype=complex)
-    inv_dx = 1.0 / sd.dx
-    idx = np.arange(nc)
-    vcol = nc + np.arange(nc - 1)
-    # adjoint boundary relation: (n . v) = -conj(flux) * (n . alpha) * p
-    c0, cL = _corner_coefficients(sd, bl, np.conj(flux))
-    mat[idx[:-1], vcol] -= inv_dx
-    mat[idx[1:], vcol] += inv_dx
-    mat[0, 0] += c0
-    mat[nc - 1, nc - 1] += cL
-    mat[vcol, idx[1:]] -= inv_dx
-    mat[vcol, idx[:-1]] += inv_dx
-    forward, _ = assemble_spatial_op(sd, bl, s, rho)
-    defect = np.abs(mat - forward.conj().T).max()
-    if defect > 1e-12 * max(1.0, np.abs(mat).max()):
-        raise AssertionError(
-            f"adjoint assembly does not match the conjugate transpose (defect {defect:.3e})"
-        )
-    return mat
+    """Dense reduced adjoint spatial operator at one frequency."""
+    return reduced_operator(sd, bl, bl.flux_symbol(np.asarray([s]), rho)).adjoint().dense(0)
 
 
 def split_stacked(sd: SpatialDiscretization, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split (..., n_reduced) stacked values into pressure and interior velocity."""
     nc = sd.n_cells
     return values[..., :nc], values[..., nc:]
-
-
-def stack_reduced(p: np.ndarray, v_int: np.ndarray) -> np.ndarray:
-    return np.concatenate([p, v_int], axis=-1)
 
 
 def apply_spatial_op_freq(
@@ -353,16 +492,8 @@ def apply_spatial_op_freq(
     s: np.ndarray,
     rho: float,
 ) -> np.ndarray:
-    """Vectorized reduced operator on (n_freq, n_reduced) spectral values."""
-    flux = bl.flux_symbol(s, rho)
-    p, v = split_stacked(sd, u_hat)
-    a0, aL = bl.normal_alpha
-    v0 = -flux * a0 * p[..., 0]
-    vL = flux * aL * p[..., -1]
-    v_full = np.concatenate([v0[..., None], v, vL[..., None]], axis=-1)
-    out_p = (v_full[..., 1:] - v_full[..., :-1]) / sd.dx
-    out_v = (p[..., 1:] - p[..., :-1]) / sd.dx
-    return stack_reduced(out_p, out_v)
+    """Reduced spatial operator on (n_freq, n_reduced) spectral values."""
+    return reduced_operator(sd, bl, bl.flux_symbol(s, rho)).matvec(u_hat)
 
 
 def apply_spatial_op_adjoint_freq(
@@ -372,41 +503,8 @@ def apply_spatial_op_adjoint_freq(
     s: np.ndarray,
     rho: float,
 ) -> np.ndarray:
-    flux = np.conj(bl.flux_symbol(s, rho))
-    p, v = split_stacked(sd, u_hat)
-    a0, aL = bl.normal_alpha
-    v0 = flux * a0 * p[..., 0]
-    vL = -flux * aL * p[..., -1]
-    v_full = np.concatenate([v0[..., None], v, vL[..., None]], axis=-1)
-    out_p = -(v_full[..., 1:] - v_full[..., :-1]) / sd.dx
-    out_v = -(p[..., 1:] - p[..., :-1]) / sd.dx
-    return stack_reduced(out_p, out_v)
-
-
-def apply_spatial_op_time(
-    sd: SpatialDiscretization, bl: BoundaryLaw, u: WeightedSignal
-) -> WeightedSignal:
-    """Apply the spatial operator to a full stacked (p, v) signal.
-
-    Input dim must be n_cells + n_faces.  The boundary faces are dropped,
-    the reduced per-frequency operator applied, and the result re-stacked
-    with zeros at the boundary faces (matching the zero gradient rows
-    there).  For inputs that satisfy the boundary relation this equals the
-    direct block application of divergence and gradient.
-    """
-    nc, nf = sd.n_cells, sd.n_faces
-    if u.dim != nc + nf:
-        raise ValueError(f"expected stacked dim {nc + nf}, got {u.dim}")
-    u_hat = forward_transform(u)
-    p = u_hat.values[:, :nc]
-    v_int = u_hat.values[:, nc + 1 : nc + nf - 1]
-    s = u_hat.freqs
-    out_red = apply_spatial_op_freq(sd, bl, stack_reduced(p, v_int), s, u.grid.rho)
-    out_p, out_v = split_stacked(sd, out_red)
-    zeros = np.zeros((u.grid.n, 1), dtype=complex)
-    full = np.concatenate([out_p, zeros, out_v, zeros], axis=1)
-    spec = SpectralSignal(s, full, u_hat.rho)
-    return inverse_transform(spec, u.grid)
+    """Reduced adjoint spatial operator on (n_freq, n_reduced) spectral values."""
+    return reduced_operator(sd, bl, bl.flux_symbol(s, rho)).adjoint().matvec(u_hat)
 
 
 def boundary_sign_functional(

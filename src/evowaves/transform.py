@@ -172,23 +172,6 @@ def translate_spectral(u: WeightedSignal, h: float) -> WeightedSignal:
     return apply_scalar_symbol(u, np.exp((1j * s + u.grid.rho) * h))
 
 
-def write_spectral_csv(u_hat: SpectralSignal, path: str) -> None:
-    """CSV layout `s, re_0, im_0, ...`, one row per frequency."""
-    import csv
-
-    header = ["s"]
-    for j in range(u_hat.dim):
-        header += [f"re_{j}", f"im_{j}"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s, row in zip(u_hat.freqs, u_hat.values):
-            out = [f"{s:.17g}"]
-            for z in row:
-                out += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            writer.writerow(out)
-
-
 def support_bounds(u: WeightedSignal, rel_tol: float = 1e-13) -> tuple[int, int] | None:
     """Index range [j0, j1] where the signal is above rel_tol of its peak."""
     mag = np.abs(u.values).max(axis=1)

@@ -258,6 +258,18 @@ class TestShippedScenarios:
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 0
 
+    def test_causality_violation_exit_4(self, tmp_path, capsys):
+        # a source centred near the window end wraps around: the residual and
+        # the energy bound still pass, but the causality margin does not
+        text = (self.scenarios_dir / "default.cfg").read_text()
+        path = tmp_path / "late.cfg"
+        path.write_text(text.replace("t_center = 1.0", "t_center = 10.5"))
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "residual_ok=True" in err and "energy_bound_ok=True" in err
+        assert "causality_ok=False" in err
+
     def test_reflection_scenario_parses_and_builds(self):
         from evowaves.config import load_scenario
 
@@ -271,10 +283,6 @@ class TestCliMisc:
     def test_dump_config_subcommand(self, good_cfg, capsys):
         assert main(["dump-config", "--config", good_cfg]) == 0
         assert "[grid]" in capsys.readouterr().out
-
-    def test_threads_env_fallback(self, good_cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv("EVO_THREADS", "2")
-        assert main(["solve", "--config", good_cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_console_entry_point(self, good_cfg):
         proc = subprocess.run(

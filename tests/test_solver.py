@@ -18,6 +18,7 @@ from evowaves.solver import (
     solve_timestep,
 )
 from evowaves.spatial import BoundaryLaw, build_grid
+from evowaves.transform import frequencies_for
 
 
 def rel_gap(a, b):
@@ -137,36 +138,32 @@ class TestFrequencySolve:
         assert rep.energy_ratio <= (1.0 / rep.beta0) * 1.02
         assert rep.causality_margin >= -1e-6
 
-    def test_threads_agree(self, problem):
-        a = solve_frequency(problem, threads=1)
-        b = solve_frequency(problem, threads=4)
-        assert np.array_equal(a.solution.values, b.solution.values)
-
     def test_singular_frequency_named(self, problem, monkeypatch):
-        import evowaves.solver as solver_mod
-
-        def breakdown(*args, **kwargs):
-            raise solver_mod._PivotBreakdown
+        import evowaves.spatial as spatial_mod
 
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
 
-        monkeypatch.setattr(solver_mod, "_solve_tridiagonal_batch", breakdown)
+        # every Thomas pivot counts as broken down, and the pivoted solver fails
+        monkeypatch.setattr(spatial_mod, "PIVOT_FLOOR", np.inf)
         monkeypatch.setattr(scipy.linalg, "solve_banded", boom)
         with pytest.raises(SolverError, match="frequency s ="):
             solve_frequency(problem)
 
     def test_pivoted_fallback_agrees(self, problem, monkeypatch):
-        import evowaves.solver as solver_mod
+        import evowaves.spatial as spatial_mod
 
         fast = solve_frequency(problem)
-
-        def breakdown(*args, **kwargs):
-            raise solver_mod._PivotBreakdown
-
-        monkeypatch.setattr(solver_mod, "_solve_tridiagonal_batch", breakdown)
+        assert not any("pivot" in w for w in fast.warnings)
+        monkeypatch.setattr(spatial_mod, "PIVOT_FLOOR", np.inf)
         pivoted = solve_frequency(problem)
         assert rel_gap(pivoted.solution, fast.solution) < 1e-12
+        s = frequencies_for(problem.grid)
+        n = problem.grid.n
+        assert any(
+            f"broke down at {n} of {n} frequencies in s = [{s[0]:.9g}, {s[-1]:.9g}]" in w
+            for w in pivoted.warnings
+        )
 
     def test_uniform_in_rho(self):
         # operator-norm proxy beta0 * energy_ratio stays below 1 across weights

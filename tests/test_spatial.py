@@ -6,17 +6,16 @@ from evowaves.rational import PoleError, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
 from evowaves.spatial import (
     BoundaryLaw,
+    ReducedOperator,
     apply_spatial_op_adjoint_freq,
     apply_spatial_op_freq,
-    apply_spatial_op_time,
     assemble_spatial_op,
     assemble_spatial_op_adjoint,
     boundary_sign_functional,
     build_grid,
     cell_to_face,
-    face_to_cell,
+    reduced_operator,
     split_stacked,
-    stack_reduced,
 )
 from evowaves.transform import (
     SpectralSignal,
@@ -116,6 +115,67 @@ class TestAssembly:
             assert np.abs(dense.conj().T @ u[k] - vec_adj[k]).max() < 1e-12
 
 
+class TestReducedOperator:
+    def make(self, n_cells=6):
+        sd = build_grid(1.0, n_cells)
+        bl = BoundaryLaw.from_flux_response(sd, 0.5, poles_w=[-2.0], residues_w=[1.0])
+        s = np.array([0.0, 2.4, -7.7])
+        op = reduced_operator(sd, bl, bl.flux_symbol(s, 2.0), 1j * s + 2.0, 1.5 * (1j * s + 2.0))
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((3, sd.n_reduced)) + 1j * rng.standard_normal((3, sd.n_reduced))
+        return op, u
+
+    def test_matvec_and_adjoint_match_dense(self):
+        op, u = self.make()
+        fwd = op.matvec(u)
+        adj = op.adjoint().matvec(u)
+        for k in range(3):
+            dense = op.dense(k)
+            assert np.abs(dense @ u[k] - fwd[k]).max() < 1e-12
+            assert np.abs(dense.conj().T @ u[k] - adj[k]).max() < 1e-12
+            assert np.array_equal(op.adjoint().dense(k), dense.conj().T)
+
+    def test_solve_inverts_matvec(self):
+        op, u = self.make(n_cells=40)
+        x, pivoted = op.solve(op.matvec(u))
+        assert pivoted.size == 0
+        assert np.abs(x - u).max() < 1e-12 * np.abs(u).max()
+
+    def test_pivot_breakdown_solved_with_pivoting(self):
+        # a corner term that cancels the pressure symbol makes the first
+        # Thomas pivot exactly zero, yet the matrix stays invertible
+        op, u = self.make()
+        corner0 = op.corner0.copy()
+        corner0[1] = -op.sym_p[1]
+        op = ReducedOperator(op.sym_p, op.sym_v, corner0, op.cornerL, op.off, op.n_cells)
+        x, pivoted = op.solve(op.matvec(u))
+        assert pivoted.tolist() == [1]
+        assert np.abs(x - u).max() < 1e-12 * np.abs(u).max()
+
+    def test_singular_frequency_non_finite(self):
+        # skew-symmetric matrices of odd dimension are singular
+        op, u = self.make()
+        zero = np.zeros(3, dtype=complex)
+        sym_v = op.sym_v.copy()
+        sym_v[2] = 0.0
+        sym_p = op.sym_p.copy()
+        sym_p[2] = 0.0
+        op = ReducedOperator(sym_p, sym_v, zero, zero, op.off, op.n_cells)
+        x, pivoted = op.solve(u)
+        assert pivoted.tolist() == [2]
+        assert np.isfinite(x[:2]).all() and not np.isfinite(x[2]).any()
+
+    def test_condition_number_matches_dense(self):
+        op, _ = self.make(n_cells=6)
+        for k in range(3):
+            assert op.cond1(k) == pytest.approx(np.linalg.cond(op.dense(k), 1), rel=1e-10)
+        # above 384 unknowns the inverse norm is estimated, from below
+        op, _ = self.make(n_cells=200)
+        for k in range(3):
+            exact = np.linalg.cond(op.dense(k), 1)
+            assert exact / 4 <= op.cond1(k) <= exact * (1 + 1e-9)
+
+
 class TestPairing:
     def test_adjoint_pairing_on_signals(self):
         sd = build_grid(1.0, 24)
@@ -136,13 +196,34 @@ class TestPairing:
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1e-300)
 
 
+def face_to_cell(w):
+    return 0.5 * (w[..., 1:] + w[..., :-1])
+
+
+def apply_spatial_time(sd, bl, u):
+    """The reduced spatial operator on a full stacked (p, v) signal.
+
+    The two boundary-face velocities are dropped (they are eliminated
+    through the boundary law); the result is re-stacked with zeros at the
+    boundary faces, matching the zero gradient rows there.
+    """
+    nc = sd.n_cells
+    grid = u.grid
+    u_hat = forward_transform(u)
+    red = np.concatenate([u_hat.values[:, :nc], u_hat.values[:, nc + 1 : -1]], axis=1)
+    out_hat = apply_spatial_op_freq(sd, bl, red, u_hat.freqs, grid.rho)
+    out = inverse_transform(SpectralSignal(u_hat.freqs, out_hat, grid.rho), grid).values
+    zeros = np.zeros((grid.n, 1), dtype=complex)
+    return WeightedSignal(grid, np.concatenate([out[:, :nc], zeros, out[:, nc:], zeros], axis=1))
+
+
 class TestApplyTime:
     def test_zero(self):
         sd = build_grid(1.0, 8)
         grid = WeightedGrid(0.0, 0.05, 128, 2.0)
         bl = BoundaryLaw.neumann(sd)
         z = WeightedSignal.zeros(grid, sd.n_cells + sd.n_faces)
-        assert not apply_spatial_op_time(sd, bl, z).values.any()
+        assert not apply_spatial_time(sd, bl, z).values.any()
 
     def test_matches_direct_blocks_for_consistent_input(self):
         sd = build_grid(1.0, 16)
@@ -153,7 +234,7 @@ class TestApplyTime:
         p = wt[:, None] * np.cos(np.pi * sd.cell_x / sd.length)[None, :]
         v = wt[:, None] * np.sin(np.pi * sd.face_x / sd.length)[None, :]
         u = WeightedSignal(grid, np.concatenate([p, v], axis=1))
-        out = apply_spatial_op_time(sd, bl, u)
+        out = apply_spatial_time(sd, bl, u)
         direct_p = (sd.d_div() @ v.T).T
         direct_v = (sd.d_grad() @ p.T).T
         direct = WeightedSignal(grid, np.concatenate([direct_p, direct_v], axis=1))
@@ -173,7 +254,7 @@ class TestApplyTime:
             p = wt[:, None] * np.cos(k * sd.cell_x)[None, :]
             v = wt[:, None] * np.sin(k * sd.face_x)[None, :]
             u = WeightedSignal(grid, np.concatenate([p, v], axis=1))
-            out = apply_spatial_op_time(sd, bl, u)
+            out = apply_spatial_time(sd, bl, u)
             exact_p = wt[:, None] * (k * np.cos(k * sd.cell_x))[None, :]
             exact_v = wt[:, None] * (-k * np.sin(k * sd.face_x))[None, :]
             exact_v[:, 0] = 0.0  # zero gradient rows at the boundary faces
@@ -212,7 +293,7 @@ def product_rule_residual(n_cells: int) -> tuple[float, float]:
     q = apply_scalar_symbol(p, g.eval_many(zs)[:, 0, 0]).values
     term1 = ((alpha * cell_to_face(sd, q)) @ sd.d_div().T)
     term2 = div_alpha_cells[None, :] * q
-    term3 = face_to_cell(sd, alpha * (q @ sd.d_grad().T))
+    term3 = face_to_cell(alpha * (q @ sd.d_grad().T))
     resid = WeightedSignal(grid, term1 - term2 - term3)
     scale = rho_norm(WeightedSignal(grid, term1))
     return rho_norm(resid) / scale, scale
@@ -302,4 +383,4 @@ class TestInterpolation:
         rng = np.random.default_rng(1)
         vals = rng.standard_normal((4, sd.n_reduced))
         p, v = split_stacked(sd, vals)
-        assert np.array_equal(stack_reduced(p, v), vals)
+        assert np.array_equal(np.concatenate([p, v], axis=-1), vals)

@@ -22,7 +22,6 @@ from evowaves.transform import (
     time_antiderivative,
     time_derivative,
     translate_spectral,
-    write_spectral_csv,
 )
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -92,13 +91,6 @@ class TestForwardInverse:
         bad = WeightedGrid(grid.t0, grid.dt, grid.n // 2, grid.rho)
         with pytest.raises(ValueError):
             inverse_transform(u_hat, bad)
-
-    def test_spectral_csv(self, grid, tmp_path):
-        u_hat = forward_transform(interior_signal(grid, seed=8))
-        path = tmp_path / "spec.csv"
-        write_spectral_csv(u_hat, str(path))
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("s,re_0,im_0")
 
 
 class TestDerivative:

@@ -5,7 +5,7 @@ from conftest import identity_law, make_problem
 from evowaves.rational import scalar_rational
 from evowaves.signals import WeightedSignal
 from evowaves.solver import EvoProblem
-from evowaves.spatial import BoundaryLaw
+from evowaves.spatial import BoundaryLaw, ReducedOperator
 from evowaves.verify import (
     ALL_CHECKS,
     CheckResult,
@@ -108,6 +108,22 @@ class TestAdjointProjection:
     def test_zero_band_trivial(self, problem):
         res = check_adjoint_projection(problem, n_band=0.0, seed=3)
         assert res.passed
+
+    @pytest.mark.parametrize("defect", ["unconjugated", "off_sign"])
+    def test_wrong_adjoint_fails(self, problem, monkeypatch, defect):
+        def wrong_adjoint(op):
+            if defect == "unconjugated":
+                return ReducedOperator(op.sym_p, op.sym_v, op.corner0, op.cornerL, -op.off, op.n_cells)
+            return ReducedOperator(
+                np.conj(op.sym_p), np.conj(op.sym_v), np.conj(op.corner0), np.conj(op.cornerL),
+                op.off, op.n_cells,
+            )
+
+        monkeypatch.setattr(ReducedOperator, "adjoint", wrong_adjoint)
+        res = check_adjoint_projection(problem, seed=3)
+        assert not res.passed
+        block_defect = float(res.details.split("block defect ")[1].split(",")[0])
+        assert block_defect > 1e-3
 
 
 class TestBoundarySign:
