@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, Scenario, load_scenario
+from .config import ConfigError, load_scenario
 from .signals import write_signal_csv
 from .solver import EvoProblem, SolverError, solve_frequency
 from .spatial import BoundaryLaw, split_stacked
@@ -35,17 +35,9 @@ RESIDUAL_PASS = 1e-10
 REFLECTION_TOL = 0.02
 
 
-def _load(args: argparse.Namespace) -> Scenario:
-    return load_scenario(args.config)
-
-
-def _build(scenario: Scenario) -> EvoProblem:
-    return scenario.build()
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
-        scenario = _load(args)
+        scenario = load_scenario(args.config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -53,7 +45,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         sys.stdout.write(scenario.dump())
         return EXIT_OK
     try:
-        prob = _build(scenario)
+        prob = scenario.build()
         report = solve_frequency(prob)
     except (SolverError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
@@ -77,7 +69,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        scenario = _load(args)
+        scenario = load_scenario(args.config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -85,7 +77,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(scenario.dump())
         return EXIT_OK
     try:
-        prob = _build(scenario)
+        prob = scenario.build()
         if not scenario.checks:
             print("warning: empty check list, nothing verified")
             return EXIT_OK
@@ -110,8 +102,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def measure_reflection(
     prob: EvoProblem, x_source: float, t_source: float, x_probe_frac: float = 0.5
-) -> tuple[float, float]:
-    """Measured reflection coefficient and reflected-energy fraction.
+) -> tuple[float, float, float]:
+    """Measured reflection coefficient, reflected-energy fraction and solve residual.
 
     The scenario's rightward pulse leaves clean characteristic variables:
     p + v carries the incident wave past the probe, p - v the reflection
@@ -142,12 +134,12 @@ def measure_reflection(
     q_plus_shifted = np.roll(q_plus, lag)
     denom = float(np.sum(q_plus_shifted[gate_ref] ** 2))
     r_measured = float(np.sum(q_minus[gate_ref] * q_plus_shifted[gate_ref]) / denom)
-    return r_measured, energy_ref / energy_inc
+    return r_measured, energy_ref / energy_inc, report.residual_rel
 
 
 def cmd_sweep_reflection(args: argparse.Namespace) -> int:
     try:
-        scenario = _load(args)
+        scenario = load_scenario(args.config)
         if scenario.source_kind != "rightward":
             raise ConfigError("sweep-reflection needs a source with kind = rightward")
         k_values = [float(tok) for tok in args.k_list.split(",") if tok.strip()]
@@ -160,13 +152,16 @@ def cmd_sweep_reflection(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     max_err = 0.0
+    bad_residuals = []
     try:
-        base = _build(scenario)
+        base = scenario.build()
         for k in k_values:
             prob = with_boundary(base, BoundaryLaw.robin(k, base.sd, r=scenario.boundary_r))
-            r_meas, energy_frac = measure_reflection(
+            r_meas, energy_frac, residual = measure_reflection(
                 prob, x_source=scenario.x_center, t_source=scenario.t_center
             )
+            if residual > RESIDUAL_PASS:
+                bad_residuals.append(f"k={k:g} residual_rel={residual:.3e}")
             r_exact = (1.0 - k) / (1.0 + k)
             err = abs(r_meas - r_exact)
             max_err = max(max_err, err)
@@ -183,15 +178,18 @@ def cmd_sweep_reflection(args: argparse.Namespace) -> int:
         writer.writerow(["k", "R_measured", "R_analytic", "abs_error", "reflected_energy_fraction"])
         for row in rows:
             writer.writerow([f"{x:.17g}" for x in row])
-    if max_err <= REFLECTION_TOL:
-        return EXIT_OK
-    print(f"reflection error {max_err:.4f} exceeds tolerance {REFLECTION_TOL}", file=sys.stderr)
-    return EXIT_BOUNDS
+    if bad_residuals:
+        print(
+            f"residual above {RESIDUAL_PASS:g}: {'; '.join(bad_residuals)}", file=sys.stderr
+        )
+    if max_err > REFLECTION_TOL:
+        print(f"reflection error {max_err:.4f} exceeds tolerance {REFLECTION_TOL}", file=sys.stderr)
+    return EXIT_BOUNDS if bad_residuals or max_err > REFLECTION_TOL else EXIT_OK
 
 
 def cmd_dump_config(args: argparse.Namespace) -> int:
     try:
-        scenario = _load(args)
+        scenario = load_scenario(args.config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

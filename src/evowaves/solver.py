@@ -17,8 +17,9 @@ boundary faces.  Two solvers are provided and cross-checked:
   history is stored.  First order in the step, strictly causal by
   construction.
 
-Both produce a SolveReport carrying the residual, the energy ratio
-against the solvability margin, a causality margin and conditioning info.
+Both end in the same report code: a SolveReport carrying the residual,
+the energy ratio against the solvability margin, a causality margin, the
+source padding flag, conditioning info and the same warnings.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .material import MaterialLaw, coercivity, law_symbol, memory_bound
-from .rational import RationalMatrixFunction
+from .rational import RationalMatrixFunction, scalar_rational
 from .signals import WeightedGrid, WeightedSignal, rho_norm
 from .spatial import (
     BoundaryLaw,
@@ -41,10 +42,10 @@ from .spatial import (
 )
 from .transform import (
     SpectralSignal,
+    assert_padded,
     forward_transform,
     frequencies_for,
     inverse_transform,
-    support_bounds,
 )
 
 __all__ = [
@@ -58,11 +59,13 @@ __all__ = [
     "solve_frequency",
     "solve_timestep",
     "residual_norm",
+    "causality_margins",
 ]
 
 ENERGY_SLACK = 0.02          # tolerated relative slack on the energy bound
 CAUSALITY_SLACK = 1e-6       # tolerated causality margin, relative to ||f||
 N_COND_SAMPLES = 8           # frequencies at which solve_frequency estimates conditioning
+N_CUTS = 10                  # evenly spaced cut times of the report's causality margin
 
 
 class SolverError(RuntimeError):
@@ -265,27 +268,17 @@ def realize_flux(bl: BoundaryLaw, rho: float) -> StateSpaceRealization:
     d0 = complex(g.const[0, 0])
     lin = complex(g.lin[0, 0])
     p = g.poles
-    res = g.residues[:, 0, 0] if g.n_poles else np.zeros(0, complex)
-    g_at_zero = d0 - (np.sum(res / p) if p.size else 0.0)
-    scale = abs(lin) + abs(d0) + float(np.sum(np.abs(res / p))) if p.size else abs(lin) + abs(d0)
+    res = g.residues[:, 0, 0]
+    g_at_zero = d0 - np.sum(res / p)
+    scale = abs(lin) + abs(d0) + float(np.sum(np.abs(res / p)))
     if abs(g_at_zero) > 1e-9 * (scale + 1.0):
         raise ImproperKernelError(
             "boundary flux symbol grows linearly in frequency (g(0) = "
             f"{g_at_zero:.3e} != 0); fold one time integration into the kernel "
             "so that g vanishes at z = 0, then retry the time stepper"
         )
-    # c(w) = g(0) w + [lin - sum r/p^2] + sum (-r/p^3)/(w - 1/p)
-    const = lin - (np.sum(res / p**2) if p.size else 0.0)
-    poles = 1.0 / p if p.size else np.zeros(0, complex)
-    residues = (-res / p**3) if p.size else np.zeros(0, complex)
-    real = StateSpaceRealization(
-        poles=poles,
-        residues=residues.reshape(-1, 1, 1),
-        const=np.asarray([[const]], dtype=complex),
-        dim=1,
-    )
-    real.check_stable(rho)
-    return real
+    # with g(0) = 0, c(w) = h(1/w) for h(z) = g(z)/z = lin + sum (r/p)/(z - p)
+    return realize(scalar_rational(const=lin, poles=p, residues=res / p), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +338,62 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
-def _causality_margin(prob: EvoProblem, u: WeightedSignal, n_cuts: int = 10) -> float:
-    """min over cut times of (||chi f|| - beta0 ||chi U||) / ||f||.
+def causality_margins(
+    prob: EvoProblem, u: WeightedSignal, cuts: np.ndarray, beta0: float
+) -> np.ndarray:
+    """(||chi_a f|| - beta0 ||chi_a U||) / ||f|| at each cut time a (0 if f = 0).
 
     Cutoff norms at all cuts come from one prefix sum of the per-sample
     weighted energies (a sharp cutoff just truncates the quadrature sum).
     """
-    _, _, beta0 = prob.margin_constants()
-    grid = prob.grid
-    wq = grid.weights()
-    energy_u = np.cumsum(wq * np.sum(np.abs(u.values) ** 2, axis=1))
-    energy_f = np.cumsum(wq * np.sum(np.abs(prob.f.values) ** 2, axis=1))
+    wq = prob.grid.weights()
+    # prefix energies lead with 0, the energy before the first sample
+    energy_u = np.cumsum(np.append(0.0, wq * np.sum(np.abs(u.values) ** 2, axis=1)))
+    energy_f = np.cumsum(np.append(0.0, wq * np.sum(np.abs(prob.f.values) ** 2, axis=1)))
     f_norm = float(np.sqrt(energy_f[-1]))
     if f_norm == 0.0:
-        return 0.0
-    cuts = grid.t0 + grid.window_length * (np.arange(1, n_cuts + 1) / (n_cuts + 1.0))
-    idx = np.searchsorted(grid.times, cuts, side="right") - 1
-    idx = idx[idx >= 0]
-    margins = np.sqrt(energy_f[idx]) - beta0 * np.sqrt(energy_u[idx])
-    return float(margins.min() / f_norm)
+        return np.zeros(len(cuts))
+    idx = np.searchsorted(prob.grid.times, cuts, side="right")
+    return (np.sqrt(energy_f[idx]) - beta0 * np.sqrt(energy_u[idx])) / f_norm
 
 
-def _f_padding_ok(prob: EvoProblem) -> bool:
-    bounds = support_bounds(prob.f, rel_tol=1e-12)
-    if bounds is None:
-        return True
-    j0, j1 = bounds
-    return (prob.grid.n - 1 - j1) >= (j1 - j0 + 1)
+def _report(
+    prob: EvoProblem,
+    u: WeightedSignal,
+    method: str,
+    t_start: float,
+    cond: float,
+    warnings: list[str],
+) -> SolveReport:
+    """Residual, constants, energy ratio, causality margin and padding, for either solver."""
+    grid = prob.grid
+    res, res_rel = residual_norm(prob, u)
+    gamma, mu, beta0 = prob.margin_constants()
+    f_norm = rho_norm(prob.f)
+    energy_ratio = rho_norm(u) / f_norm if f_norm > 0 else 0.0
+    cuts = grid.t0 + grid.window_length * (np.arange(1, N_CUTS + 1) / (N_CUTS + 1.0))
+    try:
+        assert_padded(prob.f, rel_tol=1e-12)
+        padded = True
+    except ValueError as exc:
+        padded = False
+        warnings.append(str(exc))
+    return SolveReport(
+        solution=u,
+        residual_rel=res,
+        residual_is_relative=res_rel,
+        gamma0=gamma,
+        mu0=mu,
+        beta0=beta0,
+        rho=grid.rho,
+        energy_ratio=energy_ratio,
+        causality_margin=float(causality_margins(prob, u, cuts, beta0).min()),
+        max_condition_number=cond,
+        wall_time_s=time.perf_counter() - t_start,
+        method=method,
+        f_padded_ok=padded,
+        warnings=warnings,
+    )
 
 
 def solve_frequency(prob: EvoProblem) -> SolveReport:
@@ -401,37 +423,14 @@ def solve_frequency(prob: EvoProblem) -> SolveReport:
     sample_idx = np.unique(np.linspace(0, s.size - 1, N_COND_SAMPLES, dtype=int))
     cond = max(op.cond1(k) for k in sample_idx)
 
-    res, res_rel = residual_norm(prob, u)
-    gamma, mu, beta0 = prob.margin_constants()
-    f_norm = rho_norm(prob.f)
-    energy_ratio = rho_norm(u) / f_norm if f_norm > 0 else 0.0
-    report = SolveReport(
-        solution=u,
-        residual_rel=res,
-        residual_is_relative=res_rel,
-        gamma0=gamma,
-        mu0=mu,
-        beta0=beta0,
-        rho=grid.rho,
-        energy_ratio=energy_ratio,
-        causality_margin=_causality_margin(prob, u),
-        max_condition_number=cond,
-        wall_time_s=time.perf_counter() - t_start,
-        method="frequency",
-        f_padded_ok=_f_padding_ok(prob),
-    )
+    warnings: list[str] = []
     if pivoted.size:
-        report.warnings.append(
+        warnings.append(
             f"Thomas pivot broke down at {pivoted.size} of {s.size} frequencies in "
             f"s = [{s[pivoted[0]]:.9g}, {s[pivoted[-1]]:.9g}]; those were solved "
             "by pivoted banded LU"
         )
-    if not report.f_padded_ok:
-        report.warnings.append(
-            "source has less trailing padding than its support; causality "
-            "margins may be contaminated by wrap-around"
-        )
-    return report
+    return _report(prob, u, "frequency", t_start, cond, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +528,4 @@ def solve_timestep(prob: EvoProblem, dt_sub: float | None = None) -> SolveReport
         if step % n_sub == 0:
             out[step // n_sub] = u_new
 
-    u = WeightedSignal(grid, out)
-    res, res_rel = residual_norm(prob, u)
-    gamma, mu, beta0 = prob.margin_constants()
-    f_norm = rho_norm(prob.f)
-    energy_ratio = rho_norm(u) / f_norm if f_norm > 0 else 0.0
-    report = SolveReport(
-        solution=u,
-        residual_rel=res,
-        residual_is_relative=res_rel,
-        gamma0=gamma,
-        mu0=mu,
-        beta0=beta0,
-        rho=rho,
-        energy_ratio=energy_ratio,
-        causality_margin=_causality_margin(prob, u),
-        max_condition_number=float("nan"),
-        wall_time_s=time.perf_counter() - t_start,
-        method="timestep",
-        f_padded_ok=_f_padding_ok(prob),
-    )
-    return report
+    return _report(prob, WeightedSignal(grid, out), "timestep", t_start, float("nan"), [])

@@ -341,8 +341,9 @@ class ReducedOperator:
     def cond1(self, k: int) -> float:
         """1-norm condition number at frequency index k.
 
-        Dense for small systems; for large ones the inverse norm comes from
-        the Hager-style estimator driven by sparse LU solves.
+        Exact for small systems; for large ones the inverse norm is a lower
+        bound from Hager's estimator driven by sparse LU solves, started
+        from its deterministic vector (t=1) so repeated calls agree.
         """
         mat = self.sparse(k)
         norm_a = float(abs(mat).sum(axis=0).max())
@@ -356,7 +357,7 @@ class ReducedOperator:
             matmat=lu.solve,
             rmatvec=lambda x: lu.solve(x, trans="H"),
         )
-        return norm_a * float(scipy.sparse.linalg.onenormest(inv))
+        return norm_a * float(scipy.sparse.linalg.onenormest(inv, t=1))
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve every frequency's system for (n_freq, dim) stacked values.

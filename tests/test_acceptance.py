@@ -164,7 +164,7 @@ def test_criterion_5_robin_reflection_sweep():
     absorbed_at_matched = 0.0
     for k in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0):
         prob = with_boundary(base, BoundaryLaw.robin(k, sd))
-        r_meas, energy_frac = measure_reflection(prob, x_source=x_c, t_source=t_c)
+        r_meas, energy_frac, _ = measure_reflection(prob, x_source=x_c, t_source=t_c)
         max_err = max(max_err, abs(r_meas - (1.0 - k) / (1.0 + k)))
         if k == 1.0:
             absorbed_at_matched = 1.0 - energy_frac

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from evowaves import cli
 from evowaves.cli import main
 from evowaves.config import ConfigError, parse_scenario
 
@@ -181,6 +182,18 @@ class TestCliSolve:
         assert main(["solve", "--config", good_cfg, "--out", str(out2), "--seed", "7"]) == 0
         assert (out1 / "U.csv").read_bytes() == (out2 / "U.csv").read_bytes()
 
+    def test_deterministic_report(self, tmp_path):
+        # 200 cells is 399 unknowns, past the exact condition-number cutoff,
+        # so max_condition_number comes from the estimator
+        path = tmp_path / "fine.cfg"
+        path.write_text(GOOD_CONFIG.replace("cells = 16", "cells = 200"))
+        reports = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+            lines = (out / "report.txt").read_bytes().splitlines(keepends=True)
+            reports.append(b"".join(ln for ln in lines if not ln.startswith(b"wall_time_s")))
+        assert reports[0] == reports[1]
+
     def test_dump_config_flag_round_trips(self, good_cfg, tmp_path, capsys):
         assert main(["solve", "--config", good_cfg, "--dump-config"]) == 0
         dumped = capsys.readouterr().out
@@ -237,6 +250,15 @@ class TestCliSweep:
         table = (out / "reflection.csv").read_text().splitlines()
         assert table[0].startswith("k,R_measured,R_analytic")
         assert len(table) == 4
+
+    def test_residual_above_pass_exit_4(self, sweep_cfg, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "RESIDUAL_PASS", 0.0)
+        code = main([
+            "sweep-reflection", "--config", sweep_cfg, "--out", str(tmp_path / "o"),
+            "--k-list", "1",
+        ])
+        assert code == 4
+        assert "k=1 residual_rel=" in capsys.readouterr().err
 
     def test_requires_rightward_source(self, good_cfg, tmp_path):
         code = main(["sweep-reflection", "--config", good_cfg, "--out", str(tmp_path / "o")])

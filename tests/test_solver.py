@@ -1,8 +1,12 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 import scipy.signal
 
 from conftest import bump, identity_law, interior_signal, make_problem, memory_law
+from evowaves.config import parse_scenario
 from evowaves.material import MaterialLaw
 from evowaves.rational import RationalMatrixFunction, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_norm
@@ -191,7 +195,7 @@ class TestFrequencySolve:
         fv = wt[:, None] * bump(sd.face_x[1:-1], 0.2, 0.05)[None, :]
         f = WeightedSignal(grid, np.concatenate([fp, fv], axis=1))
         prob = EvoProblem(grid, sd, identity_law(), BoundaryLaw.robin(100.0, sd), f)
-        r_meas, _ = measure_reflection(prob, x_source=0.2, t_source=0.4)
+        r_meas, _, _ = measure_reflection(prob, x_source=0.2, t_source=0.4)
         assert abs(r_meas - (1.0 - 100.0) / (1.0 + 100.0)) <= 0.03
 
     def test_manufactured_solution_order_two_in_dx(self):
@@ -380,6 +384,16 @@ class TestReport:
         text = rep.to_text()
         for key in ("rho", "beta0", "energy_ratio", "causality_margin", "residual_rel"):
             assert key in text
+
+    def test_both_solvers_warn_on_unpadded_source(self):
+        # a source centred near the window end leaves too little trailing padding
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "default.cfg"
+        prob = parse_scenario(cfg.read_text().replace("t_center = 1.0", "t_center = 10.5")).build()
+        freq, step = solve_frequency(prob), solve_timestep(prob)
+        assert not freq.f_padded_ok and not step.f_padded_ok
+        assert freq.warnings == step.warnings
+        assert len(freq.warnings) == 1
+        assert re.search(r"samples \[\d+, \d+\] of 512", freq.warnings[0])
 
     def test_operator_application_consistency(self, problem):
         # applying the operator to the solution reproduces the source

@@ -174,6 +174,8 @@ class TestReducedOperator:
         for k in range(3):
             exact = np.linalg.cond(op.dense(k), 1)
             assert exact / 4 <= op.cond1(k) <= exact * (1 + 1e-9)
+        # the estimator starts from a fixed vector, so repeated calls agree
+        assert op.cond1(1) == op.cond1(1)
 
 
 class TestPairing:
