@@ -200,21 +200,25 @@ def time_multiply(psi: Callable[[np.ndarray], np.ndarray], u: WeightedSignal) ->
     return u.with_values(u.values * factors[:, None])
 
 
-# CSV layout: header "t, re_0, im_0, ..., re_{d-1}, im_{d-1}", one row per
-# grid time, 17 significant digits (enough to round-trip doubles exactly).
+# CSV layout: header "t,re_0,im_0,...,re_{d-1},im_{d-1}", one row per grid
+# time, comma-separated without spaces, CRLF line endings, every number as
+# "%.17g" (enough to round-trip doubles exactly).  Samples are finite, so no
+# field ever needs quoting.
 
 def write_signal_csv(u: WeightedSignal, path: str) -> None:
     header = ["t"]
     for j in range(u.dim):
         header += [f"re_{j}", f"im_{j}"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, row in zip(u.grid.times, u.values):
-            out = [f"{t:.17g}"]
-            for z in row:
-                out += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            writer.writerow(out)
+    # One bytes format per row: b"%.17g" % x is format(x, ".17g") for every
+    # double.  Bytes skip the text layer's per-row encode copy, which also
+    # left the heap fragmented across repeated solves in one process.
+    row_fmt = (",".join(["%.17g"] * (1 + 2 * u.dim)) + "\r\n").encode()
+    # (n, 2*dim) float view: re_0, im_0, re_1, ... in column order
+    parts = u.values.view(np.float64)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for t, row in zip(u.grid.times.tolist(), parts):
+            fh.write(row_fmt % (t, *row.tolist()))
 
 
 def read_signal_csv(path: str, grid: WeightedGrid) -> WeightedSignal:
@@ -236,5 +240,6 @@ def read_signal_csv(path: str, grid: WeightedGrid) -> WeightedSignal:
     data = np.asarray(rows, dtype=float)
     if not np.allclose(data[:, 0], grid.times, rtol=0, atol=1e-9 * max(grid.dt, 1.0)):
         raise ValueError(f"{path}: time column does not match the scenario grid")
-    vals = data[:, 1::2] + 1j * data[:, 2::2]
+    # pairs (re_j, im_j) reinterpreted as complex, which keeps the sign of a zero
+    vals = np.ascontiguousarray(data[:, 1:]).view(complex)
     return WeightedSignal(grid, vals)

@@ -396,16 +396,15 @@ def _report(
     )
 
 
-def solve_frequency(prob: EvoProblem) -> SolveReport:
-    """Exact per-frequency solve (the oracle path).
+def _solve_spectral(
+    prob: EvoProblem,
+) -> tuple[WeightedSignal, ReducedOperator, np.ndarray, np.ndarray]:
+    """The bare frequency solve: (u, op, s, pivoted frequency indices).
 
     All frequencies are solved in one batched Thomas sweep; any frequency
-    where a pivot breaks down is re-solved by pivoted banded LU and named
-    in the report's warnings.  Condition numbers (1-norm) are sampled on
-    N_COND_SAMPLES frequencies, since estimating all of them would
-    dominate the run time.
+    where a pivot breaks down is re-solved by pivoted banded LU.  A
+    frequency the solve cannot invert raises SolverError naming it.
     """
-    t_start = time.perf_counter()
     grid = prob.grid
     s = frequencies_for(grid)
     op = prob.operator(s)
@@ -418,7 +417,20 @@ def solve_frequency(prob: EvoProblem) -> SolveReport:
             "law is inadmissible)"
         )
     u = inverse_transform(SpectralSignal(s, u_hat, grid.rho), grid)
-    del u_hat  # the residual recheck below allocates several spectra of its own
+    del u_hat  # the caller's residual recheck allocates several spectra of its own
+    return u, op, s, pivoted
+
+
+def solve_frequency(prob: EvoProblem) -> SolveReport:
+    """Exact per-frequency solve (the oracle path).
+
+    The solve itself is _solve_spectral; frequencies that fell back to
+    pivoted banded LU are named in the report's warnings.  Condition
+    numbers (1-norm) are sampled on N_COND_SAMPLES frequencies, since
+    estimating all of them would dominate the run time.
+    """
+    t_start = time.perf_counter()
+    u, op, s, pivoted = _solve_spectral(prob)
 
     sample_idx = np.unique(np.linspace(0, s.size - 1, N_COND_SAMPLES, dtype=int))
     cond = max(op.cond1(k) for k in sample_idx)

@@ -15,6 +15,7 @@ fail verifies nothing.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 from dataclasses import dataclass
 
@@ -23,10 +24,10 @@ import numpy as np
 from .signals import WeightedSignal, rho_inner, rho_norm, translate, truncate_before
 from .solver import (
     EvoProblem,
+    _solve_spectral,
     apply_evo_adjoint_operator,
     apply_evo_operator,
     causality_margins,
-    solve_frequency,
 )
 from .spatial import boundary_sign_functional, split_stacked
 from .transform import forward_transform, frequencies_for, inverse_transform, SpectralSignal
@@ -215,7 +216,8 @@ def check_causal_estimate(prob: EvoProblem, n_cuts: int = 10, seed: int = 2) -> 
     grid = prob.grid
     cuts = grid.t0 + grid.window_length * rng.uniform(0.05, 0.95, size=n_cuts)
     _, _, beta0 = prob.margin_constants()
-    margins = causality_margins(prob, solve_frequency(prob).solution, cuts, beta0)
+    u, _, _, _ = _solve_spectral(prob)
+    margins = causality_margins(prob, u, cuts, beta0)
     return CheckResult(
         "causal_estimate",
         float(margins.min()),
@@ -358,8 +360,6 @@ def run_all_checks(
 
 
 def write_checks_csv(results: list[CheckResult], path: str) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "margin", "tolerance", "pass"])

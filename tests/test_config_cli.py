@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,10 +309,14 @@ class TestCliMisc:
         assert "[grid]" in capsys.readouterr().out
 
     def test_console_entry_point(self, good_cfg):
+        # the child imports evowaves from where this process found it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "evowaves.cli", "dump-config", "--config", good_cfg],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "[grid]" in proc.stdout

@@ -156,6 +156,37 @@ class TestCsv:
         back = read_signal_csv(str(path), grid)
         assert np.array_equal(back.values, u.values)
 
+    def test_exact_bytes(self, tmp_path):
+        g = WeightedGrid(0.0, 0.1, 3, 1.0)
+        vals = np.array(
+            [
+                [complex(-0.0, 5e-324), complex(1e300, 0.1)],
+                [complex(1.0, -2.5e-17), complex(0.1, -0.0)],
+                [complex(5e-324, 1e300), complex(-2.5e-17, 1.0)],
+            ]
+        )
+        u = WeightedSignal(g, vals)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(u, str(path))
+        assert path.read_bytes() == (
+            b"t,re_0,im_0,re_1,im_1\r\n"
+            b"0,-0,4.9406564584124654e-324,1.0000000000000001e+300,0.10000000000000001\r\n"
+            b"0.10000000000000001,1,-2.4999999999999999e-17,0.10000000000000001,-0\r\n"
+            b"0.20000000000000001,4.9406564584124654e-324,1.0000000000000001e+300,"
+            b"-2.4999999999999999e-17,1\r\n"
+        )
+        back = read_signal_csv(str(path), g)
+        assert np.array_equal(back.values, u.values)
+
+    def test_round_trip_keeps_signed_zero(self, tmp_path):
+        g = WeightedGrid(0.0, 0.1, 2, 1.0)
+        u = WeightedSignal(g, np.array([[complex(-0.0, 1.0)], [complex(2.0, -0.0)]]))
+        path = tmp_path / "sig.csv"
+        write_signal_csv(u, str(path))
+        back = read_signal_csv(str(path), g)
+        # bit patterns, so a -0.0 that comes back as +0.0 fails
+        assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+
     def test_wrong_grid_rejected(self, grid, tmp_path):
         u = random_signal(grid, seed=11)
         path = tmp_path / "sig.csv"
