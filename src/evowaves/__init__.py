@@ -7,25 +7,9 @@ estimate the underlying theory guarantees (coercivity, energy bound,
 causality) into an executable numerical check.
 """
 
-from .material import (
-    MaterialLaw,
-    apply_material,
-    apply_material_adjoint,
-    coercivity,
-    memory_bound,
-    select_rho,
-    solvability_margin,
-)
-from .rational import RationalMatrixFunction, fit_power_series, scalar_rational
-from .signals import (
-    WeightedGrid,
-    WeightedSignal,
-    rho_inner,
-    rho_norm,
-    time_multiply,
-    translate,
-    truncate_before,
-)
+from .material import MaterialLaw, coercivity, memory_bound, select_rho
+from .rational import RationalMatrixFunction, scalar_rational
+from .signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, translate, truncate_before
 from .solver import (
     EvoProblem,
     SolveReport,
@@ -36,14 +20,7 @@ from .solver import (
     solve_timestep,
 )
 from .spatial import BoundaryLaw, SpatialDiscretization, build_grid
-from .transform import (
-    SpectralSignal,
-    forward_transform,
-    inverse_transform,
-    time_antiderivative,
-    time_derivative,
-    translate_spectral,
-)
+from .transform import SpectralSignal, forward_transform, inverse_transform
 
 __version__ = "0.1.0"
 
@@ -54,22 +31,14 @@ __all__ = [
     "rho_norm",
     "truncate_before",
     "translate",
-    "time_multiply",
     "SpectralSignal",
     "forward_transform",
     "inverse_transform",
-    "time_derivative",
-    "time_antiderivative",
-    "translate_spectral",
     "RationalMatrixFunction",
     "scalar_rational",
-    "fit_power_series",
     "MaterialLaw",
-    "apply_material",
-    "apply_material_adjoint",
     "coercivity",
     "memory_bound",
-    "solvability_margin",
     "select_rho",
     "SpatialDiscretization",
     "build_grid",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .config import ConfigError, load_scenario
 from .signals import write_signal_csv
 from .solver import EvoProblem, SolverError, solve_frequency
 from .spatial import BoundaryLaw, split_stacked
-from .verify import run_all_checks, with_boundary, write_checks_csv
+from .verify import run_all_checks, write_checks_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,20 +102,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def measure_reflection(
-    prob: EvoProblem, x_source: float, t_source: float, x_probe_frac: float = 0.5
+    prob: EvoProblem, x_source: float, t_source: float
 ) -> tuple[float, float, float]:
     """Measured reflection coefficient, reflected-energy fraction and solve residual.
 
     The scenario's rightward pulse leaves clean characteristic variables:
-    p + v carries the incident wave past the probe, p - v the reflection
-    off the far end.  Both are time-gated around their known arrival
-    times, and the coefficient is a least-squares fit of the gated
-    reflection against the lag-aligned incident trace.
+    at the probe, the middle cell, p + v carries the incident wave and
+    p - v the reflection off the far end.  Both are time-gated around
+    their known arrival times, and the coefficient is a least-squares fit
+    of the gated reflection against the lag-aligned incident trace.
     """
     sd, grid = prob.sd, prob.grid
     report = solve_frequency(prob)
     p, v_int = split_stacked(sd, report.solution.values)
-    c = int(x_probe_frac * sd.n_cells)
+    c = sd.n_cells // 2
     v_cell = 0.5 * (v_int[:, c - 1] + v_int[:, c])
     x_probe = sd.cell_x[c]
     q_plus = (p[:, c] + v_cell).real
@@ -156,7 +157,7 @@ def cmd_sweep_reflection(args: argparse.Namespace) -> int:
     try:
         base = scenario.build()
         for k in k_values:
-            prob = with_boundary(base, BoundaryLaw.robin(k, base.sd, r=scenario.boundary_r))
+            prob = dataclasses.replace(base, bl=BoundaryLaw.robin(k, base.sd, r=scenario.boundary_r))
             r_meas, energy_frac, residual = measure_reflection(
                 prob, x_source=scenario.x_center, t_source=scenario.t_center
             )

@@ -2,9 +2,10 @@
 
 A material law is M(z) = M0 + z * M1(z) with M0 Hermitian positive
 definite and M1 rational, holomorphic and bounded on the ball B(r, r).
-Applied to signals it acts per frequency through the weighted Fourier
-transform at the points z_k = 1/(i s_k + rho); those points fill the ball
-exactly when rho > 1/(2 r), which is therefore a hard precondition.
+It acts per frequency: the weighted Fourier transform turns the inverse
+time derivative into multiplication by z_k = 1/(i s_k + rho), so the law
+is its symbol law_symbol(law, s, rho) = M(z_k).  Those points fill the
+ball exactly when rho > 1/(2 r), which is therefore a hard precondition.
 
 Two constants summarize a law for the solvability theory: the coercivity
 of the instantaneous part (smallest eigenvalue of M0) and a bound on the
@@ -21,20 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import PoleError, RationalMatrixFunction
-from .signals import WeightedSignal
-from .transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
+from .rational import RationalMatrixFunction
 
 __all__ = [
     "MaterialLaw",
     "MaterialLawError",
     "law_symbol",
-    "apply_material",
-    "apply_material_adjoint",
-    "apply_rational_calculus",
     "coercivity",
     "memory_bound",
-    "solvability_margin",
     "select_rho",
 ]
 
@@ -75,19 +70,6 @@ class MaterialLaw:
     def dim(self) -> int:
         return self.m0.shape[0]
 
-    def eval(self, z: complex) -> np.ndarray:
-        """M0 + z * M1(z) for z in the open ball B(r, r)."""
-        z = complex(z)
-        if abs(z - self.r) >= self.r:
-            raise MaterialLawError(
-                f"z={z} lies outside the open holomorphy ball B({self.r}, {self.r})"
-            )
-        try:
-            m1 = self.m1.eval(z)
-        except PoleError as exc:  # poles are outside the ball, but be explicit
-            raise MaterialLawError(str(exc)) from exc
-        return self.m0 + z * m1
-
     def rho_floor(self) -> float:
         """Smallest admissible weight from the holomorphy constraint alone."""
         return 1.0 / (2.0 * self.r)
@@ -101,58 +83,15 @@ def _check_rho(law: MaterialLaw, rho: float) -> None:
         )
 
 
-def _frequency_points(law: MaterialLaw, s: np.ndarray, rho: float) -> np.ndarray:
+def _frequency_points(s: np.ndarray, rho: float) -> np.ndarray:
     return 1.0 / (1j * np.asarray(s, dtype=float) + rho)
 
 
 def law_symbol(law: MaterialLaw, s: np.ndarray, rho: float) -> np.ndarray:
     """M evaluated at z_k = 1/(i s_k + rho); shape (len(s), d, d)."""
     _check_rho(law, rho)
-    zs = _frequency_points(law, s, rho)
+    zs = _frequency_points(s, rho)
     return law.m0[None, :, :] + zs[:, None, None] * law.m1.eval_many(zs)
-
-
-def _apply_matrix_symbol(u: WeightedSignal, mats: np.ndarray) -> WeightedSignal:
-    u_hat = forward_transform(u)
-    vals = np.einsum("kij,kj->ki", mats, u_hat.values)
-    out = SpectralSignal(u_hat.freqs, vals, u_hat.rho)
-    return inverse_transform(out, u.grid)
-
-
-def apply_material(law: MaterialLaw, u: WeightedSignal) -> WeightedSignal:
-    """Apply M as a function of the inverse time derivative to a signal."""
-    if u.dim != law.dim:
-        raise ValueError(f"signal dim {u.dim} does not match law dim {law.dim}")
-    mats = law_symbol(law, frequencies_for(u.grid), u.grid.rho)
-    return _apply_matrix_symbol(u, mats)
-
-
-def apply_material_adjoint(law: MaterialLaw, u: WeightedSignal) -> WeightedSignal:
-    """Adjoint of apply_material in the weighted inner product.
-
-    Per frequency this is the conjugate transpose of the forward symbol,
-    which is what the adjoint-symbol rule M (conj z)^H produces at the
-    conjugated spectral points of the adjoint inverse derivative.
-    """
-    if u.dim != law.dim:
-        raise ValueError(f"signal dim {u.dim} does not match law dim {law.dim}")
-    mats = law_symbol(law, frequencies_for(u.grid), u.grid.rho)
-    return _apply_matrix_symbol(u, np.conj(np.swapaxes(mats, 1, 2)))
-
-
-def apply_rational_calculus(fn: RationalMatrixFunction, u: WeightedSignal, r: float) -> WeightedSignal:
-    """Apply a raw rational function of the inverse derivative (no M0 split).
-
-    The full material-law structure is not required here; this is the path
-    for symbols like z itself, which reproduces the causal antiderivative.
-    """
-    fn.check_holomorphic(r)
-    if u.grid.rho <= 1.0 / (2.0 * r):
-        raise MaterialLawError(
-            f"rho={u.grid.rho} too small: need rho > 1/(2r) = {1.0 / (2.0 * r)}"
-        )
-    zs = 1.0 / (1j * frequencies_for(u.grid) + u.grid.rho)
-    return _apply_matrix_symbol(u, fn.eval_many(zs))
 
 
 def coercivity(law: MaterialLaw) -> float:
@@ -176,20 +115,11 @@ def memory_bound(law: MaterialLaw, rho: float, n_samples: int = 512) -> float:
         return 0.0
     theta = np.linspace(-np.pi / 2, np.pi / 2, n_samples + 2)[1:-1]
     s = rho * np.tan(theta)
-    zs = np.concatenate([_frequency_points(law, s, rho), [0.0 + 0.0j]])
+    zs = np.concatenate([_frequency_points(s, rho), [0.0 + 0.0j]])
     norms = np.linalg.norm(law.m1.eval_many(zs), ord=2, axis=(1, 2))
     if not np.all(np.isfinite(norms)):
         raise MaterialLawError("memory part is unbounded across sampled frequencies")
     return float(norms.max()) * MEMORY_BOUND_SAFETY
-
-
-def solvability_margin(law: MaterialLaw, rho: float) -> float:
-    """rho * coercivity - memory_bound; positive iff the weight is large enough.
-
-    A negative value is returned (not raised) so callers can report that
-    rho must be increased past memory_bound / coercivity.
-    """
-    return rho * coercivity(law) - memory_bound(law, rho)
 
 
 def select_rho(law: MaterialLaw, r_effective: float | None = None) -> float:

@@ -7,9 +7,9 @@ The representation is
 with simple poles only.  The linear term is included because the two
 degree-one cases the solver needs (the plain antiderivative symbol z and
 the Robin boundary kernel k*z) are polynomials; everything else lives in
-the constant-plus-poles part.  The form is closed under evaluation and
-conjugate transposition and converts directly into the state-space
-recursions the time stepper uses.
+the constant-plus-poles part.  The form evaluates in closed form at any
+batch of points and converts directly into the state-space recursions
+the time stepper uses.
 
 Functions intended as operator symbols must be holomorphic on the ball
 B(r, r) = {z : |z - r| <= r}; `check_holomorphic` verifies the pole
@@ -26,8 +26,9 @@ __all__ = [
     "RationalMatrixFunction",
     "scalar_rational",
     "PoleError",
-    "fit_power_series",
 ]
+
+N_BOUNDARY = 256  # boundary-circle samples of check_holomorphic
 
 
 class PoleError(ValueError):
@@ -86,9 +87,6 @@ class RationalMatrixFunction:
             and (self.n_poles == 0 or np.abs(self.residues).max(initial=0.0) <= tol)
         )
 
-    def eval(self, z: complex) -> np.ndarray:
-        return self.eval_many(np.asarray([z], dtype=complex))[0]
-
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Evaluate at an array of points; returns shape (len(zs), d, d)."""
         zs = np.asarray(zs, dtype=complex).reshape(-1)
@@ -102,16 +100,7 @@ class RationalMatrixFunction:
             out += r[None, :, :] / dz[:, None, None]
         return out
 
-    def conj_transpose(self) -> "RationalMatrixFunction":
-        """The function z -> R(conj(z))^H (the adjoint-symbol construction)."""
-        return RationalMatrixFunction(
-            const=self.const.conj().T,
-            lin=self.lin.conj().T,
-            poles=self.poles.conj(),
-            residues=np.conj(np.swapaxes(self.residues, 1, 2)),
-        )
-
-    def check_holomorphic(self, r: float, n_boundary: int = 256) -> float:
+    def check_holomorphic(self, r: float) -> float:
         """Verify holomorphy on B(r, r); returns the sampled sup norm there.
 
         Poles must lie strictly outside the closed ball.  Boundedness is
@@ -127,7 +116,7 @@ class RationalMatrixFunction:
                 f"pole at {worst} lies inside the closed ball of radius {r} "
                 f"centered at {r}; the symbol is not holomorphic there"
             )
-        theta = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * np.pi, N_BOUNDARY, endpoint=False)
         circle = r + r * np.exp(1j * theta)
         vals = self.eval_many(circle)
         sup = float(np.linalg.norm(vals, ord=2, axis=(1, 2)).max())
@@ -139,14 +128,6 @@ class RationalMatrixFunction:
     def zero(dim: int) -> "RationalMatrixFunction":
         z = np.zeros((dim, dim), dtype=complex)
         return RationalMatrixFunction(z, z.copy(), np.zeros(0, complex), np.zeros((0, dim, dim), complex))
-
-    @staticmethod
-    def constant(mat: np.ndarray) -> "RationalMatrixFunction":
-        mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-        d = mat.shape[0]
-        return RationalMatrixFunction(
-            mat, np.zeros((d, d), complex), np.zeros(0, complex), np.zeros((0, d, d), complex)
-        )
 
 
 def scalar_rational(
@@ -171,64 +152,3 @@ def scalar_values(fn: RationalMatrixFunction, zs: np.ndarray) -> np.ndarray:
         raise ValueError("expected a scalar (1x1) rational function")
     return fn.eval_many(zs)[:, 0, 0]
 
-
-def fit_power_series(
-    coeffs: list[np.ndarray],
-    r: float,
-    n_poles: int = 20,
-    pole_radius_factor: float = 3.0,
-    n_samples: int = 1024,
-) -> tuple[RationalMatrixFunction, float]:
-    """Fit a power series sum_k a_k (z - r)^k by a partial-fraction function.
-
-    This is a convenience converter for laws supplied as series
-    coefficients: the series is sampled on the boundary circle of B(r, r)
-    and fitted in least squares over the basis {1, z, 1/(z - p_m)} with
-    poles fixed on a circle of radius pole_radius_factor * r around r
-    (safely outside the closed ball).  The reachable residual scales like
-    pole_radius_factor ** (-n_poles), a plain Fourier-resolution limit on
-    the circle.  Returns the fitted function and the maximum relative
-    residual on a finer check circle; callers decide whether the residual
-    is acceptable.
-    """
-    if not coeffs:
-        raise ValueError("need at least one series coefficient")
-    mats = [np.atleast_2d(np.asarray(a, dtype=complex)) for a in coeffs]
-    d = mats[0].shape[0]
-    if any(m.shape != (d, d) for m in mats):
-        raise ValueError("series coefficients must share one square shape")
-    if pole_radius_factor <= 1.0:
-        raise ValueError("poles must sit outside the closed holomorphy ball")
-
-    phis = 2.0 * np.pi * (np.arange(n_poles) + 0.5) / n_poles
-    poles = r + pole_radius_factor * r * np.exp(1j * phis)
-
-    def series_at(zs: np.ndarray) -> np.ndarray:
-        w = zs - r
-        acc = np.zeros((zs.size, d, d), dtype=complex)
-        wk = np.ones_like(zs)
-        for a in mats:
-            acc += wk[:, None, None] * a
-            wk = wk * w
-        return acc
-
-    theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-    zs = r + r * np.exp(1j * theta)
-    rhs = series_at(zs)
-
-    basis = np.empty((zs.size, 2 + n_poles), dtype=complex)
-    basis[:, 0] = 1.0
-    basis[:, 1] = zs
-    for m, p in enumerate(poles):
-        basis[:, 2 + m] = 1.0 / (zs - p)
-    sol, *_ = np.linalg.lstsq(basis, rhs.reshape(zs.size, d * d), rcond=None)
-    sol = sol.reshape(2 + n_poles, d, d)
-
-    fitted = RationalMatrixFunction(sol[0], sol[1], poles, sol[2:])
-
-    check = r + r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4 * n_samples, endpoint=False))
-    target = series_at(check)
-    got = fitted.eval_many(check)
-    scale = max(float(np.abs(target).max()), 1e-300)
-    residual = float(np.abs(got - target).max() / scale)
-    return fitted, residual

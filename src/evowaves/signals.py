@@ -13,9 +13,7 @@ empirically that chosen windows are adequate, nothing here enforces it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -26,7 +24,6 @@ __all__ = [
     "rho_norm",
     "truncate_before",
     "translate",
-    "time_multiply",
     "write_signal_csv",
     "read_signal_csv",
 ]
@@ -132,16 +129,6 @@ class WeightedSignal:
     def zeros(grid: WeightedGrid, dim: int) -> "WeightedSignal":
         return WeightedSignal(grid, np.zeros((grid.n, dim), dtype=complex))
 
-    @staticmethod
-    def from_function(
-        grid: WeightedGrid, dim: int, fn: Callable[[np.ndarray], np.ndarray]
-    ) -> "WeightedSignal":
-        """Sample fn(times) -> (n,) or (n, dim) onto the grid."""
-        vals = np.asarray(fn(grid.times), dtype=complex)
-        if vals.ndim == 1:
-            vals = np.tile(vals[:, None], (1, dim))
-        return WeightedSignal(grid, vals)
-
 
 def _check_compatible(u: WeightedSignal, w: WeightedSignal) -> None:
     if u.grid != w.grid or u.dim != w.dim:
@@ -194,12 +181,6 @@ def translate(u: WeightedSignal, h: float) -> WeightedSignal:
     return u.with_values(out)
 
 
-def time_multiply(psi: Callable[[np.ndarray], np.ndarray], u: WeightedSignal) -> WeightedSignal:
-    """Multiply each sample by psi(t_j)."""
-    factors = np.asarray(psi(u.grid.times))
-    return u.with_values(u.values * factors[:, None])
-
-
 # CSV layout: header "t,re_0,im_0,...,re_{d-1},im_{d-1}", one row per grid
 # time, comma-separated without spaces, CRLF line endings, every number as
 # "%.17g" (enough to round-trip doubles exactly).  Samples are finite, so no
@@ -226,18 +207,21 @@ def read_signal_csv(path: str, grid: WeightedGrid) -> WeightedSignal:
 
     The time column must match the grid times; there is no resampling.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0].strip() != "t":
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header[0].strip() != "t":
             raise ValueError(f"{path}: expected a 't' column first")
         d = (len(header) - 1) // 2
         if len(header) != 1 + 2 * d:
             raise ValueError(f"{path}: malformed header {header!r}")
-        rows = [row for row in reader if row]
-    if len(rows) != grid.n:
-        raise ValueError(f"{path}: {len(rows)} rows but grid has n={grid.n}")
-    data = np.asarray(rows, dtype=float)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a malformed number or a ragged row
+            raise ValueError(f"{path}: {exc}") from exc
+    if data.shape[0] != grid.n:
+        raise ValueError(f"{path}: {data.shape[0]} rows but grid has n={grid.n}")
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: {data.shape[1]} columns but the header names {len(header)}")
     if not np.allclose(data[:, 0], grid.times, rtol=0, atol=1e-9 * max(grid.dt, 1.0)):
         raise ValueError(f"{path}: time column does not match the scenario grid")
     # pairs (re_j, im_j) reinterpreted as complex, which keeps the sign of a zero

@@ -199,18 +199,6 @@ class StateSpaceRealization:
         object.__setattr__(self, "residues", res)
         object.__setattr__(self, "const", c)
 
-    @property
-    def n_states(self) -> int:
-        return self.poles.size
-
-    def response(self, ws: np.ndarray) -> np.ndarray:
-        """Frequency response at Laplace points w; shape (len(ws), d, d)."""
-        ws = np.asarray(ws, dtype=complex).reshape(-1)
-        out = np.broadcast_to(self.const, (ws.size, self.dim, self.dim)).copy()
-        for q, r in zip(self.poles, self.residues):
-            out += r[None, :, :] / (ws - q)[:, None, None]
-        return out
-
     def check_stable(self, rho: float) -> None:
         if self.poles.size and self.poles.real.max() >= rho:
             raise SolverError(
@@ -373,7 +361,7 @@ def _report(
     energy_ratio = rho_norm(u) / f_norm if f_norm > 0 else 0.0
     cuts = grid.t0 + grid.window_length * (np.arange(1, N_CUTS + 1) / (N_CUTS + 1.0))
     try:
-        assert_padded(prob.f, rel_tol=1e-12)
+        assert_padded(prob.f)
         padded = True
     except ValueError as exc:
         padded = False

@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
+N_FLUX_SAMPLES = 1024  # frequencies at which min_real_flux samples the flux symbol
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,9 @@ class BoundaryLaw:
         except PoleError as exc:
             raise PoleError(f"boundary kernel pole hit on the frequency grid: {exc}") from exc
 
-    def min_real_flux(self, rho: float, n_samples: int = 1024) -> float:
+    def min_real_flux(self, rho: float) -> float:
         """Sampled min of Re flux_symbol; >= 0 is the frequency-domain sign condition."""
-        theta = np.linspace(-np.pi / 2, np.pi / 2, n_samples + 2)[1:-1]
+        theta = np.linspace(-np.pi / 2, np.pi / 2, N_FLUX_SAMPLES + 2)[1:-1]
         s = rho * np.tan(theta)
         return float(self.flux_symbol(s, rho).real.min())
 
@@ -217,45 +218,6 @@ class BoundaryLaw:
         """g(z) = k z with the normal profile: normal velocity = k * pressure."""
         alpha, div_alpha = BoundaryLaw.normal_profile(sd)
         return BoundaryLaw(scalar_rational(lin=k), alpha, div_alpha, r)
-
-    @staticmethod
-    def neumann(sd: SpatialDiscretization, r: float = 1.0) -> "BoundaryLaw":
-        """g = 0: vanishing normal velocity on the boundary."""
-        alpha, div_alpha = BoundaryLaw.normal_profile(sd)
-        return BoundaryLaw(scalar_rational(), alpha, div_alpha, r)
-
-    @staticmethod
-    def from_flux_response(
-        sd: SpatialDiscretization,
-        const: float,
-        poles_w: np.ndarray | list | None = None,
-        residues_w: np.ndarray | list | None = None,
-        r: float = 1.0,
-    ) -> "BoundaryLaw":
-        """Build g from the flux response c(w) = const + sum res/(w - pole).
-
-        Specifying the boundary memory directly in the Laplace variable
-        w = i s + rho is often more natural; this inverts the algebra
-        c(w) = w g(1/w) back into the z-domain kernel
-        g(z) = const*z + sum res * z^2 / (1 - pole z), expressed in
-        partial fractions.
-        """
-        pw = np.asarray([] if poles_w is None else poles_w, dtype=complex)
-        rw = np.asarray([] if residues_w is None else residues_w, dtype=complex)
-        if pw.size != rw.size:
-            raise ValueError("poles_w and residues_w must have equal length")
-        if np.any(np.abs(pw) < 1e-12):
-            raise ValueError("flux response poles must be away from w = 0")
-        # c(w)/w has partial fractions: const*1 + sum_m [res_m/p_m * (1/(w-p_m) ... )];
-        # substituting w = 1/z termwise:  res/(w - p) -> res*z/(1 - p z)
-        #   = -(res/p) - (res/p^2)/(z - 1/p)     (checked in tests)
-        g_const = complex(-np.sum(rw / pw)) if pw.size else 0.0
-        g_lin = complex(const)
-        g_poles = 1.0 / pw
-        g_res = -rw / pw**2
-        g = scalar_rational(const=g_const, lin=g_lin, poles=g_poles, residues=g_res)
-        alpha, div_alpha = BoundaryLaw.normal_profile(sd)
-        return BoundaryLaw(g, alpha, div_alpha, r)
 
 
 @dataclass(frozen=True, eq=False)

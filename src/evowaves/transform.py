@@ -1,4 +1,4 @@
-"""Unitary weighted Fourier transform and frequency multipliers.
+"""Unitary weighted Fourier transform and its padding guard.
 
 The map implemented here takes a signal u on a weighted grid to
 
@@ -11,15 +11,15 @@ rectangle-rule L2 norm of u_hat exactly, so Parseval holds to rounding for
 signals that vanish at the window edges.
 
 The time derivative becomes the multiplier (i s + rho), its inverse the
-multiplier 1/(i s + rho).  Both are honest circular operators on the
-window: wrap-around leakage is damped like exp(-rho * padding), which is
-why causality-sensitive callers must leave enough trailing zeros
+multiplier 1/(i s + rho); the solver applies its operator that way.
+Frequency multipliers are circular operators on the window: wrap-around
+leakage is damped like exp(-rho * padding), which is why
+causality-sensitive callers must leave enough trailing zeros
 (assert_padded checks this).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,19 +31,11 @@ __all__ = [
     "frequencies_for",
     "forward_transform",
     "inverse_transform",
-    "apply_scalar_symbol",
-    "time_derivative",
-    "time_antiderivative",
-    "translate_spectral",
     "assert_padded",
-    "WindowDecayWarning",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-class WindowDecayWarning(UserWarning):
-    """A signal did not decay at the window end where an operation assumed it."""
+PAD_REL_TOL = 1e-12  # samples above this fraction of the peak count as support
 
 
 @dataclass(frozen=True)
@@ -121,78 +113,20 @@ def inverse_transform(u_hat: SpectralSignal, grid: WeightedGrid) -> WeightedSign
     return WeightedSignal(grid, vals)
 
 
-def apply_scalar_symbol(u: WeightedSignal, symbol: np.ndarray) -> WeightedSignal:
-    """Apply a scalar frequency multiplier symbol(s_k) to every component."""
-    u_hat = forward_transform(u)
-    sym = np.asarray(symbol, dtype=complex)
-    if sym.shape != u_hat.freqs.shape:
-        raise ValueError("symbol must be sampled on the signal's frequency grid")
-    out = SpectralSignal(u_hat.freqs, sym[:, None] * u_hat.values, u_hat.rho)
-    return inverse_transform(out, u.grid)
-
-
-def _warn_if_undecayed(u: WeightedSignal, what: str) -> None:
-    w = np.exp(-u.grid.rho * u.grid.times)[:, None] * np.abs(u.values)
-    peak = w.max()
-    if peak > 0 and w[-1].max() > 1e-8 * peak:
-        warnings.warn(
-            f"{what}: signal has weighted magnitude {w[-1].max():.2e} at the window "
-            f"end (peak {peak:.2e}); derivative values near the edge are untrusted",
-            WindowDecayWarning,
-            stacklevel=3,
-        )
-
-
-def time_derivative(u: WeightedSignal) -> WeightedSignal:
-    """The closed time derivative, as the frequency multiplier (i s + rho).
-
-    Agrees with centered finite differences to O(dt^2) in the window
-    interior; edge values are untrusted unless the signal decays there
-    (a WindowDecayWarning is emitted otherwise).
-    """
-    _warn_if_undecayed(u, "time_derivative")
-    s = frequencies_for(u.grid)
-    return apply_scalar_symbol(u, 1j * s + u.grid.rho)
-
-
-def time_antiderivative(u: WeightedSignal) -> WeightedSignal:
-    """Causal antiderivative t -> integral of u up to t (multiplier 1/(i s + rho))."""
-    s = frequencies_for(u.grid)
-    return apply_scalar_symbol(u, 1.0 / (1j * s + u.grid.rho))
-
-
-def translate_spectral(u: WeightedSignal, h: float) -> WeightedSignal:
-    """Translation by h through the frequency domain (multiplier e^{(i s + rho) h}).
-
-    Matches signals.translate on signals supported away from the window
-    edges; h must be a grid multiple, as there.
-    """
-    u.grid.steps_of(h)
-    s = frequencies_for(u.grid)
-    return apply_scalar_symbol(u, np.exp((1j * s + u.grid.rho) * h))
-
-
-def support_bounds(u: WeightedSignal, rel_tol: float = 1e-13) -> tuple[int, int] | None:
-    """Index range [j0, j1] where the signal is above rel_tol of its peak."""
-    mag = np.abs(u.values).max(axis=1)
-    peak = mag.max()
-    if peak == 0.0:
-        return None
-    idx = np.nonzero(mag > rel_tol * peak)[0]
-    return int(idx[0]), int(idx[-1])
-
-
-def assert_padded(u: WeightedSignal, rel_tol: float = 1e-13) -> None:
+def assert_padded(u: WeightedSignal) -> None:
     """Require trailing zeros at least as long as the signal's support.
 
     Frequency multipliers act circularly on the window; without this much
     padding their wrap-around contaminates causality tests, so those tests
-    refuse to run on unpadded signals.
+    refuse to run on unpadded signals.  The support is the index range
+    where the signal exceeds PAD_REL_TOL of its peak.
     """
-    bounds = support_bounds(u, rel_tol)
-    if bounds is None:
+    mag = np.abs(u.values).max(axis=1)
+    peak = mag.max()
+    if peak == 0.0:
         return
-    j0, j1 = bounds
+    idx = np.nonzero(mag > PAD_REL_TOL * peak)[0]
+    j0, j1 = int(idx[0]), int(idx[-1])
     support_len = j1 - j0 + 1
     trailing = u.grid.n - 1 - j1
     if trailing < support_len:

@@ -16,7 +16,6 @@ fail verifies nothing.
 from __future__ import annotations
 
 import csv
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,13 @@ __all__ = [
     "ALL_CHECKS",
     "write_checks_csv",
 ]
+
+# trial and sample counts; checks.csv for a given seed depends on every one
+POSITIVITY_TRIALS = 24
+SHIFT_TRIALS = 6
+CAUSAL_CUTS = 10
+ADJOINT_FREQ_SAMPLES = 48
+BOUNDARY_TRIALS = 12
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,7 @@ def _worst_three(margins: list[float]) -> str:
     return "; ".join(f"trial {int(i)}: margin {margins[int(i)]:.3e}" for i in order)
 
 
-def check_positivity(prob: EvoProblem, n_trials: int = 24, seed: int = 0) -> CheckResult:
+def check_positivity(prob: EvoProblem, seed: int = 0) -> CheckResult:
     """Cutoff coercivity of the forward operator and plain coercivity of the adjoint.
 
     margin = min over trials of
@@ -146,7 +152,7 @@ def check_positivity(prob: EvoProblem, n_trials: int = 24, seed: int = 0) -> Che
     cut = _cutoff_time(prob)
     margins_f: list[float] = []
     margins_a: list[float] = []
-    for u in trial_fields(prob, n_trials, rng):
+    for u in trial_fields(prob, POSITIVITY_TRIALS, rng):
         chi_u = truncate_before(u, cut)
         tu = apply_evo_operator(prob, u)
         denom = rho_inner(chi_u, chi_u).real
@@ -165,9 +171,7 @@ def check_positivity(prob: EvoProblem, n_trials: int = 24, seed: int = 0) -> Che
     return CheckResult("positivity_1", margin, base_tolerance(prob, 2.0), details)
 
 
-def check_positivity_shift_invariance(
-    prob: EvoProblem, n_trials: int = 6, seed: int = 1
-) -> CheckResult:
+def check_positivity_shift_invariance(prob: EvoProblem, seed: int = 1) -> CheckResult:
     """Shifting the cutoff and the trial together only reweights the margin.
 
     The raw quantity at cut a with the trial translated by -a equals
@@ -188,7 +192,7 @@ def check_positivity_shift_invariance(
             "inconclusive: cutoff at the window edge leaves an empty side",
         )
     worst = 0.0
-    for u in trial_fields(prob, n_trials, rng):
+    for u in trial_fields(prob, SHIFT_TRIALS, rng):
         vals = []
         scale = 0.0
         for a in shifts:
@@ -204,17 +208,17 @@ def check_positivity_shift_invariance(
         "positivity_equivalence",
         -worst,
         1e-8,
-        f"max reweighted margin disagreement over {n_trials} trials: {worst:.3e}",
+        f"max reweighted margin disagreement over {SHIFT_TRIALS} trials: {worst:.3e}",
     )
 
 
-def check_causal_estimate(prob: EvoProblem, n_cuts: int = 10, seed: int = 2) -> CheckResult:
+def check_causal_estimate(prob: EvoProblem, seed: int = 2) -> CheckResult:
     """beta0 ||chi U|| <= ||chi f|| at random cut times, relative to ||f||."""
     rng = np.random.default_rng(seed)
     if rho_norm(prob.f) == 0.0:
         return CheckResult("causal_estimate", 0.0, 1e-12, "f = 0: trivially causal")
     grid = prob.grid
-    cuts = grid.t0 + grid.window_length * rng.uniform(0.05, 0.95, size=n_cuts)
+    cuts = grid.t0 + grid.window_length * rng.uniform(0.05, 0.95, size=CAUSAL_CUTS)
     _, _, beta0 = prob.margin_constants()
     u, _, _, _ = _solve_spectral(prob)
     margins = causality_margins(prob, u, cuts, beta0)
@@ -222,12 +226,12 @@ def check_causal_estimate(prob: EvoProblem, n_cuts: int = 10, seed: int = 2) -> 
         "causal_estimate",
         float(margins.min()),
         1e-6,
-        f"{n_cuts} random cuts; worst at a={cuts[int(np.argmin(margins))]:.4g}",
+        f"{CAUSAL_CUTS} random cuts; worst at a={cuts[int(np.argmin(margins))]:.4g}",
     )
 
 
 def check_adjoint_projection(
-    prob: EvoProblem, n_band: float | None = None, n_freq_samples: int = 48, seed: int = 3
+    prob: EvoProblem, n_band: float | None = None, seed: int = 3
 ) -> CheckResult:
     """Band projections commute with taking adjoints, blockwise and in pairings.
 
@@ -244,7 +248,7 @@ def check_adjoint_projection(
     s = frequencies_for(grid)
     if n_band is None:
         n_band = 0.5 * np.abs(s).max()
-    sample_idx = np.unique(np.linspace(0, s.size - 1, n_freq_samples, dtype=int))
+    sample_idx = np.unique(np.linspace(0, s.size - 1, ADJOINT_FREQ_SAMPLES, dtype=int))
     s_samp = s[sample_idx]
     op = prob.operator(s_samp)
     fwd = np.stack([op.dense(k) for k in range(s_samp.size)])
@@ -292,9 +296,7 @@ def check_adjoint_projection(
     )
 
 
-def check_boundary_sign(
-    prob: EvoProblem, n_freq: int = 1024, n_trials: int = 12, seed: int = 4
-) -> CheckResult:
+def check_boundary_sign(prob: EvoProblem, seed: int = 4) -> CheckResult:
     """Sign condition on the boundary law, in frequency and in time.
 
     Frequency side: sampled min of Re[(i s + rho) g(1/(i s + rho))].
@@ -304,12 +306,12 @@ def check_boundary_sign(
     """
     rho = prob.grid.rho
     bl = prob.bl
-    freq_margin = bl.min_real_flux(rho, n_samples=n_freq)
+    freq_margin = bl.min_real_flux(rho)
 
     rng = np.random.default_rng(seed)
     cut = _cutoff_time(prob)
     margins = []
-    for u in trial_fields(prob, n_trials, rng):
+    for u in trial_fields(prob, BOUNDARY_TRIALS, rng):
         p_vals, _ = split_stacked(prob.sd, u.values)
         p = WeightedSignal(prob.grid, p_vals)
         nrm2 = rho_norm(p) ** 2
@@ -368,7 +370,3 @@ def write_checks_csv(results: list[CheckResult], path: str) -> None:
                 [res.name, f"{res.margin:.17g}", f"{res.tolerance:.17g}", str(res.passed)]
             )
 
-
-def with_boundary(prob: EvoProblem, bl) -> EvoProblem:
-    """A copy of the problem with a different boundary law (for negative tests)."""
-    return dataclasses.replace(prob, bl=bl)

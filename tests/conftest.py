@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from evowaves.material import MaterialLaw
-from evowaves.rational import RationalMatrixFunction
+from evowaves.rational import RationalMatrixFunction, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal
 from evowaves.solver import EvoProblem
-from evowaves.spatial import BoundaryLaw, build_grid
-from evowaves.transform import SpectralSignal, frequencies_for, inverse_transform
+from evowaves.spatial import BoundaryLaw, SpatialDiscretization, build_grid
+from evowaves.transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
 
 
 def bump(t: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -36,6 +36,42 @@ def interior_signal(
     center = grid.t0 + 0.45 * w if center is None else center
     width = 0.07 * w if width is None else width
     return u.with_values(u.values * bump(grid.times, center, width)[:, None])
+
+
+def apply_symbol(u: WeightedSignal, mats: np.ndarray) -> WeightedSignal:
+    """Apply a per-frequency symbol on the signal's frequency grid.
+
+    mats holds one (d, d) matrix per frequency, or one scalar per
+    frequency that multiplies every component.  This is how the solver
+    applies its operator: a material law acts as
+    apply_symbol(u, law_symbol(law, frequencies_for(u.grid), u.grid.rho)),
+    and the time derivative as the scalar symbol i s + rho.
+    """
+    u_hat = forward_transform(u)
+    mats = np.asarray(mats)
+    if mats.ndim == 1:
+        vals = mats[:, None] * u_hat.values
+    else:
+        vals = np.einsum("kij,kj->ki", mats, u_hat.values)
+    return inverse_transform(SpectralSignal(u_hat.freqs, vals, u.grid.rho), u.grid)
+
+
+def flux_boundary(sd: SpatialDiscretization, const: float, poles_w=(), residues_w=()) -> BoundaryLaw:
+    """Boundary law with flux response c(w) = const + sum res/(w - pole), normal profile.
+
+    c(w) = w g(1/w) inverts termwise: const becomes const * z, and
+    res/(w - p) becomes res z^2/(1 - p z) = -res/p - (res/p^2)/(z - 1/p).
+    """
+    pw = np.asarray(poles_w, dtype=complex)
+    rw = np.asarray(residues_w, dtype=complex)
+    g = scalar_rational(const=-np.sum(rw / pw), lin=const, poles=1.0 / pw, residues=-rw / pw**2)
+    return BoundaryLaw(g, *BoundaryLaw.normal_profile(sd), 1.0)
+
+
+def constant_fn(mat) -> RationalMatrixFunction:
+    """The rational function that is the matrix mat everywhere."""
+    mat = np.asarray(mat, dtype=complex)
+    return RationalMatrixFunction(mat, np.zeros_like(mat), [], [])
 
 
 def identity_law(dim: int = 2, r: float = 1.0) -> MaterialLaw:
@@ -73,7 +109,7 @@ def make_problem(
     if law is None:
         law = memory_law()
     if bl is None:
-        bl = BoundaryLaw.neumann(sd) if robin_k is None else BoundaryLaw.robin(robin_k, sd)
+        bl = BoundaryLaw.robin(0.0 if robin_k is None else robin_k, sd)
     t, x = grid.times, sd.cell_x
     fp = bump(t, t_center, t_width)[:, None] * bump(x, 0.5 * length, 0.12 * length)[None, :]
     f = WeightedSignal(grid, np.concatenate([fp, np.zeros((n, n_cells - 1))], axis=1))

@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import bump, interior_signal
+from conftest import apply_symbol, bump, constant_fn, interior_signal
 from evowaves.material import (
     MaterialLaw,
     MaterialLawError,
-    apply_material,
-    apply_material_adjoint,
-    apply_rational_calculus,
     coercivity,
     law_symbol,
     memory_bound,
     select_rho,
-    solvability_margin,
 )
 from evowaves.rational import RationalMatrixFunction, scalar_rational
 from evowaves.signals import (
@@ -23,11 +19,24 @@ from evowaves.signals import (
     translate,
     truncate_before,
 )
-from evowaves.transform import time_antiderivative, time_derivative
+from evowaves.transform import frequencies_for
 
 
 def rel_gap(a, b):
     return rho_norm(a.with_values(a.values - b.values)) / rho_norm(b)
+
+
+def symbol(law, grid):
+    """The law's per-frequency matrices on the grid's frequencies."""
+    return law_symbol(law, frequencies_for(grid), grid.rho)
+
+
+def adjoint_symbol(law, grid):
+    return np.conj(np.swapaxes(symbol(law, grid), 1, 2))
+
+
+def margin(law, rho):
+    return rho * coercivity(law) - memory_bound(law, rho)
 
 
 def random_law(seed, d=2, r=1.0, pole_margin=1.1):
@@ -49,16 +58,16 @@ def random_law(seed, d=2, r=1.0, pole_margin=1.1):
 
 
 class TestEval:
+    # law_symbol evaluates M at z = 1/(i s + rho): s = 0, rho = 2 is z = 0.5
     def test_identity(self):
         law = MaterialLaw(np.eye(2), RationalMatrixFunction.zero(2), r=1.0)
-        assert np.allclose(law.eval(0.5), np.eye(2))
+        assert np.allclose(law_symbol(law, [0.0], 2.0)[0], np.eye(2))
 
     def test_constant_memory(self):
         c = 0.3 - 0.1j
-        m1 = RationalMatrixFunction.constant(c * np.eye(2))
-        law = MaterialLaw(np.eye(2), m1, r=1.0)
-        z = 0.4 + 0.2j
-        assert np.allclose(law.eval(z), (1.0 + c * z) * np.eye(2))
+        law = MaterialLaw(np.eye(2), constant_fn(c * np.eye(2)), r=1.0)
+        z = 0.4 + 0.2j  # 1/z = 2 - 1j
+        assert np.allclose(law_symbol(law, [-1.0], 2.0)[0], (1.0 + c * z) * np.eye(2))
 
     def test_single_pole_two_routes(self):
         res = np.array([[0.5]], dtype=complex)
@@ -68,12 +77,7 @@ class TestEval:
         law = MaterialLaw(np.eye(1), m1, r=1.0)
         z = 0.5
         direct = 1.0 + z * (0.5 / (z + 1.0))
-        assert abs(law.eval(z)[0, 0] - direct) < 1e-14
-
-    def test_outside_ball_rejected(self):
-        law = MaterialLaw(np.eye(1), RationalMatrixFunction.zero(1), r=1.0)
-        with pytest.raises(MaterialLawError, match="ball"):
-            law.eval(2.5)
+        assert abs(law_symbol(law, [0.0], 2.0)[0, 0, 0] - direct) < 1e-14
 
     def test_non_hermitian_m0_rejected(self):
         with pytest.raises(MaterialLawError, match="Hermitian"):
@@ -84,23 +88,23 @@ class TestApply:
     def test_identity_law(self, grid):
         law = MaterialLaw(np.eye(2), RationalMatrixFunction.zero(2), r=1.0)
         u = interior_signal(grid, dim=2, seed=0)
-        assert rel_gap(apply_material(law, u), u) < 1e-12
+        assert rel_gap(apply_symbol(u, symbol(law, grid)), u) < 1e-12
 
     def test_z_symbol_is_antiderivative(self, grid):
-        # M(z) = z I exercised through the raw rational-calculus path
+        # M(z) = z I as a matrix symbol against the multiplier 1/(i s + rho)
         zfun = RationalMatrixFunction(
             np.zeros((2, 2)), np.eye(2), np.zeros(0), np.zeros((0, 2, 2))
         )
         u = interior_signal(grid, dim=2, seed=1)
-        a = apply_rational_calculus(zfun, u, r=1.0)
-        assert rel_gap(a, time_antiderivative(u)) < 1e-12
+        zs = 1.0 / (1j * frequencies_for(grid) + grid.rho)
+        a = apply_symbol(u, zfun.eval_many(zs))
+        assert rel_gap(a, apply_symbol(u, zs)) < 1e-12
 
     def test_rho_floor_enforced(self):
         law = MaterialLaw(np.eye(1), RationalMatrixFunction.zero(1), r=1.0)
         grid = WeightedGrid(0.0, 0.01, 256, 0.4)
-        u = WeightedSignal.zeros(grid, 1)
         with pytest.raises(MaterialLawError, match=r"1/\(2r\)"):
-            apply_material(law, u)
+            symbol(law, grid)
 
     def test_causal(self):
         # output mass before the input support stays at wrap-around level
@@ -110,7 +114,7 @@ class TestApply:
         t_start = 4.5 - 5.5 * 0.35
         for seed in range(5):
             law = random_law(seed)
-            out = apply_material(law, u)
+            out = apply_symbol(u, symbol(law, grid))
             pre = truncate_before(out, t_start - grid.dt)
             assert rho_norm(pre) <= 1e-8 * rho_norm(u)
 
@@ -121,8 +125,8 @@ class TestApply:
         law = random_law(3)
         u = interior_signal(grid, dim=2, seed=4, center=grid.t0 + 7.0, width=0.5)
         h = 32 * grid.dt
-        lhs = translate(apply_material(law, u), h)
-        rhs = apply_material(law, translate(u, h))
+        lhs = translate(apply_symbol(u, symbol(law, grid)), h)
+        rhs = apply_symbol(translate(u, h), symbol(law, grid))
         assert rel_gap(lhs, rhs) < 1e-10
 
     def test_uniform_boundedness(self, grid):
@@ -132,7 +136,7 @@ class TestApply:
         vals = law.m0[None] + zs[:, None, None] * law.m1.eval_many(zs)
         sup_m = np.linalg.norm(vals, ord=2, axis=(1, 2)).max()
         u = interior_signal(grid, dim=2, seed=6)
-        assert rho_norm(apply_material(law, u)) <= sup_m * rho_norm(u) * (1 + 1e-8)
+        assert rho_norm(apply_symbol(u, symbol(law, grid))) <= sup_m * rho_norm(u) * (1 + 1e-8)
 
     def test_delay_law_approximation(self):
         # all-pass product approximating a pure delay; error drops with order
@@ -143,11 +147,12 @@ class TestApply:
         u = WeightedSignal(grid, (bump(t, 1.5, 0.35) * np.cos(3 * t))[:, None])
         h = 16 * grid.dt
         target = translate(u, -h)
+        zs = 1.0 / (1j * frequencies_for(grid) + grid.rho)
         errs = []
         for order in (2, 4, 8):
             fn = delay_rational(h, order)
             fn.check_holomorphic(1.0)
-            got = apply_rational_calculus(fn, u, r=1.0)
+            got = apply_symbol(u, fn.eval_many(zs))
             errs.append(rel_gap(got, target))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.01
@@ -186,14 +191,15 @@ class TestAdjoint:
         m0 = np.array([[2.0, 0.5], [0.5, 1.0]])
         law = MaterialLaw(m0, RationalMatrixFunction.zero(2), r=1.0)
         u = interior_signal(grid, dim=2, seed=8)
-        assert rel_gap(apply_material_adjoint(law, u), apply_material(law, u)) < 1e-13
+        adj = apply_symbol(u, adjoint_symbol(law, grid))
+        assert rel_gap(adj, apply_symbol(u, symbol(law, grid))) < 1e-13
 
     def test_pairing_identity(self, grid):
         law = random_law(9)
         u = interior_signal(grid, dim=2, seed=10)
         w = interior_signal(grid, dim=2, seed=11)
-        lhs = rho_inner(apply_material(law, u), w)
-        rhs = rho_inner(u, apply_material_adjoint(law, w))
+        lhs = rho_inner(apply_symbol(u, symbol(law, grid)), w)
+        rhs = rho_inner(u, apply_symbol(w, adjoint_symbol(law, grid)))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-300)
 
     def test_double_adjoint(self, grid):
@@ -202,8 +208,8 @@ class TestAdjoint:
         law = random_law(12)
         u = interior_signal(grid, dim=2, seed=13)
         w = interior_signal(grid, dim=2, seed=14)
-        lhs = rho_inner(apply_material_adjoint(law, u), w)
-        rhs = rho_inner(u, apply_material(law, w))
+        lhs = rho_inner(apply_symbol(u, adjoint_symbol(law, grid)), w)
+        rhs = rho_inner(u, apply_symbol(w, symbol(law, grid)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1e-300)
 
 
@@ -234,7 +240,7 @@ class TestConstants:
 
     def test_memory_bound_constant(self):
         c = 0.4
-        law = MaterialLaw(np.eye(2), RationalMatrixFunction.constant(c * np.eye(2)), r=1.0)
+        law = MaterialLaw(np.eye(2), constant_fn(c * np.eye(2)), r=1.0)
         assert memory_bound(law, 2.0) == pytest.approx(1.05 * c, rel=1e-9)
 
     def test_memory_bound_vs_brute_force(self):
@@ -248,34 +254,35 @@ class TestConstants:
 
     def test_margin_no_memory(self):
         law = MaterialLaw(np.eye(2), RationalMatrixFunction.zero(2), r=1.0)
-        assert solvability_margin(law, 3.0) == pytest.approx(3.0)
+        assert margin(law, 3.0) == pytest.approx(3.0)
 
     def test_margin_threshold(self):
         # gamma = 0.5, mu ~ 1.05: positive only past mu/gamma
-        law = MaterialLaw(
-            np.diag([0.5, 1.0]), RationalMatrixFunction.constant(np.eye(2)), r=1.0
-        )
-        assert solvability_margin(law, 2.0) < 0
-        assert solvability_margin(law, 2.2) > 0
+        law = MaterialLaw(np.diag([0.5, 1.0]), constant_fn(np.eye(2)), r=1.0)
+        assert margin(law, 2.0) < 0
+        assert margin(law, 2.2) > 0
 
     def test_select_rho_satisfies_constraints(self):
         for seed in range(4):
             law = random_law(seed + 20)
             rho = select_rho(law)
             assert rho > 1.0 / (2.0 * law.r)
-            assert solvability_margin(law, rho) > 0
+            assert margin(law, rho) > 0
 
     def test_empirical_coercivity_of_derivative_part(self):
         # Re <chi u | d/dt(M u)> >= beta0 <chi u | chi u> on random fields
         grid = WeightedGrid(-4.0, 16.0 / 1024, 1024, 3.0)
         law = random_law(21)
-        beta0 = solvability_margin(law, grid.rho)
+        beta0 = margin(law, grid.rho)
         assert beta0 > 0
+        # d/dt M is the matrix symbol (i s + rho) M(z_s)
+        w = 1j * frequencies_for(grid) + grid.rho
+        dm = w[:, None, None] * symbol(law, grid)
         worst = np.inf
         for seed in range(20):
             u = interior_signal(grid, dim=2, seed=100 + seed)
             chi_u = truncate_before(u, 0.0)
-            tu = time_derivative(apply_material(law, u))
+            tu = apply_symbol(u, dm)
             denom = rho_inner(chi_u, chi_u).real
             worst = min(worst, (rho_inner(chi_u, tu).real - beta0 * denom) / denom)
         assert worst >= -1e-6

@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
 
-from evowaves.rational import (
-    PoleError,
-    RationalMatrixFunction,
-    fit_power_series,
-    scalar_rational,
-)
+from conftest import constant_fn
+from evowaves.rational import PoleError, RationalMatrixFunction, scalar_rational
+
+
+def at(fn, z):
+    """fn evaluated at the single point z."""
+    return fn.eval_many([z])[0]
 
 
 class TestEvaluation:
     def test_constant(self):
-        fn = RationalMatrixFunction.constant(np.diag([2.0, 3.0]))
-        assert np.allclose(fn.eval(0.3 + 0.1j), np.diag([2.0, 3.0]))
+        fn = constant_fn(np.diag([2.0, 3.0]))
+        assert np.allclose(at(fn, 0.3 + 0.1j), np.diag([2.0, 3.0]))
 
     def test_linear_term(self):
         fn = scalar_rational(const=1.0, lin=2.0)
         z = 0.4 - 0.2j
-        assert fn.eval(z)[0, 0] == pytest.approx(1.0 + 2.0 * z)
+        assert at(fn, z)[0, 0] == pytest.approx(1.0 + 2.0 * z)
 
     def test_single_pole_two_routes(self):
         # partial fractions against the direct rational formula
@@ -28,37 +29,16 @@ class TestEvaluation:
         )
         z = 0.5
         direct = np.eye(2) + res / (z - (-1.0))
-        assert np.abs(fn.eval(z) - direct).max() < 1e-14
+        assert np.abs(at(fn, z) - direct).max() < 1e-14
 
     def test_pole_hit_raises(self):
         fn = scalar_rational(poles=[-1.0], residues=[1.0])
         with pytest.raises(PoleError):
-            fn.eval(-1.0)
+            at(fn, -1.0)
 
     def test_near_coincident_poles_rejected(self):
         with pytest.raises(ValueError, match="coincide"):
             scalar_rational(poles=[-1.0, -1.0 + 1e-12], residues=[1.0, 1.0])
-
-
-class TestConjTranspose:
-    def test_matches_pointwise_definition(self):
-        rng = np.random.default_rng(0)
-        fn = RationalMatrixFunction(
-            const=rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-            lin=rng.standard_normal((2, 2)),
-            poles=np.array([-1.0 + 0.5j, 3.5]),
-            residues=rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)),
-        )
-        star = fn.conj_transpose()
-        for z in (0.2 + 0.3j, 1.0 - 0.7j):
-            assert np.abs(star.eval(z) - fn.eval(np.conj(z)).conj().T).max() < 1e-14
-
-    def test_involution(self):
-        fn = scalar_rational(const=1.0 + 2j, lin=0.5, poles=[-2.0 + 1j], residues=[3.0 - 1j])
-        back = fn.conj_transpose().conj_transpose()
-        assert np.allclose(back.const, fn.const)
-        assert np.allclose(back.poles, fn.poles)
-        assert np.allclose(back.residues, fn.residues)
 
 
 class TestHolomorphy:
@@ -77,27 +57,3 @@ class TestHolomorphy:
         sup = fn.check_holomorphic(1.0)
         assert np.isfinite(sup) and sup > 0
 
-
-class TestPowerSeriesFit:
-    def test_analytic_series_recovered(self):
-        # series of 1/(3 - z) around r = 1: sum (z-1)^k / 2^{k+1}; the
-        # reachable residual is the target's own angular tail beyond the
-        # pole count, here (1/2)^(n_poles+1)
-        r = 1.0
-        coeffs = [np.array([[0.5**(k + 1)]]) for k in range(40)]
-        fitted, residual = fit_power_series(coeffs, r, n_poles=28)
-        assert residual < 1e-8
-        zs = r + r * 0.9 * np.exp(1j * np.linspace(0, 2 * np.pi, 17))
-        exact = 1.0 / (3.0 - zs)
-        got = fitted.eval_many(zs)[:, 0, 0]
-        assert np.abs(got - exact).max() < 1e-7
-
-    def test_poles_stay_outside_ball(self):
-        coeffs = [np.eye(2), 0.3 * np.eye(2), 0.1 * np.eye(2)]
-        fitted, residual = fit_power_series(coeffs, 2.0)
-        assert residual < 1e-9
-        fitted.check_holomorphic(2.0)
-
-    def test_rejects_poles_inside(self):
-        with pytest.raises(ValueError, match="outside"):
-            fit_power_series([np.eye(1)], 1.0, pole_radius_factor=0.5)

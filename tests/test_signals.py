@@ -10,7 +10,6 @@ from evowaves.signals import (
     read_signal_csv,
     rho_inner,
     rho_norm,
-    time_multiply,
     translate,
     truncate_before,
     write_signal_csv,
@@ -119,35 +118,6 @@ class TestTranslate:
             translate(random_signal(grid), grid.dt * 1.5)
 
 
-class TestTimeMultiply:
-    def test_identity(self, grid):
-        u = random_signal(grid)
-        out = time_multiply(lambda t: np.ones_like(t), u)
-        assert np.array_equal(out.values, u.values)
-
-    def test_reproduces_truncation(self, grid):
-        u = random_signal(grid)
-        chi = time_multiply(lambda t: (t <= 0.1).astype(float), u)
-        assert np.array_equal(chi.values, truncate_before(u, 0.1).values)
-
-    def test_multiplicative(self, grid):
-        u = random_signal(grid)
-        psi1 = lambda t: np.cos(t)
-        psi2 = lambda t: 1.0 + t**2
-        lhs = time_multiply(psi1, time_multiply(psi2, u))
-        rhs = time_multiply(lambda t: psi1(t) * psi2(t), u)
-        assert np.allclose(lhs.values, rhs.values, rtol=1e-14)
-
-    def test_commutes_with_translate_of_shifted_symbol(self, grid):
-        u = interior_signal(grid, seed=9)
-        h = 0.3
-        psi = lambda t: np.sin(t) + 2.0
-        lhs = translate(time_multiply(psi, u), h)
-        rhs = time_multiply(lambda t: psi(t + h), translate(u, h))
-        scale = np.abs(rhs.values).max()
-        assert np.abs(lhs.values - rhs.values).max() < 1e-12 * scale
-
-
 class TestCsv:
     def test_round_trip_exact(self, grid, tmp_path):
         u = random_signal(grid, dim=3, seed=10)
@@ -202,3 +172,17 @@ class TestCsv:
         small = WeightedGrid(grid.t0, grid.dt, grid.n - 1, grid.rho)
         with pytest.raises(ValueError, match="rows"):
             read_signal_csv(str(path), small)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            b"0,1,2\r\n0.10000000000000001,3\r\n",  # one row short
+            b"0,1,2,3,4\r\n0.10000000000000001,5,6,7,8\r\n",  # wider than the header
+        ],
+    )
+    def test_wrong_column_count_rejected(self, tmp_path, rows):
+        g = WeightedGrid(0.0, 0.1, 2, 1.0)
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"t,re_0,im_0\r\n" + rows)
+        with pytest.raises(ValueError, match="column"):
+            read_signal_csv(str(path), g)

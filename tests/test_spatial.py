@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import bump, interior_signal
+from conftest import apply_symbol, bump, flux_boundary, interior_signal
 from evowaves.rational import PoleError, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
 from evowaves.spatial import (
@@ -17,13 +17,7 @@ from evowaves.spatial import (
     reduced_operator,
     split_stacked,
 )
-from evowaves.transform import (
-    SpectralSignal,
-    apply_scalar_symbol,
-    forward_transform,
-    frequencies_for,
-    inverse_transform,
-)
+from evowaves.transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
 
 
 def reduced_trial(sd, grid, seed, x_profile=None):
@@ -58,7 +52,7 @@ class TestGridBuild:
 class TestAssembly:
     def test_neumann_skew(self):
         sd = build_grid(1.0, 16)
-        bl = BoundaryLaw.neumann(sd)
+        bl = BoundaryLaw.robin(0.0, sd)
         mat, elim = assemble_spatial_op(sd, bl, s=0.7, rho=2.0)
         assert np.abs(mat + mat.conj().T).max() <= 1e-13
         assert elim == (0.0, 0.0)
@@ -75,7 +69,7 @@ class TestAssembly:
 
     def test_adjoint_is_conjugate_transpose(self):
         sd = build_grid(1.0, 12)
-        bl = BoundaryLaw.from_flux_response(sd, 0.3, poles_w=[-1.5 + 2j], residues_w=[0.8])
+        bl = flux_boundary(sd, 0.3, poles_w=[-1.5 + 2j], residues_w=[0.8])
         fwd, _ = assemble_spatial_op(sd, bl, s=1.9, rho=2.0)
         adj = assemble_spatial_op_adjoint(sd, bl, s=1.9, rho=2.0)
         assert np.abs(adj - fwd.conj().T).max() <= 1e-14
@@ -103,7 +97,7 @@ class TestAssembly:
 
     def test_vectorized_matches_dense(self):
         sd = build_grid(1.0, 10)
-        bl = BoundaryLaw.from_flux_response(sd, 0.5, poles_w=[-2.0], residues_w=[1.0])
+        bl = flux_boundary(sd, 0.5, poles_w=[-2.0], residues_w=[1.0])
         rng = np.random.default_rng(0)
         s = np.array([0.0, 2.4, -7.7])
         u = rng.standard_normal((3, sd.n_reduced)) + 1j * rng.standard_normal((3, sd.n_reduced))
@@ -118,7 +112,7 @@ class TestAssembly:
 class TestReducedOperator:
     def make(self, n_cells=6):
         sd = build_grid(1.0, n_cells)
-        bl = BoundaryLaw.from_flux_response(sd, 0.5, poles_w=[-2.0], residues_w=[1.0])
+        bl = flux_boundary(sd, 0.5, poles_w=[-2.0], residues_w=[1.0])
         s = np.array([0.0, 2.4, -7.7])
         op = reduced_operator(sd, bl, bl.flux_symbol(s, 2.0), 1j * s + 2.0, 1.5 * (1j * s + 2.0))
         rng = np.random.default_rng(5)
@@ -182,7 +176,7 @@ class TestPairing:
     def test_adjoint_pairing_on_signals(self):
         sd = build_grid(1.0, 24)
         grid = WeightedGrid(-4.0, 16.0 / 512, 512, 3.0)
-        bl = BoundaryLaw.from_flux_response(sd, 0.4, poles_w=[-1.0 + 1.5j], residues_w=[0.6])
+        bl = flux_boundary(sd, 0.4, poles_w=[-1.0 + 1.5j], residues_w=[0.6])
         rho = grid.rho
         u = reduced_trial(sd, grid, seed=1)
         v = reduced_trial(sd, grid, seed=2)
@@ -223,14 +217,14 @@ class TestApplyTime:
     def test_zero(self):
         sd = build_grid(1.0, 8)
         grid = WeightedGrid(0.0, 0.05, 128, 2.0)
-        bl = BoundaryLaw.neumann(sd)
+        bl = BoundaryLaw.robin(0.0, sd)
         z = WeightedSignal.zeros(grid, sd.n_cells + sd.n_faces)
         assert not apply_spatial_time(sd, bl, z).values.any()
 
     def test_matches_direct_blocks_for_consistent_input(self):
         sd = build_grid(1.0, 16)
         grid = WeightedGrid(-2.0, 12.0 / 512, 512, 2.0)
-        bl = BoundaryLaw.neumann(sd)
+        bl = BoundaryLaw.robin(0.0, sd)
         t = grid.times
         wt = bump(t, 2.0, 0.5)
         p = wt[:, None] * np.cos(np.pi * sd.cell_x / sd.length)[None, :]
@@ -251,7 +245,7 @@ class TestApplyTime:
         errs = []
         for n_cells in (16, 32, 64):
             sd = build_grid(1.0, n_cells)
-            bl = BoundaryLaw.neumann(sd)
+            bl = BoundaryLaw.robin(0.0, sd)
             k = np.pi / sd.length
             p = wt[:, None] * np.cos(k * sd.cell_x)[None, :]
             v = wt[:, None] * np.sin(k * sd.face_x)[None, :]
@@ -292,7 +286,7 @@ def product_rule_residual(n_cells: int) -> tuple[float, float]:
     p = WeightedSignal(grid, p_vals)
     s = frequencies_for(grid)
     zs = 1.0 / (1j * s + grid.rho)
-    q = apply_scalar_symbol(p, g.eval_many(zs)[:, 0, 0]).values
+    q = apply_symbol(p, g.eval_many(zs)[:, 0, 0]).values
     term1 = ((alpha * cell_to_face(sd, q)) @ sd.d_div().T)
     term2 = div_alpha_cells[None, :] * q
     term3 = face_to_cell(alpha * (q @ sd.d_grad().T))
@@ -309,7 +303,7 @@ class TestBoundarySign:
 
     def test_zero_kernel_vanishes(self):
         sd, grid = self.make()
-        bl = BoundaryLaw.neumann(sd)
+        bl = BoundaryLaw.robin(0.0, sd)
         p = interior_signal(grid, dim=sd.n_cells, seed=3)
         assert boundary_sign_functional(sd, bl, p) == 0.0
 
@@ -340,7 +334,7 @@ class TestNonnegativity:
     def test_forward_with_cutoff_and_adjoint_plain(self):
         sd = build_grid(1.0, 24)
         grid = WeightedGrid(-4.0, 16.0 / 512, 512, 2.5)
-        bl = BoundaryLaw.from_flux_response(sd, 0.5, poles_w=[-1.0], residues_w=[0.7])
+        bl = flux_boundary(sd, 0.5, poles_w=[-1.0], residues_w=[0.7])
         assert bl.min_real_flux(grid.rho) >= 0.0
         worst_fwd = np.inf
         worst_adj = np.inf

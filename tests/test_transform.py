@@ -2,26 +2,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import bump, interior_signal
-from evowaves.signals import (
-    WeightedGrid,
-    WeightedSignal,
-    rho_inner,
-    rho_norm,
-    translate,
-    truncate_before,
-)
+from conftest import apply_symbol, bump, interior_signal
+from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
 from evowaves.transform import (
     SpectralSignal,
-    WindowDecayWarning,
-    apply_scalar_symbol,
     assert_padded,
     forward_transform,
     frequencies_for,
     inverse_transform,
-    time_antiderivative,
-    time_derivative,
-    translate_spectral,
 )
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -29,6 +17,16 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 def rel_gap(a, b):
     return rho_norm(a.with_values(a.values - b.values)) / rho_norm(b)
+
+
+def time_derivative(u):
+    """The closed time derivative: the multiplier i s + rho."""
+    return apply_symbol(u, 1j * frequencies_for(u.grid) + u.grid.rho)
+
+
+def time_antiderivative(u):
+    """The causal antiderivative: the multiplier 1/(i s + rho)."""
+    return apply_symbol(u, 1.0 / (1j * frequencies_for(u.grid) + u.grid.rho))
 
 
 class TestForwardInverse:
@@ -106,10 +104,7 @@ class TestDerivative:
         inner = slice(grid.n // 10, -grid.n // 10)
         assert np.abs(deriv.values[inner, 0] - exact[inner]).max() < 1e-8
 
-    @pytest.mark.filterwarnings("ignore::evowaves.transform.WindowDecayWarning")
     def test_inverse_pair(self, grid):
-        # the antiderivative plateaus at the window end, so the derivative
-        # legitimately warns about the missing decay there
         u = interior_signal(grid, seed=9)
         back = time_derivative(time_antiderivative(u))
         assert rel_gap(back, u) < 1e-10
@@ -123,20 +118,14 @@ class TestDerivative:
         plateau = (t > 2.8) & (t < 3.2)
         assert np.abs(deriv.values[plateau, 0]).max() < 1e-8
 
-    def test_undecayed_signal_warns(self):
-        grid = WeightedGrid(0.0, 0.02, 512, 1.0)
-        u = WeightedSignal(grid, np.ones((512, 1)))
-        with pytest.warns(WindowDecayWarning):
-            time_derivative(u)
-
     def test_normality_commutator(self, grid):
         # the derivative and its adjoint (conjugate symbol) commute
         u = interior_signal(grid, seed=10)
         s = frequencies_for(grid)
         fwd = 1j * s + grid.rho
         adj = -1j * s + grid.rho
-        a = apply_scalar_symbol(apply_scalar_symbol(u, fwd), adj)
-        b = apply_scalar_symbol(apply_scalar_symbol(u, adj), fwd)
+        a = apply_symbol(apply_symbol(u, fwd), adj)
+        b = apply_symbol(apply_symbol(u, adj), fwd)
         assert rel_gap(a, b) < 1e-10
 
     def test_derivative_coercivity(self):
@@ -180,28 +169,6 @@ class TestAntiderivative:
         out = time_antiderivative(u)
         pre = truncate_before(out, 4.0 - grid.dt)
         assert rho_norm(pre) <= 1e-8 * rho_norm(u)
-
-
-class TestSpectralTranslate:
-    def test_zero_shift(self, grid):
-        u = interior_signal(grid, seed=13)
-        assert rel_gap(translate_spectral(u, 0.0), u) < 1e-13
-
-    def test_matches_time_domain_translate(self, grid):
-        u = interior_signal(grid, seed=14)
-        h = 16 * grid.dt
-        assert rel_gap(translate_spectral(u, h), translate(u, h)) < 1e-10
-        assert rel_gap(translate_spectral(u, -h), translate(u, -h)) < 1e-10
-
-    def test_composition(self, grid):
-        u = interior_signal(grid, seed=15)
-        a = translate_spectral(translate_spectral(u, 0.2), 0.3)
-        b = translate_spectral(u, 0.5)
-        assert rel_gap(a, b) < 1e-10
-
-    def test_non_multiple_rejected(self, grid):
-        with pytest.raises(ValueError, match="multiple"):
-            translate_spectral(interior_signal(grid, seed=16), grid.dt / 3)
 
 
 class TestPadding:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import identity_law, make_problem
+from conftest import flux_boundary, identity_law, make_problem
 from evowaves.rational import scalar_rational
 from evowaves.signals import WeightedSignal
 from evowaves.solver import EvoProblem
@@ -15,7 +17,6 @@ from evowaves.verify import (
     check_positivity,
     check_positivity_shift_invariance,
     run_all_checks,
-    with_boundary,
     write_checks_csv,
 )
 
@@ -24,7 +25,7 @@ def negative_boundary(prob):
     bl = BoundaryLaw(
         scalar_rational(lin=-1.0), *BoundaryLaw.normal_profile(prob.sd), 1.0
     )
-    return with_boundary(prob, bl)
+    return dataclasses.replace(prob, bl=bl)
 
 
 class TestCheckResult:
@@ -142,10 +143,8 @@ class TestBoundarySign:
     def test_memory_kernel_margin_decays(self):
         # flux response const + res/(w - pole): real part positive, shrinking
         prob = make_problem()
-        bl = BoundaryLaw.from_flux_response(
-            prob.sd, 0.2, poles_w=[-0.5], residues_w=[0.4]
-        )
-        res = check_boundary_sign(with_boundary(prob, bl), seed=4)
+        bl = flux_boundary(prob.sd, 0.2, poles_w=[-0.5], residues_w=[0.4])
+        res = check_boundary_sign(dataclasses.replace(prob, bl=bl), seed=4)
         assert res.passed
 
 
