@@ -12,6 +12,8 @@ boundary faces.  Two solvers are provided and cross-checked:
   matrix (spatial.ReducedOperator) is tridiagonal up to a reordering of
   the unknowns, so all frequencies are solved together in one batched
   Thomas sweep at O(n) each.  This is the trusted oracle.
+  solve_boundary_family runs the same kernel once for a whole family of
+  boundary laws and corrects each law by a 2x2 Woodbury update.
 * solve_timestep: causal implicit Euler marching with all memory kernels
   (material and boundary) realized as finite state-space recursions, so no
   history is stored.  First order in the step, strictly causal by
@@ -24,6 +26,7 @@ source padding flag, conditioning info and the same warnings.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -57,6 +60,7 @@ __all__ = [
     "realize_flux",
     "SolveReport",
     "solve_frequency",
+    "solve_boundary_family",
     "solve_timestep",
     "residual_norm",
     "causality_margins",
@@ -431,6 +435,58 @@ def solve_frequency(prob: EvoProblem) -> SolveReport:
             "by pivoted banded LU"
         )
     return _report(prob, u, "frequency", t_start, cond, warnings)
+
+
+def solve_boundary_family(
+    prob: EvoProblem, laws: list[BoundaryLaw], rows: list[int]
+) -> list[tuple[WeightedSignal, float]]:
+    """Solve prob once per boundary law: (stacked rows of the solution, residual bound).
+
+    A law adds U D U^T to the Neumann operator A0, U = [e_0, e_last] and
+    D = diag(corner0, cornerL).  One elimination of A0 gives y = A0^-1 f
+    and Z = A0^-1 U; each law's solution is x = y - Z beta, with the 2x2
+    system (I + D U^T Z) beta = D U^T y per frequency.  With r_f = A0 y - f
+    and R_X = A0 Z - U, x has residual r_f - R_X beta - U rho2 exactly,
+    rho2 the 2x2 residual, so the l2 sum over frequencies of ||r_f|| +
+    ||R_X||_F ||beta|| + ||rho2||, over ||f_hat||, bounds the relative
+    residual in the rectangle-rule (Parseval) norm (absolute if f = 0).
+    """
+    grid, nc = prob.grid, prob.sd.n_cells
+    s = frequencies_for(grid)
+    f_hat = forward_transform(prob.f).values
+    zero = np.zeros(s.size, dtype=complex)
+    neumann = dataclasses.replace(prob.operator(s), corner0=zero, cornerL=zero)
+    at_rows, res_sq = neumann._solve_with_corners(f_hat, [*rows, 0, nc - 1])
+    singular = ~np.isfinite(res_sq).all(axis=0)
+    if singular.any():
+        raise SolverError(
+            f"singular Neumann operator at frequency s = {s[np.argmax(singular)]:.9g}"
+        )
+    probe, corners = at_rows[:-2], at_rows[-2:]
+    res_f, res_x = np.sqrt(res_sq[0]), np.sqrt(res_sq[1] + res_sq[2])
+    f_norm = float(np.linalg.norm(f_hat))
+
+    out = []
+    for j, bl in enumerate(laws):
+        law_op = dataclasses.replace(prob, bl=bl).operator(s)  # with EvoProblem's checks
+        c = np.stack([law_op.corner0, law_op.cornerL])
+        m = np.eye(2)[:, :, None] + c[:, None] * corners[:, 1:]
+        rhs = c * corners[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            adjugate = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+            beta = np.einsum("ijk,jk->ik", adjugate, rhs) / (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        bad = ~np.isfinite(beta).all(axis=0)
+        if bad.any():
+            raise SolverError(
+                f"boundary law {j}: the 2x2 boundary correction is singular at "
+                f"frequency s = {s[np.argmax(bad)]:.9g}"
+            )
+        rho2 = np.einsum("ijk,jk->ik", m, beta) - rhs
+        per_freq = res_f + res_x * np.linalg.norm(beta, axis=0) + np.linalg.norm(rho2, axis=0)
+        bound = float(np.linalg.norm(per_freq)) / (f_norm if f_norm > 0 else 1.0)
+        x = probe[:, 0] - np.einsum("rjk,jk->rk", probe[:, 1:], beta)
+        out.append((inverse_transform(SpectralSignal(s, x.T, grid.rho), grid), bound))
+    return out
 
 
 # ---------------------------------------------------------------------------

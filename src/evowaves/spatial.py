@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
+ROW_BLOCK = 64  # interleaved rows per block of the residual pass in _solve_with_corners
 N_FLUX_SAMPLES = 1024  # frequencies at which min_real_flux samples the flux symbol
 
 
@@ -324,34 +325,77 @@ class ReducedOperator:
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve every frequency's system for (n_freq, dim) stacked values.
 
-        One Thomas sweep runs across all frequencies at once.  The
-        Hermitian part of each matrix is diagonal and bounded below by the
-        solvability margin, which keeps the pivots away from zero without
-        row exchanges.  Frequencies where a pivot still collapses (an
-        inadmissible scenario) are re-solved by pivoted banded LU; their
-        indices are returned next to the solution.  A frequency whose
+        Returns the solution and the indices of the frequencies that the
+        Thomas kernel handed to pivoted banded LU.  A frequency whose
         matrix is singular comes back as non-finite values.
         """
-        d = self._diagonal()
         y = self._interleaved(rhs)
+        broken = self._thomas(y)
+        return self._stacked(y), broken
+
+    def _solve_with_corners(
+        self, rhs: np.ndarray, rows: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Solve for stacked rhs and the unit vectors e_0, e_last of the two corner cells at once.
+
+        Returns the three solutions at the stacked rows, (len(rows), 3,
+        n_freq), and each solve's squared residual norm per frequency,
+        (3, n_freq), computed in row blocks to hold no second full array.
+        """
+        w = np.zeros((self.dim + 2, 3, rhs.shape[0]), dtype=complex)  # a zero row at each end
+        y = w[1:-1]
+        y[:, 0] = self._interleaved(rhs)
+        y[0, 1] = y[-1, 2] = 1.0
+        self._thomas(y)
+        stacked = np.empty(self.dim, dtype=int)  # the stacked row of each interleaved row
+        stacked[0::2] = np.arange(self.n_cells)
+        stacked[1::2] = np.arange(self.n_cells, self.dim)
+        res_sq = np.zeros(y.shape[1:])
+        for a in range(0, self.dim, ROW_BLOCK):
+            b = min(a + ROW_BLOCK, self.dim)
+            d = np.where(np.arange(a, b)[:, None] % 2 == 0, self.sym_p, self.sym_v)
+            r = d[:, None] * y[a:b] + self.off * (w[a + 2 : b + 2] - w[a:b])
+            r[:, 0] -= rhs[:, stacked[a:b]].T
+            if a == 0:
+                r[0] += self.corner0 * y[0]
+                r[0, 1] -= 1.0
+            if b == self.dim:
+                r[-1] += self.cornerL * y[-1]
+                r[-1, 2] -= 1.0
+            res_sq += np.sum(r.real**2 + r.imag**2, axis=0)
+        return y[np.argsort(stacked)[rows]], res_sq
+
+    # interleaved (dim, [n_rhs,] n_freq) work layout of the solver kernel
+
+    def _thomas(self, y: np.ndarray) -> np.ndarray:
+        """Solve in place for interleaved (dim, [n_rhs,] n_freq) right-hand sides y.
+
+        One Thomas sweep runs across all frequencies and right-hand sides
+        at once.  The Hermitian part of each matrix is diagonal and bounded
+        below by the solvability margin, which keeps the pivots away from
+        zero without row exchanges.  The pivots are eliminated first, so
+        that frequencies where one still collapses (an inadmissible
+        scenario) keep their right-hand sides for the re-solve by pivoted
+        banded LU; their indices are returned.
+        """
+        d = self._diagonal()
         # rows 0, 1, 2 and -1 hold every distinct diagonal value before the sweep
         floor = PIVOT_FLOOR * max(float(np.abs(d[[0, 1, 2, -1]]).max()), abs(self.off))
+        smallest = np.abs(d[0])  # per frequency; NaN once a pivot is NaN
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(1, self.dim):
-                ell = -self.off / d[i - 1]
-                d[i] = d[i] - ell * self.off
-                y[i] -= ell * y[i - 1]
+                d[i] -= -self.off / d[i - 1] * self.off
+                np.minimum(smallest, np.abs(d[i]), out=smallest)
+            broken = np.flatnonzero(~(smallest >= floor))
+            rhs = y[..., broken]
+            for i in range(1, self.dim):
+                y[i] -= -self.off / d[i - 1] * y[i - 1]
             y[-1] /= d[-1]
             for i in range(self.dim - 2, -1, -1):
                 y[i] = (y[i] - self.off * y[i + 1]) / d[i]
-        broken = np.flatnonzero(~(np.abs(d) >= floor).all(axis=0))
-        del d
-        out = self._stacked(y)
         if broken.size:
-            _solve_range_pivoted(self, rhs, out, broken)
-        return out, broken
-
-    # interleaved (dim, n_freq) work layout of the solver kernel
+            y[..., broken] = _solve_range_pivoted(self, rhs, broken)
+        return broken
 
     def _diagonal(self, ks: np.ndarray | slice = slice(None)) -> np.ndarray:
         sym_p = self.sym_p[ks]
@@ -377,22 +421,22 @@ class ReducedOperator:
         return out
 
 
-def _solve_range_pivoted(
-    op: ReducedOperator, rhs: np.ndarray, out: np.ndarray, ks: np.ndarray
-) -> None:
-    """Re-solve frequencies ks into out by banded LU with partial pivoting."""
+def _solve_range_pivoted(op: ReducedOperator, rhs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Solve frequencies ks by banded LU with partial pivoting, in place.
+
+    rhs holds their interleaved right-hand sides, (dim, [n_rhs,] ks.size).
+    """
     ab = np.zeros((3, op.dim), dtype=complex)
     ab[0, 1:] = op.off
     ab[2, :-1] = -op.off
     diag = op._diagonal(ks)
-    y = op._interleaved(rhs[ks])
     for j in range(ks.size):
         ab[1] = diag[:, j]
         try:
-            y[:, j] = scipy.linalg.solve_banded((1, 1), ab, y[:, j], check_finite=False)
+            rhs[..., j] = scipy.linalg.solve_banded((1, 1), ab, rhs[..., j], check_finite=False)
         except np.linalg.LinAlgError:
-            y[:, j] = np.nan
-    out[ks] = op._stacked(y)
+            rhs[..., j] = np.nan
+    return rhs
 
 
 def reduced_operator(

@@ -8,6 +8,33 @@ from evowaves.solver import EvoProblem
 from evowaves.spatial import BoundaryLaw, SpatialDiscretization, build_grid
 from evowaves.transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
 
+# A small rightward-pulse scenario for the reflection sweep (1024 samples, 128 cells).
+SWEEP_CONFIG = """
+[grid]
+t0 = 0.0
+window = 8.0
+n = 1024
+rho = 2.0
+
+[space]
+length = 1.0
+cells = 128
+
+[material]
+r = 1.0
+m0_re = 1 0 0 1
+
+[boundary]
+robin_k = 1.0
+
+[source]
+kind = rightward
+t_center = 0.4
+t_width = 0.05
+x_center = 0.2
+x_width = 0.05
+"""
+
 
 def bump(t: np.ndarray, center: float, width: float) -> np.ndarray:
     """Gaussian envelope; effectively compactly supported for width << window."""

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import SWEEP_CONFIG
 from evowaves import cli
 from evowaves.cli import main
 from evowaves.config import ConfigError, parse_scenario
@@ -43,32 +44,6 @@ x_width = 0.12
 
 [output]
 checks = positivity_1 boundary_sign
-"""
-
-SWEEP_CONFIG = """
-[grid]
-t0 = 0.0
-window = 8.0
-n = 1024
-rho = 2.0
-
-[space]
-length = 1.0
-cells = 128
-
-[material]
-r = 1.0
-m0_re = 1 0 0 1
-
-[boundary]
-robin_k = 1.0
-
-[source]
-kind = rightward
-t_center = 0.4
-t_width = 0.05
-x_center = 0.2
-x_width = 0.05
 """
 
 
@@ -252,6 +227,38 @@ class TestCliSweep:
         table = (out / "reflection.csv").read_text().splitlines()
         assert table[0].startswith("k,R_measured,R_analytic")
         assert len(table) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all("residual_bound=" in line for line in lines)
+
+    def test_reflection_csv_repeats(self, sweep_cfg, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            argv = ["sweep-reflection", "--config", sweep_cfg, "--out", str(out), "--k-list", "0,0.5,4"]
+            assert main(argv) == 0
+        assert (out1 / "reflection.csv").read_bytes() == (out2 / "reflection.csv").read_bytes()
+
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_k_exit_2(self, sweep_cfg, tmp_path, k):
+        code = main([
+            "sweep-reflection", "--config", sweep_cfg, "--out", str(tmp_path / "o"),
+            "--k-list", f"0,{k}",
+        ])
+        assert code == 2
+        assert not (tmp_path / "o" / "reflection.csv").exists()
+
+    @pytest.mark.parametrize("k", ["-1", "-0.5"])
+    def test_inadmissible_k_exit_4_before_solving(self, sweep_cfg, tmp_path, capsys, monkeypatch, k):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an inadmissible k-list was solved")
+
+        monkeypatch.setattr(cli, "solve_boundary_family", no_solve)
+        code = main([
+            "sweep-reflection", "--config", sweep_cfg, "--out", str(tmp_path / "o"),
+            "--k-list", f"1,{k}",
+        ])
+        assert code == 4
+        assert f"k={k} min_real_flux={k}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "reflection.csv").exists()
 
     def test_residual_above_pass_exit_4(self, sweep_cfg, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "RESIDUAL_PASS", 0.0)

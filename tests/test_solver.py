@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import re
 
@@ -6,6 +7,7 @@ import pytest
 import scipy.signal
 
 from conftest import (
+    SWEEP_CONFIG,
     apply_symbol,
     bump,
     constant_fn,
@@ -15,6 +17,7 @@ from conftest import (
     make_problem,
     memory_law,
 )
+from evowaves.cli import RESIDUAL_PASS, measure_reflection, probe_rows
 from evowaves.config import parse_scenario
 from evowaves.material import MaterialLaw
 from evowaves.rational import RationalMatrixFunction, scalar_rational
@@ -27,10 +30,11 @@ from evowaves.solver import (
     realize,
     realize_flux,
     residual_norm,
+    solve_boundary_family,
     solve_frequency,
     solve_timestep,
 )
-from evowaves.spatial import BoundaryLaw, build_grid
+from evowaves.spatial import BoundaryLaw, ReducedOperator, build_grid
 from evowaves.transform import frequencies_for
 
 
@@ -196,8 +200,6 @@ class TestFrequencySolve:
     def test_reflection_dirichlet_limit(self):
         # very stiff proportional coupling approaches the pressure-release
         # wall: reflection coefficient -1 within 3%
-        from evowaves.cli import measure_reflection
-
         length, window, rho, n, n_cells = 1.0, 8.0, 2.0, 1024, 128
         sd = build_grid(length, n_cells)
         grid = WeightedGrid(0.0, window / n, n, rho)
@@ -207,13 +209,66 @@ class TestFrequencySolve:
         fv = wt[:, None] * bump(sd.face_x[1:-1], 0.2, 0.05)[None, :]
         f = WeightedSignal(grid, np.concatenate([fp, fv], axis=1))
         prob = EvoProblem(grid, sd, identity_law(), BoundaryLaw.robin(100.0, sd), f)
-        r_meas, _, _ = measure_reflection(prob, x_source=0.2, t_source=0.4)
+        [(probe, _)] = solve_boundary_family(prob, [prob.bl], probe_rows(sd))
+        r_meas, _ = measure_reflection(sd, probe, x_source=0.2, t_source=0.4)
         assert abs(r_meas - (1.0 - 100.0) / (1.0 + 100.0)) <= 0.03
 
     def test_manufactured_solution_order_two_in_dx(self):
         errs = [manufactured_error(n_cells=n) for n in (16, 32, 64)]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 1.8) and np.all(orders < 2.2)
+
+
+class TestBoundaryFamily:
+    """One Neumann elimination plus a 2x2 correction per law, against per-law solves."""
+
+    scenario = parse_scenario(SWEEP_CONFIG)
+
+    def test_matches_full_solves(self):
+        base = self.scenario.build()
+        sd = base.sd
+        laws = [BoundaryLaw.robin(k, sd) for k in (0.0, 0.5, 4.0)]
+        laws.append(flux_boundary(sd, 0.5, poles_w=[-1.0], residues_w=[0.3]))
+        rows = probe_rows(sd)
+        x_c, t_c = self.scenario.x_center, self.scenario.t_center
+        for bl, (probe, bound) in zip(laws, solve_boundary_family(base, laws, rows)):
+            full = solve_frequency(dataclasses.replace(base, bl=bl)).solution
+            ref = full.with_values(full.values[:, rows])
+            assert rel_gap(probe, ref) <= 1e-10
+            r_sweep, _ = measure_reflection(sd, probe, x_c, t_c)
+            r_full, _ = measure_reflection(sd, ref, x_c, t_c)
+            assert abs(r_sweep - r_full) <= 1e-12
+            assert bound <= RESIDUAL_PASS
+
+    def test_corrupted_base_solution_fails_the_bound(self, monkeypatch):
+        base = self.scenario.build()
+        thomas = ReducedOperator._thomas
+
+        def corrupted(op, y):
+            broken = thomas(op, y)
+            y_f = y[:, 0]
+            y_f[np.unravel_index(np.abs(y_f).argmax(), y_f.shape)] *= 1.0 + 1e-6
+            return broken
+
+        monkeypatch.setattr(ReducedOperator, "_thomas", corrupted)
+        [(_, bound)] = solve_boundary_family(base, [base.bl], probe_rows(base.sd))
+        assert bound > RESIDUAL_PASS
+
+    def test_singular_correction_names_law_and_frequency(self, monkeypatch):
+        base = self.scenario.build()
+        s = frequencies_for(base.grid)
+        laws = [base.bl, BoundaryLaw.robin(0.5, base.sd)]
+        flux = BoundaryLaw.flux_symbol
+
+        def nan_at_one_frequency(bl, freqs, rho):
+            out = flux(bl, freqs, rho)
+            if bl is laws[1]:
+                out[7] = np.nan
+            return out
+
+        monkeypatch.setattr(BoundaryLaw, "flux_symbol", nan_at_one_frequency)
+        with pytest.raises(SolverError, match=rf"boundary law 1: .* s = {s[7]:.9g}"):
+            solve_boundary_family(base, laws, probe_rows(base.sd))
 
 
 def images_oracle_error(n_cells: int, n: int) -> float:

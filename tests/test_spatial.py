@@ -146,6 +146,34 @@ class TestReducedOperator:
         assert pivoted.tolist() == [1]
         assert np.abs(x - u).max() < 1e-12 * np.abs(u).max()
 
+    def test_solve_with_corners_matches_dense(self, monkeypatch):
+        # f, e_0 and e_last share one elimination, also through the pivoted
+        # fallback; the residual pass spans two row blocks
+        op, u = self.make(n_cells=40)
+        corner0 = op.corner0.copy()
+        corner0[1] = -op.sym_p[1]
+        op = ReducedOperator(op.sym_p, op.sym_v, corner0, op.cornerL, op.off, op.n_cells)
+        rows = list(range(op.dim))
+        unit = np.eye(op.dim)
+        rhs = [np.stack([u[k], unit[0], unit[op.n_cells - 1]], axis=1) for k in range(3)]
+        x, _ = op._solve_with_corners(u, rows)
+        for k in range(3):
+            exact = np.linalg.solve(op.dense(k), rhs[k])
+            assert np.abs(x[:, :, k] - exact).max() < 1e-12 * np.abs(exact).max()
+
+        thomas = ReducedOperator._thomas
+
+        def perturbed(self, y):
+            broken = thomas(self, y)
+            y += 1e-3
+            return broken
+
+        monkeypatch.setattr(ReducedOperator, "_thomas", perturbed)
+        x, res_sq = op._solve_with_corners(u, rows)
+        for k in range(3):
+            expected = np.sum(np.abs(op.dense(k) @ x[:, :, k] - rhs[k]) ** 2, axis=0)
+            assert np.allclose(res_sq[:, k], expected, rtol=1e-10)
+
     def test_singular_frequency_non_finite(self):
         # skew-symmetric matrices of odd dimension are singular
         op, u = self.make()
