@@ -7,8 +7,8 @@ Subcommands:
                      compare measured against analytic reflection
     dump-config      echo the canonical form of a scenario file
 
-Exit codes: 0 success, 2 config parse error, 3 solver/setup error,
-4 a verified bound or check failed.
+Exit codes: 0 success, 2 config parse error, 3 solver/setup or output
+error, 4 a verified bound or check failed.
 """
 
 from __future__ import annotations
@@ -35,6 +35,12 @@ RESIDUAL_PASS = 1e-10
 REFLECTION_TOL = 0.02
 
 
+def _output_error(exc: OSError) -> int:
+    """Report a failure to create or write an output; exit as a setup error."""
+    print(f"output error: {exc}", file=sys.stderr)
+    return EXIT_SOLVER
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.config)
@@ -51,9 +57,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_signal_csv(report.solution, str(out / "U.csv"))
-    (out / "report.txt").write_text(report.to_text())
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_signal_csv(report.solution, str(out / "U.csv"))
+        (out / "report.txt").write_text(report.to_text())
+    except OSError as exc:
+        return _output_error(exc)
     sys.stdout.write(report.to_text())
     residual_ok = report.residual_rel <= RESIDUAL_PASS
     if residual_ok and report.bounds_ok():
@@ -86,8 +95,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_checks_csv(results, str(out / "checks.csv"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_checks_csv(results, str(out / "checks.csv"))
+    except OSError as exc:
+        return _output_error(exc)
     all_ok = True
     for res in results:
         status = "pass" if res.passed else "FAIL"
@@ -188,12 +200,15 @@ def cmd_sweep_reflection(args: argparse.Namespace) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "reflection.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "R_measured", "R_analytic", "abs_error", "reflected_energy_fraction"])
-        for row in rows:
-            writer.writerow([f"{x:.17g}" for x in row])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "reflection.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["k", "R_measured", "R_analytic", "abs_error", "reflected_energy_fraction"])
+            for row in rows:
+                writer.writerow([f"{x:.17g}" for x in row])
+    except OSError as exc:
+        return _output_error(exc)
     if bad_residuals:
         print(
             f"residual above {RESIDUAL_PASS:g}: {'; '.join(bad_residuals)}", file=sys.stderr

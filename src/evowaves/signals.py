@@ -13,6 +13,10 @@ empirically that chosen windows are adequate, nothing here enforces it.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,7 +190,57 @@ def translate(u: WeightedSignal, h: float) -> WeightedSignal:
 # "%.17g" (enough to round-trip doubles exactly).  Samples are finite, so no
 # field ever needs quoting.
 
+# Fewest doubles a forked writer is given.  Below it the fork, the child's
+# copy-on-write faults and the part file cost more than the formatting the
+# child takes off the parent, so small signals are written in one process.
+MIN_DOUBLES_PER_WORKER = 2**18
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _write_rows(fh, row_fmt: bytes, times: list, floats: np.ndarray, lo: int, hi: int) -> None:
+    for t, row in zip(times[lo:hi], floats[lo:hi]):
+        fh.write(row_fmt % (t, *row.tolist()))
+
+
+def _sibling(path: str, suffix: str) -> str:
+    """A fresh hidden name next to path, so os.replace stays on one file system."""
+    directory, name = os.path.split(os.path.abspath(path))
+    return os.path.join(directory, f".{name}.{os.urandom(6).hex()}{suffix}")
+
+
+def _write_part(part: str, row_fmt: bytes, times: list, floats: np.ndarray, lo: int, hi: int) -> None:
+    """Body of a forked child: format rows lo..hi-1 into part, then leave.
+
+    os._exit runs no exit handler and flushes no buffer inherited from the
+    parent, and an exception becomes exit status 1 without a traceback.
+    """
+    code = 1
+    try:
+        with open(part, "xb") as fh:
+            _write_rows(fh, row_fmt, times, floats, lo, hi)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def write_signal_csv(u: WeightedSignal, path: str) -> None:
+    """Write u as CSV, replacing path atomically.
+
+    Formatting "%.17g" is nearly the whole cost of a large file, so the
+    rows are split into contiguous blocks, at most one per usable CPU and
+    per MIN_DOUBLES_PER_WORKER numbers.  The parent formats block 0 into a
+    temporary file next to path; each other block is formatted by a forked
+    child into its own part file, which the parent appends in order.  The
+    bytes do not depend on the number of blocks.  path is replaced only
+    once every block is complete; on any failure the temporary and part
+    files are removed and the OSError raised names path and the block.
+    """
     header = ["t"]
     for j in range(u.dim):
         header += [f"re_{j}", f"im_{j}"]
@@ -195,11 +249,54 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
     # left the heap fragmented across repeated solves in one process.
     row_fmt = (",".join(["%.17g"] * (1 + 2 * u.dim)) + "\r\n").encode()
     # (n, 2*dim) float view: re_0, im_0, re_1, ... in column order
-    parts = u.values.view(np.float64)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        for t, row in zip(u.grid.times.tolist(), parts):
-            fh.write(row_fmt % (t, *row.tolist()))
+    floats = u.values.view(np.float64)
+    times = u.grid.times.tolist()
+    n = u.grid.n
+    n_blocks = 1
+    if hasattr(os, "fork"):
+        per_worker = n * (1 + 2 * u.dim) // MIN_DOUBLES_PER_WORKER
+        n_blocks = max(1, min(_usable_cpus(), per_worker, n))
+    bounds = [n * b // n_blocks for b in range(n_blocks + 1)]
+    tmp = _sibling(path, ".tmp")
+    part_files = [_sibling(path, f".part{b}") for b in range(1, n_blocks)]
+    blocks = [
+        f"block {b} of {n_blocks} (rows {bounds[b]}-{bounds[b + 1] - 1})" for b in range(n_blocks)
+    ]
+    pids: list[int] = []  # children not yet joined, in block order
+    where = blocks[0]
+    try:
+        # Fork before the parent opens any file.  A child makes no BLAS call
+        # and prints nothing, so the parent's threads cannot deadlock it.
+        for b, part in enumerate(part_files, 1):
+            where = blocks[b]
+            pid = os.fork()
+            if pid == 0:
+                _write_part(part, row_fmt, times, floats, bounds[b], bounds[b + 1])
+            pids.append(pid)
+        where = blocks[0]
+        with open(tmp, "xb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            _write_rows(fh, row_fmt, times, floats, 0, bounds[1])
+            for b, part in enumerate(part_files, 1):
+                where = blocks[b]
+                _, status = os.waitpid(pids[0], 0)
+                pids.pop(0)
+                code = os.waitstatus_to_exitcode(status)
+                if code != 0:
+                    raise OSError(f"its writer exited with status {code}")
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+        where = "the final rename"
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {where}: {exc}") from exc
+    finally:
+        for pid in pids:  # left only after a failure
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for name in (tmp, *part_files):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
 
 
 def read_signal_csv(path: str, grid: WeightedGrid) -> WeightedSignal:

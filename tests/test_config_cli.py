@@ -133,7 +133,7 @@ class TestCliSolve:
         out = tmp_path / "out"
         code = main(["solve", "--config", good_cfg, "--out", str(out)])
         assert code == 0
-        assert (out / "U.csv").exists() and (out / "report.txt").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["U.csv", "report.txt"]
         assert "energy_ratio" in capsys.readouterr().out
 
     def test_malformed_config_exit_2(self, tmp_path, capsys):
@@ -279,6 +279,27 @@ class TestCliSweep:
             "--k-list", "",
         ])
         assert code == 2
+
+
+class TestCliOutputErrors:
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["verify"], ["sweep-reflection", "--k-list", "0"]]
+    )
+    def test_out_below_a_file_exit_3(self, good_cfg, sweep_cfg, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        out = blocker / "out"
+        cfg = sweep_cfg if argv[0] == "sweep-reflection" else good_cfg
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "output error" in err and str(out) in err
+
+    def test_unwritable_u_csv_exit_3(self, good_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "U.csv").mkdir(parents=True)
+        assert main(["solve", "--config", good_cfg, "--out", str(out)]) == 3
+        assert str(out / "U.csv") in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["U.csv"]
 
 
 class TestShippedScenarios:

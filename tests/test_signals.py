@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import interior_signal
+from evowaves import signals
 from evowaves.signals import (
     WeightedGrid,
     WeightedSignal,
@@ -118,6 +121,27 @@ class TestTranslate:
             translate(random_signal(grid), grid.dt * 1.5)
 
 
+def exact_signal():
+    g = WeightedGrid(0.0, 0.1, 3, 1.0)
+    vals = np.array(
+        [
+            [complex(-0.0, 5e-324), complex(1e300, 0.1)],
+            [complex(1.0, -2.5e-17), complex(0.1, -0.0)],
+            [complex(5e-324, 1e300), complex(-2.5e-17, 1.0)],
+        ]
+    )
+    return WeightedSignal(g, vals)
+
+
+EXACT_BYTES = (
+    b"t,re_0,im_0,re_1,im_1\r\n"
+    b"0,-0,4.9406564584124654e-324,1.0000000000000001e+300,0.10000000000000001\r\n"
+    b"0.10000000000000001,1,-2.4999999999999999e-17,0.10000000000000001,-0\r\n"
+    b"0.20000000000000001,4.9406564584124654e-324,1.0000000000000001e+300,"
+    b"-2.4999999999999999e-17,1\r\n"
+)
+
+
 class TestCsv:
     def test_round_trip_exact(self, grid, tmp_path):
         u = random_signal(grid, dim=3, seed=10)
@@ -127,25 +151,11 @@ class TestCsv:
         assert np.array_equal(back.values, u.values)
 
     def test_exact_bytes(self, tmp_path):
-        g = WeightedGrid(0.0, 0.1, 3, 1.0)
-        vals = np.array(
-            [
-                [complex(-0.0, 5e-324), complex(1e300, 0.1)],
-                [complex(1.0, -2.5e-17), complex(0.1, -0.0)],
-                [complex(5e-324, 1e300), complex(-2.5e-17, 1.0)],
-            ]
-        )
-        u = WeightedSignal(g, vals)
+        u = exact_signal()
         path = tmp_path / "sig.csv"
         write_signal_csv(u, str(path))
-        assert path.read_bytes() == (
-            b"t,re_0,im_0,re_1,im_1\r\n"
-            b"0,-0,4.9406564584124654e-324,1.0000000000000001e+300,0.10000000000000001\r\n"
-            b"0.10000000000000001,1,-2.4999999999999999e-17,0.10000000000000001,-0\r\n"
-            b"0.20000000000000001,4.9406564584124654e-324,1.0000000000000001e+300,"
-            b"-2.4999999999999999e-17,1\r\n"
-        )
-        back = read_signal_csv(str(path), g)
+        assert path.read_bytes() == EXACT_BYTES
+        back = read_signal_csv(str(path), u.grid)
         assert np.array_equal(back.values, u.values)
 
     def test_round_trip_keeps_signed_zero(self, tmp_path):
@@ -186,3 +196,105 @@ class TestCsv:
         path.write_bytes(b"t,re_0,im_0\r\n" + rows)
         with pytest.raises(ValueError, match="column"):
             read_signal_csv(str(path), g)
+
+
+EDGE_DOUBLES = [-0.0, 5e-324, 1e300, -1e300, 0.1, -2.5e-17, 1.0]
+
+
+def edge_signal(n, dim=2):
+    """Every row holds some of the hardest doubles for %.17g, so each block boundary does too."""
+    reals = np.resize(EDGE_DOUBLES, 2 * n * dim)
+    return WeightedSignal(WeightedGrid(-0.3, 0.1, n, 1.0), reals.view(complex).reshape(n, dim))
+
+
+class TestCsvBlocks:
+    """write_signal_csv split across forked writers gives the one-process bytes."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Force a block per CPU, for a given CPU count."""
+        monkeypatch.setattr(signals, "MIN_DOUBLES_PER_WORKER", 1)
+
+        def set_cpus(cpus):
+            monkeypatch.setattr(signals, "_usable_cpus", lambda: cpus)
+
+        return set_cpus
+
+    # at 3 CPUs each row is its own block
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_exact_bytes_in_blocks(self, tmp_path, split, cpus):
+        split(cpus)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(exact_signal(), str(path))
+        assert path.read_bytes() == EXACT_BYTES
+
+    # n = 2 is below the worker count at 3 CPUs; 7 and 10 do not divide evenly
+    @pytest.mark.parametrize("n", [2, 7, 10])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_blocks_byte_identical(self, tmp_path, split, n, cpus):
+        u = edge_signal(n)
+        write_signal_csv(u, str(tmp_path / "one.csv"))
+        split(cpus)
+        write_signal_csv(u, str(tmp_path / "many.csv"))
+        assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["many.csv", "one.csv"]
+        back = read_signal_csv(str(tmp_path / "many.csv"), u.grid)
+        assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+
+    def test_replaces_existing_file(self, tmp_path, split):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"old contents that are longer than the new file" * 100)
+        split(2)
+        u = edge_signal(4)
+        write_signal_csv(u, str(path))
+        assert np.array_equal(read_signal_csv(str(path), u.grid).values, u.values)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_failed_block_leaves_nothing(self, tmp_path, split, monkeypatch, failing):
+        u = edge_signal(9)
+        lo_failing = [0, 3, 6][failing]
+        write_rows = signals._write_rows
+
+        def flaky(fh, row_fmt, times, floats, lo, hi):
+            if lo == lo_failing:
+                raise OSError("no space left")
+            write_rows(fh, row_fmt, times, floats, lo, hi)
+
+        monkeypatch.setattr(signals, "_write_rows", flaky)
+        split(3)
+        path = tmp_path / "sig.csv"
+        with pytest.raises(OSError, match=f"sig.csv: block {failing} of 3") as info:
+            write_signal_csv(u, str(path))
+        assert str(path) in str(info.value)
+        assert not path.exists()
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_block_keeps_old_file(self, tmp_path, split, monkeypatch):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"previous result")
+        # runs only in the forked child of block 1
+        monkeypatch.setattr(signals, "_write_part", lambda *args: os._exit(7))
+        split(2)
+        with pytest.raises(OSError, match="block 1 of 2 .*status 7"):
+            write_signal_csv(edge_signal(4), str(path))
+        assert path.read_bytes() == b"previous result"
+        assert os.listdir(tmp_path) == ["sig.csv"]
+
+    @pytest.mark.parametrize("cpus,per_worker", [(1, 1), (64, signals.MIN_DOUBLES_PER_WORKER)])
+    def test_one_process_never_forks(self, tmp_path, monkeypatch, cpus, per_worker):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(signals, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(signals, "MIN_DOUBLES_PER_WORKER", per_worker)
+        u = edge_signal(50)
+        write_signal_csv(u, str(tmp_path / "sig.csv"))
+        assert np.array_equal(read_signal_csv(str(tmp_path / "sig.csv"), u.grid).values, u.values)
+
+    def test_no_fork_platform_stays_in_process(self, tmp_path, split, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        split(4)
+        u = edge_signal(8)
+        write_signal_csv(u, str(tmp_path / "sig.csv"))
+        assert np.array_equal(read_signal_csv(str(tmp_path / "sig.csv"), u.grid).values, u.values)
