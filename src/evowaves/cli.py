@@ -47,9 +47,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.dump_config:
-        sys.stdout.write(scenario.dump())
-        return EXIT_OK
     try:
         prob = scenario.build()
         report = solve_frequency(prob)
@@ -82,9 +79,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.dump_config:
-        sys.stdout.write(scenario.dump())
-        return EXIT_OK
     try:
         prob = scenario.build()
         if not scenario.checks:
@@ -234,39 +228,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Causal acoustic evolution solver with numerical estimate checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, dump_flag: bool = False) -> None:
+    commands = {}
+    for name, func, help_text in (
+        ("solve", cmd_solve, "solve the scenario"),
+        ("verify", cmd_verify, "run the estimate checks"),
+        ("sweep-reflection", cmd_sweep_reflection, "reflection sweep over robin_k"),
+        ("dump-config", cmd_dump_config, "echo the canonical scenario text"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario file path")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        if dump_flag:
-            p.add_argument(
-                "--dump-config",
-                action="store_true",
-                help="print the canonical scenario and exit without running",
-            )
-
-    p_solve = sub.add_parser("solve", help="solve the scenario")
-    add_common(p_solve, dump_flag=True)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_verify = sub.add_parser("verify", help="run the estimate checks")
-    add_common(p_verify, dump_flag=True)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sweep = sub.add_parser("sweep-reflection", help="reflection sweep over robin_k")
-    add_common(p_sweep)
-    p_sweep.add_argument(
+        if name != "dump-config":
+            p.add_argument("--out", default="out", help="output directory (default: out)")
+        p.set_defaults(func=func)
+        commands[name] = p
+    commands["verify"].add_argument(
+        "--seed", type=int, default=0, help="seed for randomized checks"
+    )
+    commands["sweep-reflection"].add_argument(
         "--k-list",
         default="0,0.25,0.5,1,2,4",
         help="comma-separated impedance coefficients (default: 0,0.25,0.5,1,2,4)",
     )
-    p_sweep.set_defaults(func=cmd_sweep_reflection)
-
-    p_dump = sub.add_parser("dump-config", help="echo the canonical scenario text")
-    add_common(p_dump)
-    p_dump.set_defaults(func=cmd_dump_config)
-
     return parser
 
 

@@ -10,9 +10,10 @@ text file:
 
 Sections: grid, space, material, boundary, source, output.  Parsing is
 strict: unknown sections or keys, duplicates, and malformed values are
-rejected with the offending line number.  `Scenario.dump()` emits a
-canonical text that re-parses to an equivalent scenario (the config
-round-trip used by --dump-config).
+rejected with the offending line number; so are non-finite numbers
+(`nan`, `inf`).  `Scenario.dump()` emits a canonical text that re-parses
+to an equivalent scenario (the config round-trip used by the
+`dump-config` subcommand).
 
 Complex data enters as separate real/imaginary arrays: the instantaneous
 material matrix is row-major 2x2 (`m0_re`/`m0_im`), memory-kernel pole
@@ -144,9 +145,12 @@ class _Section:
             return default
         value, line = self._raw(key)
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise ConfigError(f"{key} must be a number, got {value!r}", line) from None
+        if not np.isfinite(number):
+            raise ConfigError(f"{key} must be finite, got {value!r}", line)
+        return number
 
     def integer(self, key: str) -> int:
         value, line = self._raw(key)
@@ -160,9 +164,12 @@ class _Section:
             return np.asarray(default, dtype=float)
         value, line = self._raw(key)
         try:
-            return np.asarray([float(tok) for tok in value.split()], dtype=float)
+            numbers = np.asarray([float(tok) for tok in value.split()], dtype=float)
         except ValueError:
             raise ConfigError(f"{key} must be a list of numbers, got {value!r}", line) from None
+        if not np.isfinite(numbers).all():
+            raise ConfigError(f"{key} must hold finite numbers, got {value!r}", line)
+        return numbers
 
     def line_of(self, key: str) -> int | None:
         return self.data[key][1] if key in self.data else None
@@ -336,22 +343,16 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError("grid needs dt or window")
     if dt <= 0:
         raise ConfigError("dt must be positive", grid.line_of("dt") or grid.line_of("window"))
-    rho_raw = grid.string("rho", default="auto")
-    rho: float | str
-    if rho_raw == "auto":
-        rho = "auto"
-    else:
-        try:
-            rho = float(rho_raw)
-        except ValueError:
-            raise ConfigError(
-                f"rho must be a number or 'auto', got {rho_raw!r}", grid.line_of("rho")
-            ) from None
+    rho: float | str = "auto"
+    if grid.string("rho", default="auto") != "auto":
+        rho = grid.number("rho")
         if rho <= 0:
             raise ConfigError("rho must be positive", grid.line_of("rho"))
 
     space = section("space")
     length = space.number("length")
+    if length <= 0:
+        raise ConfigError("length must be positive", space.line_of("length"))
     cells = space.integer("cells")
     if cells < 4:
         raise ConfigError("need at least 4 cells", space.line_of("cells"))

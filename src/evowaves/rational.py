@@ -80,12 +80,8 @@ class RationalMatrixFunction:
     def n_poles(self) -> int:
         return self.poles.size
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return (
-            np.abs(self.const).max(initial=0.0) <= tol
-            and np.abs(self.lin).max(initial=0.0) <= tol
-            and (self.n_poles == 0 or np.abs(self.residues).max(initial=0.0) <= tol)
-        )
+    def is_zero(self) -> bool:
+        return not (self.const.any() or self.lin.any() or self.residues.any())
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Evaluate at an array of points; returns shape (len(zs), d, d)."""
@@ -145,10 +141,3 @@ def scalar_rational(
         poles=p,
         residues=r.reshape(p.size, 1, 1),
     )
-
-
-def scalar_values(fn: RationalMatrixFunction, zs: np.ndarray) -> np.ndarray:
-    if fn.dim != 1:
-        raise ValueError("expected a scalar (1x1) rational function")
-    return fn.eval_many(zs)[:, 0, 0]
-

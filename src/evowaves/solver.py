@@ -14,10 +14,11 @@ boundary faces.  Two solvers are provided and cross-checked:
   Thomas sweep at O(n) each.  This is the trusted oracle.
   solve_boundary_family runs the same kernel once for a whole family of
   boundary laws and corrects each law by a 2x2 Woodbury update.
-* solve_timestep: causal implicit Euler marching with all memory kernels
-  (material and boundary) realized as finite state-space recursions, so no
-  history is stored.  First order in the step, strictly causal by
-  construction.
+* solve_timestep: causal implicit Euler marching.  Each step solves with
+  the frequency operator at w = 1/delta plus an explicit memory history:
+  every memory kernel (material and boundary) is realized as a finite
+  state-space recursion, so no history is stored.  First order in the
+  step, strictly causal by construction.
 
 Both end in the same report code: a SolveReport carrying the residual,
 the energy ratio against the solvability margin, a causality margin, the
@@ -134,7 +135,14 @@ class EvoProblem:
 
     def operator(self, s: np.ndarray) -> ReducedOperator:
         """The per-frequency operator (i s + rho) M(z_s) + A(s) on frequencies s."""
-        rho = self.grid.rho
+        return self._operator_at(s, self.grid.rho)
+
+    def _operator_at(self, s: np.ndarray, rho: float) -> ReducedOperator:
+        """w M(1/w) + A at the points w = i s + rho, for any weight rho.
+
+        operator(s) is this at the problem's weight; the implicit Euler step
+        of size delta is it at the single point s = 0, rho = 1/delta.
+        """
         w = 1j * np.asarray(s, dtype=float) + rho
         m = law_symbol(self.law, s, rho)
         flux = self.bl.flux_symbol(s, rho)
@@ -494,94 +502,67 @@ def solve_boundary_family(
 
 
 class _ImplicitMemory:
-    """Implicit-Euler advance of one diagonal realization on vector inputs."""
+    """Implicit-Euler states of the modes res / (w - p), one column per unknown.
 
-    def __init__(self, real: StateSpaceRealization, delta: float, n_points: int, entry: int = 0):
-        # scalar (1x1) kernels applied pointwise across n_points unknowns
-        self.poles = real.poles
-        self.res = real.residues[:, entry, entry] if real.poles.size else np.zeros(0, complex)
-        self.const = complex(real.const[entry, entry])
+    residues is (modes, unknowns): each unknown has its own residue per
+    mode.  The step's instantaneous response is part of the step matrix;
+    history() is what the states carried over from earlier steps add.
+    """
+
+    def __init__(self, poles: np.ndarray, residues: np.ndarray, delta: float):
+        self.gain = 1.0 / (1.0 - delta * poles)
+        self.weight = residues * self.gain[:, None]
         self.delta = delta
-        self.gain = 1.0 / (1.0 - delta * self.poles) if self.poles.size else np.zeros(0, complex)
-        self.x = np.zeros((self.poles.size, n_points), dtype=complex)
-        # effective instantaneous transfer of the implicit step
-        self.transfer = self.const + delta * np.sum(self.res * self.gain) if self.poles.size else self.const
+        self.x = np.zeros(residues.shape, dtype=complex)
 
     def history(self) -> np.ndarray:
-        """Output contribution of the current states before seeing the new input."""
-        if not self.poles.size:
-            return np.zeros(self.x.shape[1], dtype=complex)
-        return (self.res * self.gain) @ self.x
+        return np.sum(self.weight * self.x, axis=0)
 
     def advance(self, u_new: np.ndarray) -> None:
-        if self.poles.size:
-            self.x = self.gain[:, None] * (self.x + self.delta * u_new[None, :])
+        self.x = self.gain[:, None] * (self.x + self.delta * u_new)
 
 
-def solve_timestep(prob: EvoProblem, dt_sub: float | None = None) -> SolveReport:
-    """Causal implicit-Euler march of the same equation.
+def solve_timestep(prob: EvoProblem) -> SolveReport:
+    """Causal implicit-Euler march of the same equation, one step per grid sample.
 
-    dt_sub must divide the grid step (default: equal to it).  The source
-    is interpolated linearly to substeps; step n+1 uses data up to t_{n+1}
-    only, so the scheme is strictly causal: zero source prefix gives an
-    exactly zero solution prefix.
+    The step matrix is the frequency operator at w = 1/delta, delta the
+    grid step: implicit Euler replaces the inverse derivative z by delta.
+    The memory kernels (material and boundary), realized as diagonal
+    state-space recursions, add an explicit history term to each step's
+    right-hand side.  Step k uses data up to t_k only, so the scheme is
+    strictly causal: zero source prefix gives an exactly zero solution
+    prefix.
     """
     t_start = time.perf_counter()
-    grid = prob.grid
-    sd = prob.sd
-    nc = sd.n_cells
-    rho = grid.rho
-    delta = grid.dt if dt_sub is None else float(dt_sub)
-    n_sub = round(grid.dt / delta)
-    if abs(n_sub * delta - grid.dt) > 1e-12 * grid.dt or n_sub < 1:
-        raise ValueError(f"dt_sub={delta} does not divide the grid step {grid.dt}")
-    delta = grid.dt / n_sub
+    grid, sd = prob.grid, prob.sd
+    nc, delta = sd.n_cells, grid.dt
+    if not delta < 2.0 * prob.r_effective:
+        raise SolverError(
+            f"time step {delta:.6g} is not below 2r = {2.0 * prob.r_effective:.6g}: implicit "
+            "Euler evaluates the kernels at z = dt, outside their holomorphy ball"
+        )
 
-    mem_real = realize(prob.law.m1, rho)
-    mem_p = _ImplicitMemory(mem_real, delta, nc, entry=0)
-    mem_v = _ImplicitMemory(mem_real, delta, nc - 1, entry=1)
-    # one state column per boundary end: inputs (n.alpha) * p at the left and right cell
-    flux = _ImplicitMemory(realize_flux(prob.bl, rho), delta, 2)
-    a0, aL = prob.bl.normal_alpha
-
-    m0_p = complex(prob.law.m0[0, 0])
-    m0_v = complex(prob.law.m0[1, 1])
-
-    inv_dx = 1.0 / sd.dx
-    # the one-step operator is the reduced operator at the implicit-Euler transfer values
-    step_op = reduced_operator(
-        sd,
-        prob.bl,
-        np.asarray([flux.transfer]),
-        m0_p / delta + mem_p.transfer,
-        m0_v / delta + mem_v.transfer,
+    mem = realize(prob.law.m1, grid.rho)
+    # pressure unknowns take each mode's (0, 0) residue, velocity unknowns its (1, 1)
+    memory = _ImplicitMemory(
+        mem.poles, np.repeat(mem.residues[:, [0, 1], [0, 1]], [nc, nc - 1], axis=1), delta
     )
-    lu = scipy.sparse.linalg.splu(step_op.sparse(0))
+    # the flux state of each end is driven by its boundary cell's pressure and
+    # enters that cell's row as (n . alpha) / dx times the flux response
+    ends = [0, nc - 1]
+    flux_real = realize_flux(prob.bl, grid.rho)
+    end_gain = np.asarray(prob.bl.normal_alpha) / sd.dx
+    flux = _ImplicitMemory(flux_real.poles, flux_real.residues[:, 0] * end_gain, delta)
+    lu = scipy.sparse.linalg.splu(prob._operator_at(np.zeros(1), 1.0 / delta).sparse(0))
 
-    f_vals = prob.f.values
+    m0 = np.repeat(np.diag(prob.law.m0), [nc, nc - 1]) / delta
+    f = prob.f.values
     out = np.zeros((grid.n, sd.n_reduced), dtype=complex)
-    u_prev = np.zeros(sd.n_reduced, dtype=complex)  # blocked layout [p, v_int]
-    m0_vec = np.concatenate([np.full(nc, m0_p), np.full(nc - 1, m0_v)])
-
-    for step in range(1, (grid.n - 1) * n_sub + 1):
-        frac = step / n_sub
-        k0 = min(int(np.floor(frac)), grid.n - 1)
-        w1 = frac - k0
-        f_new = f_vals[k0] if w1 == 0.0 else (1.0 - w1) * f_vals[k0] + w1 * f_vals[min(k0 + 1, grid.n - 1)]
-
-        rhs = f_new + (m0_vec / delta) * u_prev
-        rhs[:nc] -= mem_p.history()
-        rhs[nc:] -= mem_v.history()
-        flux_hist = flux.history()
-        rhs[0] -= flux_hist[0] * inv_dx
-        rhs[nc - 1] -= flux_hist[1] * inv_dx
-        u_new = lu.solve(rhs)
-
-        mem_p.advance(u_new[:nc])
-        mem_v.advance(u_new[nc:])
-        flux.advance(np.asarray([a0 * u_new[0], aL * u_new[nc - 1]]))
-        u_prev = u_new
-        if step % n_sub == 0:
-            out[step // n_sub] = u_new
+    for k in range(1, grid.n):
+        rhs = f[k] + m0 * out[k - 1] - memory.history()
+        rhs[ends] -= flux.history()
+        out[k] = lu.solve(rhs)
+        memory.advance(out[k])
+        flux.advance(out[k, ends])
 
     return _report(prob, WeightedSignal(grid, out), "timestep", t_start, float("nan"), [])

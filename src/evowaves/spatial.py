@@ -34,7 +34,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .rational import PoleError, RationalMatrixFunction, scalar_rational, scalar_values
+from .rational import PoleError, RationalMatrixFunction, scalar_rational
 from .signals import WeightedSignal
 from .transform import SpectralSignal, forward_transform, inverse_transform
 
@@ -190,14 +190,11 @@ class BoundaryLaw:
         """Outward-normal component of alpha at the left and right ends."""
         return (-float(self.alpha[0]), float(self.alpha[-1]))
 
-    def g_values(self, zs: np.ndarray) -> np.ndarray:
-        return scalar_values(self.g, zs)
-
     def flux_symbol(self, s: np.ndarray, rho: float) -> np.ndarray:
         """(i s + rho) * g(1/(i s + rho)) on an array of frequencies."""
         w = 1j * np.asarray(s, dtype=float) + rho
         try:
-            return w * self.g_values(1.0 / w)
+            return w * self.g.eval_many(1.0 / w)[:, 0, 0]
         except PoleError as exc:
             raise PoleError(f"boundary kernel pole hit on the frequency grid: {exc}") from exc
 
@@ -537,7 +534,7 @@ def boundary_sign_functional(
     p_hat = forward_transform(p)
     s = p_hat.freqs
     w = 1j * s + grid.rho
-    g_vals = bl.g_values(1.0 / w)
+    g_vals = bl.g.eval_many(1.0 / w)[:, 0, 0]
     # d/dt (a p) per frequency: (i s + rho) * alpha * (g p interpolated to faces)
     q_hat = g_vals[:, None] * p_hat.values
     ap_faces = bl.alpha[None, :] * cell_to_face(sd, q_hat)

@@ -252,7 +252,8 @@ def check_adjoint_projection(
     s_samp = s[sample_idx]
     op = prob.operator(s_samp)
     fwd = np.stack([op.dense(k) for k in range(s_samp.size)])
-    adj = np.stack([op.adjoint().dense(k) for k in range(s_samp.size)])
+    adjoint = op.adjoint()
+    adj = np.stack([adjoint.dense(k) for k in range(s_samp.size)])
     in_band = (np.abs(s_samp) <= n_band)[:, None, None]
     lhs = np.conj(np.swapaxes(np.where(in_band, fwd, 0.0), 1, 2))
     rhs = np.where(in_band, adj, 0.0)

@@ -105,6 +105,24 @@ class TestParsing:
         with pytest.raises(ConfigError, match="vibes"):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("t0 = -4.8", "t0 = inf"),
+            ("amplitude = 1.0", "amplitude = nan"),
+            ("length = 1.0", "length = -1.0"),
+            ("x_width = 0.12", "x_width = inf"),
+        ],
+    )
+    def test_nonfinite_or_nonpositive_length_exits_2(self, old, new, tmp_path, capsys):
+        text = GOOD_CONFIG.replace(old, new)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        line = text.splitlines().index(new) + 1
+        assert f"config error: line {line}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_dump_round_trip_equivalent(self):
         sc = parse_scenario(GOOD_CONFIG)
         sc2 = parse_scenario(sc.dump())
@@ -155,8 +173,8 @@ class TestCliSolve:
 
     def test_deterministic_csv(self, good_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["solve", "--config", good_cfg, "--out", str(out1), "--seed", "7"]) == 0
-        assert main(["solve", "--config", good_cfg, "--out", str(out2), "--seed", "7"]) == 0
+        assert main(["solve", "--config", good_cfg, "--out", str(out1)]) == 0
+        assert main(["solve", "--config", good_cfg, "--out", str(out2)]) == 0
         assert (out1 / "U.csv").read_bytes() == (out2 / "U.csv").read_bytes()
 
     def test_deterministic_report(self, tmp_path):
@@ -172,7 +190,7 @@ class TestCliSolve:
         assert reports[0] == reports[1]
 
     def test_dump_config_flag_round_trips(self, good_cfg, tmp_path, capsys):
-        assert main(["solve", "--config", good_cfg, "--dump-config"]) == 0
+        assert main(["dump-config", "--config", good_cfg]) == 0
         dumped = capsys.readouterr().out
         sc2 = parse_scenario(dumped)
         assert sc2.dump() == dumped
@@ -335,6 +353,23 @@ class TestCliMisc:
     def test_dump_config_subcommand(self, good_cfg, capsys):
         assert main(["dump-config", "--config", good_cfg]) == 0
         assert "[grid]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--dump-config"],
+            ["verify", "--dump-config"],
+            ["solve", "--seed", "7"],
+            ["sweep-reflection", "--seed", "7"],
+            ["dump-config", "--seed", "7"],
+            ["dump-config", "--out", "o"],
+        ],
+    )
+    def test_dead_flags_rejected(self, good_cfg, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", good_cfg])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_console_entry_point(self, good_cfg):
         # the child imports evowaves from where this process found it

@@ -373,15 +373,36 @@ class TestTimestep:
         rep = solve_timestep(prob)
         assert np.abs(rep.solution.values[:start_idx]).max() <= 1e-13
 
-    def test_dt_sub_must_divide(self, problem):
-        with pytest.raises(ValueError, match="divide"):
-            solve_timestep(problem, dt_sub=problem.grid.dt / 2.5)
+    def test_step_matrix_is_operator_at_inverse_step(self):
+        # implicit Euler replaces z by delta: the frequency operator at
+        # w = 1/delta is m0/delta plus each realization's one-step transfer
+        # const + delta sum res/(1 - delta p)
+        sd = build_grid(1.0, 16)
+        m1 = RationalMatrixFunction(
+            const=np.diag([0.1, 0.05]),
+            lin=np.diag([0.3, 0.2]),
+            poles=[-0.5, -2.0 + 1.0j],
+            residues=[np.diag([0.2, 0.1]), np.diag([0.05j, 0.3])],
+        )
+        law = MaterialLaw(np.diag([1.5, 1.0]), m1, r=1.0)
+        bl = flux_boundary(sd, 0.5, poles_w=[-1.2, -0.7 + 0.4j], residues_w=[0.8, 0.3 - 0.1j])
+        prob = make_problem(n_cells=16, law=law, bl=bl)
+        rho, delta = prob.grid.rho, prob.grid.dt
+        op = prob._operator_at(np.zeros(1), 1.0 / delta)
 
-    def test_substepping_reduces_gap(self, problem):
-        spec = solve_frequency(problem)
-        gap1 = rel_gap(solve_timestep(problem).solution, spec.solution)
-        gap2 = rel_gap(solve_timestep(problem, dt_sub=problem.grid.dt / 2).solution, spec.solution)
-        assert gap2 < gap1
+        def transfer(real):
+            return real.const + delta * np.sum(
+                real.residues / (1.0 - delta * real.poles)[:, None, None], axis=0
+            )
+
+        assert realize(m1, rho).poles.size == 3 and realize_flux(bl, rho).poles.size == 2
+        sym = np.diag(law.m0) / delta + np.diag(transfer(realize(m1, rho)))
+        flux = transfer(realize_flux(bl, rho))[0, 0]
+        a0, aL = bl.normal_alpha
+        expected = [sym[0], sym[1], flux * a0 / sd.dx, flux * aL / sd.dx]
+        got = [op.sym_p[0], op.sym_v[0], op.corner0[0], op.cornerL[0]]
+        for value, want in zip(got, expected):
+            assert abs(value - want) <= 1e-13 * abs(want)
 
     def test_cross_solver_first_order_convergence(self):
         # halving dt halves the gap to the spectral oracle, memory included
@@ -395,6 +416,12 @@ class TestTimestep:
             gaps.append(rel_gap(ts.solution, spec.solution))
         ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
         assert np.all(ratios > 1.7) and np.all(ratios < 2.3)
+
+    def test_step_outside_holomorphy_ball_rejected(self):
+        # dt = 2.5 >= 2r = 2: z = dt lies outside the ball the laws are given on
+        prob = make_problem(n=64, window=160.0)
+        with pytest.raises(SolverError, match="time step 2.5 is not below 2r = 2"):
+            solve_timestep(prob)
 
     def test_energy_monotone_after_source_off(self):
         # skew spatial part (vanishing normal velocity) plus implicit Euler:
