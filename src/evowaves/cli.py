@@ -53,6 +53,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (SolverError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:  # a csv source that cannot be read
+        print(f"source error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -87,6 +90,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = run_all_checks(prob, seed=args.seed, names=scenario.checks)
     except (SolverError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OSError as exc:  # a csv source that cannot be read
+        print(f"source error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     out = Path(args.out)
     try:

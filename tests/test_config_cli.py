@@ -320,6 +320,24 @@ class TestCliOutputErrors:
         assert [p.name for p in out.iterdir()] == ["U.csv"]
 
 
+class TestCliSourceErrors:
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_missing_csv_source_exit_3(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)  # the relative path resolves here, to no file
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(
+            GOOD_CONFIG.replace("kind = gaussian", "kind = csv").replace(
+                "component = p", "path = missing.csv"
+            )
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("source error:") and "missing.csv" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestShippedScenarios:
     scenarios_dir = __import__("pathlib").Path(__file__).resolve().parent.parent / "scenarios"
 

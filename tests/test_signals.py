@@ -1,3 +1,4 @@
+import io
 import os
 
 import numpy as np
@@ -198,12 +199,94 @@ class TestCsv:
             read_signal_csv(str(path), g)
 
 
+def written(x):
+    """The writer's bytes for the doubles x, one per row."""
+    fh = io.BytesIO()
+    signals._write_rows(fh, x, np.empty((x.size, 0)), 0, x.size)
+    return fh.getvalue()
+
+
+def reference(x):
+    return b"".join(b"%.17g\r\n" % v for v in x.tolist())
+
+
+KERNEL_EDGES = [
+    0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    1e-99,
+    9.9999999999999999e-100,
+    1e-4,
+    9.9999999999999995e-05,
+    1e-5,
+    1e16,
+    1e17,
+    1e300,
+]
+
+
+class TestFormatKernel:
+    """The vectorized writer prints every double exactly as b"%.17g" % x."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=500, deadline=None)
+    def test_any_double(self, v):
+        x = np.array([v, -v])
+        assert written(x) == reference(x)
+
+    # the decades the kernel itself writes
+    @given(st.floats(min_value=1e-99, max_value=1.0, exclude_max=True))
+    @settings(max_examples=500, deadline=None)
+    def test_kernel_range(self, v):
+        x = np.array([v, -v, np.nextafter(v, 0.0), np.nextafter(v, 1.0)])
+        assert written(x) == reference(x)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20).integers(0, 2**64, 200_000, dtype=np.uint64)
+        x = bits.view(np.float64)
+        x = x[np.isfinite(x)]
+        assert written(x) == reference(x)
+
+    def test_random_decades(self):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(1.0, 10.0, 200_000) * 10.0 ** rng.integers(-110, 20, 200_000)
+        assert written(x) == reference(x)
+
+    def test_named_edges(self):
+        x = np.array(KERNEL_EDGES)
+        x = np.concatenate([x, -x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+        assert written(x) == reference(x)
+
+    def test_exact_tie_rounds_half_to_even(self):
+        # 2**-25 = 2.98023223876953125e-08 exactly: 18 digits ending in 5
+        assert written(np.array([2.0**-25, -(2.0**-25)])) == (
+            b"2.9802322387695312e-08\r\n-2.9802322387695312e-08\r\n"
+        )
+
+
 EDGE_DOUBLES = [-0.0, 5e-324, 1e300, -1e300, 0.1, -2.5e-17, 1.0]
+# one double per form "%.17g" takes: exponent and fixed form (kernel-written),
+# an exact tie, a mantissa ending in zeros, zeros, a subnormal, three-digit
+# exponents, |x| >= 1 in fixed and exponent form
+EVERY_FORM = [
+    -1.2345678901234567e-07,
+    4.5e-05,
+    0.00012345,
+    -0.5,
+    2.0**-25,
+    2.0**-17,
+    0.0,
+    -0.0,
+    5e-324,
+    -1e-100,
+    123.25,
+    -1e17,
+]
 
 
 def edge_signal(n, dim=2):
     """Every row holds some of the hardest doubles for %.17g, so each block boundary does too."""
-    reals = np.resize(EDGE_DOUBLES, 2 * n * dim)
+    reals = np.resize(EDGE_DOUBLES + EVERY_FORM, 2 * n * dim)
     return WeightedSignal(WeightedGrid(-0.3, 0.1, n, 1.0), reals.view(complex).reshape(n, dim))
 
 
@@ -241,6 +324,16 @@ class TestCsvBlocks:
         back = read_signal_csv(str(tmp_path / "many.csv"), u.grid)
         assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_every_form_in_one_row(self, tmp_path, split, cpus):
+        reals = np.array([EVERY_FORM, [-v for v in reversed(EVERY_FORM)]])
+        u = WeightedSignal(WeightedGrid(0.0, 0.1, 2, 1.0), reals.view(complex))
+        split(cpus)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(u, str(path))
+        rows = [b",".join(b"%.17g" % v for v in [t, *r]) + b"\r\n" for t, r in zip([0.0, 0.1], reals)]
+        assert path.read_bytes().split(b"\r\n", 1)[1] == b"".join(rows)
+
     def test_replaces_existing_file(self, tmp_path, split):
         path = tmp_path / "sig.csv"
         path.write_bytes(b"old contents that are longer than the new file" * 100)
@@ -255,10 +348,10 @@ class TestCsvBlocks:
         lo_failing = [0, 3, 6][failing]
         write_rows = signals._write_rows
 
-        def flaky(fh, row_fmt, times, floats, lo, hi):
+        def flaky(fh, times, floats, lo, hi):
             if lo == lo_failing:
                 raise OSError("no space left")
-            write_rows(fh, row_fmt, times, floats, lo, hi)
+            write_rows(fh, times, floats, lo, hi)
 
         monkeypatch.setattr(signals, "_write_rows", flaky)
         split(3)
