@@ -220,7 +220,7 @@ def check_causal_estimate(prob: EvoProblem, seed: int = 2) -> CheckResult:
     grid = prob.grid
     cuts = grid.t0 + grid.window_length * rng.uniform(0.05, 0.95, size=CAUSAL_CUTS)
     _, _, beta0 = prob.margin_constants()
-    u, _, _, _ = _solve_spectral(prob)
+    u = _solve_spectral(prob)[0]
     margins = causality_margins(prob, u, cuts, beta0)
     return CheckResult(
         "causal_estimate",

@@ -5,7 +5,7 @@ from evowaves.material import MaterialLaw
 from evowaves.rational import RationalMatrixFunction, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal
 from evowaves.solver import EvoProblem
-from evowaves.spatial import BoundaryLaw, SpatialDiscretization, build_grid
+from evowaves.spatial import BoundaryLaw, ReducedOperator, SpatialDiscretization, build_grid
 from evowaves.transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
 
 # A small rightward-pulse scenario for the reflection sweep (1024 samples, 128 cells).
@@ -141,6 +141,18 @@ def make_problem(
     fp = bump(t, t_center, t_width)[:, None] * bump(x, 0.5 * length, 0.12 * length)[None, :]
     f = WeightedSignal(grid, np.concatenate([fp, np.zeros((n, n_cells - 1))], axis=1))
     return EvoProblem(grid, sd, law, bl, f)
+
+
+def corrupt_solve(monkeypatch) -> None:
+    """Make ReducedOperator.solve scale U_hat by 1 + 1e-6 at the source's strongest frequency."""
+    solve = ReducedOperator.solve
+
+    def corrupted(op, rhs):
+        u_hat, pivoted = solve(op, rhs)
+        u_hat[np.linalg.norm(rhs, axis=1).argmax()] *= 1.0 + 1e-6
+        return u_hat, pivoted
+
+    monkeypatch.setattr(ReducedOperator, "solve", corrupted)
 
 
 @pytest.fixture

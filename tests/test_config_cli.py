@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SWEEP_CONFIG
+from conftest import SWEEP_CONFIG, corrupt_solve
 from evowaves import cli
 from evowaves.cli import main
 from evowaves.config import ConfigError, parse_scenario
@@ -171,6 +171,11 @@ class TestCliSolve:
         assert code == 3
         assert "mu0/gamma0" in capsys.readouterr().err
 
+    def test_corrupted_solve_exit_4(self, good_cfg, tmp_path, capsys, monkeypatch):
+        corrupt_solve(monkeypatch)
+        assert main(["solve", "--config", good_cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "residual_ok=False" in capsys.readouterr().err
+
     def test_deterministic_csv(self, good_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["solve", "--config", good_cfg, "--out", str(out1)]) == 0
@@ -178,8 +183,7 @@ class TestCliSolve:
         assert (out1 / "U.csv").read_bytes() == (out2 / "U.csv").read_bytes()
 
     def test_deterministic_report(self, tmp_path):
-        # 200 cells is 399 unknowns, past the exact condition-number cutoff,
-        # so max_condition_number comes from the estimator
+        # every line but wall_time_s repeats, on a finer grid (399 unknowns)
         path = tmp_path / "fine.cfg"
         path.write_text(GOOD_CONFIG.replace("cells = 16", "cells = 200"))
         reports = []

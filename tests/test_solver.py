@@ -11,6 +11,7 @@ from conftest import (
     apply_symbol,
     bump,
     constant_fn,
+    corrupt_solve,
     flux_boundary,
     identity_law,
     interior_signal,
@@ -157,6 +158,11 @@ class TestFrequencySolve:
         assert rep.residual_rel <= 1e-10
         assert rep.energy_ratio <= (1.0 / rep.beta0) * 1.02
         assert rep.causality_margin >= -1e-6
+
+    def test_corrupted_solve_fails_the_residual(self, problem, monkeypatch):
+        assert solve_frequency(problem).residual_rel <= 1e-13
+        corrupt_solve(monkeypatch)
+        assert solve_frequency(problem).residual_rel > RESIDUAL_PASS
 
     def test_singular_frequency_named(self, problem, monkeypatch):
         import evowaves.spatial as spatial_mod
@@ -404,6 +410,14 @@ class TestTimestep:
         for value, want in zip(got, expected):
             assert abs(value - want) <= 1e-13 * abs(want)
 
+    def test_reports_the_step_matrix_condition_bound(self, problem):
+        rep = solve_timestep(problem)
+        step = problem._operator_at(np.zeros(1), 1.0 / problem.grid.dt)
+        assert rep.max_condition_bound == step.condition_bound()[0]
+        assert rep.max_condition_bound >= np.linalg.cond(step.dense(0), 2)
+        assert np.isnan(rep.condition_peak_s)
+        assert "condition_peak_s      nan" in rep.to_text()
+
     def test_cross_solver_first_order_convergence(self):
         # halving dt halves the gap to the spectral oracle, memory included
         gaps = []
@@ -478,6 +492,14 @@ class TestReport:
         text = rep.to_text()
         for key in ("rho", "beta0", "energy_ratio", "causality_margin", "residual_rel"):
             assert key in text
+
+    def test_condition_bound_peak(self, problem):
+        rep = solve_frequency(problem)
+        s = frequencies_for(problem.grid)
+        bound = problem.operator(s).condition_bound()
+        assert rep.max_condition_bound == bound.max()
+        assert rep.condition_peak_s == s[bound.argmax()]
+        assert f"condition_peak_s      {s[bound.argmax()]:.9g}" in rep.to_text()
 
     def test_both_solvers_warn_on_unpadded_source(self):
         # a source centred near the window end leaves too little trailing padding

@@ -1,7 +1,10 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from conftest import apply_symbol, bump, flux_boundary, interior_signal
+from evowaves.config import load_scenario
 from evowaves.rational import PoleError, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
 from evowaves.spatial import (
@@ -187,17 +190,35 @@ class TestReducedOperator:
         assert pivoted.tolist() == [2]
         assert np.isfinite(x[:2]).all() and not np.isfinite(x[2]).any()
 
-    def test_condition_number_matches_dense(self):
-        op, _ = self.make(n_cells=6)
+    def test_condition_bound_above_exact(self):
+        op, _ = self.make()
+        bound = op.condition_bound()
+        assert bound.shape == (3,) and np.isfinite(bound).all()
         for k in range(3):
-            assert op.cond1(k) == pytest.approx(np.linalg.cond(op.dense(k), 1), rel=1e-10)
-        # above 384 unknowns the inverse norm is estimated, from below
-        op, _ = self.make(n_cells=200)
-        for k in range(3):
-            exact = np.linalg.cond(op.dense(k), 1)
-            assert exact / 4 <= op.cond1(k) <= exact * (1 + 1e-9)
-        # the estimator starts from a fixed vector, so repeated calls agree
-        assert op.cond1(1) == op.cond1(1)
+            assert bound[k] >= np.linalg.cond(op.dense(k), 2)
+        assert np.array_equal(op.condition_bound(), bound)
+
+    def test_condition_bound_above_exact_on_default_scenario(self):
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "default.cfg"
+        prob = load_scenario(str(cfg)).build()
+        op = prob.operator(frequencies_for(prob.grid))
+        bound = op.condition_bound()
+        exact = np.linalg.cond(np.stack([op.dense(k) for k in range(bound.size)]), 2)
+        assert np.isfinite(bound).all() and (bound >= exact).all()
+
+    def test_condition_bound_infinite_without_coercivity(self):
+        # the zeroed symbols of the singular-frequency test leave min Re d = 0 at k = 2,
+        # and the corner of the pivot test cancels the first pressure symbol at k = 1
+        op, _ = self.make()
+        zero = np.zeros(3, dtype=complex)
+        sym_p, sym_v = op.sym_p.copy(), op.sym_v.copy()
+        sym_p[2] = sym_v[2] = 0.0
+        singular = ReducedOperator(sym_p, sym_v, zero, zero, op.off, op.n_cells)
+        assert np.isinf(singular.condition_bound()).tolist() == [False, False, True]
+        corner0 = op.corner0.copy()
+        corner0[1] = -op.sym_p[1]
+        cancelled = ReducedOperator(op.sym_p, op.sym_v, corner0, op.cornerL, op.off, op.n_cells)
+        assert np.isinf(cancelled.condition_bound()).tolist() == [False, True, False]
 
 
 class TestPairing:
