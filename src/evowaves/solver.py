@@ -24,9 +24,15 @@ boundary faces.  Two solvers are provided and cross-checked:
 
 Both end in the same report code: a SolveReport carrying the residual,
 the energy ratio against the solvability margin, a causality margin, the
-source padding flag, the condition bound and the same warnings.  The
-stepper's residual is the time-domain one (trapezoid norm), the only
-form that measures its first-order defect.
+source padding flag, the condition bound, the exact discrete coercivity
+constant beta0_grid and the same warnings.  The stepper's residual is the
+time-domain one (trapezoid norm), the only form that measures its
+first-order defect.
+
+The frequency paths run on numpy alone.  scipy is imported only when it
+is needed: by solve_timestep for the sparse LU of its step matrix, and by
+the pivoted fallback in spatial, so a process that never steps in time
+or meets a pivot breakdown never loads it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .material import MaterialLaw, coercivity, law_symbol, memory_bound
 from .rational import RationalMatrixFunction, scalar_rational
@@ -74,6 +79,8 @@ __all__ = [
 ENERGY_SLACK = 0.02          # tolerated relative slack on the energy bound
 CAUSALITY_SLACK = 1e-6       # tolerated causality margin, relative to ||f||
 N_CUTS = 10                  # evenly spaced cut times of the report's causality margin
+# the norm each solver's residual is measured in, by SolveReport.method
+RESIDUAL_NORMS = {"frequency": "spectral (rectangle rule)", "timestep": "time-domain (trapezoid)"}
 
 
 class SolverError(RuntimeError):
@@ -293,6 +300,8 @@ class SolveReport:
     gamma0: float
     mu0: float
     beta0: float
+    beta0_grid: float
+    beta0_grid_s: float
     rho: float
     energy_ratio: float
     causality_margin: float
@@ -321,8 +330,11 @@ class SolveReport:
             f"gamma0 (coercivity)   {self.gamma0:.17g}",
             f"mu0 (memory bound)    {self.mu0:.17g}",
             f"beta0 (margin)        {self.beta0:.17g}",
+            f"beta0_grid            {self.beta0_grid:.17g}",
+            f"beta0_grid_s          {self.beta0_grid_s:.9g}",
             f"residual{'_rel' if self.residual_is_relative else '_abs'}          "
             f"{self.residual_rel:.6e}",
+            f"residual_norm         {RESIDUAL_NORMS[self.method]}",
             f"energy_ratio          {self.energy_ratio:.17g}",
             f"energy_bound 1/beta0  {1.0 / self.beta0 if self.beta0 > 0 else float('inf'):.17g}",
             f"energy_bound_ok       {self.energy_bound_ok()}",
@@ -367,10 +379,14 @@ def _report(
     s: np.ndarray,
     warnings: list[str],
 ) -> SolveReport:
-    """The report of either solver; residual is its (value, is_relative), op at frequencies s."""
+    """The report of either solver; residual is its (value, is_relative), op at frequencies s.
+
+    beta0_grid is the smallest op.margin() over s: the exact coercivity
+    constant of the discrete problem, to set against beta0.
+    """
     grid = prob.grid
-    bound = op.condition_bound()
-    peak = int(np.argmax(bound))
+    bound, margin = op.condition_bound(), op.margin()
+    peak, lowest = int(np.argmax(bound)), int(np.argmin(margin))
     gamma, mu, beta0 = prob.margin_constants()
     f_norm = rho_norm(prob.f)
     energy_ratio = rho_norm(u) / f_norm if f_norm > 0 else 0.0
@@ -388,6 +404,8 @@ def _report(
         gamma0=gamma,
         mu0=mu,
         beta0=beta0,
+        beta0_grid=float(margin[lowest]),
+        beta0_grid_s=float(s[lowest]),
         rho=grid.rho,
         energy_ratio=energy_ratio,
         causality_margin=float(causality_margins(prob, u, cuts, beta0).min()),
@@ -537,8 +555,11 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
     state-space recursions, add an explicit history term to each step's
     right-hand side.  Step k uses data up to t_k only, so the scheme is
     strictly causal: zero source prefix gives an exactly zero solution
-    prefix.
+    prefix.  The sparse LU comes from scipy.sparse.linalg, imported on the
+    first call.
     """
+    import scipy.sparse.linalg
+
     t_start = time.perf_counter()
     grid, sd = prob.grid, prob.sd
     nc, delta = sd.n_cells, grid.dt

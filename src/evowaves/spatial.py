@@ -23,19 +23,26 @@ pressure taken from the adjacent cell) keeps the reduced operator square
 and makes the Robin case g(z) = k z exact: its flux symbol is the
 constant k.  The elimination also makes the reduced adjoint equal to the
 per-frequency conjugate transpose, which the adjoint_lemma check verifies.
+
+Everything here runs on numpy.  Two functions import scipy when they
+run, not at start-up: ReducedOperator.sparse (scipy.sparse, for the time
+stepper's step matrix) and _solve_range_pivoted (scipy.linalg, the banded
+LU for frequencies where the Thomas pivots break down).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .rational import PoleError, RationalMatrixFunction, scalar_rational
 from .signals import WeightedSignal
 from .transform import SpectralSignal, forward_transform, inverse_transform
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "SpatialDiscretization",
@@ -289,7 +296,9 @@ class ReducedOperator:
         return [-far, near, diag, -near, far], [-nc, 1 - nc, 0, nc - 1, nc]
 
     def sparse(self, k: int = 0) -> scipy.sparse.csc_array:
-        """The stacked-order matrix at frequency index k."""
+        """The stacked-order matrix at frequency index k (imports scipy.sparse)."""
+        import scipy.sparse
+
         bands, offsets = self._bands(k)
         return scipy.sparse.diags_array(bands, offsets=offsets, format="csc")
 
@@ -297,16 +306,26 @@ class ReducedOperator:
         """The stacked-order matrix at frequency index k, as a dense array."""
         return sum(np.diag(band, offset) for band, offset in zip(*self._bands(k)))
 
+    def _diagonal_values(self) -> tuple[np.ndarray, ...]:
+        """The four values the diagonal d takes at each frequency: p, v and the two corner cells."""
+        return (self.sym_p, self.sym_v, self.sym_p + self.corner0, self.sym_p + self.cornerL)
+
+    def margin(self) -> np.ndarray:
+        """min Re d at each frequency, d the diagonal: the exact coercivity constant.
+
+        The differences are real and skew, so Re d is the Hermitian part
+        and its smallest entry is the smallest eigenvalue of (T + T^H) / 2.
+        """
+        return np.minimum.reduce([x.real for x in self._diagonal_values()])
+
     def condition_bound(self) -> np.ndarray:
         """Upper bound on each frequency's 2-norm condition number; inf where min Re d <= 0.
 
-        The differences are real and skew, so Re d, d the diagonal, is the
-        Hermitian part and ||T^-1|| <= 1 / min Re d; with at most two
-        differences per row and column, ||T|| <= max|d| + 2 |off|.
+        ||T^-1|| <= 1 / margin(); with at most two differences per row and
+        column, ||T|| <= max|d| + 2 |off|.
         """
-        d = (self.sym_p, self.sym_v, self.sym_p + self.corner0, self.sym_p + self.cornerL)
-        lowest = np.minimum.reduce([x.real for x in d])
-        norm = np.maximum.reduce([np.abs(x) for x in d]) + 2.0 * abs(self.off)
+        lowest = self.margin()
+        norm = np.maximum.reduce([np.abs(x) for x in self._diagonal_values()]) + 2.0 * abs(self.off)
         return np.divide(norm, lowest, out=np.full(norm.shape, np.inf), where=lowest > 0)
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +431,10 @@ def _solve_range_pivoted(op: ReducedOperator, rhs: np.ndarray, ks: np.ndarray) -
     """Solve frequencies ks by banded LU with partial pivoting, in place.
 
     rhs holds their interleaved right-hand sides, (dim, [n_rhs,] ks.size).
+    scipy.linalg is imported here, on the first breakdown, not at start-up.
     """
+    import scipy.linalg
+
     ab = np.zeros((3, op.dim), dtype=complex)
     ab[0, 1:] = op.off
     ab[2, :-1] = -op.off

@@ -47,6 +47,47 @@ checks = positivity_1 boundary_sign
 """
 
 
+# a fresh interpreter that runs one command and prints the scipy modules it loaded
+NO_SCIPY_CHILD = """
+import sys
+import evowaves
+import evowaves.config
+
+if sys.argv[1] == "build":
+    evowaves.config.load_scenario(sys.argv[2]).build()
+else:
+    from evowaves.cli import main
+
+    if main(sys.argv[1:]) != 0:
+        sys.exit("the command failed")
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+# a fresh interpreter that runs the time stepper, which alone needs scipy
+TIMESTEP_CHILD = """
+import sys
+import evowaves.config
+from evowaves.solver import solve_timestep
+
+prob = evowaves.config.load_scenario(sys.argv[1]).build()
+before = "scipy.sparse.linalg" in sys.modules
+report = solve_timestep(prob)
+print(before, "scipy.sparse.linalg" in sys.modules, report.residual_rel)
+"""
+
+
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """Run python with args; the child imports evowaves from where this process found it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 @pytest.fixture
 def good_cfg(tmp_path):
     path = tmp_path / "scenario.cfg"
@@ -394,14 +435,28 @@ class TestCliMisc:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_console_entry_point(self, good_cfg):
-        # the child imports evowaves from where this process found it
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "evowaves.cli", "dump-config", "--config", good_cfg],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_child("-m", "evowaves.cli", "dump-config", "--config", good_cfg)
         assert proc.returncode == 0
         assert "[grid]" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["build", "solve", "verify", "sweep-reflection", "dump-config"])
+    def test_cli_path_loads_no_scipy(self, command, sweep_cfg, tmp_path):
+        # scipy is imported only where the time stepper and the pivoted fallback use it
+        default, out = str(TestShippedScenarios.scenarios_dir / "default.cfg"), str(tmp_path / "o")
+        argv = {
+            "build": [default],
+            "solve": ["--config", default, "--out", out],
+            "verify": ["--config", default, "--out", out],
+            "sweep-reflection": ["--config", sweep_cfg, "--out", out, "--k-list", "0,1"],
+            "dump-config": ["--config", default],
+        }[command]
+        proc = run_child("-c", NO_SCIPY_CHILD, command, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_time_stepper_imports_scipy_sparse_linalg(self, good_cfg):
+        proc = run_child("-c", TIMESTEP_CHILD, good_cfg)
+        assert proc.returncode == 0, proc.stderr
+        before, after, residual = proc.stdout.split()
+        assert (before, after) == ("False", "True")
+        assert float(residual) < 0.1

@@ -19,7 +19,7 @@ from conftest import (
     memory_law,
 )
 from evowaves.cli import RESIDUAL_PASS, measure_reflection, probe_rows
-from evowaves.config import parse_scenario
+from evowaves.config import load_scenario, parse_scenario
 from evowaves.material import MaterialLaw
 from evowaves.rational import RationalMatrixFunction, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_norm
@@ -36,7 +36,9 @@ from evowaves.solver import (
     solve_timestep,
 )
 from evowaves.spatial import BoundaryLaw, ReducedOperator, build_grid
-from evowaves.transform import frequencies_for
+from evowaves.transform import forward_transform, frequencies_for
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def rel_gap(a, b):
@@ -175,6 +177,34 @@ class TestFrequencySolve:
         monkeypatch.setattr(scipy.linalg, "solve_banded", boom)
         with pytest.raises(SolverError, match="frequency s ="):
             solve_frequency(problem)
+
+    @pytest.mark.parametrize("cfg", ["scenarios/default.cfg", "bench/scenarios/memory.cfg"])
+    def test_discrete_energy_identity(self, cfg, monkeypatch):
+        # the differences are real and skew, so at every frequency
+        # Re <f_hat, u_hat> = sum_i Re d_i |u_hat_i|^2, d the diagonal
+        prob = load_scenario(str(ROOT / cfg)).build()
+        op = prob.operator(frequencies_for(prob.grid))
+        f_hat = forward_transform(prob.f).values
+        nc = prob.sd.n_cells
+
+        def defect() -> float:
+            """Largest violation over the frequencies, relative to ||f_hat_k|| ||u_hat_k||."""
+            u_hat, _ = op.solve(f_hat)
+            power = np.abs(u_hat) ** 2
+            dissipated = (
+                op.sym_p.real * power[:, :nc].sum(axis=1)
+                + op.sym_v.real * power[:, nc:].sum(axis=1)
+                + op.corner0.real * power[:, 0]
+                + op.cornerL.real * power[:, nc - 1]
+            )
+            supplied = np.sum(np.conj(u_hat) * f_hat, axis=1).real
+            scale = np.linalg.norm(f_hat, axis=1) * np.linalg.norm(u_hat, axis=1)
+            assert (scale > 0).all()
+            return float(np.max(np.abs(supplied - dissipated) / scale))
+
+        assert defect() < 1e-12
+        corrupt_solve(monkeypatch)
+        assert defect() > 1e-12
 
     def test_pivoted_fallback_agrees(self, problem, monkeypatch):
         import evowaves.spatial as spatial_mod
@@ -417,6 +447,8 @@ class TestTimestep:
         assert rep.max_condition_bound >= np.linalg.cond(step.dense(0), 2)
         assert np.isnan(rep.condition_peak_s)
         assert "condition_peak_s      nan" in rep.to_text()
+        assert rep.beta0_grid == step.margin()[0] and np.isnan(rep.beta0_grid_s)
+        assert "residual_norm         time-domain (trapezoid)\n" in rep.to_text()
 
     def test_cross_solver_first_order_convergence(self):
         # halving dt halves the gap to the spectral oracle, memory included
@@ -492,6 +524,20 @@ class TestReport:
         text = rep.to_text()
         for key in ("rho", "beta0", "energy_ratio", "causality_margin", "residual_rel"):
             assert key in text
+        assert "residual_norm         spectral (rectangle rule)\n" in text
+
+    def test_beta0_grid_is_the_smallest_hermitian_eigenvalue(self):
+        prob = make_problem(n_cells=6, n=128)
+        rep = solve_frequency(prob)
+        s = frequencies_for(prob.grid)
+        op = prob.operator(s)
+        hermitian = [0.5 * (op.dense(k) + op.dense(k).conj().T) for k in range(s.size)]
+        lowest = np.array([np.linalg.eigvalsh(h)[0] for h in hermitian])
+        assert np.allclose(op.margin(), lowest, rtol=1e-13, atol=0.0)
+        assert rep.beta0_grid == op.margin().min()
+        assert rep.beta0_grid_s == s[op.margin().argmin()]
+        assert rep.beta0 <= rep.beta0_grid
+        assert f"beta0_grid            {rep.beta0_grid:.17g}" in rep.to_text()
 
     def test_condition_bound_peak(self, problem):
         rep = solve_frequency(problem)
