@@ -14,10 +14,12 @@ empirically that chosen windows are adequate, nothing here enforces it.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import shutil
 import signal
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -228,6 +230,58 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _worker_count(tasks: int) -> int:
+    """Processes to share tasks: one per usable CPU and per task, and one without os.fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cpus(), tasks))
+
+
+class _Forked:
+    """Forked children, each running one body; joined in the order they were forked.
+
+    A child leaves by os._exit, with status 0, or 1 if its body raised:
+    it runs no exit handler, flushes no buffer inherited from the parent
+    and prints no traceback.  Leaving the with-block kills and reaps every
+    child not yet joined, so a failure leaves no process behind.
+
+    A child may call BLAS.  evowaves starts no thread, and numpy's
+    OpenBLAS registers a pthread_atfork handler that shuts its thread pool
+    down before each fork, so a child starts with one thread and no lock
+    held by a thread that was not copied; its first BLAS call starts a
+    fresh pool.
+    """
+
+    def __init__(self) -> None:
+        self._pids: list[int] = []
+
+    def __enter__(self) -> "_Forked":
+        return self
+
+    def fork(self, body: Callable[[], object]) -> None:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                body()
+                code = 0
+            finally:
+                os._exit(code)
+        self._pids.append(pid)
+
+    def join(self) -> int:
+        """Wait for the oldest child not yet joined; its exit code."""
+        _, status = os.waitpid(self._pids[0], 0)
+        self._pids.pop(0)
+        return os.waitstatus_to_exitcode(status)
+
+    def __exit__(self, *exc_info: object) -> None:
+        for pid in self._pids:  # left only after a failure
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self._pids.clear()
+
+
 def _split(a):
     """Dekker's split: hi + lo == a exactly, each with at most 26 significant bits."""
     c = 134217729.0 * a
@@ -334,18 +388,9 @@ def _sibling(path: str, suffix: str) -> str:
 
 
 def _write_part(part: str, times: np.ndarray, floats: np.ndarray, lo: int, hi: int) -> None:
-    """Body of a forked child: format rows lo..hi-1 into part, then leave.
-
-    os._exit runs no exit handler and flushes no buffer inherited from the
-    parent, and an exception becomes exit status 1 without a traceback.
-    """
-    code = 1
-    try:
-        with open(part, "xb") as fh:
-            _write_rows(fh, times, floats, lo, hi)
-        code = 0
-    finally:
-        os._exit(code)
+    """Body of a forked writer: format rows lo..hi-1 into part."""
+    with open(part, "xb") as fh:
+        _write_rows(fh, times, floats, lo, hi)
 
 
 def write_signal_csv(u: WeightedSignal, path: str) -> None:
@@ -357,11 +402,11 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
     large file, so the rows are split into contiguous blocks, at most one
     per usable CPU and per MIN_DOUBLES_PER_WORKER numbers.  The parent
     formats block 0 into a temporary file next to path; each other block
-    is formatted by a forked child into its own part file, which the
-    parent appends in order.  The bytes do not depend on the number of
-    blocks.  path is replaced only once every block is complete; on any
-    failure the temporary and part files are removed and the OSError
-    raised names path and the block.
+    is formatted by a child forked through _Forked into its own part file,
+    which the parent appends in order.  The bytes do not depend on the
+    number of blocks.  path is replaced only once every block is complete;
+    on any failure the temporary and part files are removed and the
+    OSError raised names path and the block.
     """
     header = ["t"]
     for j in range(u.dim):
@@ -370,48 +415,38 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
     floats = u.values.view(np.float64)
     times = u.grid.times
     n = u.grid.n
-    n_blocks = 1
-    if hasattr(os, "fork"):
-        per_worker = n * (1 + 2 * u.dim) // MIN_DOUBLES_PER_WORKER
-        n_blocks = max(1, min(_usable_cpus(), per_worker, n))
+    n_blocks = _worker_count(min(n * (1 + 2 * u.dim) // MIN_DOUBLES_PER_WORKER, n))
     bounds = [n * b // n_blocks for b in range(n_blocks + 1)]
     tmp = _sibling(path, ".tmp")
     part_files = [_sibling(path, f".part{b}") for b in range(1, n_blocks)]
     blocks = [
         f"block {b} of {n_blocks} (rows {bounds[b]}-{bounds[b + 1] - 1})" for b in range(n_blocks)
     ]
-    pids: list[int] = []  # children not yet joined, in block order
     where = blocks[0]
     try:
-        # Fork before the parent opens any file.  A child makes no BLAS call
-        # and prints nothing, so the parent's threads cannot deadlock it.
-        for b, part in enumerate(part_files, 1):
-            where = blocks[b]
-            pid = os.fork()
-            if pid == 0:
-                _write_part(part, times, floats, bounds[b], bounds[b + 1])
-            pids.append(pid)
-        where = blocks[0]
-        with open(tmp, "xb") as fh:
-            fh.write((",".join(header) + "\r\n").encode())
-            _write_rows(fh, times, floats, 0, bounds[1])
+        with _Forked() as writers:
+            # Fork before the parent opens any file.
             for b, part in enumerate(part_files, 1):
                 where = blocks[b]
-                _, status = os.waitpid(pids[0], 0)
-                pids.pop(0)
-                code = os.waitstatus_to_exitcode(status)
-                if code != 0:
-                    raise OSError(f"its writer exited with status {code}")
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh)
+                writers.fork(
+                    functools.partial(_write_part, part, times, floats, bounds[b], bounds[b + 1])
+                )
+            where = blocks[0]
+            with open(tmp, "xb") as fh:
+                fh.write((",".join(header) + "\r\n").encode())
+                _write_rows(fh, times, floats, 0, bounds[1])
+                for b, part in enumerate(part_files, 1):
+                    where = blocks[b]
+                    code = writers.join()
+                    if code != 0:
+                        raise OSError(f"its writer exited with status {code}")
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh)
         where = "the final rename"
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {where}: {exc}") from exc
     finally:
-        for pid in pids:  # left only after a failure
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
         for name in (tmp, *part_files):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(name)

@@ -38,6 +38,7 @@ or meets a pivot breakdown never loads it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -99,7 +100,9 @@ class EvoProblem:
     pressure component, entry (1, 1) on velocity.  (Cross coupling between
     p and v is not liftable onto a staggered grid, where the two live at
     different points.)  The source f is a stacked reduced signal
-    [p-cells, interior faces].
+    [p-cells, interior faces].  The constants (gamma0, mu0, beta0) are
+    computed once, at construction, and the operator at the grid
+    frequencies once, on first use.
     """
 
     grid: WeightedGrid
@@ -123,7 +126,8 @@ class EvoProblem:
         rho = self.grid.rho
         floor_holo = 1.0 / (2.0 * self.r_effective)
         gamma = coercivity(self.law)
-        mu = memory_bound(self.law, max(rho, floor_holo * 1.01))
+        rho_probe = max(rho, floor_holo * 1.01)
+        mu = memory_bound(self.law, rho_probe)
         floor_margin = mu / gamma
         required = max(floor_holo, floor_margin)
         if rho <= required:
@@ -132,6 +136,9 @@ class EvoProblem:
                 f"(needs rho > 1/(2r) = {floor_holo:.6g} and rho > mu0/gamma0 = "
                 f"{floor_margin:.6g})"
             )
+        if rho_probe != rho:
+            mu = memory_bound(self.law, rho)
+        object.__setattr__(self, "_constants", (gamma, mu, rho * gamma - mu))
 
     @property
     def r_effective(self) -> float:
@@ -141,6 +148,15 @@ class EvoProblem:
     def operator(self, s: np.ndarray) -> ReducedOperator:
         """The per-frequency operator (i s + rho) M(z_s) + A(s) on frequencies s."""
         return self._operator_at(s, self.grid.rho)
+
+    @functools.cached_property
+    def grid_operator(self) -> ReducedOperator:
+        """operator(s) at the grid frequencies s = frequencies_for(grid), built once."""
+        return self.operator(frequencies_for(self.grid))
+
+    def _operator_for(self, grid: WeightedGrid) -> ReducedOperator:
+        """The operator at the frequencies of grid: grid_operator when grid is the problem's."""
+        return self.grid_operator if grid == self.grid else self.operator(frequencies_for(grid))
 
     def _operator_at(self, s: np.ndarray, rho: float) -> ReducedOperator:
         """w M(1/w) + A at the points w = i s + rho, for any weight rho.
@@ -154,24 +170,26 @@ class EvoProblem:
         return reduced_operator(self.sd, self.bl, flux, w * m[:, 0, 0], w * m[:, 1, 1])
 
     def margin_constants(self) -> tuple[float, float, float]:
-        """(gamma0, mu0, beta0) for this problem at its operating weight."""
-        gamma = coercivity(self.law)
-        mu = memory_bound(self.law, self.grid.rho)
-        return gamma, mu, self.grid.rho * gamma - mu
+        """(gamma0, mu0, beta0) for this problem at its operating weight.
+
+        Computed once, by the admissibility check at construction.
+        """
+        return self._constants
+
+
+def _apply_spectral(op: ReducedOperator, u_hat: SpectralSignal, grid: WeightedGrid) -> WeightedSignal:
+    """op applied to the spectrum u_hat, transformed back onto grid."""
+    return inverse_transform(SpectralSignal(u_hat.freqs, op.matvec(u_hat.values), u_hat.rho), grid)
 
 
 def apply_evo_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
     """Apply the full space-time operator (time-derivative material part plus A)."""
-    u_hat = forward_transform(u)
-    out = prob.operator(u_hat.freqs).matvec(u_hat.values)
-    return inverse_transform(SpectralSignal(u_hat.freqs, out, u_hat.rho), u.grid)
+    return _apply_spectral(prob._operator_for(u.grid), forward_transform(u), u.grid)
 
 
 def apply_evo_adjoint_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
     """Apply the adjoint space-time operator (conjugate symbols, adjoint A)."""
-    u_hat = forward_transform(u)
-    out = prob.operator(u_hat.freqs).adjoint().matvec(u_hat.values)
-    return inverse_transform(SpectralSignal(u_hat.freqs, out, u_hat.rho), u.grid)
+    return _apply_spectral(prob._operator_for(u.grid).adjoint(), forward_transform(u), u.grid)
 
 
 def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
@@ -431,7 +449,7 @@ def _solve_spectral(
     """
     grid = prob.grid
     s = frequencies_for(grid)
-    op = prob.operator(s)
+    op = prob.grid_operator
     f_hat = forward_transform(prob.f).values
     u_hat, pivoted = op.solve(f_hat)
     singular = ~np.isfinite(u_hat).all(axis=1)
@@ -487,7 +505,7 @@ def solve_boundary_family(
     s = frequencies_for(grid)
     f_hat = forward_transform(prob.f).values
     zero = np.zeros(s.size, dtype=complex)
-    neumann = dataclasses.replace(prob.operator(s), corner0=zero, cornerL=zero)
+    neumann = dataclasses.replace(prob.grid_operator, corner0=zero, cornerL=zero)
     at_rows, res_sq = neumann._solve_with_corners(f_hat, [*rows, 0, nc - 1])
     singular = ~np.isfinite(res_sq).all(axis=0)
     if singular.any():

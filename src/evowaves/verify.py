@@ -15,14 +15,28 @@ fail verifies nothing.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import os
+import pickle
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import WeightedSignal, rho_inner, rho_norm, translate, truncate_before
+from .signals import (
+    WeightedSignal,
+    _Forked,
+    _worker_count,
+    rho_inner,
+    rho_norm,
+    translate,
+    truncate_before,
+)
 from .solver import (
     EvoProblem,
+    _apply_spectral,
     _solve_spectral,
     apply_evo_adjoint_operator,
     apply_evo_operator,
@@ -150,16 +164,19 @@ def check_positivity(prob: EvoProblem, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     _, _, beta0 = prob.margin_constants()
     cut = _cutoff_time(prob)
+    op = prob.grid_operator
+    adjoint = op.adjoint()
     margins_f: list[float] = []
     margins_a: list[float] = []
     for u in trial_fields(prob, POSITIVITY_TRIALS, rng):
         chi_u = truncate_before(u, cut)
-        tu = apply_evo_operator(prob, u)
+        u_hat = forward_transform(u)  # T and T* both act on this one spectrum
+        tu = _apply_spectral(op, u_hat, prob.grid)
         denom = rho_inner(chi_u, chi_u).real
         if denom <= 0:
             continue
         margins_f.append((rho_inner(chi_u, tu).real - beta0 * denom) / denom)
-        tv = apply_evo_adjoint_operator(prob, u)
+        tv = _apply_spectral(adjoint, u_hat, prob.grid)
         denom_a = rho_inner(u, u).real
         margins_a.append((rho_inner(u, tv).real - beta0 * denom_a) / denom_a)
     margin = min(margins_f + margins_a)
@@ -347,19 +364,111 @@ _CHECK_FUNCS = {
 }
 
 
+def _run_checks(
+    prob: EvoProblem, seed: int, selected: tuple[str, ...], indices: Iterable[int]
+) -> dict[int, CheckResult | Exception]:
+    """Run selected[i] for each i taken from indices until one raises; the outcome by index.
+
+    The function is looked up in _CHECK_FUNCS at call time, so that a
+    wrapper put there is used.
+    """
+    done: dict[int, CheckResult | Exception] = {}
+    for i in indices:
+        try:
+            done[i] = _CHECK_FUNCS[selected[i]](prob, seed=seed + 17 * i)
+        except Exception as exc:
+            done[i] = exc
+            break
+    return done
+
+
+def _send_checks(fd: int, *args) -> None:
+    """Body of a forked check worker: _run_checks(*args), pickled into the pipe fd."""
+    data = pickle.dumps(_run_checks(*args))
+    with open(fd, "wb") as fh:
+        fh.write(data)
+
+
+def _run_forked(
+    prob: EvoProblem, seed: int, selected: tuple[str, ...], n_workers: int
+) -> dict[int, CheckResult | Exception]:
+    """_run_checks in this process and in n_workers - 1 forked ones, sharing one queue.
+
+    The queue is a pipe that holds one number, the index of the next
+    check.  A process takes a check by reading the number and writing
+    back its successor, so the reads hand out each index once and in
+    order.  Each child sends its outcomes pickled through a pipe of its
+    own; one that sends nothing readable contributes nothing.
+    """
+    k = len(selected)
+    queue_r, queue_w = os.pipe()
+    readers = []
+
+    def take() -> Iterator[int]:
+        while (i := int.from_bytes(os.read(queue_r, 8), "little")) < k:
+            os.write(queue_w, (i + 1).to_bytes(8, "little"))
+            yield i
+        os.write(queue_w, i.to_bytes(8, "little"))  # the other takers see the end too
+
+    prob.grid_operator  # built before the fork, so that no worker builds its own
+    try:
+        os.write(queue_w, (0).to_bytes(8, "little"))
+        with _Forked() as workers:
+            for _ in range(n_workers - 1):
+                r, w = os.pipe()
+                try:
+                    workers.fork(functools.partial(_send_checks, w, prob, seed, selected, take()))
+                except OSError:  # out of processes: the ones started share the checks
+                    os.close(r)
+                    break
+                finally:
+                    os.close(w)
+                readers.append(open(r, "rb"))
+            done = _run_checks(prob, seed, selected, take())
+            for reader in readers:
+                data = reader.read()
+                workers.join()
+                with contextlib.suppress(Exception):  # a worker that died mid-write
+                    done.update(pickle.loads(data))
+    finally:
+        os.close(queue_r)
+        os.close(queue_w)
+        for reader in readers:
+            reader.close()
+    return done
+
+
 def run_all_checks(
     prob: EvoProblem, seed: int = 0, names: tuple[str, ...] | list[str] | None = None
 ) -> list[CheckResult]:
-    """Run the selected checks (all by default); failures are collected, not raised."""
+    """Run the selected checks (all by default); failures are collected, not raised.
+
+    The checks are shared by min(usable CPUs, number of checks) processes,
+    as write_signal_csv shares its blocks: this one and forked workers,
+    each taking the next check in order from one queue, so that a long
+    check does not hold up the rest.  The problem's constants and grid
+    operator are computed before the fork, once for every check; if a
+    fork fails, the processes already started share the checks.  The
+    results come back in check order, and an exception a check raised is
+    re-raised, the first in check order: both are those of running the
+    checks one after another.  A check whose worker died before reporting
+    is run again here.
+    """
     selected = ALL_CHECKS if names is None else tuple(names)
     unknown = [n for n in selected if n not in _CHECK_FUNCS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(ALL_CHECKS)}")
-    results = []
-    for offset, name in enumerate(selected):
-        func = _CHECK_FUNCS[name]
-        results.append(func(prob, seed=seed + 17 * offset))
-    return results
+    n_workers = _worker_count(len(selected))
+    if n_workers == 1:
+        done = _run_checks(prob, seed, selected, range(len(selected)))
+    else:
+        done = _run_forked(prob, seed, selected, n_workers)
+    for i in range(len(selected)):
+        if i not in done:
+            done.update(_run_checks(prob, seed, selected, [i]))
+        if isinstance(done[i], Exception):
+            raise done[i]
+    return [done[i] for i in range(len(selected))]
 
 
 def write_checks_csv(results: list[CheckResult], path: str) -> None:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from evowaves import cli
 from evowaves.material import MaterialLaw
 from evowaves.rational import RationalMatrixFunction, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal
@@ -141,6 +147,22 @@ def make_problem(
     fp = bump(t, t_center, t_width)[:, None] * bump(x, 0.5 * length, 0.12 * length)[None, :]
     f = WeightedSignal(grid, np.concatenate([fp, np.zeros((n, n_cells - 1))], axis=1))
     return EvoProblem(grid, sd, law, bl, f)
+
+
+def run_child(*args: str, timeout: float | None = None, **env: str) -> subprocess.CompletedProcess:
+    """Run python with args and env added to the environment.
+
+    The child imports evowaves from where this process found it.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env, "PYTHONPATH": path},
+        timeout=timeout,
+    )
 
 
 def corrupt_solve(monkeypatch) -> None:

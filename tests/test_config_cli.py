@@ -1,12 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from conftest import SWEEP_CONFIG, corrupt_solve
+from conftest import SWEEP_CONFIG, corrupt_solve, run_child
 from evowaves import cli
 from evowaves.cli import main
 from evowaves.config import ConfigError, parse_scenario
@@ -74,18 +69,6 @@ before = "scipy.sparse.linalg" in sys.modules
 report = solve_timestep(prob)
 print(before, "scipy.sparse.linalg" in sys.modules, report.residual_rel)
 """
-
-
-def run_child(*args: str) -> subprocess.CompletedProcess:
-    """Run python with args; the child imports evowaves from where this process found it."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import pytest
 import scipy.integrate
 
 from conftest import apply_symbol, bump, interior_signal
+from evowaves import transform
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
 from evowaves.transform import (
     SpectralSignal,
@@ -83,6 +84,40 @@ class TestForwardInverse:
             - 1j * inverse_transform(w_hat, grid).values
         )
         assert rel_gap(lhs, rhs) < 1e-12
+
+    # odd and even n, the fftshift in one block or in blocks of 3 rows;
+    # t0 != 0 so the phase multiplies every row, and the operand order of
+    # each product shows in the last bit
+    @pytest.mark.parametrize(
+        "n,dim,seed,block_rows",
+        [
+            (512, 63, 0, None), (64, 3, 1, None), (9, 2, 2, None), (2, 1, 3, None),
+            (64, 3, 4, 3), (11, 2, 5, 3),
+        ],
+    )
+    def test_bitwise_equal_to_out_of_place(self, monkeypatch, n, dim, seed, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(transform, "_BLOCK_BYTES", block_rows * 16 * dim)
+        rng = np.random.default_rng(seed)
+        grid = WeightedGrid(-1.7 + seed, 0.037, n, 1.3)
+        vals = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        u = WeightedSignal(grid, vals)
+
+        # the transforms as out-of-place expressions, one temporary per step
+        g = np.exp(-grid.rho * grid.times)[:, None] * u.values
+        spec = np.fft.fftshift(np.fft.fft(g, axis=0), axes=0)
+        s = frequencies_for(grid)
+        phase = np.exp(-1j * s * grid.t0)
+        fwd = (grid.dt / SQRT_2PI) * phase[:, None] * spec
+
+        phase = np.exp(1j * s * grid.t0)
+        spec = np.fft.ifftshift((SQRT_2PI / grid.dt) * phase[:, None] * vals, axes=0)
+        inv = np.exp(grid.rho * grid.times)[:, None] * np.fft.ifft(spec, axis=0)
+
+        got_fwd = forward_transform(u).values
+        got_inv = inverse_transform(SpectralSignal(s, vals, grid.rho), grid).values
+        assert np.array_equal(got_fwd.view(np.int64), fwd.view(np.int64))
+        assert np.array_equal(got_inv.view(np.int64), inv.view(np.int64))
 
     def test_shape_mismatch_rejected(self, grid):
         u_hat = forward_transform(interior_signal(grid, seed=7))

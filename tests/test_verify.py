@@ -1,12 +1,17 @@
 import dataclasses
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import flux_boundary, identity_law, make_problem
+from conftest import flux_boundary, identity_law, make_problem, run_child
+from evowaves import signals, verify
+from evowaves.cli import main
 from evowaves.rational import scalar_rational
 from evowaves.signals import WeightedSignal
-from evowaves.solver import EvoProblem
+from evowaves.solver import EvoProblem, SolverError
 from evowaves.spatial import BoundaryLaw, ReducedOperator
 from evowaves.verify import (
     ALL_CHECKS,
@@ -178,3 +183,174 @@ class TestRunAll:
         lines = path.read_text().splitlines()
         assert lines[0] == "name,margin,tolerance,pass"
         assert lines[1].startswith("boundary_sign,")
+
+
+DEFAULT_CFG = str(Path(__file__).resolve().parent.parent / "scenarios" / "default.cfg")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count, and so the number of check workers."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(signals, "_usable_cpus", lambda: n)
+
+    return set_cpus
+
+
+def child_then_parent(marker, in_child, in_parent):
+    """A check that runs in_child in a forked worker, and in_parent here once a worker has run.
+
+    Given two copies of it and two workers, each worker takes one copy:
+    the copy here waits until the child's copy has started.
+    """
+    parent = os.getpid()
+
+    def check(prob, seed):
+        if os.getpid() != parent:
+            marker.touch()
+            return in_child(prob, seed=seed)
+        deadline = time.monotonic() + 60.0
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return in_parent(prob, seed=seed)
+
+    return check
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """run_all_checks shared over forked workers gives the one-process results."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_results_do_not_depend_on_workers(self, problem, cpus, monkeypatch, tmp_path, seed):
+        # every process appends the seed of each check it runs: each check runs once
+        calls = tmp_path / "calls"
+
+        def logged(func):
+            def check(prob, seed):
+                with open(calls, "a") as fh:
+                    fh.write(f"{seed}\n")
+                return func(prob, seed=seed)
+
+            return check
+
+        for name, func in list(verify._CHECK_FUNCS.items()):
+            monkeypatch.setitem(verify._CHECK_FUNCS, name, logged(func))
+        runs = {}
+        for n in (1, 2, 5):
+            cpus(n)
+            calls.write_text("")
+            runs[n] = run_all_checks(problem, seed=seed)
+            assert sorted(map(int, calls.read_text().split())) == [seed + 17 * i for i in range(5)]
+        assert runs[2] == runs[1] and runs[5] == runs[1]
+        assert [r.name for r in runs[1]] == list(ALL_CHECKS)
+
+    def test_checks_of_a_dead_worker_run_here(self, problem, cpus, monkeypatch, tmp_path):
+        names = ("adjoint_lemma", "adjoint_lemma")
+        cpus(1)
+        expected = run_all_checks(problem, seed=5, names=names)
+
+        def die(prob, seed):
+            os._exit(9)
+
+        check = child_then_parent(tmp_path / "forked", die, verify._CHECK_FUNCS["adjoint_lemma"])
+        monkeypatch.setitem(verify._CHECK_FUNCS, "adjoint_lemma", check)
+        cpus(2)
+        assert run_all_checks(problem, seed=5, names=names) == expected
+        assert (tmp_path / "forked").exists()
+        assert_no_child_left()
+
+    def test_child_exception_reaches_parent(self, problem, cpus, monkeypatch, tmp_path):
+        def singular(prob, seed):
+            raise SolverError(f"singular operator at frequency s = {seed}.5")
+
+        def passes(prob, seed):
+            return CheckResult("boundary_sign", 0.0, 1.0)
+
+        check = child_then_parent(tmp_path / "forked", singular, passes)
+        monkeypatch.setitem(verify._CHECK_FUNCS, "boundary_sign", check)
+        cpus(2)
+        with pytest.raises(SolverError, match=r"^singular operator at frequency s = (7|24)\.5$") as info:
+            run_all_checks(problem, seed=7, names=("boundary_sign", "boundary_sign"))
+        assert type(info.value) is SolverError
+        assert (tmp_path / "forked").exists()
+        assert_no_child_left()
+
+    def test_cli_exit_and_stderr_match_one_process(self, cpus, monkeypatch, tmp_path, capsys):
+        def singular(prob, seed):
+            raise SolverError("singular operator at frequency s = 1.25")
+
+        monkeypatch.setitem(verify._CHECK_FUNCS, "adjoint_lemma", singular)
+        outcomes = []
+        for n in (1, 5):
+            cpus(n)
+            code = main(["verify", "--config", DEFAULT_CFG, "--out", str(tmp_path / f"o{n}")])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (3, "solver error: singular operator at frequency s = 1.25\n")
+        assert_no_child_left()
+
+    def test_first_exception_in_check_order(self, problem, cpus, monkeypatch):
+        def failing(message):
+            def check(prob, seed):
+                raise ValueError(message)
+
+            return check
+
+        monkeypatch.setitem(verify._CHECK_FUNCS, "causal_estimate", failing("third"))
+        monkeypatch.setitem(verify._CHECK_FUNCS, "boundary_sign", failing("fifth"))
+        for n in (1, 2, 5):
+            cpus(n)
+            with pytest.raises(ValueError, match="^third$"):
+                run_all_checks(problem)
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["one check", "one CPU", "no os.fork"])
+    def test_one_process_never_forks(self, problem, cpus, monkeypatch, case):
+        def no_fork():
+            raise AssertionError("forked")
+
+        names = ("boundary_sign",) if case == "one check" else ALL_CHECKS
+        cpus(1 if case == "one CPU" else 4)
+        if case == "no os.fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", no_fork)
+        results = run_all_checks(problem, names=names)
+        assert [r.name for r in results] == list(names)
+
+    def test_failed_fork_leaves_the_checks_to_fewer_processes(self, problem, cpus, monkeypatch):
+        cpus(1)
+        expected = run_all_checks(problem, seed=4)
+        fork = os.fork
+        forks = []
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        cpus(5)
+        assert run_all_checks(problem, seed=4) == expected
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_fork_safe_with_blas_threads(self, tmp_path, cpus):
+        # the workers make BLAS calls after the parent may have started
+        # OpenBLAS threads; a deadlock shows as the timeout
+        proc = run_child(
+            "-m", "evowaves.cli", "verify", "--config", DEFAULT_CFG, "--out", str(tmp_path / "child"),
+            timeout=120, OPENBLAS_NUM_THREADS="2",
+        )
+        assert proc.returncode == 0, proc.stderr
+        cpus(1)
+        assert main(["verify", "--config", DEFAULT_CFG, "--out", str(tmp_path / "here")]) == 0
+        child = (tmp_path / "child" / "checks.csv").read_bytes()
+        assert child == (tmp_path / "here" / "checks.csv").read_bytes()
