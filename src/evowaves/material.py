@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 MEMORY_BOUND_SAFETY = 1.05
+N_MEMORY_SAMPLES = 512  # frequencies memory_bound samples on the operating circle
 
 
 class MaterialLawError(ValueError):
@@ -104,7 +105,7 @@ def coercivity(law: MaterialLaw) -> float:
     return gamma
 
 
-def memory_bound(law: MaterialLaw, rho: float, n_samples: int = 512) -> float:
+def memory_bound(law: MaterialLaw, rho: float) -> float:
     """Sampled sup of ||M1(1/(i s + rho))|| over frequencies, times a 5% safety factor.
 
     Frequencies are sampled through s = rho * tan(theta), which traces the
@@ -113,7 +114,7 @@ def memory_bound(law: MaterialLaw, rho: float, n_samples: int = 512) -> float:
     _check_rho(law, rho)
     if law.m1.is_zero():
         return 0.0
-    theta = np.linspace(-np.pi / 2, np.pi / 2, n_samples + 2)[1:-1]
+    theta = np.linspace(-np.pi / 2, np.pi / 2, N_MEMORY_SAMPLES + 2)[1:-1]
     s = rho * np.tan(theta)
     zs = np.concatenate([_frequency_points(s, rho), [0.0 + 0.0j]])
     norms = np.linalg.norm(law.m1.eval_many(zs), ord=2, axis=(1, 2))

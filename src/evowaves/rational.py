@@ -120,11 +120,6 @@ class RationalMatrixFunction:
             raise ValueError("symbol is unbounded on the holomorphy ball")
         return sup
 
-    @staticmethod
-    def zero(dim: int) -> "RationalMatrixFunction":
-        z = np.zeros((dim, dim), dtype=complex)
-        return RationalMatrixFunction(z, z.copy(), np.zeros(0, complex), np.zeros((0, dim, dim), complex))
-
 
 def scalar_rational(
     const: complex = 0.0,

@@ -131,10 +131,6 @@ class WeightedSignal:
     def with_values(self, values: np.ndarray) -> "WeightedSignal":
         return WeightedSignal(self.grid, values)
 
-    @staticmethod
-    def zeros(grid: WeightedGrid, dim: int) -> "WeightedSignal":
-        return WeightedSignal(grid, np.zeros((grid.n, dim), dtype=complex))
-
 
 def _check_compatible(u: WeightedSignal, w: WeightedSignal) -> None:
     if u.grid != w.grid or u.dim != w.dim:

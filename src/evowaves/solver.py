@@ -154,10 +154,6 @@ class EvoProblem:
         """operator(s) at the grid frequencies s = frequencies_for(grid), built once."""
         return self.operator(frequencies_for(self.grid))
 
-    def _operator_for(self, grid: WeightedGrid) -> ReducedOperator:
-        """The operator at the frequencies of grid: grid_operator when grid is the problem's."""
-        return self.grid_operator if grid == self.grid else self.operator(frequencies_for(grid))
-
     def _operator_at(self, s: np.ndarray, rho: float) -> ReducedOperator:
         """w M(1/w) + A at the points w = i s + rho, for any weight rho.
 
@@ -177,19 +173,26 @@ class EvoProblem:
         return self._constants
 
 
-def _apply_spectral(op: ReducedOperator, u_hat: SpectralSignal, grid: WeightedGrid) -> WeightedSignal:
-    """op applied to the spectrum u_hat, transformed back onto grid."""
-    return inverse_transform(SpectralSignal(u_hat.freqs, op.matvec(u_hat.values), u_hat.rho), grid)
+def _apply_spectral(op: ReducedOperator, u_hat: SpectralSignal) -> WeightedSignal:
+    """op applied to the spectrum u_hat, transformed back onto its grid."""
+    return inverse_transform(SpectralSignal(u_hat.grid, op.matvec(u_hat.values)))
+
+
+def _on_problem_grid(prob: EvoProblem, u: WeightedSignal) -> SpectralSignal:
+    """The spectrum of u, which must live on the problem's grid."""
+    if u.grid != prob.grid:
+        raise ValueError(f"signal grid {u.grid} is not the problem's grid {prob.grid}")
+    return forward_transform(u)
 
 
 def apply_evo_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
     """Apply the full space-time operator (time-derivative material part plus A)."""
-    return _apply_spectral(prob._operator_for(u.grid), forward_transform(u), u.grid)
+    return _apply_spectral(prob.grid_operator, _on_problem_grid(prob, u))
 
 
 def apply_evo_adjoint_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
     """Apply the adjoint space-time operator (conjugate symbols, adjoint A)."""
-    return _apply_spectral(prob._operator_for(u.grid).adjoint(), forward_transform(u), u.grid)
+    return _apply_spectral(prob.grid_operator.adjoint(), _on_problem_grid(prob, u))
 
 
 def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
@@ -464,7 +467,7 @@ def _solve_spectral(
     f_norm, r_norm = float(np.linalg.norm(f_hat)), float(np.linalg.norm(r_hat))
     del f_hat, r_hat  # two fewer spectra held through the inverse transform
     residual = (r_norm / f_norm, True) if f_norm > 0 else (r_norm, False)
-    u = inverse_transform(SpectralSignal(s, u_hat, grid.rho), grid)
+    u = inverse_transform(SpectralSignal(grid, u_hat))
     return u, op, s, pivoted, residual
 
 
@@ -535,7 +538,7 @@ def solve_boundary_family(
         per_freq = res_f + res_x * np.linalg.norm(beta, axis=0) + np.linalg.norm(rho2, axis=0)
         bound = float(np.linalg.norm(per_freq)) / (f_norm if f_norm > 0 else 1.0)
         x = probe[:, 0] - np.einsum("rjk,jk->rk", probe[:, 1:], beta)
-        out.append((inverse_transform(SpectralSignal(s, x.T, grid.rho), grid), bound))
+        out.append((inverse_transform(SpectralSignal(grid, x.T)), bound))
     return out
 
 

@@ -551,7 +551,7 @@ def boundary_sign_functional(
     q_hat = g_vals[:, None] * p_hat.values
     ap_faces = bl.alpha[None, :] * cell_to_face(sd, q_hat)
     dap_hat = w[:, None] * ap_faces
-    dap = inverse_transform(SpectralSignal(s, dap_hat, grid.rho), grid).values
+    dap = inverse_transform(SpectralSignal(grid, dap_hat)).values
     p_vals = p.values
 
     grad_p = np.zeros((grid.n, sd.n_faces), dtype=complex)

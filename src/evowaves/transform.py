@@ -44,43 +44,28 @@ _BLOCK_BYTES = 2**16
 
 @dataclass(frozen=True)
 class SpectralSignal:
-    """Frequency-domain samples of a weighted signal.
+    """The weighted transform of a signal on grid: values[k] sits at freqs[k].
 
-    freqs is strictly increasing with uniform spacing ds = 2*pi/(n*dt);
-    values has shape (n, d).  rho records which weighted space the signal
-    came from (the transform is rho-dependent).
+    A spectrum lives on the line i s + rho fixed by its time grid, so it
+    carries the grid and nothing else: its frequencies and weight are the
+    grid's.  values has shape (grid.n, d) and is marked read-only; a
+    non-finite value is refused by the WeightedSignal that inverse_transform
+    builds from it.
     """
 
-    freqs: np.ndarray = field(repr=False)
+    grid: WeightedGrid
     values: np.ndarray = field(repr=False)
-    rho: float
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.freqs, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim == 1:
-            v = v[:, None]
-        if f.ndim != 1 or v.shape[0] != f.shape[0]:
-            raise ValueError("freqs and values are inconsistent")
-        if f.shape[0] >= 2:
-            ds = np.diff(f)
-            if not (ds.min() > 0 and np.allclose(ds, ds[0], rtol=1e-9)):
-                raise ValueError("freqs must be strictly increasing and uniform")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("spectral values contain non-finite entries")
-        f.setflags(write=False)
-        v = np.ascontiguousarray(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "freqs", f)
-        object.__setattr__(self, "values", v)
+        if self.values.ndim != 2 or self.values.shape[0] != self.grid.n:
+            raise ValueError(
+                f"values must have shape (n, d) with n={self.grid.n}, got {self.values.shape}"
+            )
+        self.values.setflags(write=False)
 
     @property
-    def n(self) -> int:
-        return self.freqs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
+    def freqs(self) -> np.ndarray:
+        return frequencies_for(self.grid)
 
 
 def frequencies_for(grid: WeightedGrid) -> np.ndarray:
@@ -121,30 +106,18 @@ def forward_transform(u: WeightedSignal) -> SpectralSignal:
     vals = np.multiply(np.exp(-grid.rho * grid.times)[:, None], u.values)
     np.fft.fft(vals, axis=0, out=vals)
     _fftshift_rows(vals)
-    s = frequencies_for(grid)
-    scaled_phase = (grid.dt / _SQRT_2PI) * np.exp(-1j * s * grid.t0)
+    scaled_phase = (grid.dt / _SQRT_2PI) * np.exp(-1j * frequencies_for(grid) * grid.t0)
     np.multiply(scaled_phase[:, None], vals, out=vals)
-    return SpectralSignal(s, vals, grid.rho)
+    return SpectralSignal(grid, vals)
 
 
-def _check_spectral_grid(u_hat: SpectralSignal, grid: WeightedGrid) -> None:
-    if u_hat.n != grid.n:
-        raise ValueError(f"spectral length {u_hat.n} does not match grid n={grid.n}")
-    if abs(u_hat.rho - grid.rho) > 1e-12 * max(1.0, abs(grid.rho)):
-        raise ValueError(f"rho mismatch: spectral {u_hat.rho} vs grid {grid.rho}")
-    ds_expect = 2.0 * np.pi / (grid.n * grid.dt)
-    ds = u_hat.freqs[1] - u_hat.freqs[0]
-    if abs(ds - ds_expect) > 1e-9 * ds_expect:
-        raise ValueError("frequency spacing does not match the grid")
-
-
-def inverse_transform(u_hat: SpectralSignal, grid: WeightedGrid) -> WeightedSignal:
-    """The time samples of u_hat on grid, computed in place in one new array.
+def inverse_transform(u_hat: SpectralSignal) -> WeightedSignal:
+    """The time samples of u_hat on its grid, computed in place in one new array.
 
     The phase and scale multiply straight into the ifftshift order, so
     the spectrum is read once and never copied.
     """
-    _check_spectral_grid(u_hat, grid)
+    grid = u_hat.grid
     n, shift = grid.n, grid.n // 2
     scaled_phase = (_SQRT_2PI / grid.dt) * np.exp(1j * u_hat.freqs * grid.t0)
     vals = np.empty(u_hat.values.shape, dtype=complex)

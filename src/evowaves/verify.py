@@ -134,8 +134,7 @@ def trial_fields(
     out = []
     for i in range(n_trials):
         coeff = rng.standard_normal((grid.n, dim)) + 1j * rng.standard_normal((grid.n, dim))
-        spec = SpectralSignal(s, decay[:, None] * coeff, grid.rho)
-        u = inverse_transform(spec, grid)
+        u = inverse_transform(SpectralSignal(grid, decay[:, None] * coeff))
         vals = u.values * envelope[:, None]
         if i % 3 == 2:
             x_b = 0.0 if (i // 3) % 2 == 0 else sd.length
@@ -171,12 +170,12 @@ def check_positivity(prob: EvoProblem, seed: int = 0) -> CheckResult:
     for u in trial_fields(prob, POSITIVITY_TRIALS, rng):
         chi_u = truncate_before(u, cut)
         u_hat = forward_transform(u)  # T and T* both act on this one spectrum
-        tu = _apply_spectral(op, u_hat, prob.grid)
+        tu = _apply_spectral(op, u_hat)
         denom = rho_inner(chi_u, chi_u).real
         if denom <= 0:
             continue
         margins_f.append((rho_inner(chi_u, tu).real - beta0 * denom) / denom)
-        tv = _apply_spectral(adjoint, u_hat, prob.grid)
+        tv = _apply_spectral(adjoint, u_hat)
         denom_a = rho_inner(u, u).real
         margins_a.append((rho_inner(u, tv).real - beta0 * denom_a) / denom_a)
     margin = min(margins_f + margins_a)
@@ -293,10 +292,7 @@ def check_adjoint_projection(
         return complex(ds * np.sum(np.conj(a_hat.values) * b_hat.values))
 
     def project(w: WeightedSignal) -> WeightedSignal:
-        w_hat = forward_transform(w)
-        return inverse_transform(
-            SpectralSignal(s, mask[:, None] * w_hat.values, grid.rho), grid
-        )
+        return inverse_transform(SpectralSignal(grid, mask[:, None] * forward_transform(w).values))
 
     ptp_u = project(apply_evo_operator(prob, project(u)))
     ptsp_v = project(apply_evo_adjoint_operator(prob, project(v)))

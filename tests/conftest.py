@@ -64,7 +64,7 @@ def interior_signal(
     s = frequencies_for(grid)
     decay = np.exp(-((s / (0.15 * np.abs(s).max())) ** 2))
     coeff = rng.standard_normal((grid.n, dim)) + 1j * rng.standard_normal((grid.n, dim))
-    u = inverse_transform(SpectralSignal(s, decay[:, None] * coeff, grid.rho), grid)
+    u = inverse_transform(SpectralSignal(grid, decay[:, None] * coeff))
     w = grid.window_length
     center = grid.t0 + 0.45 * w if center is None else center
     width = 0.07 * w if width is None else width
@@ -86,7 +86,7 @@ def apply_symbol(u: WeightedSignal, mats: np.ndarray) -> WeightedSignal:
         vals = mats[:, None] * u_hat.values
     else:
         vals = np.einsum("kij,kj->ki", mats, u_hat.values)
-    return inverse_transform(SpectralSignal(u_hat.freqs, vals, u.grid.rho), u.grid)
+    return inverse_transform(SpectralSignal(u.grid, vals))
 
 
 def flux_boundary(sd: SpatialDiscretization, const: float, poles_w=(), residues_w=()) -> BoundaryLaw:
@@ -107,8 +107,18 @@ def constant_fn(mat) -> RationalMatrixFunction:
     return RationalMatrixFunction(mat, np.zeros_like(mat), [], [])
 
 
+def zero_fn(dim: int) -> RationalMatrixFunction:
+    """The dim x dim rational function that is zero everywhere."""
+    return constant_fn(np.zeros((dim, dim)))
+
+
+def zero_signal(grid: WeightedGrid, dim: int) -> WeightedSignal:
+    """The signal on grid whose dim components are zero at every sample."""
+    return WeightedSignal(grid, np.zeros((grid.n, dim)))
+
+
 def identity_law(dim: int = 2, r: float = 1.0) -> MaterialLaw:
-    return MaterialLaw(np.eye(dim), RationalMatrixFunction.zero(dim), r=r)
+    return MaterialLaw(np.eye(dim), zero_fn(dim), r=r)
 
 
 def memory_law(

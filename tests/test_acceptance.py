@@ -21,10 +21,11 @@ from conftest import (
     interior_signal,
     make_problem,
     memory_law,
+    zero_fn,
 )
 from evowaves.cli import measure_reflection, probe_rows
 from evowaves.material import MaterialLaw, law_symbol, select_rho
-from evowaves.rational import RationalMatrixFunction, scalar_rational
+from evowaves.rational import scalar_rational
 from evowaves.signals import (
     WeightedGrid,
     WeightedSignal,
@@ -83,7 +84,7 @@ def test_criterion_2_functional_calculus_causality():
 def _battery_scenarios():
     """20 admissible scenarios varying memory law, boundary kernel and weight."""
     m1_variants = [
-        RationalMatrixFunction.zero(2),
+        zero_fn(2),
         constant_fn(np.diag([0.2, 0.1])),
         memory_law().m1,
         memory_law(pole=-1.5 + 0.8j, res=(0.15, 0.3), const=(0.0, 0.1)).m1,

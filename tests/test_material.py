@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import apply_symbol, bump, constant_fn, interior_signal
+from conftest import apply_symbol, bump, constant_fn, interior_signal, zero_fn
 from evowaves.material import (
     MaterialLaw,
     MaterialLawError,
@@ -60,7 +60,7 @@ def random_law(seed, d=2, r=1.0, pole_margin=1.1):
 class TestEval:
     # law_symbol evaluates M at z = 1/(i s + rho): s = 0, rho = 2 is z = 0.5
     def test_identity(self):
-        law = MaterialLaw(np.eye(2), RationalMatrixFunction.zero(2), r=1.0)
+        law = MaterialLaw(np.eye(2), zero_fn(2), r=1.0)
         assert np.allclose(law_symbol(law, [0.0], 2.0)[0], np.eye(2))
 
     def test_constant_memory(self):
@@ -81,12 +81,12 @@ class TestEval:
 
     def test_non_hermitian_m0_rejected(self):
         with pytest.raises(MaterialLawError, match="Hermitian"):
-            MaterialLaw(np.array([[1.0, 1.0], [0.0, 1.0]]), RationalMatrixFunction.zero(2), 1.0)
+            MaterialLaw(np.array([[1.0, 1.0], [0.0, 1.0]]), zero_fn(2), 1.0)
 
 
 class TestApply:
     def test_identity_law(self, grid):
-        law = MaterialLaw(np.eye(2), RationalMatrixFunction.zero(2), r=1.0)
+        law = MaterialLaw(np.eye(2), zero_fn(2), r=1.0)
         u = interior_signal(grid, dim=2, seed=0)
         assert rel_gap(apply_symbol(u, symbol(law, grid)), u) < 1e-12
 
@@ -101,7 +101,7 @@ class TestApply:
         assert rel_gap(a, apply_symbol(u, zs)) < 1e-12
 
     def test_rho_floor_enforced(self):
-        law = MaterialLaw(np.eye(1), RationalMatrixFunction.zero(1), r=1.0)
+        law = MaterialLaw(np.eye(1), zero_fn(1), r=1.0)
         grid = WeightedGrid(0.0, 0.01, 256, 0.4)
         with pytest.raises(MaterialLawError, match=r"1/\(2r\)"):
             symbol(law, grid)
@@ -189,7 +189,7 @@ def delay_rational(h: float, order: int) -> RationalMatrixFunction:
 class TestAdjoint:
     def test_hermitian_constant_self_adjoint(self, grid):
         m0 = np.array([[2.0, 0.5], [0.5, 1.0]])
-        law = MaterialLaw(m0, RationalMatrixFunction.zero(2), r=1.0)
+        law = MaterialLaw(m0, zero_fn(2), r=1.0)
         u = interior_signal(grid, dim=2, seed=8)
         adj = apply_symbol(u, adjoint_symbol(law, grid))
         assert rel_gap(adj, apply_symbol(u, symbol(law, grid))) < 1e-13
@@ -215,27 +215,27 @@ class TestAdjoint:
 
 class TestConstants:
     def test_coercivity_identity(self):
-        law = MaterialLaw(np.eye(3), RationalMatrixFunction.zero(3), r=1.0)
+        law = MaterialLaw(np.eye(3), zero_fn(3), r=1.0)
         assert coercivity(law) == pytest.approx(1.0)
 
     def test_coercivity_diagonal(self):
-        law = MaterialLaw(np.diag([2.0, 0.5]), RationalMatrixFunction.zero(2), r=1.0)
+        law = MaterialLaw(np.diag([2.0, 0.5]), zero_fn(2), r=1.0)
         assert coercivity(law) == pytest.approx(0.5)
 
     def test_coercivity_rayleigh_oracle(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         m0 = a @ a.conj().T + 0.3 * np.eye(5)
-        law = MaterialLaw(m0, RationalMatrixFunction.zero(5), r=1.0)
+        law = MaterialLaw(m0, zero_fn(5), r=1.0)
         assert abs(coercivity(law) - rayleigh_min_eig(m0, seed=15)) < 1e-10
 
     def test_nonpositive_rejected(self):
-        law = MaterialLaw(np.diag([1.0, -0.1]), RationalMatrixFunction.zero(2), r=1.0)
+        law = MaterialLaw(np.diag([1.0, -0.1]), zero_fn(2), r=1.0)
         with pytest.raises(MaterialLawError, match="positive definite"):
             coercivity(law)
 
     def test_memory_bound_zero(self):
-        law = MaterialLaw(np.eye(2), RationalMatrixFunction.zero(2), r=1.0)
+        law = MaterialLaw(np.eye(2), zero_fn(2), r=1.0)
         assert memory_bound(law, 2.0) == 0.0
 
     def test_memory_bound_constant(self):
@@ -246,14 +246,14 @@ class TestConstants:
     def test_memory_bound_vs_brute_force(self):
         law = random_law(16)
         rho = 2.0
-        mu = memory_bound(law, rho, n_samples=512)
+        mu = memory_bound(law, rho)
         theta = np.linspace(-np.pi / 2, np.pi / 2, 51200 + 2)[1:-1]
         zs = 1.0 / (1j * rho * np.tan(theta) + rho)
         brute = np.linalg.norm(law.m1.eval_many(zs), ord=2, axis=(1, 2)).max()
         assert brute <= mu <= brute * 1.05 * 1.001
 
     def test_margin_no_memory(self):
-        law = MaterialLaw(np.eye(2), RationalMatrixFunction.zero(2), r=1.0)
+        law = MaterialLaw(np.eye(2), zero_fn(2), r=1.0)
         assert margin(law, 3.0) == pytest.approx(3.0)
 
     def test_margin_threshold(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interior_signal
+from conftest import interior_signal, zero_signal
 from evowaves import signals
 from evowaves.signals import (
     WeightedGrid,
@@ -43,7 +43,7 @@ class TestGridValidation:
 
 class TestInnerProduct:
     def test_zero_signal(self, grid):
-        z = WeightedSignal.zeros(grid, 3)
+        z = zero_signal(grid, 3)
         assert rho_inner(z, z) == 0.0
 
     def test_constant_one_closed_form(self):

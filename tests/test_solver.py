@@ -17,6 +17,8 @@ from conftest import (
     interior_signal,
     make_problem,
     memory_law,
+    zero_fn,
+    zero_signal,
 )
 from evowaves.cli import RESIDUAL_PASS, measure_reflection, probe_rows
 from evowaves.config import load_scenario, parse_scenario
@@ -27,6 +29,7 @@ from evowaves.solver import (
     EvoProblem,
     ImproperKernelError,
     SolverError,
+    apply_evo_adjoint_operator,
     apply_evo_operator,
     realize,
     realize_flux,
@@ -57,9 +60,7 @@ class TestProblemSetup:
             make_problem(rho=0.4)
 
     def test_offdiagonal_material_rejected(self):
-        law = MaterialLaw(
-            np.array([[1.0, 0.2], [0.2, 1.0]]), RationalMatrixFunction.zero(2), r=1.0
-        )
+        law = MaterialLaw(np.array([[1.0, 0.2], [0.2, 1.0]]), zero_fn(2), r=1.0)
         with pytest.raises(ValueError, match="diagonal"):
             make_problem(law=law)
 
@@ -71,7 +72,7 @@ class TestProblemSetup:
                 prob.sd,
                 prob.law,
                 prob.bl,
-                WeightedSignal.zeros(prob.grid, prob.sd.n_reduced + 1),
+                zero_signal(prob.grid, prob.sd.n_reduced + 1),
             )
 
 
@@ -149,7 +150,7 @@ class TestFrequencySolve:
         prob = make_problem()
         prob = EvoProblem(
             prob.grid, prob.sd, prob.law, prob.bl,
-            WeightedSignal.zeros(prob.grid, prob.sd.n_reduced),
+            zero_signal(prob.grid, prob.sd.n_reduced),
         )
         rep = solve_frequency(prob)
         assert rho_norm(rep.solution) == 0.0
@@ -393,7 +394,7 @@ class TestTimestep:
     def test_zero_source(self, problem):
         prob = EvoProblem(
             problem.grid, problem.sd, problem.law, problem.bl,
-            WeightedSignal.zeros(problem.grid, problem.sd.n_reduced),
+            zero_signal(problem.grid, problem.sd.n_reduced),
         )
         rep = solve_timestep(prob)
         assert np.abs(rep.solution.values).max() == 0.0
@@ -503,7 +504,7 @@ class TestResidual:
     def test_zero_source_absolute_flag(self, problem):
         prob = EvoProblem(
             problem.grid, problem.sd, problem.law, problem.bl,
-            WeightedSignal.zeros(problem.grid, problem.sd.n_reduced),
+            zero_signal(problem.grid, problem.sd.n_reduced),
         )
         u = interior_signal(problem.grid, dim=problem.sd.n_reduced, seed=1)
         res, is_rel = residual_norm(prob, u)
@@ -562,3 +563,12 @@ class TestReport:
         rep = solve_frequency(problem)
         back = apply_evo_operator(problem, rep.solution)
         assert rel_gap(back, problem.f) < 1e-10
+
+    def test_operator_rejects_a_foreign_grid(self, problem):
+        # same n, other dt: the problem's frequencies would silently be wrong
+        g = problem.grid
+        other = WeightedGrid(g.t0, 1.5 * g.dt, g.n, g.rho)
+        u = WeightedSignal(other, problem.f.values)
+        for apply in (apply_evo_operator, apply_evo_adjoint_operator):
+            with pytest.raises(ValueError, match="not the problem's grid"):
+                apply(problem, u)

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import apply_symbol, bump, flux_boundary, interior_signal
+from conftest import apply_symbol, bump, flux_boundary, interior_signal, zero_signal
 from evowaves.config import load_scenario
 from evowaves.rational import PoleError, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
@@ -234,7 +234,7 @@ class TestPairing:
             sig_hat = forward_transform(sig)
             fn = apply_spatial_op_adjoint_freq if adjoint else apply_spatial_op_freq
             out = fn(sd, bl, sig_hat.values, sig_hat.freqs, rho)
-            return inverse_transform(SpectralSignal(sig_hat.freqs, out, rho), grid)
+            return inverse_transform(SpectralSignal(grid, out))
 
         lhs = rho_inner(apply(u), v)
         rhs = rho_inner(u, apply(v, adjoint=True))
@@ -257,7 +257,7 @@ def apply_spatial_time(sd, bl, u):
     u_hat = forward_transform(u)
     red = np.concatenate([u_hat.values[:, :nc], u_hat.values[:, nc + 1 : -1]], axis=1)
     out_hat = apply_spatial_op_freq(sd, bl, red, u_hat.freqs, grid.rho)
-    out = inverse_transform(SpectralSignal(u_hat.freqs, out_hat, grid.rho), grid).values
+    out = inverse_transform(SpectralSignal(grid, out_hat)).values
     zeros = np.zeros((grid.n, 1), dtype=complex)
     return WeightedSignal(grid, np.concatenate([out[:, :nc], zeros, out[:, nc:], zeros], axis=1))
 
@@ -267,7 +267,7 @@ class TestApplyTime:
         sd = build_grid(1.0, 8)
         grid = WeightedGrid(0.0, 0.05, 128, 2.0)
         bl = BoundaryLaw.robin(0.0, sd)
-        z = WeightedSignal.zeros(grid, sd.n_cells + sd.n_faces)
+        z = zero_signal(grid, sd.n_cells + sd.n_faces)
         assert not apply_spatial_time(sd, bl, z).values.any()
 
     def test_matches_direct_blocks_for_consistent_input(self):
@@ -390,22 +390,9 @@ class TestNonnegativity:
         for seed in range(8):
             u = reduced_trial(sd, grid, seed=30 + seed)
             u_hat = forward_transform(u)
-            au = inverse_transform(
-                SpectralSignal(
-                    u_hat.freqs,
-                    apply_spatial_op_freq(sd, bl, u_hat.values, u_hat.freqs, grid.rho),
-                    grid.rho,
-                ),
-                grid,
-            )
-            astar_u = inverse_transform(
-                SpectralSignal(
-                    u_hat.freqs,
-                    apply_spatial_op_adjoint_freq(sd, bl, u_hat.values, u_hat.freqs, grid.rho),
-                    grid.rho,
-                ),
-                grid,
-            )
+            args = (sd, bl, u_hat.values, u_hat.freqs, grid.rho)
+            au = inverse_transform(SpectralSignal(grid, apply_spatial_op_freq(*args)))
+            astar_u = inverse_transform(SpectralSignal(grid, apply_spatial_op_adjoint_freq(*args)))
             nrm2 = rho_norm(u) ** 2
             chi_u = truncate_before(u, 0.0)
             worst_fwd = min(worst_fwd, rho_inner(chi_u, au).real / nrm2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import apply_symbol, bump, interior_signal
+from conftest import apply_symbol, bump, interior_signal, zero_signal
 from evowaves import transform
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
 from evowaves.transform import (
@@ -32,10 +32,10 @@ def time_antiderivative(u):
 
 class TestForwardInverse:
     def test_zero(self, grid):
-        z = WeightedSignal.zeros(grid, 2)
+        z = zero_signal(grid, 2)
         assert not forward_transform(z).values.any()
         zh = forward_transform(z)
-        assert not inverse_transform(zh, grid).values.any()
+        assert not inverse_transform(zh).values.any()
 
     def test_direct_sum_oracle(self):
         # small n: compare the fft path against the defining quadrature sum
@@ -71,17 +71,15 @@ class TestForwardInverse:
 
     def test_round_trip(self, grid):
         u = interior_signal(grid, dim=3, seed=4)
-        back = inverse_transform(forward_transform(u), grid)
+        back = inverse_transform(forward_transform(u))
         assert rel_gap(back, u) < 1e-12
 
     def test_inverse_linearity(self, grid):
         u_hat = forward_transform(interior_signal(grid, seed=5))
         w_hat = forward_transform(interior_signal(grid, seed=6))
-        combo = SpectralSignal(u_hat.freqs, 2.0 * u_hat.values - 1j * w_hat.values, grid.rho)
-        lhs = inverse_transform(combo, grid)
+        lhs = inverse_transform(SpectralSignal(grid, 2.0 * u_hat.values - 1j * w_hat.values))
         rhs = lhs.with_values(
-            2.0 * inverse_transform(u_hat, grid).values
-            - 1j * inverse_transform(w_hat, grid).values
+            2.0 * inverse_transform(u_hat).values - 1j * inverse_transform(w_hat).values
         )
         assert rel_gap(lhs, rhs) < 1e-12
 
@@ -115,15 +113,25 @@ class TestForwardInverse:
         inv = np.exp(grid.rho * grid.times)[:, None] * np.fft.ifft(spec, axis=0)
 
         got_fwd = forward_transform(u).values
-        got_inv = inverse_transform(SpectralSignal(s, vals, grid.rho), grid).values
+        got_inv = inverse_transform(SpectralSignal(grid, vals)).values
         assert np.array_equal(got_fwd.view(np.int64), fwd.view(np.int64))
         assert np.array_equal(got_inv.view(np.int64), inv.view(np.int64))
 
     def test_shape_mismatch_rejected(self, grid):
         u_hat = forward_transform(interior_signal(grid, seed=7))
         bad = WeightedGrid(grid.t0, grid.dt, grid.n // 2, grid.rho)
+        with pytest.raises(ValueError, match="n=512"):
+            SpectralSignal(bad, u_hat.values)
         with pytest.raises(ValueError):
-            inverse_transform(u_hat, bad)
+            SpectralSignal(grid, u_hat.values[:, 0])
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_freqs_uniform_increasing(self, n):
+        # the frequencies a spectrum reports are its grid's, spaced 2 pi/(n dt)
+        grid = WeightedGrid(-0.4, 0.05, n, 1.5)
+        s = forward_transform(interior_signal(grid, seed=8)).freqs
+        assert s.shape == (n,)
+        np.testing.assert_allclose(np.diff(s), 2.0 * np.pi / (n * grid.dt), rtol=1e-12)
 
 
 class TestDerivative:
@@ -182,7 +190,7 @@ class TestAntiderivative:
         assert np.abs(ramp.values[:, 0] - exact).max() <= 5 * grid.dt
 
     def test_zero(self, grid):
-        z = WeightedSignal.zeros(grid, 1)
+        z = zero_signal(grid, 1)
         assert not time_antiderivative(z).values.any()
 
     def test_matches_cumulative_trapezoid(self, grid):
@@ -219,4 +227,4 @@ class TestPadding:
             assert_padded(late)
 
     def test_zero_signal_accepted(self, grid):
-        assert_padded(WeightedSignal.zeros(grid, 1))
+        assert_padded(zero_signal(grid, 1))

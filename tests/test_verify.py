@@ -6,11 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import flux_boundary, identity_law, make_problem, run_child
+from conftest import flux_boundary, identity_law, make_problem, run_child, zero_signal
 from evowaves import signals, verify
 from evowaves.cli import main
 from evowaves.rational import scalar_rational
-from evowaves.signals import WeightedSignal
 from evowaves.solver import EvoProblem, SolverError
 from evowaves.spatial import BoundaryLaw, ReducedOperator
 from evowaves.verify import (
@@ -94,7 +93,7 @@ class TestCausalEstimate:
     def test_zero_source_trivial(self, problem):
         prob = EvoProblem(
             problem.grid, problem.sd, problem.law, problem.bl,
-            WeightedSignal.zeros(problem.grid, problem.sd.n_reduced),
+            zero_signal(problem.grid, problem.sd.n_reduced),
         )
         res = check_causal_estimate(prob, seed=2)
         assert res.passed and "trivially" in res.details
