@@ -401,9 +401,11 @@ def parse_scenario(text: str) -> Scenario:
                 bnd.line_of("alpha"),
             )
         try:
-            float(parts[1])
+            value = float(parts[1])
         except ValueError:
             raise ConfigError(f"bad alpha value {parts[1]!r}", bnd.line_of("alpha")) from None
+        if not np.isfinite(value):
+            raise ConfigError(f"alpha must be finite, got {parts[1]!r}", bnd.line_of("alpha"))
     has_g = any(bnd.has(k) for k in ("g_const_re", "g_lin_re", "g_poles_re"))
     robin_k: float | None = None
     g: RationalMatrixFunction | None = None

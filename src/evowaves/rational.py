@@ -8,8 +8,8 @@ with simple poles only.  The linear term is included because the two
 degree-one cases the solver needs (the plain antiderivative symbol z and
 the Robin boundary kernel k*z) are polynomials; everything else lives in
 the constant-plus-poles part.  The form evaluates in closed form at any
-batch of points and converts directly into the state-space recursions
-the time stepper uses.
+batch of points and converts directly into the poles and residues in
+w = 1/z that the time stepper realizes.
 
 Functions intended as operator symbols must be holomorphic on the ball
 B(r, r) = {z : |z - r| <= r}; `check_holomorphic` verifies the pole

@@ -468,6 +468,9 @@ def read_signal_csv(path: str, grid: WeightedGrid) -> WeightedSignal:
         raise ValueError(f"{path}: {data.shape[0]} rows but grid has n={grid.n}")
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: {data.shape[1]} columns but the header names {len(header)}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: row {int(np.argmin(finite)) + 1} holds a non-finite sample")
     if not np.allclose(data[:, 0], grid.times, rtol=0, atol=1e-9 * max(grid.dt, 1.0)):
         raise ValueError(f"{path}: time column does not match the scenario grid")
     # pairs (re_j, im_j) reinterpreted as complex, which keeps the sign of a zero

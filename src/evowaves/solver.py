@@ -18,9 +18,9 @@ boundary faces.  Two solvers are provided and cross-checked:
   boundary laws and corrects each law by a 2x2 Woodbury update.
 * solve_timestep: causal implicit Euler marching.  Each step solves with
   the frequency operator at w = 1/delta plus an explicit memory history:
-  every memory kernel (material and boundary) is realized as a finite
-  state-space recursion, so no history is stored.  First order in the
-  step, strictly causal by construction.
+  every memory kernel (material and boundary) is realized as poles in w,
+  one state each, so no history is stored.  First order in the step,
+  strictly causal by construction.
 
 Both end in the same report code: a SolveReport carrying the residual,
 the energy ratio against the solvability margin, a causality margin, the
@@ -29,10 +29,11 @@ constant beta0_grid and the same warnings.  The stepper's residual is the
 time-domain one (trapezoid norm), the only form that measures its
 first-order defect.
 
-The frequency paths run on numpy alone.  scipy is imported only when it
-is needed: by solve_timestep for the sparse LU of its step matrix, and by
-the pivoted fallback in spatial, so a process that never steps in time
-or meets a pivot breakdown never loads it.
+Every matrix is the interleaved tridiagonal of spatial.ReducedOperator,
+and the frequency paths run on numpy alone.  scipy.linalg is imported
+only by ReducedOperator.factor, the LAPACK LU that the time stepper and
+the pivoted fallback share, so a process that never steps in time or
+meets a pivot breakdown never loads it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "EvoProblem",
     "SolverError",
     "ImproperKernelError",
-    "StateSpaceRealization",
     "realize",
     "realize_flux",
     "SolveReport",
@@ -209,44 +209,11 @@ def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
 
 
 # ---------------------------------------------------------------------------
-# state-space realizations
+# realizations: each kernel as poles and residues in w = 1/z
 
 
-@dataclass(frozen=True)
-class StateSpaceRealization:
-    """Finite recursion (F, G, H, D) with response D + H (w I - F)^{-1} G.
-
-    F is diagonal (modal form): with simple poles that is exact, well
-    conditioned, and keeps the implicit update trivially cheap.  Causal
-    stability in the weighted space requires every pole to have real part
-    below the operating weight; `check_stable` enforces it.
-    """
-
-    poles: np.ndarray          # (m,) diagonal of F
-    residues: np.ndarray       # (m, d, d) H "rows" per mode (G is identity-stacked)
-    const: np.ndarray          # (d, d) direct term D
-    dim: int
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.poles, dtype=complex).reshape(-1)
-        res = np.asarray(self.residues, dtype=complex).reshape(p.size, self.dim, self.dim)
-        c = np.asarray(self.const, dtype=complex).reshape(self.dim, self.dim)
-        for arr in (p, res, c):
-            arr.setflags(write=False)
-        object.__setattr__(self, "poles", p)
-        object.__setattr__(self, "residues", res)
-        object.__setattr__(self, "const", c)
-
-    def check_stable(self, rho: float) -> None:
-        if self.poles.size and self.poles.real.max() >= rho:
-            raise SolverError(
-                f"realization unstable in the weighted space: pole real part "
-                f"{self.poles.real.max():.6g} >= rho = {rho:.6g}"
-            )
-
-
-def realize(kernel: RationalMatrixFunction, rho: float) -> StateSpaceRealization:
-    """Realize the symbol kernel(1/w) as a state-space recursion.
+def realize(kernel: RationalMatrixFunction, rho: float) -> RationalMatrixFunction:
+    """The symbol kernel(1/w) as a function of w: const plus simple poles.
 
     Substituting z = 1/w into the partial fractions gives
 
@@ -254,32 +221,31 @@ def realize(kernel: RationalMatrixFunction, rho: float) -> StateSpaceRealization
                       + sum (-res_m / p_m^2) / (w - 1/p_m),
 
     which is proper (bounded as w -> inf), so it is always realizable;
-    poles 1/p_m inherit real part < 1/(2r) < rho from holomorphy.
+    poles 1/p_m inherit real part < 1/(2r) < rho from holomorphy.  A pole
+    at or above rho would be unstable in the weighted space: SolverError.
     """
-    d = kernel.dim
     poles: list[complex] = []
     residues: list[np.ndarray] = []
-    const = kernel.const.astype(complex).copy()
+    const = kernel.const.copy()
     if np.abs(kernel.lin).max(initial=0.0) > 0.0:
         poles.append(0.0)
-        residues.append(kernel.lin.astype(complex))
+        residues.append(kernel.lin)
     for p, r in zip(kernel.poles, kernel.residues):
         if abs(p) < 1e-300:
             raise ValueError("kernel pole at z = 0 cannot be transformed")
         const -= r / p
         poles.append(1.0 / p)
         residues.append(-r / p**2)
-    real = StateSpaceRealization(
-        poles=np.asarray(poles, dtype=complex),
-        residues=np.asarray(residues, dtype=complex).reshape(len(poles), d, d),
-        const=const,
-        dim=d,
-    )
-    real.check_stable(rho)
+    real = RationalMatrixFunction(const, np.zeros_like(const), poles, residues)
+    if real.n_poles and real.poles.real.max() >= rho:
+        raise SolverError(
+            f"realization unstable in the weighted space: pole real part "
+            f"{real.poles.real.max():.6g} >= rho = {rho:.6g}"
+        )
     return real
 
 
-def realize_flux(bl: BoundaryLaw, rho: float) -> StateSpaceRealization:
+def realize_flux(bl: BoundaryLaw, rho: float) -> RationalMatrixFunction:
     """Realize the boundary flux symbol c(w) = w * g(1/w).
 
     c is proper only when g(0) = 0; otherwise c grows linearly in
@@ -445,10 +411,11 @@ def _solve_spectral(
     """The bare frequency solve: (u, op, s, pivoted frequency indices, residual).
 
     All frequencies are solved in one batched Thomas sweep; any frequency
-    where a pivot breaks down is re-solved by pivoted banded LU.  A
-    frequency the solve cannot invert raises SolverError naming it.  The
-    residual is ||op U_hat - f_hat|| / ||f_hat|| (absolute if f = 0), the
-    rectangle-rule (Parseval) norm of the time-domain residual.
+    where a pivot breaks down is re-solved by the pivoted LU of
+    ReducedOperator.factor.  A frequency the solve cannot invert raises
+    SolverError naming it.  The residual is ||op U_hat - f_hat|| / ||f_hat||
+    (absolute if f = 0), the rectangle-rule (Parseval) norm of the
+    time-domain residual.
     """
     grid = prob.grid
     s = frequencies_for(grid)
@@ -475,7 +442,7 @@ def solve_frequency(prob: EvoProblem) -> SolveReport:
     """Exact per-frequency solve (the oracle path).
 
     The solve and its spectral residual are _solve_spectral; the report's
-    warnings name frequencies that fell back to pivoted banded LU, and
+    warnings name frequencies that fell back to the pivoted LU, and
     max_condition_bound bounds every frequency's 2-norm condition number.
     """
     t_start = time.perf_counter()
@@ -485,7 +452,7 @@ def solve_frequency(prob: EvoProblem) -> SolveReport:
         warnings.append(
             f"Thomas pivot broke down at {pivoted.size} of {s.size} frequencies in "
             f"s = [{s[pivoted[0]]:.9g}, {s[pivoted[-1]]:.9g}]; those were solved "
-            "by pivoted banded LU"
+            "by pivoted tridiagonal LU"
         )
     return _report(prob, u, "frequency", t_start, residual, op, s, warnings)
 
@@ -572,47 +539,48 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
 
     The step matrix is the frequency operator at w = 1/delta, delta the
     grid step: implicit Euler replaces the inverse derivative z by delta.
-    The memory kernels (material and boundary), realized as diagonal
-    state-space recursions, add an explicit history term to each step's
+    It is factored once by ReducedOperator.factor (LAPACK, via
+    scipy.linalg) and the march runs in its interleaved order: even
+    unknowns are pressures, odd ones velocities, and the boundary cells
+    are the first and last.  The memory kernels (material and boundary),
+    realized as poles in w, add an explicit history term to each step's
     right-hand side.  Step k uses data up to t_k only, so the scheme is
     strictly causal: zero source prefix gives an exactly zero solution
-    prefix.  The sparse LU comes from scipy.sparse.linalg, imported on the
-    first call.
+    prefix.
     """
-    import scipy.sparse.linalg
-
     t_start = time.perf_counter()
     grid, sd = prob.grid, prob.sd
-    nc, delta = sd.n_cells, grid.dt
+    delta = grid.dt
     if not delta < 2.0 * prob.r_effective:
         raise SolverError(
             f"time step {delta:.6g} is not below 2r = {2.0 * prob.r_effective:.6g}: implicit "
             "Euler evaluates the kernels at z = dt, outside their holomorphy ball"
         )
 
+    step = prob._operator_at(np.zeros(1), 1.0 / delta)
+    solve = step.factor(0)
+    rows = step.stacked_rows()
+    block = np.arange(step.dim) % 2  # material block of each unknown: 0 pressure, 1 velocity
     mem = realize(prob.law.m1, grid.rho)
-    # pressure unknowns take each mode's (0, 0) residue, velocity unknowns its (1, 1)
-    memory = _ImplicitMemory(
-        mem.poles, np.repeat(mem.residues[:, [0, 1], [0, 1]], [nc, nc - 1], axis=1), delta
-    )
+    memory = _ImplicitMemory(mem.poles, mem.residues[:, block, block], delta)
     # the flux state of each end is driven by its boundary cell's pressure and
     # enters that cell's row as (n . alpha) / dx times the flux response
-    ends = [0, nc - 1]
+    ends = [0, step.dim - 1]
     flux_real = realize_flux(prob.bl, grid.rho)
     end_gain = np.asarray(prob.bl.normal_alpha) / sd.dx
     flux = _ImplicitMemory(flux_real.poles, flux_real.residues[:, 0] * end_gain, delta)
-    step = prob._operator_at(np.zeros(1), 1.0 / delta)
-    lu = scipy.sparse.linalg.splu(step.sparse(0))
 
-    m0 = np.repeat(np.diag(prob.law.m0), [nc, nc - 1]) / delta
+    m0 = np.diag(prob.law.m0)[block] / delta
     f = prob.f.values
     out = np.zeros((grid.n, sd.n_reduced), dtype=complex)
+    x = np.zeros(step.dim, dtype=complex)
     for k in range(1, grid.n):
-        rhs = f[k] + m0 * out[k - 1] - memory.history()
+        rhs = f[k, rows] + m0 * x - memory.history()
         rhs[ends] -= flux.history()
-        out[k] = lu.solve(rhs)
-        memory.advance(out[k])
-        flux.advance(out[k, ends])
+        x = solve(rhs)
+        out[k, rows] = x
+        memory.advance(x)
+        flux.advance(x[ends])
 
     u = WeightedSignal(grid, out)
     nan = np.full(1, np.nan)  # the step matrix has no frequency

@@ -24,25 +24,24 @@ and makes the Robin case g(z) = k z exact: its flux symbol is the
 constant k.  The elimination also makes the reduced adjoint equal to the
 per-frequency conjugate transpose, which the adjoint_lemma check verifies.
 
-Everything here runs on numpy.  Two functions import scipy when they
-run, not at start-up: ReducedOperator.sparse (scipy.sparse, for the time
-stepper's step matrix) and _solve_range_pivoted (scipy.linalg, the banded
-LU for frequencies where the Thomas pivots break down).
+Every matrix here is one tridiagonal form: the reduced operator with its
+unknowns interleaved as (p_0, v_1, p_1, ..., v_last, p_last).  It runs on
+numpy, except ReducedOperator.factor, which imports scipy.linalg when it
+runs, not at start-up: its LAPACK LU (gttrf) is shared by the time
+stepper's step matrix and by the frequencies where the Thomas pivots
+break down.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rational import PoleError, RationalMatrixFunction, scalar_rational
 from .signals import WeightedSignal
 from .transform import SpectralSignal, forward_transform, inverse_transform
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "SpatialDiscretization",
@@ -238,7 +237,8 @@ class ReducedOperator:
 
     Interleaving the unknowns as (p_0, v_1, p_1, ..., v_last, p_last)
     makes every matrix tridiagonal with sub-diagonal -off and
-    super-diagonal +off; only the solver kernel uses that order.
+    super-diagonal +off.  The solvers and dense() work in that order;
+    matvec keeps the stacked one, an independent reference for residuals.
     """
 
     sym_p: np.ndarray      # (n_freq,) pressure symbol
@@ -279,32 +279,39 @@ class ReducedOperator:
             self.n_cells,
         )
 
-    def _bands(self, k: int) -> tuple[list[np.ndarray], list[int]]:
-        """Diagonals and offsets of the stacked-order matrix at frequency index k.
-
-        The differences sit on four diagonals: +-off at offsets +-n_cells,
-        and at offsets +-(n_cells - 1), whose first entry pairs the last
-        pressure cell with the first one and is zero.
-        """
-        nc = self.n_cells
-        diag = np.concatenate([np.full(nc, self.sym_p[k]), np.full(nc - 1, self.sym_v[k])])
-        diag[0] += self.corner0[k]
-        diag[nc - 1] += self.cornerL[k]
-        near = np.full(nc, self.off)
-        near[0] = 0.0
-        far = np.full(nc - 1, self.off)
-        return [-far, near, diag, -near, far], [-nc, 1 - nc, 0, nc - 1, nc]
-
-    def sparse(self, k: int = 0) -> scipy.sparse.csc_array:
-        """The stacked-order matrix at frequency index k (imports scipy.sparse)."""
-        import scipy.sparse
-
-        bands, offsets = self._bands(k)
-        return scipy.sparse.diags_array(bands, offsets=offsets, format="csc")
+    def stacked_rows(self) -> np.ndarray:
+        """The stacked row of each interleaved row: pressures at even rows, velocities at odd."""
+        rows = np.empty(self.dim, dtype=int)
+        rows[0::2] = np.arange(self.n_cells)
+        rows[1::2] = np.arange(self.n_cells, self.dim)
+        return rows
 
     def dense(self, k: int = 0) -> np.ndarray:
         """The stacked-order matrix at frequency index k, as a dense array."""
-        return sum(np.diag(band, offset) for band, offset in zip(*self._bands(k)))
+        rows = self.stacked_rows()  # the interleaved tridiagonal, scattered to stacked order
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[rows, rows] = self._diagonal([k])[:, 0]
+        out[rows[:-1], rows[1:]] = self.off
+        out[rows[1:], rows[:-1]] = -self.off
+        return out
+
+    def factor(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
+        """LU with partial pivoting (LAPACK gttrf) of the interleaved matrix at frequency index k.
+
+        Returns the solve (gttrs) for interleaved (dim,) or (dim, n_rhs)
+        right-hand sides.  Raises LinAlgError when U has an exact zero
+        pivot.  scipy.linalg is imported here, on the first call.
+        """
+        from scipy.linalg import lapack
+
+        lower = np.full(self.dim - 1, -self.off, dtype=complex)
+        upper = np.full(self.dim - 1, self.off, dtype=complex)
+        *lu, info = lapack.zgttrf(lower, self._diagonal([k])[:, 0], upper)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"exactly singular: zero pivot in row {info - 1} at frequency index {k}"
+            )
+        return lambda b: lapack.zgttrs(*lu, b)[0]
 
     def _diagonal_values(self) -> tuple[np.ndarray, ...]:
         """The four values the diagonal d takes at each frequency: p, v and the two corner cells."""
@@ -332,8 +339,8 @@ class ReducedOperator:
         """Solve every frequency's system for (n_freq, dim) stacked values.
 
         Returns the solution and the indices of the frequencies that the
-        Thomas kernel handed to pivoted banded LU.  A frequency whose
-        matrix is singular comes back as non-finite values.
+        Thomas kernel handed to the pivoted LU of factor().  A frequency
+        whose matrix is singular comes back as non-finite values.
         """
         y = self._interleaved(rhs)
         broken = self._thomas(y)
@@ -353,9 +360,7 @@ class ReducedOperator:
         y[:, 0] = self._interleaved(rhs)
         y[0, 1] = y[-1, 2] = 1.0
         self._thomas(y)
-        stacked = np.empty(self.dim, dtype=int)  # the stacked row of each interleaved row
-        stacked[0::2] = np.arange(self.n_cells)
-        stacked[1::2] = np.arange(self.n_cells, self.dim)
+        stacked = self.stacked_rows()
         res_sq = np.zeros(y.shape[1:])
         for a in range(0, self.dim, ROW_BLOCK):
             b = min(a + ROW_BLOCK, self.dim)
@@ -381,8 +386,8 @@ class ReducedOperator:
         below by the solvability margin, which keeps the pivots away from
         zero without row exchanges.  The pivots are eliminated first, so
         that frequencies where one still collapses (an inadmissible
-        scenario) keep their right-hand sides for the re-solve by pivoted
-        banded LU; their indices are returned.
+        scenario) keep their right-hand sides for the re-solve by the
+        pivoted LU of factor(); their indices are returned.
         """
         d = self._diagonal()
         # rows 0, 1, 2 and -1 hold every distinct diagonal value before the sweep
@@ -428,21 +433,13 @@ class ReducedOperator:
 
 
 def _solve_range_pivoted(op: ReducedOperator, rhs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Solve frequencies ks by banded LU with partial pivoting, in place.
+    """Solve frequencies ks with op.factor, in place; an exactly singular one becomes NaN.
 
     rhs holds their interleaved right-hand sides, (dim, [n_rhs,] ks.size).
-    scipy.linalg is imported here, on the first breakdown, not at start-up.
     """
-    import scipy.linalg
-
-    ab = np.zeros((3, op.dim), dtype=complex)
-    ab[0, 1:] = op.off
-    ab[2, :-1] = -op.off
-    diag = op._diagonal(ks)
-    for j in range(ks.size):
-        ab[1] = diag[:, j]
+    for j, k in enumerate(ks):
         try:
-            rhs[..., j] = scipy.linalg.solve_banded((1, 1), ab, rhs[..., j], check_finite=False)
+            rhs[..., j] = op.factor(k)(rhs[..., j])
         except np.linalg.LinAlgError:
             rhs[..., j] = np.nan
     return rhs

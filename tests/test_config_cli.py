@@ -58,16 +58,17 @@ else:
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 
-# a fresh interpreter that runs the time stepper, which alone needs scipy
+# a fresh interpreter that runs the time stepper, which alone needs scipy: its LAPACK LU
 TIMESTEP_CHILD = """
 import sys
 import evowaves.config
 from evowaves.solver import solve_timestep
 
 prob = evowaves.config.load_scenario(sys.argv[1]).build()
-before = "scipy.sparse.linalg" in sys.modules
+before = "scipy.linalg" in sys.modules
 report = solve_timestep(prob)
-print(before, "scipy.sparse.linalg" in sys.modules, report.residual_rel)
+sparse = any(name.startswith("scipy.sparse") for name in sys.modules)
+print(before, "scipy.linalg" in sys.modules, sparse, report.residual_rel)
 """
 
 
@@ -136,6 +137,8 @@ class TestParsing:
             ("amplitude = 1.0", "amplitude = nan"),
             ("length = 1.0", "length = -1.0"),
             ("x_width = 0.12", "x_width = inf"),
+            ("alpha = normal", "alpha = constant:nan"),
+            ("alpha = normal", "alpha = constant:inf"),
         ],
     )
     def test_nonfinite_or_nonpositive_length_exits_2(self, old, new, tmp_path, capsys):
@@ -248,6 +251,15 @@ class TestCliVerify:
         code = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 0
         assert "warning" in capsys.readouterr().out
+
+    def test_empty_check_list_replaces_earlier_checks(self, tmp_path):
+        # a run with no checks must not leave another scenario's rows in checks.csv
+        root, out = TestShippedScenarios.scenarios_dir.parent, tmp_path / "o"
+        assert main(["verify", "--config", str(root / "scenarios" / "default.cfg"), "--out", str(out)]) == 0
+        assert len((out / "checks.csv").read_text().splitlines()) == 6
+        memory = root / "bench" / "scenarios" / "memory.cfg"
+        assert main(["verify", "--config", str(memory), "--out", str(out)]) == 0
+        assert (out / "checks.csv").read_text().splitlines() == ["name,margin,tolerance,pass"]
 
     def test_seed_changes_margins_not_verdict(self, good_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -437,9 +449,9 @@ class TestCliMisc:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
-    def test_time_stepper_imports_scipy_sparse_linalg(self, good_cfg):
+    def test_time_stepper_imports_scipy_linalg_not_sparse(self, good_cfg):
         proc = run_child("-c", TIMESTEP_CHILD, good_cfg)
         assert proc.returncode == 0, proc.stderr
-        before, after, residual = proc.stdout.split()
-        assert (before, after) == ("False", "True")
+        before, after, sparse, residual = proc.stdout.split()
+        assert (before, after, sparse) == ("False", "True", "False")
         assert float(residual) < 0.1

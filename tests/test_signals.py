@@ -1,5 +1,6 @@
 import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,16 @@ class TestCsv:
         path = tmp_path / "sig.csv"
         path.write_bytes(b"t,re_0,im_0\r\n" + rows)
         with pytest.raises(ValueError, match="column"):
+            read_signal_csv(str(path), g)
+
+    @pytest.mark.parametrize("sample", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_sample_names_file_and_row(self, tmp_path, sample):
+        g = WeightedGrid(0.0, 0.1, 3, 1.0)
+        path = tmp_path / "sig.csv"
+        path.write_bytes(
+            b"t,re_0,im_0\r\n0,1,2\r\n0.10000000000000001,3," + sample + b"\r\n0.2,nan,4\r\n"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 2 holds a non-finite"):
             read_signal_csv(str(path), g)
 
 

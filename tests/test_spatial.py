@@ -145,9 +145,16 @@ class TestReducedOperator:
         corner0 = op.corner0.copy()
         corner0[1] = -op.sym_p[1]
         op = ReducedOperator(op.sym_p, op.sym_v, corner0, op.cornerL, op.off, op.n_cells)
-        x, pivoted = op.solve(op.matvec(u))
+        rhs = op.matvec(u)
+        x, pivoted = op.solve(rhs)
         assert pivoted.tolist() == [1]
         assert np.abs(x - u).max() < 1e-12 * np.abs(u).max()
+        # the pivoted LU on its own, in the interleaved order
+        rows = op.stacked_rows()
+        x1 = np.empty(op.dim, dtype=complex)
+        x1[rows] = op.factor(1)(rhs[1, rows])
+        exact = np.linalg.solve(op.dense(1), rhs[1])
+        assert np.abs(x1 - exact).max() < 1e-12 * np.abs(exact).max()
 
     def test_solve_with_corners_matches_dense(self, monkeypatch):
         # f, e_0 and e_last share one elimination, also through the pivoted
@@ -189,6 +196,8 @@ class TestReducedOperator:
         x, pivoted = op.solve(u)
         assert pivoted.tolist() == [2]
         assert np.isfinite(x[:2]).all() and not np.isfinite(x[2]).any()
+        with pytest.raises(np.linalg.LinAlgError, match="frequency index 2"):
+            op.factor(2)
 
     def test_condition_bound_above_exact(self):
         op, _ = self.make()
