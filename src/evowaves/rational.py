@@ -83,6 +83,18 @@ class RationalMatrixFunction:
     def is_zero(self) -> bool:
         return not (self.const.any() or self.lin.any() or self.residues.any())
 
+    def is_real(self) -> bool:
+        """Whether R(conj z) = conj R(z), the symbol of a kernel real in time.
+
+        const and lin are real, and every pole is real with a real residue
+        or is paired exactly with its conjugate carrying the conjugate residue.
+        """
+        if self.const.imag.any() or self.lin.imag.any():
+            return False
+        # pole j is the conjugate of pole m; the poles are distinct, so m is unique
+        m, j = np.nonzero(self.poles.conj()[:, None] == self.poles[None, :])
+        return m.size == self.n_poles and np.array_equal(self.residues[j], self.residues[m].conj())
+
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """Evaluate at an array of points; returns shape (len(zs), d, d)."""
         zs = np.asarray(zs, dtype=complex).reshape(-1)

@@ -192,13 +192,15 @@ def translate(u: WeightedSignal, h: float) -> WeightedSignal:
 # a chunk of rows at a time.  It writes every x with 1e-99 <= |x| < 1,
 # which "%.17g" prints in fixed notation from 1e-4 up and in exponent form
 # with a two-digit exponent below (all but the zeros of the reflection
-# solution).  For such an x in decade E, the product y = |x| * 10**(16 - E),
-# taken with a double-double power of ten and Dekker's exact product, is
-# within 1e-14 of the exact one.  If its nearest integer D has 17 digits
+# solution), and writes the zeros, "0" or "-0" by the sign bit, from a
+# table: the imaginary columns of a real solution are all zeros.  For a
+# nonzero x in decade E, the product y = |x| * 10**(16 - E), taken with a
+# double-double power of ten and Dekker's exact product, is within 1e-14
+# of the exact one.  If its nearest integer D has 17 digits
 # and y lies more than _TIE_MARGIN from a tie, D is the correctly rounded
 # mantissa and E the printed exponent.  Every other number goes through
-# "%.17g" itself: zeros, |x| >= 1, near-ties, three-digit exponents,
-# subnormals and the rare mantissa ending in four zeros.  The bytes are
+# "%.17g" itself: |x| >= 1, near-ties, three-digit exponents, subnormals
+# and the rare mantissa ending in four zeros.  The bytes are
 # therefore those of "%.17g" by construction.
 
 # Fewest doubles a forked writer is given.  Below it the fork, the child's
@@ -315,6 +317,7 @@ _DIGITS = (
 _LAST_DIGITS = _DIGITS.copy()
 _LAST_DIGITS[::10] = _words([f"{i:04d}".rstrip("0").rjust(4) for i in range(0, 10000, 10)])
 _EXPONENT = _words([f"e-{e:02d}" for e in range(100)])
+_ZERO = _words([f"{z:24.17g}" for z in (0.0, -0.0)]).reshape(2, 6)  # by negative
 _COMMA, _CRLF = _words([",   ", "\r\n  "])
 
 
@@ -354,7 +357,9 @@ def _format_slots(x: np.ndarray, slots: np.ndarray) -> None:
         slots[fixed, 2:6] = slots[fixed, 1:5]
         head = (lead + 10 * (-1 - e) + 40 * neg)[fixed]
         slots[fixed, :2] = _FIXED_HEAD[head]
-    rest = np.flatnonzero(~ok)
+    zero = x == 0.0
+    slots[zero, :6] = _ZERO[neg[zero].view(np.uint8)]
+    rest = np.flatnonzero(~(ok | zero))
     if rest.size:
         # "%24.17g" is "%.17g" padded on the left to 24 bytes, its longest output
         text = (b"%24.17g" * rest.size) % tuple(x[rest].tolist())

@@ -15,7 +15,10 @@ boundary faces.  Two solvers are provided and cross-checked:
   itself with the operator it solved: the spectral residual, in the
   rectangle-rule (Parseval) norm, and an O(n) condition bound.
   solve_boundary_family runs the same kernel once for a whole family of
-  boundary laws and corrects each law by a 2x2 Woodbury update.
+  boundary laws and corrects each law by a 2x2 Woodbury update.  When
+  the source and every law are real in time (EvoProblem.real_in_time),
+  T(-s) = conj T(s) and U is real, so both solve the half spectrum
+  s >= 0 and Nyquist alone, by real FFTs; anything else, every frequency.
 * solve_timestep: causal implicit Euler marching.  Each step solves with
   the frequency operator at w = 1/delta plus an explicit memory history:
   every memory kernel (material and boundary) is realized as poles in w,
@@ -60,6 +63,7 @@ from .transform import (
     assert_padded,
     forward_transform,
     frequencies_for,
+    half_rows,
     inverse_transform,
 )
 
@@ -101,8 +105,8 @@ class EvoProblem:
     p and v is not liftable onto a staggered grid, where the two live at
     different points.)  The source f is a stacked reduced signal
     [p-cells, interior faces].  The constants (gamma0, mu0, beta0) are
-    computed once, at construction, and the operator at the grid
-    frequencies once, on first use.
+    computed once, at construction; the operator at the grid frequencies
+    and real_in_time once each, on first use.
     """
 
     grid: WeightedGrid
@@ -148,6 +152,16 @@ class EvoProblem:
     def operator(self, s: np.ndarray) -> ReducedOperator:
         """The per-frequency operator (i s + rho) M(z_s) + A(s) on frequencies s."""
         return self._operator_at(s, self.grid.rho)
+
+    @functools.cached_property
+    def real_in_time(self) -> bool:
+        """Whether U is real: a real source, and laws whose kernels are real in time.
+
+        Then T(-s) = conj T(s) at every frequency, so the frequency
+        solvers need only the half spectrum s >= 0.
+        """
+        real_data = not (self.f.values.imag.any() or self.law.m0.imag.any())
+        return real_data and self.law.m1.is_real() and self.bl.g.is_real()
 
     @functools.cached_property
     def grid_operator(self) -> ReducedOperator:
@@ -298,6 +312,7 @@ class SolveReport:
     method: str
     f_padded_ok: bool = True
     warnings: list[str] = field(default_factory=list)
+    half_spectrum: bool = False
 
     def energy_bound_ok(self) -> bool:
         if self.beta0 <= 0:
@@ -311,8 +326,10 @@ class SolveReport:
         return self.energy_bound_ok() and self.causality_ok()
 
     def to_text(self) -> str:
+        spectrum = "half (real source and laws)" if self.half_spectrum else "full"
         lines = [
             f"method                {self.method}",
+            f"spectrum              {spectrum}",
             f"rho                   {self.rho:.17g}",
             f"gamma0 (coercivity)   {self.gamma0:.17g}",
             f"mu0 (memory bound)    {self.mu0:.17g}",
@@ -365,6 +382,7 @@ def _report(
     op: ReducedOperator,
     s: np.ndarray,
     warnings: list[str],
+    half_spectrum: bool = False,
 ) -> SolveReport:
     """The report of either solver; residual is its (value, is_relative), op at frequencies s.
 
@@ -402,7 +420,28 @@ def _report(
         method=method,
         f_padded_ok=padded,
         warnings=warnings,
+        half_spectrum=half_spectrum,
     )
+
+
+def _solved_rows(grid: WeightedGrid, half: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frequency rows a solve runs on, as (rows, mirror, weight).
+
+    rows index frequencies_for(grid): all of them, or half_rows(grid).  A
+    half-spectrum row also stands for its mirror -s, at row mirror[i], so
+    it has weight 2 in the Parseval sum, except s = 0 and Nyquist, which
+    are their own mirrors; a full-spectrum row stands for itself alone.
+    """
+    n = grid.n
+    rows = half_rows(grid) if half else np.arange(n)
+    mirror = (2 * (n // 2) - rows) % n if half else rows
+    return rows, mirror, np.where(mirror == rows, 1.0, 2.0)
+
+
+def _parseval_norm(x: np.ndarray, weight: np.ndarray) -> float:
+    """sqrt(sum_k weight[k] ||x[k]||^2) over the rows of x, with no temporary copy of x."""
+    v = x.view(np.float64)
+    return float(np.sqrt(weight @ np.einsum("ij,ij->i", v, v)))
 
 
 def _solve_spectral(
@@ -410,32 +449,33 @@ def _solve_spectral(
 ) -> tuple[WeightedSignal, ReducedOperator, np.ndarray, np.ndarray, tuple[float, bool]]:
     """The bare frequency solve: (u, op, s, pivoted frequency indices, residual).
 
-    All frequencies are solved in one batched Thomas sweep; any frequency
-    where a pivot breaks down is re-solved by the pivoted LU of
-    ReducedOperator.factor.  A frequency the solve cannot invert raises
-    SolverError naming it.  The residual is ||op U_hat - f_hat|| / ||f_hat||
-    (absolute if f = 0), the rectangle-rule (Parseval) norm of the
-    time-domain residual.
+    The rows of _solved_rows are solved in one batched Thomas sweep; any
+    frequency where a pivot breaks down (and its mirror) is re-solved by
+    the pivoted LU of ReducedOperator.factor.  A frequency the solve
+    cannot invert raises SolverError naming it.  The residual is
+    ||op U_hat - f_hat|| / ||f_hat|| (absolute if f = 0), the
+    rectangle-rule (Parseval) norm of the time-domain residual.
     """
-    grid = prob.grid
-    s = frequencies_for(grid)
-    op = prob.grid_operator
-    f_hat = forward_transform(prob.f).values
-    u_hat, pivoted = op.solve(f_hat)
+    grid, half = prob.grid, prob.real_in_time
+    s, op = frequencies_for(grid), prob.grid_operator
+    rows, mirror, weight = _solved_rows(grid, half)
+    solved = op.take(rows)
+    f_hat = forward_transform(prob.f, half).values
+    u_hat, pivoted = solved.solve(f_hat)
     singular = ~np.isfinite(u_hat).all(axis=1)
     if singular.any():
         raise SolverError(
-            f"singular operator at frequency s = {s[np.argmax(singular)]:.9g} "
+            f"singular operator at frequency s = {s[rows[np.argmax(singular)]]:.9g} "
             "(the solvability margin is not positive, or the boundary "
             "law is inadmissible)"
         )
-    r_hat = op.matvec(u_hat)
+    r_hat = solved.matvec(u_hat)
     r_hat -= f_hat
-    f_norm, r_norm = float(np.linalg.norm(f_hat)), float(np.linalg.norm(r_hat))
+    f_norm, r_norm = _parseval_norm(f_hat, weight), _parseval_norm(r_hat, weight)
     del f_hat, r_hat  # two fewer spectra held through the inverse transform
     residual = (r_norm / f_norm, True) if f_norm > 0 else (r_norm, False)
-    u = inverse_transform(SpectralSignal(grid, u_hat))
-    return u, op, s, pivoted, residual
+    u = inverse_transform(SpectralSignal(grid, u_hat, half))
+    return u, op, s, np.union1d(rows[pivoted], mirror[pivoted]), residual
 
 
 def solve_frequency(prob: EvoProblem) -> SolveReport:
@@ -454,7 +494,7 @@ def solve_frequency(prob: EvoProblem) -> SolveReport:
             f"s = [{s[pivoted[0]]:.9g}, {s[pivoted[-1]]:.9g}]; those were solved "
             "by pivoted tridiagonal LU"
         )
-    return _report(prob, u, "frequency", t_start, residual, op, s, warnings)
+    return _report(prob, u, "frequency", t_start, residual, op, s, warnings, prob.real_in_time)
 
 
 def solve_boundary_family(
@@ -470,13 +510,20 @@ def solve_boundary_family(
     rho2 the 2x2 residual, so the l2 sum over frequencies of ||r_f|| +
     ||R_X||_F ||beta|| + ||rho2||, over ||f_hat||, bounds the relative
     residual in the rectangle-rule (Parseval) norm (absolute if f = 0).
+    When every law's problem is real_in_time, all of this runs on the half
+    spectrum, with the Parseval weights of _solve_spectral.
     """
     grid, nc = prob.grid, prob.sd.n_cells
-    s = frequencies_for(grid)
-    f_hat = forward_transform(prob.f).values
+    law_probs = [dataclasses.replace(prob, bl=bl) for bl in laws]  # with EvoProblem's checks
+    half = all(p.real_in_time for p in law_probs)
+    solved, _, weight = _solved_rows(grid, half)
+    s = frequencies_for(grid)[solved]
+    f_hat = forward_transform(prob.f, half).values
     zero = np.zeros(s.size, dtype=complex)
-    neumann = dataclasses.replace(prob.grid_operator, corner0=zero, cornerL=zero)
+    neumann = dataclasses.replace(prob.operator(s), corner0=zero, cornerL=zero)
     at_rows, res_sq = neumann._solve_with_corners(f_hat, [*rows, 0, nc - 1])
+    f_norm = _parseval_norm(f_hat, weight)
+    del f_hat
     singular = ~np.isfinite(res_sq).all(axis=0)
     if singular.any():
         raise SolverError(
@@ -484,11 +531,10 @@ def solve_boundary_family(
         )
     probe, corners = at_rows[:-2], at_rows[-2:]
     res_f, res_x = np.sqrt(res_sq[0]), np.sqrt(res_sq[1] + res_sq[2])
-    f_norm = float(np.linalg.norm(f_hat))
 
     out = []
-    for j, bl in enumerate(laws):
-        law_op = dataclasses.replace(prob, bl=bl).operator(s)  # with EvoProblem's checks
+    for j, law_prob in enumerate(law_probs):
+        law_op = law_prob.operator(s)
         c = np.stack([law_op.corner0, law_op.cornerL])
         m = np.eye(2)[:, :, None] + c[:, None] * corners[:, 1:]
         rhs = c * corners[:, 0]
@@ -503,9 +549,9 @@ def solve_boundary_family(
             )
         rho2 = np.einsum("ijk,jk->ik", m, beta) - rhs
         per_freq = res_f + res_x * np.linalg.norm(beta, axis=0) + np.linalg.norm(rho2, axis=0)
-        bound = float(np.linalg.norm(per_freq)) / (f_norm if f_norm > 0 else 1.0)
+        bound = _parseval_norm(per_freq[:, None], weight) / (f_norm if f_norm > 0 else 1.0)
         x = probe[:, 0] - np.einsum("rjk,jk->rk", probe[:, 1:], beta)
-        out.append((inverse_transform(SpectralSignal(grid, x.T)), bound))
+        out.append((inverse_transform(SpectralSignal(grid, x.T, half)), bound))
     return out
 
 

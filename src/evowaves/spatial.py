@@ -279,6 +279,13 @@ class ReducedOperator:
             self.n_cells,
         )
 
+    def take(self, ks: np.ndarray) -> "ReducedOperator":
+        """The operator at the frequency indices ks."""
+        return ReducedOperator(
+            self.sym_p[ks], self.sym_v[ks], self.corner0[ks], self.cornerL[ks],
+            self.off, self.n_cells,
+        )
+
     def stacked_rows(self) -> np.ndarray:
         """The stacked row of each interleaved row: pressures at even rows, velocities at odd."""
         rows = np.empty(self.dim, dtype=int)

@@ -16,6 +16,11 @@ Frequency multipliers are circular operators on the window: wrap-around
 leakage is damped like exp(-rho * padding), which is why
 causality-sensitive callers must leave enough trailing zeros
 (assert_padded checks this).
+
+A real signal has u_hat(-s) = conj u_hat(s), so its half spectrum, the
+rows half_rows(grid) with s >= 0 (plus Nyquist for even n), holds all of
+it: forward_transform(u, half=True) computes it by a real FFT, and
+inverse_transform returns it to a real signal by the inverse real FFT.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .signals import WeightedGrid, WeightedSignal
 __all__ = [
     "SpectralSignal",
     "frequencies_for",
+    "half_rows",
     "forward_transform",
     "inverse_transform",
     "assert_padded",
@@ -47,30 +53,40 @@ class SpectralSignal:
     """The weighted transform of a signal on grid: values[k] sits at freqs[k].
 
     A spectrum lives on the line i s + rho fixed by its time grid, so it
-    carries the grid and nothing else: its frequencies and weight are the
-    grid's.  values has shape (grid.n, d) and is marked read-only; a
-    non-finite value is refused by the WeightedSignal that inverse_transform
-    builds from it.
+    carries the grid and its form: all grid.n frequencies, or with half
+    the half_rows(grid) of a real signal.  values has shape (rows, d) and
+    is marked read-only; a non-finite value is refused by the
+    WeightedSignal that inverse_transform builds from it.
     """
 
     grid: WeightedGrid
     values: np.ndarray = field(repr=False)
+    half: bool = False
 
     def __post_init__(self) -> None:
-        if self.values.ndim != 2 or self.values.shape[0] != self.grid.n:
+        n = self.grid.n
+        rows, form = (n // 2 + 1, "n // 2 + 1") if self.half else (n, "n")
+        if self.values.ndim != 2 or self.values.shape[0] != rows:
             raise ValueError(
-                f"values must have shape (n, d) with n={self.grid.n}, got {self.values.shape}"
+                f"values must have shape ({form}, d) with n={n}, got {self.values.shape}"
             )
         self.values.setflags(write=False)
 
     @property
     def freqs(self) -> np.ndarray:
-        return frequencies_for(self.grid)
+        s = frequencies_for(self.grid)
+        return s[half_rows(self.grid)] if self.half else s
 
 
 def frequencies_for(grid: WeightedGrid) -> np.ndarray:
     """The (shifted, increasing) frequency grid implied by a time grid."""
     return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(grid.n, grid.dt))
+
+
+def half_rows(grid: WeightedGrid) -> np.ndarray:
+    """The rows of frequencies_for(grid) in rfft order: s >= 0, then Nyquist (row 0) for even n."""
+    n = grid.n
+    return (n // 2 + np.arange(n // 2 + 1)) % n
 
 
 def _fftshift_rows(x: np.ndarray) -> None:
@@ -95,36 +111,51 @@ def _fftshift_rows(x: np.ndarray) -> None:
         x[n - 1] = middle
 
 
-def forward_transform(u: WeightedSignal) -> SpectralSignal:
+def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
     """The weighted transform of u, computed in place in one new array.
 
+    With half, the half spectrum of the real part of u, by a real FFT.
     Each product keeps the operand order of the out-of-place expression,
     because for complex arrays `a *= c[:, None]` and `c[:, None] * a` can
     differ in the last bit.
     """
     grid = u.grid
-    vals = np.multiply(np.exp(-grid.rho * grid.times)[:, None], u.values)
-    np.fft.fft(vals, axis=0, out=vals)
-    _fftshift_rows(vals)
-    scaled_phase = (grid.dt / _SQRT_2PI) * np.exp(-1j * frequencies_for(grid) * grid.t0)
+    s = frequencies_for(grid)
+    weight = np.exp(-grid.rho * grid.times)[:, None]
+    if half:
+        s = s[half_rows(grid)]
+        vals = np.fft.rfft(np.multiply(weight, u.values.real), axis=0)
+    else:
+        vals = np.multiply(weight, u.values)
+        np.fft.fft(vals, axis=0, out=vals)
+        _fftshift_rows(vals)
+    scaled_phase = (grid.dt / _SQRT_2PI) * np.exp(-1j * s * grid.t0)
     np.multiply(scaled_phase[:, None], vals, out=vals)
-    return SpectralSignal(grid, vals)
+    return SpectralSignal(grid, vals, half)
 
 
 def inverse_transform(u_hat: SpectralSignal) -> WeightedSignal:
     """The time samples of u_hat on its grid, computed in place in one new array.
 
-    The phase and scale multiply straight into the ifftshift order, so
-    the spectrum is read once and never copied.
+    The phase and scale multiply straight into the FFT order, so the
+    spectrum is read once and never copied.  A half spectrum fills the
+    real part, by the inverse real FFT, which drops the imaginary part of
+    its s = 0 and Nyquist rows.
     """
     grid = u_hat.grid
     n, shift = grid.n, grid.n // 2
     scaled_phase = (_SQRT_2PI / grid.dt) * np.exp(1j * u_hat.freqs * grid.t0)
-    vals = np.empty(u_hat.values.shape, dtype=complex)
-    np.multiply(scaled_phase[shift:, None], u_hat.values[shift:], out=vals[: n - shift])
-    np.multiply(scaled_phase[:shift, None], u_hat.values[:shift], out=vals[n - shift :])
-    np.fft.ifft(vals, axis=0, out=vals)
-    np.multiply(np.exp(grid.rho * grid.times)[:, None], vals, out=vals)
+    vals = np.empty((n, u_hat.values.shape[1]), dtype=complex)
+    if u_hat.half:
+        out = vals.real
+        vals.imag = 0.0
+        np.fft.irfft(np.multiply(scaled_phase[:, None], u_hat.values), n, axis=0, out=out)
+    else:
+        out = vals
+        np.multiply(scaled_phase[shift:, None], u_hat.values[shift:], out=vals[: n - shift])
+        np.multiply(scaled_phase[:shift, None], u_hat.values[:shift], out=vals[n - shift :])
+        np.fft.ifft(vals, axis=0, out=vals)
+    np.multiply(np.exp(grid.rho * grid.times)[:, None], out, out=out)
     return WeightedSignal(grid, vals)
 
 

@@ -57,3 +57,24 @@ class TestHolomorphy:
         sup = fn.check_holomorphic(1.0)
         assert np.isfinite(sup) and sup > 0
 
+
+
+class TestIsReal:
+    """is_real: R(conj z) = conj R(z), the symbol of a kernel that is real in time."""
+
+    @pytest.mark.parametrize(
+        "fn,real",
+        [
+            (scalar_rational(const=0.3, lin=0.5, poles=[-1.0, -2.5], residues=[0.2, -0.3]), True),
+            (scalar_rational(poles=[-1 + 2j, -2.0, -1 - 2j], residues=[0.5 - 1j, 0.1, 0.5 + 1j]), True),
+            (scalar_rational(poles=[-1 + 2j], residues=[0.5]), False),
+            (scalar_rational(poles=[-1 + 2j, -1 - 2j], residues=[0.5 - 1j, 0.5 - 1j]), False),
+            (scalar_rational(const=0.3 + 1e-3j, poles=[-1.0], residues=[0.2]), False),
+        ],
+        ids=["real-poles", "conjugate-pair", "unpaired-pole", "pair-non-conjugate-residues", "complex-const"],
+    )
+    def test_cases(self, fn, real):
+        assert fn.is_real() == real
+        z = np.array([0.3 + 0.7j, -0.2 + 1.1j, 2.0 - 0.4j])
+        asymmetry = np.abs(fn.eval_many(z.conj()) - fn.eval_many(z).conj()).max()
+        assert asymmetry < 1e-14 if real else asymmetry > 1e-6

@@ -268,6 +268,12 @@ class TestFormatKernel:
         x = np.concatenate([x, -x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
         assert written(x) == reference(x)
 
+    def test_signed_zeros_among_others(self):
+        # the zeros take their own path: "0" and "-0" by the sign bit
+        x = np.random.default_rng(22).choice([0.0, -0.0, 0.5, -1.25e-7, 3.0, 1e-300], 10_000)
+        assert b"\n0\r\n" in written(x) and b"\n-0\r\n" in written(x)
+        assert written(x) == reference(x)
+
     def test_exact_tie_rounds_half_to_even(self):
         # 2**-25 = 2.98023223876953125e-08 exactly: 18 digits ending in 5
         assert written(np.array([2.0**-25, -(2.0**-25)])) == (

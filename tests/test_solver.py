@@ -20,6 +20,7 @@ from conftest import (
     zero_fn,
     zero_signal,
 )
+from evowaves import solver
 from evowaves.cli import RESIDUAL_PASS, measure_reflection, probe_rows
 from evowaves.config import load_scenario, parse_scenario
 from evowaves.material import MaterialLaw
@@ -39,7 +40,12 @@ from evowaves.solver import (
     solve_timestep,
 )
 from evowaves.spatial import BoundaryLaw, ReducedOperator, build_grid
-from evowaves.transform import forward_transform, frequencies_for
+from evowaves.transform import (
+    SpectralSignal,
+    forward_transform,
+    frequencies_for,
+    inverse_transform,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -288,19 +294,98 @@ class TestBoundaryFamily:
 
     def test_singular_correction_names_law_and_frequency(self, monkeypatch):
         base = self.scenario.build()
-        s = frequencies_for(base.grid)
+        s_bad = frequencies_for(base.grid)[base.grid.n // 2 + 7]  # s >= 0: on the half spectrum
         laws = [base.bl, BoundaryLaw.robin(0.5, base.sd)]
         flux = BoundaryLaw.flux_symbol
 
         def nan_at_one_frequency(bl, freqs, rho):
             out = flux(bl, freqs, rho)
             if bl is laws[1]:
-                out[7] = np.nan
+                out[freqs == s_bad] = np.nan
             return out
 
         monkeypatch.setattr(BoundaryLaw, "flux_symbol", nan_at_one_frequency)
-        with pytest.raises(SolverError, match=rf"boundary law 1: .* s = {s[7]:.9g}"):
+        with pytest.raises(SolverError, match=rf"boundary law 1: .* s = {s_bad:.9g}"):
             solve_boundary_family(base, laws, probe_rows(base.sd))
+
+
+def weighted_gap(a: np.ndarray, b: np.ndarray, grid: WeightedGrid) -> float:
+    """max |a - b| e^(-rho t) over max |b| e^(-rho t): the gap on the scale the transform sees."""
+    weight = np.exp(-grid.rho * grid.times)[:, None]
+    return float((np.abs(a - b) * weight).max() / (np.abs(b) * weight).max())
+
+
+class TestHalfSpectrum:
+    """Real problems are solved on s >= 0 only; the forced full spectrum must agree."""
+
+    @pytest.mark.parametrize(
+        "cfg,n",
+        [("scenarios/default.cfg", n) for n in (512, 511, 255)]
+        + [("bench/scenarios/memory.cfg", n) for n in (2048, 2047, 255)],
+    )
+    def test_matches_the_full_spectrum(self, cfg, n):
+        sc = load_scenario(str(ROOT / cfg))
+        sc = dataclasses.replace(sc, n=n, dt=sc.dt * sc.n / n)
+        half_prob, full_prob = sc.build(), sc.build()
+        full_prob.__dict__["real_in_time"] = False
+        assert half_prob.real_in_time
+        half, full = solve_frequency(half_prob), solve_frequency(full_prob)
+        assert not half.solution.values.imag.any()
+        assert full.solution.values.imag.any()  # the full spectrum really ran
+        assert weighted_gap(half.solution.values, full.solution.values, half_prob.grid) <= 1e-14
+        assert half.residual_rel <= 1e-13 and full.residual_rel <= 1e-13
+        assert (half.beta0_grid, half.max_condition_bound) == (full.beta0_grid, full.max_condition_bound)
+        assert "spectrum              half (real source and laws)\n" in half.to_text()
+        assert "spectrum              full\n" in full.to_text()
+
+    @pytest.mark.parametrize("n", [512, 511])
+    def test_weighted_norm_is_the_parseval_norm(self, n):
+        prob = make_problem(n=n)
+        _, _, weight = solver._solved_rows(prob.grid, True)
+        half = solver._parseval_norm(forward_transform(prob.f, half=True).values, weight)
+        assert half == pytest.approx(np.linalg.norm(forward_transform(prob.f).values), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1024, 1023])
+    def test_boundary_family_matches_the_full_spectrum(self, monkeypatch, n):
+        base = parse_scenario(SWEEP_CONFIG.replace("n = 1024", f"n = {n}")).build()
+        assert base.grid.n == n
+        laws = [BoundaryLaw.robin(k, base.sd) for k in (0.0, 2.0)]
+        laws.append(flux_boundary(base.sd, 0.5, poles_w=[-1.0], residues_w=[0.3]))
+        rows = probe_rows(base.sd)
+        half = solve_boundary_family(base, laws, rows)
+        monkeypatch.setattr(EvoProblem, "real_in_time", False)
+        full = solve_boundary_family(base, laws, rows)
+        for (h, h_bound), (f, f_bound) in zip(half, full):
+            assert not h.values.imag.any()
+            assert weighted_gap(h.values, f.values, base.grid) <= 1e-14
+            assert h_bound <= RESIDUAL_PASS and f_bound <= RESIDUAL_PASS
+
+    def test_boundary_family_with_a_complex_law_runs_on_the_full_spectrum(self):
+        base = parse_scenario(SWEEP_CONFIG).build()
+        complex_law = flux_boundary(base.sd, 0.5, poles_w=[-1.0 + 0.5j], residues_w=[0.3])
+        rows = probe_rows(base.sd)
+        (real_probe, _), (complex_probe, bound) = solve_boundary_family(
+            base, [base.bl, complex_law], rows
+        )
+        full = solve_frequency(dataclasses.replace(base, bl=complex_law)).solution
+        assert real_probe.values.imag.any() and complex_probe.values.imag.any()
+        assert rel_gap(complex_probe, full.with_values(full.values[:, rows])) <= 1e-10
+        assert bound <= RESIDUAL_PASS
+
+    @pytest.mark.parametrize("case", ["near_pole", "complex_source"])
+    def test_complex_problems_keep_the_full_spectrum(self, case):
+        if case == "near_pole":
+            prob = load_scenario(str(ROOT / "bench/scenarios/near_pole.cfg")).build()
+        else:
+            real = load_scenario(str(ROOT / "scenarios/default.cfg")).build()
+            prob = dataclasses.replace(real, f=real.f.with_values(real.f.values * (1.0 - 0.5j)))
+        assert not prob.real_in_time
+        # the full-spectrum solve, step by step: the solver's U must be bit for bit this one
+        u_hat, _ = prob.operator(frequencies_for(prob.grid)).solve(forward_transform(prob.f).values)
+        ref = inverse_transform(SpectralSignal(prob.grid, u_hat)).values
+        rep = solve_frequency(prob)
+        assert np.array_equal(rep.solution.values.view(np.int64), ref.view(np.int64))
+        assert "spectrum              full\n" in rep.to_text()
 
 
 def images_oracle_error(n_cells: int, n: int) -> float:
@@ -521,6 +606,7 @@ class TestReport:
         for key in ("rho", "beta0", "energy_ratio", "causality_margin", "residual_rel"):
             assert key in text
         assert "residual_norm         spectral (rectangle rule)\n" in text
+        assert "spectrum              half (real source and laws)\n" in text
 
     def test_beta0_grid_is_the_smallest_hermitian_eigenvalue(self):
         prob = make_problem(n_cells=6, n=128)

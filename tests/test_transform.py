@@ -10,6 +10,7 @@ from evowaves.transform import (
     assert_padded,
     forward_transform,
     frequencies_for,
+    half_rows,
     inverse_transform,
 )
 
@@ -132,6 +133,33 @@ class TestForwardInverse:
         s = forward_transform(interior_signal(grid, seed=8)).freqs
         assert s.shape == (n,)
         np.testing.assert_allclose(np.diff(s), 2.0 * np.pi / (n * grid.dt), rtol=1e-12)
+
+
+class TestHalfSpectrum:
+    """A real signal's spectrum on s >= 0 (plus Nyquist), by the real FFT."""
+
+    def test_half_rows(self):
+        assert half_rows(WeightedGrid(0.0, 0.1, 8, 1.0)).tolist() == [4, 5, 6, 7, 0]
+        assert half_rows(WeightedGrid(0.0, 0.1, 7, 1.0)).tolist() == [3, 4, 5, 6]
+
+    @pytest.mark.parametrize("n", [64, 63, 2])
+    def test_rows_of_the_full_spectrum(self, n):
+        grid = WeightedGrid(-1.3, 0.07, n, 0.9)
+        u = WeightedSignal(grid, np.random.default_rng(n).standard_normal((n, 3)))
+        full, half = forward_transform(u), forward_transform(u, half=True)
+        assert half.half and half.values.shape == (n // 2 + 1, 3)
+        np.testing.assert_array_equal(half.freqs, full.freqs[half_rows(grid)])
+        scale = np.abs(full.values).max()
+        assert np.abs(half.values - full.values[half_rows(grid)]).max() <= 1e-14 * scale
+
+        back = inverse_transform(half).values
+        assert not back.imag.any()
+        assert np.abs(back - u.values).max() <= 1e-13 * np.abs(u.values).max()
+        assert np.abs(back - inverse_transform(full).values).max() <= 1e-13 * np.abs(u.values).max()
+
+    def test_shape_checked(self, grid):
+        with pytest.raises(ValueError, match=r"n // 2 \+ 1, d\) with n=1024"):
+            SpectralSignal(grid, np.zeros((grid.n, 1)), half=True)
 
 
 class TestDerivative:
