@@ -189,21 +189,25 @@ def translate(u: WeightedSignal, h: float) -> WeightedSignal:
 # field ever needs quoting.
 #
 # CPython's "%.17g" costs about 0.7 us a number, so a numpy kernel formats
-# a chunk of rows at a time.  It writes every x with 1e-99 <= |x| < 1,
-# which "%.17g" prints in fixed notation from 1e-4 up and in exponent form
-# with a two-digit exponent below (all but the zeros of the reflection
-# solution), and writes the zeros, "0" or "-0" by the sign bit, from a
-# table: the imaginary columns of a real solution are all zeros.  For a
-# nonzero x in decade E, the product y = |x| * 10**(16 - E), taken with a
-# double-double power of ten and Dekker's exact product, is within 1e-14
-# of the exact one.  If its nearest integer D has 17 digits
+# a chunk of rows at a time, each number into a slot ended by a separator
+# word.  When every im_j holds +0.0 bits (a real signal, such as every
+# solution on the half spectrum), only t and the re_j are formatted, and
+# each im_j is the "0" of the word after its re_j: ",0," or ",0" and CRLF.
+# Any other signal, one -0.0 in an im_j included, has every column
+# formatted.  The kernel writes every x with 1e-99 <= |x| < 1, which
+# "%.17g" prints in fixed notation from 1e-4 up and in exponent form with
+# a two-digit exponent below (all of the reflection solution but its
+# zeros), and writes zeros, "0" or "-0" by the sign bit, from a table.
+# For a nonzero x in decade E, the product y = |x| * 10**(16 - E), taken
+# with a double-double power of ten and Dekker's exact product, is within
+# 1e-14 of the exact one.  If its nearest integer D has 17 digits
 # and y lies more than _TIE_MARGIN from a tie, D is the correctly rounded
 # mantissa and E the printed exponent.  Every other number goes through
 # "%.17g" itself: |x| >= 1, near-ties, three-digit exponents, subnormals
 # and the rare mantissa ending in four zeros.  The bytes are
 # therefore those of "%.17g" by construction.
 
-# Fewest doubles a forked writer is given.  Below it the fork, the child's
+# Fewest numbers a forked writer formats.  Below it the fork, the child's
 # copy-on-write faults and the part file cost more than the formatting the
 # child takes off the parent, so small signals are written in one process.
 # Measured with the kernel on 2 CPUs (medians of 15 writes): two processes
@@ -213,9 +217,10 @@ def translate(u: WeightedSignal, h: float) -> WeightedSignal:
 MIN_DOUBLES_PER_WORKER = 2**18
 
 # Numbers per kernel call, in whole rows, so that its arrays stay in a
-# core's L2 cache (2 MiB here).  One process formats the reflection
-# solution in a median 0.54 s at 4 rows (8188 numbers) a call, 0.84 s at 8
-# and 0.90 s at 16.
+# core's L2 cache (2 MiB here).  One process formatted the complex
+# reflection solution in a median 0.54 s at 4 rows (8188 numbers) a call,
+# 0.84 s at 8 and 0.90 s at 16.  A real row is 1 + dim numbers, not
+# 1 + 2*dim, so a call takes about twice as many real rows.
 _CHUNK_NUMBERS = 2**13
 _TIE_MARGIN = 1e-9
 _E_HI, _E_LO = -1, -99  # the decades the kernel writes
@@ -319,6 +324,7 @@ _LAST_DIGITS[::10] = _words([f"{i:04d}".rstrip("0").rjust(4) for i in range(0, 1
 _EXPONENT = _words([f"e-{e:02d}" for e in range(100)])
 _ZERO = _words([f"{z:24.17g}" for z in (0.0, -0.0)]).reshape(2, 6)  # by negative
 _COMMA, _CRLF = _words([",   ", "\r\n  "])
+_ZERO_COMMA, _ZERO_CRLF = _words([",0, ", ",0\r\n"])  # after re_j of a real signal
 
 
 def _format_slots(x: np.ndarray, slots: np.ndarray) -> None:
@@ -366,18 +372,20 @@ def _format_slots(x: np.ndarray, slots: np.ndarray) -> None:
         slots[rest, :6] = np.frombuffer(text, "<u4").reshape(rest.size, 6)
 
 
-def _write_rows(fh, times: np.ndarray, floats: np.ndarray, lo: int, hi: int) -> None:
-    cols = 1 + floats.shape[1]
-    rows = max(1, _CHUNK_NUMBERS // cols)
+def _write_rows(
+    fh, times: np.ndarray, cols: np.ndarray, seps: np.ndarray, lo: int, hi: int
+) -> None:
+    """Write rows lo..hi-1: t and the cols, each number followed by its word of seps."""
+    width = 1 + cols.shape[1]
+    rows = max(1, _CHUNK_NUMBERS // width)
     for start in range(lo, hi, rows):
         stop = min(start + rows, hi)
-        x = np.empty((stop - start, cols))
+        x = np.empty((stop - start, width))
         x[:, 0] = times[start:stop]
-        x[:, 1:] = floats[start:stop]
-        slots = np.empty((stop - start, cols, _SLOT_WORDS), "<u4")
+        x[:, 1:] = cols[start:stop]
+        slots = np.empty((stop - start, width, _SLOT_WORDS), "<u4")
         _format_slots(x.ravel(), slots.reshape(-1, _SLOT_WORDS))
-        slots[:, :-1, 6] = _COMMA
-        slots[:, -1, 6] = _CRLF
+        slots[:, :, 6] = seps
         text = slots.view(np.uint8)
         fh.write(text[text != _SPACE].tobytes())
 
@@ -388,10 +396,12 @@ def _sibling(path: str, suffix: str) -> str:
     return os.path.join(directory, f".{name}.{os.urandom(6).hex()}{suffix}")
 
 
-def _write_part(part: str, times: np.ndarray, floats: np.ndarray, lo: int, hi: int) -> None:
+def _write_part(
+    part: str, times: np.ndarray, cols: np.ndarray, seps: np.ndarray, lo: int, hi: int
+) -> None:
     """Body of a forked writer: format rows lo..hi-1 into part."""
     with open(part, "xb") as fh:
-        _write_rows(fh, times, floats, lo, hi)
+        _write_rows(fh, times, cols, seps, lo, hi)
 
 
 def write_signal_csv(u: WeightedSignal, path: str) -> None:
@@ -399,13 +409,15 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
 
     Every number is written as "%.17g": the vectorized kernel above
     formats those with 1e-99 <= |x| < 1 and "%.17g" itself the rest, with
-    the same bytes either way.  Formatting is still most of the cost of a
+    the same bytes either way.  When every im_j is +0.0 (a real signal),
+    only t and the re_j are formatted and each im_j is written as the "0"
+    of a fixed separator.  Formatting is still most of the cost of a
     large file, so the rows are split into contiguous blocks, at most one
-    per usable CPU and per MIN_DOUBLES_PER_WORKER numbers.  The parent
-    formats block 0 into a temporary file next to path; each other block
-    is formatted by a child forked through _Forked into its own part file,
-    which the parent appends in order.  The bytes do not depend on the
-    number of blocks.  path is replaced only once every block is complete;
+    per usable CPU and per MIN_DOUBLES_PER_WORKER numbers formatted.  The
+    parent formats block 0 into a temporary file next to path; each other
+    block is formatted by a child forked through _Forked into its own part
+    file, which the parent appends in order.  The bytes do not depend on
+    the number of blocks.  path is replaced only once every block is complete;
     on any failure the temporary and part files are removed and the
     OSError raised names path and the block.
     """
@@ -414,9 +426,15 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
         header += [f"re_{j}", f"im_{j}"]
     # (n, 2*dim) float view: re_0, im_0, re_1, ... in column order
     floats = u.values.view(np.float64)
+    # every im_j +0.0 bits: each is the "0" of the word after its re_j
+    if u.dim and not floats[:, 1::2].view(np.uint64).any():
+        cols, seps = floats[:, 0::2], [_COMMA] + [_ZERO_COMMA] * (u.dim - 1) + [_ZERO_CRLF]
+    else:
+        cols, seps = floats, [_COMMA] * (2 * u.dim) + [_CRLF]
+    seps = np.array(seps)
     times = u.grid.times
     n = u.grid.n
-    n_blocks = _worker_count(min(n * (1 + 2 * u.dim) // MIN_DOUBLES_PER_WORKER, n))
+    n_blocks = _worker_count(min(n * (1 + cols.shape[1]) // MIN_DOUBLES_PER_WORKER, n))
     bounds = [n * b // n_blocks for b in range(n_blocks + 1)]
     tmp = _sibling(path, ".tmp")
     part_files = [_sibling(path, f".part{b}") for b in range(1, n_blocks)]
@@ -430,12 +448,14 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
             for b, part in enumerate(part_files, 1):
                 where = blocks[b]
                 writers.fork(
-                    functools.partial(_write_part, part, times, floats, bounds[b], bounds[b + 1])
+                    functools.partial(
+                        _write_part, part, times, cols, seps, bounds[b], bounds[b + 1]
+                    )
                 )
             where = blocks[0]
             with open(tmp, "xb") as fh:
                 fh.write((",".join(header) + "\r\n").encode())
-                _write_rows(fh, times, floats, 0, bounds[1])
+                _write_rows(fh, times, cols, seps, 0, bounds[1])
                 for b, part in enumerate(part_files, 1):
                     where = blocks[b]
                     code = writers.join()

@@ -213,7 +213,7 @@ class TestCsv:
 def written(x):
     """The writer's bytes for the doubles x, one per row."""
     fh = io.BytesIO()
-    signals._write_rows(fh, x, np.empty((x.size, 0)), 0, x.size)
+    signals._write_rows(fh, x, np.empty((x.size, 0)), np.array([signals._CRLF]), 0, x.size)
     return fh.getvalue()
 
 
@@ -307,6 +307,23 @@ def edge_signal(n, dim=2):
     return WeightedSignal(WeightedGrid(-0.3, 0.1, n, 1.0), reals.view(complex).reshape(n, dim))
 
 
+def real_signal(n, dim):
+    """edge_signal's doubles in the re_j columns, and every im_j +0.0."""
+    vals = np.zeros((n, dim), complex)
+    vals.real = np.resize(EDGE_DOUBLES + EVERY_FORM, n * dim).reshape(n, dim)  # keeps -0.0
+    return WeightedSignal(WeightedGrid(-0.3, 0.1, n, 1.0), vals)
+
+
+def reference_csv(u):
+    """The CSV of u built one number at a time with b"%.17g"."""
+    header = ["t"] + [f"{p}_{j}" for j in range(u.dim) for p in ("re", "im")]
+    rows = [
+        b",".join(b"%.17g" % v for v in [t, *r]) + b"\r\n"
+        for t, r in zip(u.grid.times.tolist(), u.values.view(np.float64).tolist())
+    ]
+    return (",".join(header) + "\r\n").encode() + b"".join(rows)
+
+
 class TestCsvBlocks:
     """write_signal_csv split across forked writers gives the one-process bytes."""
 
@@ -351,6 +368,36 @@ class TestCsvBlocks:
         rows = [b",".join(b"%.17g" % v for v in [t, *r]) + b"\r\n" for t, r in zip([0.0, 0.1], reals)]
         assert path.read_bytes().split(b"\r\n", 1)[1] == b"".join(rows)
 
+    # dim 0 has no im_j column and takes the general path
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    @pytest.mark.parametrize("n", [2, 7, 10])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_real_signal_exact_bytes(self, tmp_path, split, dim, n, cpus):
+        u = real_signal(n, dim)
+        split(cpus)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(u, str(path))
+        assert path.read_bytes() == reference_csv(u)
+        if dim:
+            rows = path.read_bytes().split(b"\r\n")
+            assert rows[-1] == b"" and all(row.endswith(b",0") for row in rows[1:-1])
+        back = read_signal_csv(str(path), u.grid)
+        assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+
+    # one bit pattern other than +0.0 in an im_j sends the signal down the general path
+    @pytest.mark.parametrize("im", [-0.0, 5e-324])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_nonzero_bits_in_last_block(self, tmp_path, split, im, cpus):
+        vals = real_signal(10, 3).values.copy()
+        vals[-1, 1] = complex(vals[-1, 1].real, im)
+        u = WeightedSignal(WeightedGrid(-0.3, 0.1, 10, 1.0), vals)
+        split(cpus)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(u, str(path))
+        assert path.read_bytes() == reference_csv(u)
+        back = read_signal_csv(str(path), u.grid)
+        assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+
     def test_replaces_existing_file(self, tmp_path, split):
         path = tmp_path / "sig.csv"
         path.write_bytes(b"old contents that are longer than the new file" * 100)
@@ -365,10 +412,10 @@ class TestCsvBlocks:
         lo_failing = [0, 3, 6][failing]
         write_rows = signals._write_rows
 
-        def flaky(fh, times, floats, lo, hi):
+        def flaky(fh, times, cols, seps, lo, hi):
             if lo == lo_failing:
                 raise OSError("no space left")
-            write_rows(fh, times, floats, lo, hi)
+            write_rows(fh, times, cols, seps, lo, hi)
 
         monkeypatch.setattr(signals, "_write_rows", flaky)
         split(3)
