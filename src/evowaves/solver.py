@@ -22,15 +22,19 @@ boundary faces.  Two solvers are provided and cross-checked:
 * solve_timestep: causal implicit Euler marching.  Each step solves with
   the frequency operator at w = 1/delta plus an explicit memory history:
   every memory kernel (material and boundary) is realized as poles in w,
-  one state each, so no history is stored.  First order in the step,
-  strictly causal by construction.
+  one state each, so no history is stored.  The solution and every pole
+  state live in one array, so a step is one weighted sum, one solve and
+  one state update, in float64 when the problem is real in time and
+  every realized pole is real, in complex otherwise.  First order in the
+  step, strictly causal by construction.
 
 Both end in the same report code: a SolveReport carrying the residual,
 the energy ratio against the solvability margin, a causality margin, the
 source padding flag, the condition bound, the exact discrete coercivity
 constant beta0_grid and the same warnings.  The stepper's residual is the
 time-domain one (trapezoid norm), the only form that measures its
-first-order defect.
+first-order defect; residual_norm applies the operator for it on the
+half spectrum when the problem and the solution are real.
 
 Every matrix is the interleaved tridiagonal of spatial.ReducedOperator,
 and the frequency paths run on numpy alone.  scipy.linalg is imported
@@ -105,8 +109,8 @@ class EvoProblem:
     p and v is not liftable onto a staggered grid, where the two live at
     different points.)  The source f is a stacked reduced signal
     [p-cells, interior faces].  The constants (gamma0, mu0, beta0) are
-    computed once, at construction; the operator at the grid frequencies
-    and real_in_time once each, on first use.
+    computed once, at construction; the operator at the grid frequencies,
+    real_in_time and the source norm f_norm once each, on first use.
     """
 
     grid: WeightedGrid
@@ -164,6 +168,11 @@ class EvoProblem:
         return real_data and self.law.m1.is_real() and self.bl.g.is_real()
 
     @functools.cached_property
+    def f_norm(self) -> float:
+        """rho_norm(f), the source's weighted (trapezoid) norm, computed once."""
+        return rho_norm(self.f)
+
+    @functools.cached_property
     def grid_operator(self) -> ReducedOperator:
         """operator(s) at the grid frequencies s = frequencies_for(grid), built once."""
         return self.operator(frequencies_for(self.grid))
@@ -192,11 +201,11 @@ def _apply_spectral(op: ReducedOperator, u_hat: SpectralSignal) -> WeightedSigna
     return inverse_transform(SpectralSignal(u_hat.grid, op.matvec(u_hat.values)))
 
 
-def _on_problem_grid(prob: EvoProblem, u: WeightedSignal) -> SpectralSignal:
-    """The spectrum of u, which must live on the problem's grid."""
+def _on_problem_grid(prob: EvoProblem, u: WeightedSignal, half: bool = False) -> SpectralSignal:
+    """The spectrum of u, which must live on the problem's grid; with half, its half spectrum."""
     if u.grid != prob.grid:
         raise ValueError(f"signal grid {u.grid} is not the problem's grid {prob.grid}")
-    return forward_transform(u)
+    return forward_transform(u, half)
 
 
 def apply_evo_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
@@ -210,16 +219,25 @@ def apply_evo_adjoint_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedS
 
 
 def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
-    """Relative residual of the operator equation; absolute if f = 0.
+    """Relative residual of the operator equation, in the trapezoid norm; absolute if f = 0.
 
-    Returns (value, is_relative).
+    The operator is applied as apply_evo_operator does, but on the half
+    spectrum, as solve_frequency solves, when the problem is real_in_time
+    and u has no imaginary part.  Each spectrum is freed as soon as it
+    is used.  Returns (value, is_relative).
     """
-    r = apply_evo_operator(prob, u)
-    diff = r.with_values(r.values - prob.f.values)
-    f_norm = rho_norm(prob.f)
-    if f_norm == 0.0:
-        return rho_norm(diff), False
-    return rho_norm(diff) / f_norm, True
+    grid = prob.grid
+    half = prob.real_in_time and not u.values.imag.any()
+    op = prob.grid_operator.take(half_rows(grid)) if half else prob.grid_operator
+    u_hat = _on_problem_grid(prob, u, half)
+    r_hat = SpectralSignal(grid, op.matvec(u_hat.values), half)
+    del u_hat
+    r = inverse_transform(r_hat).values
+    del r_hat
+    norm = _parseval_norm(r - prob.f.values, grid.weights())  # with trapezoid weights
+    if prob.f_norm == 0.0:
+        return norm, False
+    return norm / prob.f_norm, True
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +411,7 @@ def _report(
     bound, margin = op.condition_bound(), op.margin()
     peak, lowest = int(np.argmax(bound)), int(np.argmin(margin))
     gamma, mu, beta0 = prob.margin_constants()
-    f_norm = rho_norm(prob.f)
-    energy_ratio = rho_norm(u) / f_norm if f_norm > 0 else 0.0
+    energy_ratio = rho_norm(u) / prob.f_norm if prob.f_norm > 0 else 0.0
     cuts = grid.t0 + grid.window_length * (np.arange(1, N_CUTS + 1) / (N_CUTS + 1.0))
     try:
         assert_padded(prob.f)
@@ -559,27 +576,6 @@ def solve_boundary_family(
 # causal time stepper
 
 
-class _ImplicitMemory:
-    """Implicit-Euler states of the modes res / (w - p), one column per unknown.
-
-    residues is (modes, unknowns): each unknown has its own residue per
-    mode.  The step's instantaneous response is part of the step matrix;
-    history() is what the states carried over from earlier steps add.
-    """
-
-    def __init__(self, poles: np.ndarray, residues: np.ndarray, delta: float):
-        self.gain = 1.0 / (1.0 - delta * poles)
-        self.weight = residues * self.gain[:, None]
-        self.delta = delta
-        self.x = np.zeros(residues.shape, dtype=complex)
-
-    def history(self) -> np.ndarray:
-        return np.sum(self.weight * self.x, axis=0)
-
-    def advance(self, u_new: np.ndarray) -> None:
-        self.x = self.gain[:, None] * (self.x + self.delta * u_new)
-
-
 def solve_timestep(prob: EvoProblem) -> SolveReport:
     """Causal implicit-Euler march of the same equation, one step per grid sample.
 
@@ -590,9 +586,21 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
     unknowns are pressures, odd ones velocities, and the boundary cells
     are the first and last.  The memory kernels (material and boundary),
     realized as poles in w, add an explicit history term to each step's
-    right-hand side.  Step k uses data up to t_k only, so the scheme is
-    strictly causal: zero source prefix gives an exactly zero solution
-    prefix.
+    right-hand side.
+
+    The march carries one state array z of shape (1 + modes, dim): row 0
+    is the last step's x, every other row the implicit-Euler state of one
+    pole, over delta, for every unknown.  Material poles act on every
+    unknown; a boundary-flux pole only on the two end cells, where it
+    enters as (n . alpha) / dx times the flux response, so its row of coef
+    is zero elsewhere.  Each step's right-hand side is sum_r coef[r] z[r]
+    plus f[k], solved in place, so a step allocates nothing unless a real
+    step matrix meets a complex march.  When the problem is
+    real_in_time and every realized pole, gain and coefficient is real,
+    the march runs in float64 with a real LU; otherwise in complex.  Step
+    k uses data up to t_k only, so the scheme is strictly causal: a zero
+    source prefix gives an exactly zero solution prefix, in either
+    arithmetic.
     """
     t_start = time.perf_counter()
     grid, sd = prob.grid, prob.sd
@@ -604,29 +612,34 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
         )
 
     step = prob._operator_at(np.zeros(1), 1.0 / delta)
-    solve = step.factor(0)
-    rows = step.stacked_rows()
-    block = np.arange(step.dim) % 2  # material block of each unknown: 0 pressure, 1 velocity
+    nc, dim = sd.n_cells, step.dim
+    block = np.arange(dim) % 2  # material block of each unknown: 0 pressure, 1 velocity
     mem = realize(prob.law.m1, grid.rho)
-    memory = _ImplicitMemory(mem.poles, mem.residues[:, block, block], delta)
-    # the flux state of each end is driven by its boundary cell's pressure and
-    # enters that cell's row as (n . alpha) / dx times the flux response
-    ends = [0, step.dim - 1]
-    flux_real = realize_flux(prob.bl, grid.rho)
-    end_gain = np.asarray(prob.bl.normal_alpha) / sd.dx
-    flux = _ImplicitMemory(flux_real.poles, flux_real.residues[:, 0] * end_gain, delta)
-
-    m0 = np.diag(prob.law.m0)[block] / delta
+    flux = realize_flux(prob.bl, grid.rho)
+    poles = np.concatenate([mem.poles, flux.poles])
+    residues = np.zeros((poles.size, dim), dtype=complex)
+    residues[: mem.n_poles] = mem.residues[:, block, block]
+    residues[mem.n_poles :, [0, -1]] = flux.residues[:, 0] * prob.bl.normal_alpha / sd.dx
+    gain = 1.0 / (1.0 - delta * poles[:, None])
+    coef = np.concatenate([np.diag(prob.law.m0)[None, block] / delta, -delta * gain * residues])
     f = prob.f.values
+    if prob.real_in_time and not any(a.imag.any() for a in (poles, gain, coef)):
+        coef, gain, f = coef.real.copy(), gain.real, f.real
+
+    solve = step.factor(0)
+    z = np.zeros(coef.shape, dtype=coef.dtype)
+    states, rhs = z[1:], np.empty(dim, dtype=coef.dtype)
     out = np.zeros((grid.n, sd.n_reduced), dtype=complex)
-    x = np.zeros(step.dim, dtype=complex)
     for k in range(1, grid.n):
-        rhs = f[k, rows] + m0 * x - memory.history()
-        rhs[ends] -= flux.history()
+        np.einsum("rj,rj->j", coef, z, out=rhs)
+        rhs[0::2] += f[k, :nc]
+        rhs[1::2] += f[k, nc:]
         x = solve(rhs)
-        out[k, rows] = x
-        memory.advance(x)
-        flux.advance(x[ends])
+        out[k, :nc] = x[0::2]
+        out[k, nc:] = x[1::2]
+        z[0] = x
+        states += x
+        states *= gain
 
     u = WeightedSignal(grid, out)
     nan = np.full(1, np.nan)  # the step matrix has no frequency

@@ -305,20 +305,34 @@ class ReducedOperator:
     def factor(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
         """LU with partial pivoting (LAPACK gttrf) of the interleaved matrix at frequency index k.
 
-        Returns the solve (gttrs) for interleaved (dim,) or (dim, n_rhs)
-        right-hand sides.  Raises LinAlgError when U has an exact zero
-        pivot.  scipy.linalg is imported here, on the first call.
+        The LU is real (dgttrf) when the diagonal has no imaginary part,
+        complex (zgttrf) otherwise.  Returns the solve (gttrs) for
+        interleaved (dim,) or (dim, n_rhs) right-hand sides b, in place
+        when b is contiguous and of the LU's type; a real LU solves a
+        complex b as its real and imaginary parts.  Raises LinAlgError
+        when U has an exact zero pivot.  scipy.linalg is imported here, on
+        the first call.
         """
         from scipy.linalg import lapack
 
-        lower = np.full(self.dim - 1, -self.off, dtype=complex)
-        upper = np.full(self.dim - 1, self.off, dtype=complex)
-        *lu, info = lapack.zgttrf(lower, self._diagonal([k])[:, 0], upper)
+        d = self._diagonal([k])[:, 0]
+        real = not d.imag.any()
+        gttrf, gttrs = (lapack.dgttrf, lapack.dgttrs) if real else (lapack.zgttrf, lapack.zgttrs)
+        d = d.real if real else d
+        lower = np.full(self.dim - 1, -self.off, dtype=d.dtype)
+        upper = np.full(self.dim - 1, self.off, dtype=d.dtype)
+        *lu, info = gttrf(lower, d, upper)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"exactly singular: zero pivot in row {info - 1} at frequency index {k}"
             )
-        return lambda b: lapack.zgttrs(*lu, b)[0]
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            if real and np.iscomplexobj(b):
+                return gttrs(*lu, b.real)[0] + 1j * gttrs(*lu, b.imag)[0]
+            return gttrs(*lu, b, overwrite_b=True)[0]
+
+        return solve
 
     def _diagonal_values(self) -> tuple[np.ndarray, ...]:
         """The four values the diagonal d takes at each frequency: p, v and the two corner cells."""

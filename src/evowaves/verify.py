@@ -231,7 +231,7 @@ def check_positivity_shift_invariance(prob: EvoProblem, seed: int = 1) -> CheckR
 def check_causal_estimate(prob: EvoProblem, seed: int = 2) -> CheckResult:
     """beta0 ||chi U|| <= ||chi f|| at random cut times, relative to ||f||."""
     rng = np.random.default_rng(seed)
-    if rho_norm(prob.f) == 0.0:
+    if prob.f_norm == 0.0:
         return CheckResult("causal_estimate", 0.0, 1e-12, "f = 0: trivially causal")
     grid = prob.grid
     cuts = grid.t0 + grid.window_length * rng.uniform(0.05, 0.95, size=CAUSAL_CUTS)

@@ -470,6 +470,86 @@ def manufactured_error(n_cells: int, n: int = 512) -> float:
     return rel_gap(rep.solution, exact)
 
 
+def reference_march(prob: EvoProblem) -> np.ndarray:
+    """The implicit-Euler march of solve_timestep, one kernel state array and one loop per mode.
+
+    Stacked order, complex arithmetic throughout, and a dense inverse of
+    the step matrix: it shares the step matrix and the realizations with
+    solve_timestep, nothing else.
+    """
+    grid, sd = prob.grid, prob.sd
+    delta, nc, dim = grid.dt, sd.n_cells, sd.n_reduced
+    step_inverse = np.linalg.inv(prob._operator_at(np.zeros(1), 1.0 / delta).dense(0))
+    block = (np.arange(dim) >= nc).astype(int)  # 0 pressure, 1 velocity
+    mem = realize(prob.law.m1, grid.rho)
+    flux = realize_flux(prob.bl, grid.rho)
+    ends = [0, nc - 1]
+    end_gain = np.asarray(prob.bl.normal_alpha) / sd.dx
+    m0 = np.diag(prob.law.m0)[block] / delta
+    mem_states = np.zeros((mem.n_poles, dim), dtype=complex)
+    flux_states = np.zeros((flux.n_poles, 2), dtype=complex)
+    out = np.zeros((grid.n, dim), dtype=complex)
+    x = np.zeros(dim, dtype=complex)
+    for k in range(1, grid.n):
+        rhs = prob.f.values[k] + m0 * x
+        for state, p, r in zip(mem_states, mem.poles, mem.residues):
+            rhs -= r[block, block] / (1.0 - delta * p) * state
+        for state, p, r in zip(flux_states, flux.poles, flux.residues):
+            rhs[ends] -= r[0, 0] * end_gain / (1.0 - delta * p) * state
+        x = step_inverse @ rhs
+        out[k] = x
+        for m, p in enumerate(mem.poles):
+            mem_states[m] = (mem_states[m] + delta * x) / (1.0 - delta * p)
+        for m, p in enumerate(flux.poles):
+            flux_states[m] = (flux_states[m] + delta * x[ends]) / (1.0 - delta * p)
+    return out
+
+
+def memory_scenario(n: int = 512) -> EvoProblem:
+    """bench/scenarios/memory.cfg at n samples over the same window."""
+    sc = load_scenario(str(ROOT / "bench/scenarios/memory.cfg"))
+    return dataclasses.replace(sc, n=n, dt=sc.dt * sc.n / n).build()
+
+
+def conjugate_pair_problem() -> EvoProblem:
+    """A real_in_time problem: material poles -2 +- 1j with conjugate residues, two flux poles."""
+    res = np.diag([0.2 + 0.1j, 0.1 - 0.05j])
+    m1 = RationalMatrixFunction(
+        const=np.diag([0.1, 0.05]).astype(complex),
+        lin=np.zeros((2, 2)),
+        poles=[-2.0 + 1.0j, -2.0 - 1.0j],
+        residues=[res, res.conj()],
+    )
+    law = MaterialLaw(np.diag([1.5, 1.0]).astype(complex), m1, r=1.0)
+    bl = flux_boundary(build_grid(1.0, 32), 0.5, poles_w=[-1.2, -0.7], residues_w=[0.8, 0.3])
+    return make_problem(law=law, bl=bl)
+
+
+class TestFusedMarch:
+    """solve_timestep's single state array against the per-mode reference march."""
+
+    @pytest.mark.parametrize("case", ["memory", "conjugate_pair", "near_pole"])
+    def test_matches_the_reference_march(self, case):
+        if case == "memory":  # real poles: the real march
+            prob = memory_scenario()
+        elif case == "conjugate_pair":  # real in time, complex modes: the complex march
+            prob = conjugate_pair_problem()
+        else:  # a complex law
+            prob = load_scenario(str(ROOT / "bench/scenarios/near_pole.cfg")).build()
+        assert prob.real_in_time == (case != "near_pole")
+        got = solve_timestep(prob).solution
+        assert rel_gap(got, got.with_values(reference_march(prob))) <= 1e-13
+
+    def test_real_march_is_the_complex_march(self):
+        # on real poles the forced complex march does the same arithmetic with zero imaginary parts
+        real_prob, complex_prob = memory_scenario(), memory_scenario()
+        complex_prob.__dict__["real_in_time"] = False
+        real = solve_timestep(real_prob).solution.values
+        forced = solve_timestep(complex_prob).solution.values
+        assert not forced.imag.any()
+        assert np.array_equal(real.view(np.int64), forced.view(np.int64))
+
+
 class TestTimestep:
     def test_zero_source(self, problem):
         prob = EvoProblem(
@@ -479,16 +559,32 @@ class TestTimestep:
         rep = solve_timestep(prob)
         assert np.abs(rep.solution.values).max() == 0.0
 
-    def test_exactly_causal(self):
-        # source with an exact zero prefix: solution prefix must be zero too
-        prob = make_problem(n=512)
-        vals = prob.f.values.copy()
-        t = prob.grid.times
-        start_idx = int(np.searchsorted(t, 0.2))
+    @staticmethod
+    def zero_prefix_march(law=None, scale=1.0) -> tuple[np.ndarray, int]:
+        """The stepper's U for the source scale * f with an exact zero prefix, and its length."""
+        prob = make_problem(n=512, law=law)
+        vals = prob.f.values * scale
+        start_idx = int(np.searchsorted(prob.grid.times, 0.2))
         vals[:start_idx] = 0.0
         prob = EvoProblem(prob.grid, prob.sd, prob.law, prob.bl, WeightedSignal(prob.grid, vals))
-        rep = solve_timestep(prob)
-        assert np.abs(rep.solution.values[:start_idx]).max() <= 1e-13
+        u = solve_timestep(prob).solution.values
+        assert np.abs(u[start_idx:]).max() > 0.0
+        assert u.imag.any() != prob.real_in_time  # the real march returns a real U
+        return u, start_idx
+
+    def test_exactly_causal(self):
+        # source with an exact zero prefix: solution prefix must be exactly zero too
+        u, start_idx = self.zero_prefix_march()
+        assert np.abs(u[:start_idx]).max() == 0.0
+
+    @pytest.mark.parametrize("case", ["complex_source", "complex_pole"])
+    def test_exactly_causal_in_complex_arithmetic(self, case):
+        # the complex march, with a real LU (complex source) and a complex one
+        if case == "complex_source":
+            u, start_idx = self.zero_prefix_march(scale=1.0 - 0.5j)
+        else:
+            u, start_idx = self.zero_prefix_march(law=memory_law(pole=-0.5 + 0.3j))
+        assert np.abs(u[:start_idx]).max() == 0.0
 
     def test_step_matrix_is_operator_at_inverse_step(self):
         # implicit Euler replaces z by delta: the frequency operator at
@@ -589,6 +685,26 @@ class TestResidual:
         u = interior_signal(problem.grid, dim=problem.sd.n_reduced, seed=1)
         res, is_rel = residual_norm(prob, u)
         assert not is_rel and res > 0
+
+    @pytest.mark.parametrize("n", [512, 511])
+    def test_half_spectrum_matches_the_full_spectrum(self, n):
+        # a real stepper solution of a real problem is applied on s >= 0 alone
+        half_prob, full_prob = memory_scenario(n), memory_scenario(n)
+        full_prob.__dict__["real_in_time"] = False
+        u = solve_timestep(half_prob).solution
+        assert not u.values.imag.any()
+        half, full = residual_norm(half_prob, u)[0], residual_norm(full_prob, u)[0]
+        assert half == pytest.approx(full, rel=1e-12)
+        # an imaginary part takes the full spectrum, which the half one would drop
+        w = u.with_values(u.values + 0.1j * u.values[:, ::-1])
+        assert residual_norm(half_prob, w)[0] == residual_norm(full_prob, w)[0]
+        assert residual_norm(half_prob, w)[0] > 1.5 * half
+
+    def test_source_norm_computed_once(self, problem):
+        assert "f_norm" not in problem.__dict__
+        rep = solve_frequency(problem)
+        assert problem.__dict__["f_norm"] == rho_norm(problem.f)
+        assert rep.energy_ratio == rho_norm(rep.solution) / rho_norm(problem.f)
 
     def test_timestep_residual_first_order(self):
         res = []
