@@ -236,22 +236,17 @@ class Scenario:
         return float(self.rho)
 
     def source_signal(self, grid: WeightedGrid, sd: SpatialDiscretization) -> WeightedSignal:
-        n_red = sd.n_reduced
+        """A csv source's samples; any other kind is separable: a pulse in t, a Gaussian in x."""
         if self.source_kind == "csv":
             return read_signal_csv(self.source_path, grid)
         t = grid.times
         wt = self.amplitude * np.exp(-(((t - self.t_center) / self.t_width) ** 2))
-        gp = np.exp(-(((sd.cell_x - self.x_center) / self.x_width) ** 2))
-        gv = np.exp(-(((sd.face_x[1:-1] - self.x_center) / self.x_width) ** 2))
-        vals = np.zeros((grid.n, n_red), dtype=complex)
-        if self.source_kind == "rightward":
-            vals[:, : sd.n_cells] = wt[:, None] * gp[None, :]
-            vals[:, sd.n_cells :] = wt[:, None] * gv[None, :]
-        elif self.source_component == "p":
-            vals[:, : sd.n_cells] = wt[:, None] * gp[None, :]
-        else:
-            vals[:, sd.n_cells :] = wt[:, None] * gv[None, :]
-        return WeightedSignal(grid, vals)
+        x = np.concatenate([sd.cell_x, sd.face_x[1:-1]])
+        g = np.exp(-(((x - self.x_center) / self.x_width) ** 2))
+        if self.source_kind == "gaussian":  # zero on the other component
+            other = slice(sd.n_cells, None) if self.source_component == "p" else slice(sd.n_cells)
+            g[other] = 0.0
+        return WeightedSignal(grid, profiles=(wt, g))
 
     def build(self) -> EvoProblem:
         sd = build_grid(self.length, self.cells)

@@ -5,7 +5,8 @@ measured with the weight exp(-2*rho*t).  Large rho suppresses late times,
 which is what makes causal problems coercive; the price is that every
 signal must decay fast enough at the right end of its window for the
 weighted tail to be negligible.  A signal here is a finite uniform window
-[t0, t0 + (n-1)*dt] of that axis carrying complex d-vectors per sample.
+[t0, t0 + (n-1)*dt] of that axis carrying complex d-vectors per sample,
+held as those samples or, when separable, as a time and a space profile.
 
 Windows are the caller's responsibility: the verification suite checks
 empirically that chosen windows are adequate, nothing here enforces it.
@@ -99,34 +100,77 @@ class WeightedGrid:
         return int(m_round)
 
 
+def _finite(x: np.ndarray, dtype: type) -> np.ndarray:
+    """x as a read-only contiguous array of dtype; a non-finite entry raises ValueError."""
+    x = np.ascontiguousarray(x, dtype=dtype)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal contains non-finite samples")
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True)
 class WeightedSignal:
-    """Complex d-vector samples on a WeightedGrid.
+    """Complex d-vector samples on a WeightedGrid, held in one of two forms.
 
-    values has shape (grid.n, dim).  Instances are immutable; the sample
-    array is marked read-only at construction.
+    WeightedSignal(grid, samples) holds the samples, shape (grid.n, d).
+    A separable signal, WeightedSignal(grid, profiles=(w, g)), holds a
+    real time profile w of shape (n,) and a spatial profile g of shape
+    (d,), for the samples w_j g_d; values builds them on first access,
+    as w[:, None] * g[None, :], and keeps them.  forward_transform and the
+    per-sample helpers read the profiles alone.  Instances are immutable:
+    every array is read-only, and a non-finite entry raises ValueError.
     """
 
     grid: WeightedGrid
-    values: np.ndarray = field(repr=False)
+    samples: np.ndarray | None = field(default=None, repr=False)
+    profiles: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
+        if self.profiles is not None:
+            w, g = self.profiles
+            if np.iscomplexobj(w) or np.shape(w) != (self.grid.n,) or np.ndim(g) != 1:
+                raise ValueError(f"profiles must be a real (n,) and a (d,) array, n={self.grid.n}")
+            g = _finite(g, complex if np.iscomplexobj(g) else float)
+            object.__setattr__(self, "profiles", (_finite(w, float), g))
+            return
+        v = np.asarray(self.samples, dtype=complex)
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2 or v.shape[0] != self.grid.n:
-            raise ValueError(
-                f"values must have shape (n, d) with n={self.grid.n}, got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signal contains non-finite samples")
-        v = np.ascontiguousarray(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+            raise ValueError(f"values must have shape (n, d) with n={self.grid.n}, got {v.shape}")
+        object.__setattr__(self, "samples", _finite(v, complex))
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        if self.profiles is None:
+            return self.samples
+        w, g = self.profiles  # straight into complex: a float temporary raised peak memory
+        return _finite(np.multiply(w[:, None], g, out=np.empty((w.size, g.size), complex)), complex)
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.samples.shape[1] if self.profiles is None else self.profiles[1].size
+
+    def sample_energy(self) -> np.ndarray:
+        """sum_d |u_jd|^2 at each sample j: |w_j|^2 ||g||^2 for a separable signal."""
+        if self.profiles is not None:
+            w, g = self.profiles
+            return w * w * np.vdot(g, g).real
+        v = self.samples.view(np.float64)
+        return np.einsum("ij,ij->i", v, v)
+
+    def sample_peak(self) -> np.ndarray:
+        """max_d |u_jd| at each sample j: |w_j| max_d |g_d| for a separable signal."""
+        if self.profiles is not None:
+            w, g = self.profiles
+            return np.abs(w) * np.abs(g).max(initial=0.0)
+        return np.abs(self.samples).max(axis=1, initial=0.0)
+
+    @property
+    def is_real(self) -> bool:
+        """Whether no sample has an imaginary part; a separable signal's, whether g is real."""
+        return not (self.samples if self.profiles is None else self.profiles[1]).imag.any()
 
     def with_values(self, values: np.ndarray) -> "WeightedSignal":
         return WeightedSignal(self.grid, values)
@@ -152,7 +196,8 @@ def rho_inner(u: WeightedSignal, w: WeightedSignal) -> complex:
 
 
 def rho_norm(u: WeightedSignal) -> float:
-    return float(np.sqrt(max(rho_inner(u, u).real, 0.0)))
+    """sqrt(rho_inner(u, u)), summed from u.sample_energy() with no full-size temporary."""
+    return float(np.sqrt(u.grid.weights() @ u.sample_energy()))
 
 
 def truncate_before(u: WeightedSignal, a: float) -> WeightedSignal:

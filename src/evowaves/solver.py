@@ -164,7 +164,7 @@ class EvoProblem:
         Then T(-s) = conj T(s) at every frequency, so the frequency
         solvers need only the half spectrum s >= 0.
         """
-        real_data = not (self.f.values.imag.any() or self.law.m0.imag.any())
+        real_data = self.f.is_real and not self.law.m0.imag.any()
         return real_data and self.law.m1.is_real() and self.bl.g.is_real()
 
     @functools.cached_property
@@ -227,7 +227,7 @@ def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
     is used.  Returns (value, is_relative).
     """
     grid = prob.grid
-    half = prob.real_in_time and not u.values.imag.any()
+    half = prob.real_in_time and u.is_real
     op = prob.grid_operator.take(half_rows(grid)) if half else prob.grid_operator
     u_hat = _on_problem_grid(prob, u, half)
     r_hat = SpectralSignal(grid, op.matvec(u_hat.values), half)
@@ -382,8 +382,8 @@ def causality_margins(
     """
     wq = prob.grid.weights()
     # prefix energies lead with 0, the energy before the first sample
-    energy_u = np.cumsum(np.append(0.0, wq * np.sum(np.abs(u.values) ** 2, axis=1)))
-    energy_f = np.cumsum(np.append(0.0, wq * np.sum(np.abs(prob.f.values) ** 2, axis=1)))
+    energy_u = np.cumsum(np.append(0.0, wq * u.sample_energy()))
+    energy_f = np.cumsum(np.append(0.0, wq * prob.f.sample_energy()))
     f_norm = float(np.sqrt(energy_f[-1]))
     if f_norm == 0.0:
         return np.zeros(len(cuts))
@@ -461,6 +461,24 @@ def _parseval_norm(x: np.ndarray, weight: np.ndarray) -> float:
     return float(np.sqrt(weight @ np.einsum("ij,ij->i", v, v)))
 
 
+def _source_spectrum(prob: EvoProblem, half: bool, s: np.ndarray, weight: np.ndarray):
+    """(f_hat, its Parseval norm) on the solved rows, at frequencies s.
+
+    SolverError names the first frequency where f_hat is not finite; f_hat
+    is searched only when the norm is not finite, which such a value makes it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        f_hat = forward_transform(prob.f, half).values
+        f_norm = _parseval_norm(f_hat, weight)
+    bad = np.zeros(1, bool) if np.isfinite(f_norm) else ~np.isfinite(f_hat).all(axis=1)
+    if bad.any():
+        raise SolverError(
+            f"the source spectrum is not finite at frequency s = {s[np.argmax(bad)]:.9g}: "
+            "the source overflows its weighted transform"
+        )
+    return f_hat, f_norm
+
+
 def _solve_spectral(
     prob: EvoProblem,
 ) -> tuple[WeightedSignal, ReducedOperator, np.ndarray, np.ndarray, tuple[float, bool]]:
@@ -469,7 +487,8 @@ def _solve_spectral(
     The rows of _solved_rows are solved in one batched Thomas sweep; any
     frequency where a pivot breaks down (and its mirror) is re-solved by
     the pivoted LU of ReducedOperator.factor.  A frequency the solve
-    cannot invert raises SolverError naming it.  The residual is
+    cannot invert, or where the source spectrum is not finite, raises
+    SolverError naming it.  The residual is
     ||op U_hat - f_hat|| / ||f_hat|| (absolute if f = 0), the
     rectangle-rule (Parseval) norm of the time-domain residual.
     """
@@ -477,7 +496,7 @@ def _solve_spectral(
     s, op = frequencies_for(grid), prob.grid_operator
     rows, mirror, weight = _solved_rows(grid, half)
     solved = op.take(rows)
-    f_hat = forward_transform(prob.f, half).values
+    f_hat, f_norm = _source_spectrum(prob, half, s[rows], weight)
     u_hat, pivoted = solved.solve(f_hat)
     singular = ~np.isfinite(u_hat).all(axis=1)
     if singular.any():
@@ -488,7 +507,7 @@ def _solve_spectral(
         )
     r_hat = solved.matvec(u_hat)
     r_hat -= f_hat
-    f_norm, r_norm = _parseval_norm(f_hat, weight), _parseval_norm(r_hat, weight)
+    r_norm = _parseval_norm(r_hat, weight)
     del f_hat, r_hat  # two fewer spectra held through the inverse transform
     residual = (r_norm / f_norm, True) if f_norm > 0 else (r_norm, False)
     u = inverse_transform(SpectralSignal(grid, u_hat, half))
@@ -535,11 +554,10 @@ def solve_boundary_family(
     half = all(p.real_in_time for p in law_probs)
     solved, _, weight = _solved_rows(grid, half)
     s = frequencies_for(grid)[solved]
-    f_hat = forward_transform(prob.f, half).values
+    f_hat, f_norm = _source_spectrum(prob, half, s, weight)
     zero = np.zeros(s.size, dtype=complex)
     neumann = dataclasses.replace(prob.operator(s), corner0=zero, cornerL=zero)
     at_rows, res_sq = neumann._solve_with_corners(f_hat, [*rows, 0, nc - 1])
-    f_norm = _parseval_norm(f_hat, weight)
     del f_hat
     singular = ~np.isfinite(res_sq).all(axis=0)
     if singular.any():

@@ -21,6 +21,8 @@ A real signal has u_hat(-s) = conj u_hat(s), so its half spectrum, the
 rows half_rows(grid) with s >= 0 (plus Nyquist for even n), holds all of
 it: forward_transform(u, half=True) computes it by a real FFT, and
 inverse_transform returns it to a real signal by the inverse real FFT.
+The transform acts on time alone, so a separable signal w(t) g is
+transformed as w alone, with g applied to the spectrum.
 """
 
 from __future__ import annotations
@@ -115,22 +117,27 @@ def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
     """The weighted transform of u, computed in place in one new array.
 
     With half, the half spectrum of the real part of u, by a real FFT.
-    Each product keeps the operand order of the out-of-place expression,
-    because for complex arrays `a *= c[:, None]` and `c[:, None] * a` can
-    differ in the last bit.
+    A separable u, with profiles (w, g), is never sampled: its real w
+    alone is transformed, and the spectrum is w_hat times g (Re g with
+    half).  Each product keeps the operand order of the out-of-place
+    expression, because for complex arrays `a *= c[:, None]` and
+    `c[:, None] * a` can differ in the last bit.
     """
     grid = u.grid
     s = frequencies_for(grid)
     weight = np.exp(-grid.rho * grid.times)[:, None]
+    samples = u.values if u.profiles is None else u.profiles[0][:, None]
     if half:
         s = s[half_rows(grid)]
-        vals = np.fft.rfft(np.multiply(weight, u.values.real), axis=0)
+        vals = np.fft.rfft(np.multiply(weight, samples.real), axis=0)
     else:
-        vals = np.multiply(weight, u.values)
+        vals = np.multiply(weight, samples, dtype=complex)
         np.fft.fft(vals, axis=0, out=vals)
         _fftshift_rows(vals)
     scaled_phase = (grid.dt / _SQRT_2PI) * np.exp(-1j * s * grid.t0)
     np.multiply(scaled_phase[:, None], vals, out=vals)
+    if u.profiles is not None:
+        vals = vals * (u.profiles[1].real if half else u.profiles[1])
     return SpectralSignal(grid, vals, half)
 
 
@@ -167,7 +174,7 @@ def assert_padded(u: WeightedSignal) -> None:
     refuse to run on unpadded signals.  The support is the index range
     where the signal exceeds PAD_REL_TOL of its peak.
     """
-    mag = np.abs(u.values).max(axis=1)
+    mag = u.sample_peak()
     peak = mag.max()
     if peak == 0.0:
         return

@@ -5,6 +5,8 @@ from conftest import SWEEP_CONFIG, corrupt_solve, run_child
 from evowaves import cli
 from evowaves.cli import main
 from evowaves.config import ConfigError, parse_scenario
+from evowaves.signals import rho_norm
+from evowaves.solver import solve_frequency
 
 GOOD_CONFIG = """
 [grid]
@@ -171,6 +173,10 @@ class TestParsing:
         ).replace("component = p", f"path = {csv_path}")
         prob2 = parse_scenario(text).build()
         assert np.array_equal(prob2.f.values, prob.f.values)
+        # the samples read back solve to the separable analytic source's solution
+        assert prob.f.profiles is not None and prob2.f.profiles is None
+        u, u2 = (solve_frequency(p).solution for p in (prob, prob2))
+        assert rho_norm(u2.with_values(u2.values - u.values)) <= 1e-14 * rho_norm(u)
 
 
 class TestCliSolve:
@@ -397,6 +403,24 @@ class TestShippedScenarios:
         err = capsys.readouterr().err
         assert "residual_ok=True" in err and "energy_bound_ok=True" in err
         assert "causality_ok=False" in err
+
+    @pytest.mark.parametrize(
+        "command,cfg", [("solve", "default.cfg"), ("sweep-reflection", "reflection.cfg")]
+    )
+    def test_overflowing_source_exit_3(self, command, cfg, tmp_path, capsys):
+        # the operator is fine: the source spectrum overflows, and the error says so
+        text = (self.scenarios_dir / cfg).read_text()
+        assert "amplitude = 1.0" in text
+        path = tmp_path / cfg
+        path.write_text(text.replace("amplitude = 1.0", "amplitude = 1e308"))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "solver error: the source spectrum is not finite at frequency s = 0: "
+            "the source overflows its weighted transform\n"
+        )
+        assert not out.exists()
 
     def test_reflection_scenario_parses_and_builds(self):
         from evowaves.config import load_scenario

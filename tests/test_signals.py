@@ -123,6 +123,53 @@ class TestTranslate:
             translate(random_signal(grid), grid.dt * 1.5)
 
 
+class TestSeparable:
+    """WeightedSignal(grid, profiles=(w, g)): the samples w_j g_d, built only when read."""
+
+    @staticmethod
+    def profiles(grid, complex_g=False):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(grid.n)
+        g = rng.standard_normal(4) + (1j * rng.standard_normal(4) if complex_g else 0.0)
+        g[1] = 0.0
+        return w, g
+
+    @pytest.mark.parametrize("complex_g", [False, True])
+    def test_helpers_match_the_samples(self, grid, complex_g):
+        w, g = self.profiles(grid, complex_g)
+        u = WeightedSignal(grid, profiles=(w, g))
+        samples = np.zeros((grid.n, 4), dtype=complex)
+        samples[:] = w[:, None] * g[None, :]
+        v = WeightedSignal(grid, samples)
+        assert u.dim == v.dim == 4
+        np.testing.assert_allclose(u.sample_energy(), v.sample_energy(), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(u.sample_peak(), v.sample_peak(), rtol=1e-15, atol=0)
+        assert u.is_real == v.is_real == (not complex_g)
+        assert rho_norm(u) == pytest.approx(np.sqrt(rho_inner(v, v).real), rel=1e-14)
+        assert "values" not in u.__dict__  # the helpers read the profiles alone
+        assert np.array_equal(u.values.view(np.uint64), samples.view(np.uint64))
+        assert u.values is u.values and not u.values.flags.writeable
+
+    def test_per_sample_energy(self, grid):
+        u = random_signal(grid, dim=3, seed=4)
+        np.testing.assert_allclose(u.sample_energy(), (np.abs(u.values) ** 2).sum(axis=1), rtol=1e-14)
+        assert rho_norm(u) == pytest.approx(np.sqrt(rho_inner(u, u).real), rel=1e-14)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_profile_refused(self, grid, which, bad):
+        profiles = self.profiles(grid)
+        profiles[which][2] = bad
+        with pytest.raises(ValueError, match="signal contains non-finite samples"):
+            WeightedSignal(grid, profiles=profiles)
+
+    def test_time_profile_must_be_real_of_length_n(self, grid):
+        w, g = self.profiles(grid)
+        for bad in (w + 1j, w[:-1], w[:, None]):
+            with pytest.raises(ValueError, match="profiles must be a real"):
+                WeightedSignal(grid, profiles=(bad, g))
+
+
 def exact_signal():
     g = WeightedGrid(0.0, 0.1, 3, 1.0)
     vals = np.array(

@@ -189,18 +189,26 @@ class TestFrequencySolve:
         f_hat = forward_transform(prob.f).values
         nc = prob.sd.n_cells
 
+        # a separable source's spectrum is w_hat g, exactly 0 where w_hat underflows
+        zero = ~f_hat.any(axis=1)
+
         def defect() -> float:
-            """Largest violation over the frequencies, relative to ||f_hat_k|| ||u_hat_k||."""
+            """Largest violation over the frequencies, relative to ||f_hat_k|| ||u_hat_k||.
+
+            Where f_hat_k is exactly 0, u_hat_k must be exactly 0 too.
+            """
             u_hat, _ = op.solve(f_hat)
+            assert not u_hat[zero].any()
+            f_nz, u_hat = f_hat[~zero], u_hat[~zero]
             power = np.abs(u_hat) ** 2
             dissipated = (
-                op.sym_p.real * power[:, :nc].sum(axis=1)
-                + op.sym_v.real * power[:, nc:].sum(axis=1)
-                + op.corner0.real * power[:, 0]
-                + op.cornerL.real * power[:, nc - 1]
+                op.sym_p.real[~zero] * power[:, :nc].sum(axis=1)
+                + op.sym_v.real[~zero] * power[:, nc:].sum(axis=1)
+                + op.corner0.real[~zero] * power[:, 0]
+                + op.cornerL.real[~zero] * power[:, nc - 1]
             )
-            supplied = np.sum(np.conj(u_hat) * f_hat, axis=1).real
-            scale = np.linalg.norm(f_hat, axis=1) * np.linalg.norm(u_hat, axis=1)
+            supplied = np.sum(np.conj(u_hat) * f_nz, axis=1).real
+            scale = np.linalg.norm(f_nz, axis=1) * np.linalg.norm(u_hat, axis=1)
             assert (scale > 0).all()
             return float(np.max(np.abs(supplied - dissipated) / scale))
 
@@ -307,6 +315,69 @@ class TestBoundaryFamily:
         monkeypatch.setattr(BoundaryLaw, "flux_symbol", nan_at_one_frequency)
         with pytest.raises(SolverError, match=rf"boundary law 1: .* s = {s_bad:.9g}"):
             solve_boundary_family(base, laws, probe_rows(base.sd))
+
+
+def reduced_reflection() -> EvoProblem:
+    """scenarios/reflection.cfg with 4x fewer samples (same window) and cells."""
+    sc = load_scenario(str(ROOT / "scenarios/reflection.cfg"))
+    return dataclasses.replace(sc, n=sc.n // 4, dt=sc.dt * 4, cells=sc.cells // 4).build()
+
+
+def with_samples(prob: EvoProblem) -> EvoProblem:
+    """prob with its source held as samples rather than as a separable product."""
+    return dataclasses.replace(prob, f=WeightedSignal(prob.grid, prob.f.values))
+
+
+class TestSeparableSource:
+    """Every analytic source is separable; its solves must match the source's samples."""
+
+    problems = {
+        "default": lambda: load_scenario(str(ROOT / "scenarios/default.cfg")).build(),
+        "reflection/4": reduced_reflection,
+    }
+
+    @pytest.mark.parametrize("name", problems)
+    def test_frequency_solvers_agree(self, name):
+        prob = self.problems[name]()
+        assert prob.f.profiles is not None
+        sampled = with_samples(prob)
+        assert sampled.f.profiles is None
+        assert rel_gap(solve_frequency(prob).solution, solve_frequency(sampled).solution) < 1e-14
+        laws = [BoundaryLaw.robin(k, prob.sd) for k in (0.0, 1.0, 4.0)]
+        rows = probe_rows(prob.sd)
+        family = zip(
+            solve_boundary_family(prob, laws, rows), solve_boundary_family(sampled, laws, rows)
+        )
+        for (probe, _), (probe_sampled, _) in family:
+            assert rel_gap(probe, probe_sampled) < 1e-14
+
+    @pytest.mark.parametrize("name", problems)
+    def test_solves_build_no_source_samples(self, name):
+        prob = self.problems[name]()
+        solve_frequency(prob)
+        solve_boundary_family(prob, [prob.bl], probe_rows(prob.sd))
+        assert "values" not in prob.f.__dict__
+
+    @pytest.mark.parametrize("cfg", ["scenarios/default.cfg", "bench/scenarios/memory.cfg"])
+    def test_stepper_bit_identical(self, cfg):
+        prob = load_scenario(str(ROOT / cfg)).build()
+        u = solve_timestep(prob).solution.values
+        u_sampled = solve_timestep(with_samples(prob)).solution.values
+        assert np.array_equal(u.view(np.uint64), u_sampled.view(np.uint64))
+
+    @pytest.mark.parametrize("t_center", ["1.0", "10.5"])  # padded, then not
+    def test_source_verdicts_agree(self, t_center):
+        text = (ROOT / "scenarios/default.cfg").read_text()
+        prob = parse_scenario(text.replace("t_center = 1.0", f"t_center = {t_center}")).build()
+        sampled = with_samples(prob)
+        assert prob.real_in_time is sampled.real_in_time is True
+        assert prob.f_norm == pytest.approx(sampled.f_norm, rel=1e-14)
+        reports = [solve_frequency(p) for p in (prob, sampled)]
+        assert reports[0].f_padded_ok is reports[1].f_padded_ok is (t_center == "1.0")
+        assert reports[0].warnings == reports[1].warnings
+        w, g = prob.f.profiles
+        complex_f = dataclasses.replace(prob, f=WeightedSignal(prob.grid, profiles=(w, g * (1 - 0.5j))))
+        assert complex_f.real_in_time is with_samples(complex_f).real_in_time is False
 
 
 def weighted_gap(a: np.ndarray, b: np.ndarray, grid: WeightedGrid) -> float:

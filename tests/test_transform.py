@@ -162,6 +162,38 @@ class TestHalfSpectrum:
             SpectralSignal(grid, np.zeros((grid.n, 1)), half=True)
 
 
+class TestSeparable:
+    """A separable signal's spectrum is w_hat g: one FFT of w, never the samples."""
+
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_matches_the_samples(self, n, half):
+        grid = WeightedGrid(-1.3, 0.07, n, 0.9)
+        rng = np.random.default_rng(n)
+        w = rng.standard_normal(n)
+        g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        u = WeightedSignal(grid, profiles=(w, g))
+        got = forward_transform(u, half)
+        assert "values" not in u.__dict__
+        want = forward_transform(WeightedSignal(grid, w[:, None] * g[None, :]), half)
+        assert got.half == half and got.values.shape == want.values.shape
+        assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
+
+    @pytest.mark.parametrize("center", [0.25, 0.95])
+    def test_padding_verdict_matches_the_samples(self, grid, center):
+        w = bump(grid.times, grid.t0 + center * grid.window_length, 0.1)
+        g = np.array([0.0, 1.0, -0.5])
+        verdicts = []
+        for u in (WeightedSignal(grid, profiles=(w, g)), WeightedSignal(grid, w[:, None] * g)):
+            try:
+                assert_padded(u)
+                verdicts.append(None)
+            except ValueError as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
+        assert (verdicts[0] is None) == (center < 0.5)
+
+
 class TestDerivative:
     def test_exponential_times_bump(self):
         grid = WeightedGrid(-2.0, 0.01, 1024, 2.0)
