@@ -175,11 +175,10 @@ class _Section:
         return self.data[key][1] if key in self.data else None
 
 
-def _complex_matrix(sec: _Section, stem: str, required: bool) -> np.ndarray | None:
-    if not sec.has(f"{stem}_re") and not sec.has(f"{stem}_im"):
-        if required:
-            raise ConfigError(f"missing key {stem}_re in section [{sec.name}]")
-        return None
+def _complex_matrix(sec: _Section, stem: str, required: bool) -> np.ndarray:
+    """The 2x2 matrix stem_re + i stem_im; zero where neither key is given and it is not required."""
+    if required and not sec.has(f"{stem}_re") and not sec.has(f"{stem}_im"):
+        raise ConfigError(f"missing key {stem}_re in section [{sec.name}]")
     re = sec.array(f"{stem}_re", default=[0.0, 0.0, 0.0, 0.0])
     im = sec.array(f"{stem}_im", default=[0.0, 0.0, 0.0, 0.0])
     if re.size != 4 or im.size != 4:
@@ -264,6 +263,15 @@ class Scenario:
         def fmt_list(arr: np.ndarray) -> str:
             return " ".join(fmt(float(v)) for v in np.asarray(arr).reshape(-1))
 
+        def kernel(prefix: str, fn: RationalMatrixFunction, always: bool) -> list[str]:
+            """const and lin (if nonzero, or always), then the poles and residues if any."""
+            parts = [("const", fn.const, always or fn.const.any()), ("lin", fn.lin, always or fn.lin.any())]
+            parts += [("poles", fn.poles, fn.n_poles), ("res", fn.residues, fn.n_poles)]
+            return [
+                f"{prefix}_{key}_{part} = {fmt_list(getattr(arr, attr))}"
+                for key, arr, shown in parts if shown for part, attr in (("re", "real"), ("im", "imag"))
+            ]
+
         lines = ["[grid]"]
         lines.append(f"t0 = {fmt(self.t0)}")
         lines.append(f"dt = {fmt(self.dt)}")
@@ -271,32 +279,10 @@ class Scenario:
         lines.append(f"rho = {self.rho if self.rho == 'auto' else fmt(float(self.rho))}")
         lines += ["", "[space]", f"length = {fmt(self.length)}", f"cells = {self.cells}"]
         lines += ["", "[material]", f"r = {fmt(self.material_r)}"]
-        lines.append(f"m0_re = {fmt_list(self.m0.real)}")
-        lines.append(f"m0_im = {fmt_list(self.m0.imag)}")
-        if np.abs(self.m1.const).max(initial=0.0) > 0:
-            lines.append(f"m1_const_re = {fmt_list(self.m1.const.real)}")
-            lines.append(f"m1_const_im = {fmt_list(self.m1.const.imag)}")
-        if np.abs(self.m1.lin).max(initial=0.0) > 0:
-            lines.append(f"m1_lin_re = {fmt_list(self.m1.lin.real)}")
-            lines.append(f"m1_lin_im = {fmt_list(self.m1.lin.imag)}")
-        if self.m1.n_poles:
-            lines.append(f"m1_poles_re = {fmt_list(self.m1.poles.real)}")
-            lines.append(f"m1_poles_im = {fmt_list(self.m1.poles.imag)}")
-            lines.append(f"m1_res_re = {fmt_list(self.m1.residues.real)}")
-            lines.append(f"m1_res_im = {fmt_list(self.m1.residues.imag)}")
+        lines += [f"m0_re = {fmt_list(self.m0.real)}", f"m0_im = {fmt_list(self.m0.imag)}"]
+        lines += kernel("m1", self.m1, always=False)
         lines += ["", "[boundary]", f"r = {fmt(self.boundary_r)}", f"alpha = {self.alpha_spec}"]
-        if self.g is None:
-            lines.append(f"robin_k = {fmt(self.robin_k)}")
-        else:
-            lines.append(f"g_const_re = {fmt(float(self.g.const[0, 0].real))}")
-            lines.append(f"g_const_im = {fmt(float(self.g.const[0, 0].imag))}")
-            lines.append(f"g_lin_re = {fmt(float(self.g.lin[0, 0].real))}")
-            lines.append(f"g_lin_im = {fmt(float(self.g.lin[0, 0].imag))}")
-            if self.g.n_poles:
-                lines.append(f"g_poles_re = {fmt_list(self.g.poles.real)}")
-                lines.append(f"g_poles_im = {fmt_list(self.g.poles.imag)}")
-                lines.append(f"g_res_re = {fmt_list(self.g.residues.real)}")
-                lines.append(f"g_res_im = {fmt_list(self.g.residues.imag)}")
+        lines += [f"robin_k = {fmt(self.robin_k)}"] if self.g is None else kernel("g", self.g, always=True)
         lines += ["", "[source]", f"kind = {self.source_kind}"]
         if self.source_kind == "csv":
             lines.append(f"path = {self.source_path}")
@@ -373,14 +359,8 @@ def parse_scenario(text: str) -> Scenario:
         residues = (res_re + 1j * res_im).reshape(poles.size, 2, 2)
     else:
         residues = np.zeros((0, 2, 2), dtype=complex)
-    zeros = np.zeros((2, 2), dtype=complex)
     try:
-        m1 = RationalMatrixFunction(
-            m1_const if m1_const is not None else zeros,
-            m1_lin if m1_lin is not None else zeros,
-            poles,
-            residues,
-        )
+        m1 = RationalMatrixFunction(m1_const, m1_lin, poles, residues)
         m1.check_holomorphic(material_r)
     except ValueError as exc:
         raise ConfigError(f"invalid material memory kernel: {exc}", mat.line_of("m1_poles_re"))

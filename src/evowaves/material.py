@@ -9,11 +9,10 @@ ball exactly when rho > 1/(2 r), which is therefore a hard precondition.
 
 Two constants summarize a law for the solvability theory: the coercivity
 of the instantaneous part (smallest eigenvalue of M0) and a bound on the
-memory part (sampled sup of ||M1|| over the operating frequency circle).
-Their combination rho * coercivity - memory_bound is the margin that
-controls the energy estimate; it must be positive, which bounds admissible
-rho from below.  The sampled memory bound carries a 5% safety factor since
-sampling can miss peaks between frequencies.
+memory part (the exact sup of ||M1|| over the operating frequency circle,
+the end s = +-inf included).  Their combination
+rho * coercivity - memory_bound is the margin that controls the energy
+estimate; it must be positive, which bounds admissible rho from below.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import RationalMatrixFunction
+from .rational import RationalMatrixFunction, _circle_fraction, _extremum
 
 __all__ = [
     "MaterialLaw",
@@ -32,9 +31,6 @@ __all__ = [
     "memory_bound",
     "select_rho",
 ]
-
-MEMORY_BOUND_SAFETY = 1.05
-N_MEMORY_SAMPLES = 512  # frequencies memory_bound samples on the operating circle
 
 
 class MaterialLawError(ValueError):
@@ -71,27 +67,18 @@ class MaterialLaw:
     def dim(self) -> int:
         return self.m0.shape[0]
 
-    def rho_floor(self) -> float:
-        """Smallest admissible weight from the holomorphy constraint alone."""
-        return 1.0 / (2.0 * self.r)
-
 
 def _check_rho(law: MaterialLaw, rho: float) -> None:
-    floor = law.rho_floor()
-    if not rho > floor:
+    if not rho > 1.0 / (2.0 * law.r):
         raise MaterialLawError(
-            f"rho={rho} too small: the functional calculus needs rho > 1/(2r) = {floor}"
+            f"rho={rho} too small: the functional calculus needs rho > 1/(2r) = {1.0 / (2.0 * law.r)}"
         )
-
-
-def _frequency_points(s: np.ndarray, rho: float) -> np.ndarray:
-    return 1.0 / (1j * np.asarray(s, dtype=float) + rho)
 
 
 def law_symbol(law: MaterialLaw, s: np.ndarray, rho: float) -> np.ndarray:
     """M evaluated at z_k = 1/(i s_k + rho); shape (len(s), d, d)."""
     _check_rho(law, rho)
-    zs = _frequency_points(s, rho)
+    zs = 1.0 / (1j * np.asarray(s, dtype=float) + rho)
     return law.m0[None, :, :] + zs[:, None, None] * law.m1.eval_many(zs)
 
 
@@ -106,32 +93,39 @@ def coercivity(law: MaterialLaw) -> float:
 
 
 def memory_bound(law: MaterialLaw, rho: float) -> float:
-    """Sampled sup of ||M1(1/(i s + rho))|| over frequencies, times a 5% safety factor.
+    """sup of ||M1(1/(i s + rho))||_2 over all s, the end s = +-inf (z = 0) included.
 
-    Frequencies are sampled through s = rho * tan(theta), which traces the
-    whole circle {1/(i s + rho)} uniformly including its s -> +-inf limit.
+    For a diagonal M1, which EvoProblem requires, the exact max_j sup |m_jj|;
+    for any other M1 the exact sup of the Frobenius norm, a rigorous bound.
+    Either is raised by the rounding slack of rational._circle_fraction.
     """
     _check_rho(law, rho)
-    if law.m1.is_zero():
+    m1 = law.m1
+    if m1.is_zero():
         return 0.0
-    theta = np.linspace(-np.pi / 2, np.pi / 2, N_MEMORY_SAMPLES + 2)[1:-1]
-    s = rho * np.tan(theta)
-    zs = np.concatenate([_frequency_points(s, rho), [0.0 + 0.0j]])
-    norms = np.linalg.norm(law.m1.eval_many(zs), ord=2, axis=(1, 2))
-    if not np.all(np.isfinite(norms)):
-        raise MaterialLawError("memory part is unbounded across sampled frequencies")
-    return float(norms.max()) * MEMORY_BOUND_SAFETY
+    num, den, slack = _circle_fraction(m1, rho)
+    eye = np.eye(law.dim, dtype=bool)
+    blocks = [np.diag(e) for e in eye] if not (num.any(axis=2) & ~eye).any() else [np.ones_like(eye)]
+    sup2 = max(
+        _extremum(
+            sum(np.convolve(n, n.conj()).real for n in num[b]), np.convolve(den, den.conj()).real,
+            lambda t, b=b: (np.abs(m1.eval_many(1.0 / (rho + 1j * rho * t))[:, b]) ** 2).sum(axis=1),
+            largest=True, even=m1.is_real(),
+        )
+        for b in blocks
+    )
+    return float(np.sqrt(sup2)) * (1.0 + slack)
 
 
 def select_rho(law: MaterialLaw, r_effective: float | None = None) -> float:
     """Default weight choice satisfying both lower bounds with margin.
 
-    Picks rho = 2 * mu / gamma + 1/(2 r) + 1 where mu is the memory bound
-    estimated at the smallest admissible weight (which overestimates the
-    bound at the final, larger weight, so the margin is safe).
+    Picks rho = 2 * mu / gamma + 1/(2 r) + 1 where mu is the memory bound at
+    the smallest weight probed, 1/(2 r) + 1.  A larger weight's circle lies
+    inside that circle's disc, so by the maximum principle its sup is no
+    greater: mu bounds the memory part at the chosen rho too.
     """
     r_eff = law.r if r_effective is None else min(law.r, r_effective)
     gamma = coercivity(law)
-    rho_probe = 1.0 / (2.0 * r_eff) + 1.0
-    mu = memory_bound(law, rho_probe)
+    mu = memory_bound(law, 1.0 / (2.0 * r_eff) + 1.0)
     return 2.0 * mu / gamma + 1.0 / (2.0 * r_eff) + 1.0

@@ -13,22 +13,24 @@ w = 1/z that the time stepper realizes.
 
 Functions intended as operator symbols must be holomorphic on the ball
 B(r, r) = {z : |z - r| <= r}; `check_holomorphic` verifies the pole
-locations and samples the boundary circle for boundedness.
+locations.  On an operating circle z = 1/(i s + rho) a norm or a real part
+of the function is a real rational function of s, whose exact extrema
+`_extremum` finds: the memory bound and the boundary sign margin.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 __all__ = [
     "RationalMatrixFunction",
     "scalar_rational",
     "PoleError",
 ]
-
-N_BOUNDARY = 256  # boundary-circle samples of check_holomorphic
 
 
 class PoleError(ValueError):
@@ -51,26 +53,18 @@ class RationalMatrixFunction:
         if lin.shape != (d, d):
             raise ValueError(f"lin must match const shape {c.shape}, got {lin.shape}")
         p = np.asarray(self.poles, dtype=complex).reshape(-1)
-        res = np.asarray(self.residues, dtype=complex)
-        if p.size == 0:
-            res = np.zeros((0, d, d), dtype=complex)
-        else:
-            res = res.reshape(p.size, d, d)
+        res = np.asarray(self.residues, dtype=complex).reshape(p.size, d, d)
         # nearly coincident poles make partial fractions ill-posed; repeated
         # poles are unsupported
-        for i in range(p.size):
-            for j in range(i + 1, p.size):
-                if abs(p[i] - p[j]) < 1e-8 * max(abs(p[i]), 1e-300):
-                    raise ValueError(
-                        f"poles {p[i]} and {p[j]} coincide or nearly coincide; "
-                        "only simple well-separated poles are supported"
-                    )
-        for arr in (c, lin, p, res):
+        i, j = np.nonzero(np.triu(np.abs(p[:, None] - p) < 1e-8 * np.maximum(np.abs(p), 1e-300)[:, None], 1))
+        if i.size:
+            raise ValueError(
+                f"poles {p[i[0]]} and {p[j[0]]} coincide or nearly coincide; "
+                "only simple well-separated poles are supported"
+            )
+        for name, arr in (("const", c), ("lin", lin), ("poles", p), ("residues", res)):
             arr.setflags(write=False)
-        object.__setattr__(self, "const", c)
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "poles", p)
-        object.__setattr__(self, "residues", res)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -108,13 +102,8 @@ class RationalMatrixFunction:
             out += r[None, :, :] / dz[:, None, None]
         return out
 
-    def check_holomorphic(self, r: float) -> float:
-        """Verify holomorphy on B(r, r); returns the sampled sup norm there.
-
-        Poles must lie strictly outside the closed ball.  Boundedness is
-        checked by sampling the boundary circle (the maximum principle then
-        covers the interior).
-        """
+    def check_holomorphic(self, r: float) -> None:
+        """Verify holomorphy on B(r, r): every pole lies strictly outside the closed ball."""
         if not r > 0:
             raise ValueError(f"holomorphy radius must be positive, got {r}")
         dist = np.abs(self.poles - r)
@@ -124,13 +113,48 @@ class RationalMatrixFunction:
                 f"pole at {worst} lies inside the closed ball of radius {r} "
                 f"centered at {r}; the symbol is not holomorphic there"
             )
-        theta = np.linspace(0.0, 2.0 * np.pi, N_BOUNDARY, endpoint=False)
-        circle = r + r * np.exp(1j * theta)
-        vals = self.eval_many(circle)
-        sup = float(np.linalg.norm(vals, ord=2, axis=(1, 2)).max())
-        if not np.isfinite(sup):
-            raise ValueError("symbol is unbounded on the holomorphy ball")
-        return sup
+
+
+def _circle_fraction(fn: RationalMatrixFunction, rho: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """fn(1/w) = num(t) / den(t) on w = rho (1 + i t), t = s / rho, and the rounding slack there.
+
+    num (d x d x k) and den (k) are ascending coefficients; den has no real
+    root.  Rounding moves a point z of the circle |z - c| = c, c = 1/(2 rho),
+    by about 1e-16 / rho, and r / (z - p) by a relative 1e-16 / (rho dist),
+    dist = |p - c| - c: the slack is 1e-12 times the largest such factor above 1.
+    """
+    # r / (z - p) = r w / (1 - p w) and l z = l / w, over den = w prod(1 - p w)
+    factors = [np.array([1.0 - p * rho, -1j * p * rho]) for p in fn.poles]
+    prod = functools.reduce(np.convolve, factors, np.ones(1))
+    den = np.convolve(prod, [rho, 1j * rho])
+    num = fn.const[..., None] * den + fn.lin[..., None] * np.append(prod, 0.0)
+    w2 = [rho**2, 2j * rho**2, -(rho**2)]
+    for m, res in enumerate(fn.residues):
+        num = num + res[..., None] * functools.reduce(np.convolve, factors[:m] + factors[m + 1:], w2)
+    c = 0.5 / rho
+    return num, den, 1e-12 * float(np.max(1.0 / (rho * (np.abs(fn.poles - c) - c)), initial=1.0))
+
+
+def _extremum(num: np.ndarray, den: np.ndarray, f, largest: bool, even: bool) -> float:
+    """Exact max (largest) or min of the real rational num/den over t in R and t = +-inf.
+
+    The candidates are the real part of every root of num' den - num den'
+    (a double root split by rounding is not lost), valued by f, the function
+    itself on an array of t, and the ends from the leading coefficients,
+    +-inf where num has the higher degree.  An even function (a kernel real
+    in time) has its odd coefficients set to the zeros they are.
+    """
+    if even:
+        num, den = num * (np.arange(num.size) % 2 == 0), den * (np.arange(den.size) % 2 == 0)
+    num, den = npoly.polytrim(num), npoly.polytrim(den)
+    gap = num.size - den.size
+    crit = npoly.polysub(npoly.polymul(npoly.polyder(num), den), npoly.polymul(num, npoly.polyder(den)))
+    if gap == 0:  # the leading terms cancel
+        crit = npoly.polytrim(crit[: max(num.size + den.size - 3, 1)])
+    up = np.copysign(np.inf, num[-1] / den[-1])
+    ends = [0.0] if gap < 0 else [num[-1] / den[-1]] if gap == 0 else [up, up * (-1) ** gap]
+    vals = np.concatenate([f(npoly.polyroots(crit).real), ends])
+    return float(vals.max() if largest else vals.min())
 
 
 def scalar_rational(

@@ -133,19 +133,13 @@ class EvoProblem:
             )
         rho = self.grid.rho
         floor_holo = 1.0 / (2.0 * self.r_effective)
-        gamma = coercivity(self.law)
-        rho_probe = max(rho, floor_holo * 1.01)
-        mu = memory_bound(self.law, rho_probe)
-        floor_margin = mu / gamma
-        required = max(floor_holo, floor_margin)
-        if rho <= required:
-            raise SolverError(
-                f"rho={rho} is below the admissible threshold {required:.6g} "
-                f"(needs rho > 1/(2r) = {floor_holo:.6g} and rho > mu0/gamma0 = "
-                f"{floor_margin:.6g})"
-            )
-        if rho_probe != rho:
-            mu = memory_bound(self.law, rho)
+        needs = f"needs rho > 1/(2r) = {floor_holo:.6g} and rho > mu0/gamma0"
+        if not rho > floor_holo:  # mu0 is defined only above the holomorphy floor
+            raise SolverError(f"rho={rho} is below the admissible threshold {floor_holo:.6g} ({needs})")
+        gamma, mu = coercivity(self.law), memory_bound(self.law, rho)
+        if not rho > mu / gamma:
+            floor = f"{mu / gamma:.6g}"
+            raise SolverError(f"rho={rho} is below the admissible threshold {floor} ({needs} = {floor})")
         object.__setattr__(self, "_constants", (gamma, mu, rho * gamma - mu))
 
     @property

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rational import PoleError, RationalMatrixFunction, scalar_rational
+from .rational import PoleError, RationalMatrixFunction, _circle_fraction, _extremum, scalar_rational
 from .signals import WeightedSignal
 from .transform import SpectralSignal, forward_transform, inverse_transform
 
@@ -60,7 +60,6 @@ __all__ = [
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
 ROW_BLOCK = 64  # interleaved rows per block of the residual pass in _solve_with_corners
-N_FLUX_SAMPLES = 1024  # frequencies at which min_real_flux samples the flux symbol
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,19 @@ class BoundaryLaw:
             raise PoleError(f"boundary kernel pole hit on the frequency grid: {exc}") from exc
 
     def min_real_flux(self, rho: float) -> float:
-        """Sampled min of Re flux_symbol; >= 0 is the frequency-domain sign condition."""
-        theta = np.linspace(-np.pi / 2, np.pi / 2, N_FLUX_SAMPLES + 2)[1:-1]
-        s = rho * np.tan(theta)
-        return float(self.flux_symbol(s, rho).real.min())
+        """Min of Re flux_symbol over all s and s = +-inf; >= 0 is the frequency-domain sign condition.
+
+        With g(1/w) = N / D it is the exact min of Re(w N conj D) / |D|^2, a
+        real rational function of s, lowered by the rounding slack of
+        rational._circle_fraction.
+        """
+        num, den, slack = _circle_fraction(self.g, rho)
+        flux = np.convolve([rho, 1j * rho], num[0, 0])
+        low = _extremum(
+            np.convolve(flux, den.conj()).real, np.convolve(den, den.conj()).real,
+            lambda t: self.flux_symbol(rho * t, rho).real, largest=False, even=self.g.is_real(),
+        )
+        return low - slack * abs(low)
 
     @staticmethod
     def normal_profile(sd: SpatialDiscretization) -> tuple[np.ndarray, np.ndarray]:

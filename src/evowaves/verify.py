@@ -73,8 +73,8 @@ class CheckResult:
     details: str = ""
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.margin):
-            raise ValueError(f"check {self.name}: margin must be finite")
+        if not self.margin < np.inf:  # -inf is a margin: boundary_sign's for an unbounded flux
+            raise ValueError(f"check {self.name}: margin must be finite or -inf")
 
     @property
     def passed(self) -> bool:
@@ -313,7 +313,7 @@ def check_adjoint_projection(
 def check_boundary_sign(prob: EvoProblem, seed: int = 4) -> CheckResult:
     """Sign condition on the boundary law, in frequency and in time.
 
-    Frequency side: sampled min of Re[(i s + rho) g(1/(i s + rho))].
+    Frequency side: the exact min of Re[(i s + rho) g(1/(i s + rho))].
     Time side: the discrete boundary functional on random pressures,
     normalized by the squared weighted norm.  The margin is the min of
     both, so an active (energy-producing) boundary law fails here.

@@ -199,7 +199,9 @@ class TestCliSolve:
 
     def test_rho_below_threshold_exit_3(self, tmp_path, capsys):
         path = tmp_path / "lowrho.cfg"
-        path.write_text(GOOD_CONFIG.replace("rho = auto", "rho = 0.51"))
+        # gamma0 = 0.9 and mu0 = 0.5: rho = 0.51 clears 1/(2r) but not mu0/gamma0
+        text = GOOD_CONFIG.replace("rho = auto", "rho = 0.51").replace("m0_re = 1.5 0 0 1.0", "m0_re = 1.5 0 0 0.9")
+        path.write_text(text)
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "mu0/gamma0" in capsys.readouterr().err

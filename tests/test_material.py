@@ -131,7 +131,6 @@ class TestApply:
 
     def test_uniform_boundedness(self, grid):
         law = random_law(5)
-        sup = law.m1.check_holomorphic(law.r)  # bound for m1; build the full bound
         zs = law.r + law.r * np.exp(1j * np.linspace(0, 2 * np.pi, 512, endpoint=False))
         vals = law.m0[None] + zs[:, None, None] * law.m1.eval_many(zs)
         sup_m = np.linalg.norm(vals, ord=2, axis=(1, 2)).max()
@@ -241,7 +240,17 @@ class TestConstants:
     def test_memory_bound_constant(self):
         c = 0.4
         law = MaterialLaw(np.eye(2), constant_fn(c * np.eye(2)), r=1.0)
-        assert memory_bound(law, 2.0) == pytest.approx(1.05 * c, rel=1e-9)
+        assert c <= memory_bound(law, 2.0) <= c * (1 + 2e-12)
+
+    def test_memory_bound_sup_at_infinity(self):
+        # |r / (z + 1/2)| on the circle |z - 1/4| = 1/4 peaks at z = 0 alone,
+        # the end s = +-inf, where it is 2 r
+        m1 = RationalMatrixFunction(np.zeros((2, 2)), np.zeros((2, 2)), [-0.5], np.diag([0.2, 0.1])[None])
+        law = MaterialLaw(np.eye(2), m1, r=1.0)
+        mu = memory_bound(law, 2.0)
+        assert 0.4 <= mu <= 0.4 * (1 + 2e-12)
+        s = np.linspace(-1e4, 1e4, 200001)
+        assert np.abs(m1.eval_many(1.0 / (1j * s + 2.0))).max() < 0.4
 
     def test_memory_bound_vs_brute_force(self):
         law = random_law(16)

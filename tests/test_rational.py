@@ -54,8 +54,7 @@ class TestHolomorphy:
 
     def test_outside_pole_accepted(self):
         fn = scalar_rational(poles=[-0.1], residues=[1.0])
-        sup = fn.check_holomorphic(1.0)
-        assert np.isfinite(sup) and sup > 0
+        assert fn.check_holomorphic(1.0) is None
 
 
 

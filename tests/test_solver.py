@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import pathlib
 import re
 
@@ -58,6 +59,31 @@ class TestProblemSetup:
     def test_rho_threshold_names_bounds(self):
         with pytest.raises(SolverError, match="mu0/gamma0"):
             make_problem(rho=0.4)
+
+    @pytest.mark.parametrize(
+        "cfg,mu0,rho", [("scenarios/default.cfg", 0.5, 2.5), ("bench/scenarios/memory.cfg", 0.4, 2.3)]
+    )
+    def test_exact_memory_bound_and_auto_rho(self, cfg, mu0, rho):
+        # the sup of |m_jj| is reached at s = +-inf, where z = 0: |c - r/p|
+        prob = load_scenario(str(ROOT / cfg)).build()
+        assert mu0 <= prob.margin_constants()[1] <= mu0 * (1 + 2e-12)
+        assert prob.grid.rho == pytest.approx(rho, rel=1e-9)
+
+    def test_near_pole_mu0_bounds_the_sup(self):
+        # the sampled bound read 0.0053 here; the benchmark's own sup is 0.3704
+        spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        prob = load_scenario(str(ROOT / "bench/scenarios/near_pole.cfg")).build()
+        assert prob.margin_constants()[1] >= checks.sup_memory_norm(prob.law.m1, prob.grid.rho) > 0.37
+
+    def test_near_pole_weight_rejected(self):
+        # gamma0 = 0.5 puts mu0/gamma0 at 0.74, above rho = 0.51; the sampled
+        # bound put it at 0.011 and admitted the weight
+        text = (ROOT / "bench/scenarios/near_pole.cfg").read_text()
+        sc = parse_scenario(text.replace("m0_re = 1 0 0 1", "m0_re = 0.5 0 0 0.5"))
+        with pytest.raises(SolverError, match="mu0/gamma0"):
+            sc.build()
 
     def test_offdiagonal_material_rejected(self):
         law = MaterialLaw(np.array([[1.0, 0.2], [0.2, 1.0]]), zero_fn(2), r=1.0)

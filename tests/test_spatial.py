@@ -98,6 +98,22 @@ class TestAssembly:
         with pytest.raises(PoleError, match="frequency"):
             bl.flux_symbol(np.array([0.0]), rho=5.0)
 
+    def test_min_real_flux_finds_narrow_dip(self):
+        # flux poles 0.011 off the line w = 0.51 + i s, at s = +-10: a dip about
+        # 0.01 wide, where 1024 samples s = rho tan(theta) lie 0.6 apart
+        sd = build_grid(1.0, 8)
+        w_p = 0.499 + 10j
+        bl = flux_boundary(sd, 1.0, poles_w=[w_p, w_p.conjugate()], residues_w=[-0.05, -0.05])
+        brute = bl.flux_symbol(10.0 + np.linspace(-0.1, 0.1, 20001), 0.51).real.min()
+        assert brute < -3.0
+        assert brute - 1e-4 <= bl.min_real_flux(0.51) <= brute
+
+    def test_min_real_flux_unbounded_for_complex_kernel(self):
+        # Re flux = rho Re g(0) - s Im g(0) + O(1/s): unbounded below once Im g(0) != 0
+        sd = build_grid(1.0, 8)
+        bl = BoundaryLaw(scalar_rational(const=0.1j, lin=0.8), *BoundaryLaw.normal_profile(sd), 1.0)
+        assert bl.min_real_flux(2.0) == -np.inf
+
     def test_vectorized_matches_dense(self):
         sd = build_grid(1.0, 10)
         bl = flux_boundary(sd, 0.5, poles_w=[-2.0], residues_w=[1.0])

@@ -39,8 +39,13 @@ class TestCheckResult:
         assert not CheckResult("x", -2e-9, 1e-9).passed
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            CheckResult("x", float("nan"), 1e-9)
+        for margin in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                CheckResult("x", margin, 1e-9)
+
+    def test_minus_infinity_fails(self):
+        # boundary_sign's margin for a flux unbounded below
+        assert not CheckResult("x", -np.inf, 1e-9).passed
 
 
 class TestPositivity:
