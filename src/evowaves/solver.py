@@ -19,6 +19,8 @@ boundary faces.  Two solvers are provided and cross-checked:
   the source and every law are real in time (EvoProblem.real_in_time),
   T(-s) = conj T(s) and U is real, so both solve the half spectrum
   s >= 0 and Nyquist alone, by real FFTs; anything else, every frequency.
+  Every spectrum is in FFT order, where the half spectrum is the first
+  n // 2 + 1 rows, so its operator is a slice of the grid operator.
 * solve_timestep: causal implicit Euler marching.  Each step solves with
   the frequency operator at w = 1/delta plus an explicit memory history:
   every memory kernel (material and boundary) is realized as poles in w,
@@ -29,12 +31,13 @@ boundary faces.  Two solvers are provided and cross-checked:
   step, strictly causal by construction.
 
 Both end in the same report code: a SolveReport carrying the residual,
-the energy ratio against the solvability margin, a causality margin, the
-source padding flag, the condition bound, the exact discrete coercivity
-constant beta0_grid and the same warnings.  The stepper's residual is the
-time-domain one (trapezoid norm), the only form that measures its
-first-order defect; residual_norm applies the operator for it on the
-half spectrum when the problem and the solution are real.
+the energy ratio against the solvability margin, the causality margin
+(the smallest over every cut), the source padding flag, the condition
+bound, the exact discrete coercivity constant beta0_grid and the same
+warnings.  The stepper's residual is the time-domain one (trapezoid
+norm), the only form that measures its first-order defect; residual_norm
+applies the operator for it on the half spectrum when the problem and
+the solution are real.
 
 Every matrix is the interleaved tridiagonal of spatial.ReducedOperator,
 and the frequency paths run on numpy alone.  scipy.linalg is imported
@@ -67,7 +70,6 @@ from .transform import (
     assert_padded,
     forward_transform,
     frequencies_for,
-    half_rows,
     inverse_transform,
 )
 
@@ -87,7 +89,6 @@ __all__ = [
 
 ENERGY_SLACK = 0.02          # tolerated relative slack on the energy bound
 CAUSALITY_SLACK = 1e-6       # tolerated causality margin, relative to ||f||
-N_CUTS = 10                  # evenly spaced cut times of the report's causality margin
 # the norm each solver's residual is measured in, by SolveReport.method
 RESIDUAL_NORMS = {"frequency": "spectral (rectangle rule)", "timestep": "time-domain (trapezoid)"}
 
@@ -222,8 +223,8 @@ def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
     """
     grid = prob.grid
     half = prob.real_in_time and u.is_real
-    op = prob.grid_operator.take(half_rows(grid)) if half else prob.grid_operator
     u_hat = _on_problem_grid(prob, u, half)
+    op = prob.grid_operator.take(slice(u_hat.values.shape[0]))
     r_hat = SpectralSignal(grid, op.matvec(u_hat.values), half)
     del u_hat
     r = inverse_transform(r_hat).values
@@ -366,23 +367,25 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
-def causality_margins(
-    prob: EvoProblem, u: WeightedSignal, cuts: np.ndarray, beta0: float
-) -> np.ndarray:
-    """(||chi_a f|| - beta0 ||chi_a U||) / ||f|| at each cut time a (0 if f = 0).
+def causality_margins(prob: EvoProblem, u: WeightedSignal, beta0: float) -> np.ndarray:
+    """(||chi_a f|| - beta0 ||chi_a U||) / ||f|| at every grid time a = t_j (0 if f = 0).
 
-    Cutoff norms at all cuts come from one prefix sum of the per-sample
-    weighted energies (a sharp cutoff just truncates the quadrature sum).
+    A sharp cutoff just truncates the quadrature sum, so the cutoff norms
+    at every cut are two prefix sums of the per-sample weighted energies;
+    a cut between two samples equals the cut at the earlier one.
     """
     wq = prob.grid.weights()
-    # prefix energies lead with 0, the energy before the first sample
-    energy_u = np.cumsum(np.append(0.0, wq * u.sample_energy()))
-    energy_f = np.cumsum(np.append(0.0, wq * prob.f.sample_energy()))
+    energy_u = np.cumsum(wq * u.sample_energy())
+    energy_f = np.cumsum(wq * prob.f.sample_energy())
     f_norm = float(np.sqrt(energy_f[-1]))
     if f_norm == 0.0:
-        return np.zeros(len(cuts))
-    idx = np.searchsorted(prob.grid.times, cuts, side="right")
-    return (np.sqrt(energy_f[idx]) - beta0 * np.sqrt(energy_u[idx])) / f_norm
+        return np.zeros(prob.grid.n)
+    return (np.sqrt(energy_f) - beta0 * np.sqrt(energy_u)) / f_norm
+
+
+def _first_extreme(values: np.ndarray, s: np.ndarray) -> int:
+    """The index of the smallest of values, the one at the smallest s among ties."""
+    return int(np.lexsort((s, values))[0])
 
 
 def _report(
@@ -399,14 +402,15 @@ def _report(
     """The report of either solver; residual is its (value, is_relative), op at frequencies s.
 
     beta0_grid is the smallest op.margin() over s: the exact coercivity
-    constant of the discrete problem, to set against beta0.
+    constant of the discrete problem, to set against beta0.  It and the
+    largest condition bound are reported at the smallest s where they are
+    reached, and the causality margin is the smallest over every cut.
     """
     grid = prob.grid
     bound, margin = op.condition_bound(), op.margin()
-    peak, lowest = int(np.argmax(bound)), int(np.argmin(margin))
+    peak, lowest = _first_extreme(-bound, s), _first_extreme(margin, s)
     gamma, mu, beta0 = prob.margin_constants()
     energy_ratio = rho_norm(u) / prob.f_norm if prob.f_norm > 0 else 0.0
-    cuts = grid.t0 + grid.window_length * (np.arange(1, N_CUTS + 1) / (N_CUTS + 1.0))
     try:
         assert_padded(prob.f)
         padded = True
@@ -424,7 +428,7 @@ def _report(
         beta0_grid_s=float(s[lowest]),
         rho=grid.rho,
         energy_ratio=energy_ratio,
-        causality_margin=float(causality_margins(prob, u, cuts, beta0).min()),
+        causality_margin=float(causality_margins(prob, u, beta0).min()),
         max_condition_bound=float(bound[peak]),
         condition_peak_s=float(s[peak]),
         wall_time_s=time.perf_counter() - t_start,
@@ -435,18 +439,18 @@ def _report(
     )
 
 
-def _solved_rows(grid: WeightedGrid, half: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frequency rows a solve runs on, as (rows, mirror, weight).
+def _parseval_weights(grid: WeightedGrid, half: bool) -> np.ndarray:
+    """The Parseval weight of each row a solve runs on, the first weight.size of frequencies_for(grid).
 
-    rows index frequencies_for(grid): all of them, or half_rows(grid).  A
-    half-spectrum row also stands for its mirror -s, at row mirror[i], so
-    it has weight 2 in the Parseval sum, except s = 0 and Nyquist, which
-    are their own mirrors; a full-spectrum row stands for itself alone.
+    All n rows, or the half spectrum's first n // 2 + 1.  A half-spectrum
+    row k also stands for its mirror -s, at row -k mod n, so it has
+    weight 2 in the Parseval sum, except s = 0 and Nyquist, which are
+    their own mirrors; a full-spectrum row stands for itself alone.
     """
-    n = grid.n
-    rows = half_rows(grid) if half else np.arange(n)
-    mirror = (2 * (n // 2) - rows) % n if half else rows
-    return rows, mirror, np.where(mirror == rows, 1.0, 2.0)
+    weight = np.ones(grid.n // 2 + 1 if half else grid.n)
+    if half:
+        weight[1 : (grid.n + 1) // 2] = 2.0
+    return weight
 
 
 def _parseval_norm(x: np.ndarray, weight: np.ndarray) -> float:
@@ -478,24 +482,24 @@ def _solve_spectral(
 ) -> tuple[WeightedSignal, ReducedOperator, np.ndarray, np.ndarray, tuple[float, bool]]:
     """The bare frequency solve: (u, op, s, pivoted frequency indices, residual).
 
-    The rows of _solved_rows are solved in one batched Thomas sweep; any
-    frequency where a pivot breaks down (and its mirror) is re-solved by
-    the pivoted LU of ReducedOperator.factor.  A frequency the solve
-    cannot invert, or where the source spectrum is not finite, raises
-    SolverError naming it.  The residual is
+    The rows of _parseval_weights are solved in one batched Thomas sweep; any
+    frequency where a pivot breaks down is re-solved by the pivoted LU of
+    ReducedOperator.factor, and reported with its mirror on the half
+    spectrum.  A frequency the solve cannot invert, or where the source
+    spectrum is not finite, raises SolverError naming it.  The residual is
     ||op U_hat - f_hat|| / ||f_hat|| (absolute if f = 0), the
     rectangle-rule (Parseval) norm of the time-domain residual.
     """
     grid, half = prob.grid, prob.real_in_time
     s, op = frequencies_for(grid), prob.grid_operator
-    rows, mirror, weight = _solved_rows(grid, half)
-    solved = op.take(rows)
-    f_hat, f_norm = _source_spectrum(prob, half, s[rows], weight)
+    weight = _parseval_weights(grid, half)
+    solved = op.take(slice(weight.size))
+    f_hat, f_norm = _source_spectrum(prob, half, s, weight)
     u_hat, pivoted = solved.solve(f_hat)
     singular = ~np.isfinite(u_hat).all(axis=1)
     if singular.any():
         raise SolverError(
-            f"singular operator at frequency s = {s[rows[np.argmax(singular)]]:.9g} "
+            f"singular operator at frequency s = {s[np.argmax(singular)]:.9g} "
             "(the solvability margin is not positive, or the boundary "
             "law is inadmissible)"
         )
@@ -505,7 +509,7 @@ def _solve_spectral(
     del f_hat, r_hat  # two fewer spectra held through the inverse transform
     residual = (r_norm / f_norm, True) if f_norm > 0 else (r_norm, False)
     u = inverse_transform(SpectralSignal(grid, u_hat, half))
-    return u, op, s, np.union1d(rows[pivoted], mirror[pivoted]), residual
+    return u, op, s, np.union1d(pivoted, -pivoted % grid.n if half else pivoted), residual
 
 
 def solve_frequency(prob: EvoProblem) -> SolveReport:
@@ -521,7 +525,7 @@ def solve_frequency(prob: EvoProblem) -> SolveReport:
     if pivoted.size:
         warnings.append(
             f"Thomas pivot broke down at {pivoted.size} of {s.size} frequencies in "
-            f"s = [{s[pivoted[0]]:.9g}, {s[pivoted[-1]]:.9g}]; those were solved "
+            f"s = [{s[pivoted].min():.9g}, {s[pivoted].max():.9g}]; those were solved "
             "by pivoted tridiagonal LU"
         )
     return _report(prob, u, "frequency", t_start, residual, op, s, warnings, prob.real_in_time)
@@ -546,8 +550,8 @@ def solve_boundary_family(
     grid, nc = prob.grid, prob.sd.n_cells
     law_probs = [dataclasses.replace(prob, bl=bl) for bl in laws]  # with EvoProblem's checks
     half = all(p.real_in_time for p in law_probs)
-    solved, _, weight = _solved_rows(grid, half)
-    s = frequencies_for(grid)[solved]
+    weight = _parseval_weights(grid, half)
+    s = frequencies_for(grid)[: weight.size]
     f_hat, f_norm = _source_spectrum(prob, half, s, weight)
     zero = np.zeros(s.size, dtype=complex)
     neumann = dataclasses.replace(prob.operator(s), corner0=zero, cornerL=zero)

@@ -55,7 +55,6 @@ __all__ = [
     "apply_spatial_op_adjoint_freq",
     "boundary_sign_functional",
     "cell_to_face",
-    "split_stacked",
 ]
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
@@ -287,8 +286,8 @@ class ReducedOperator:
             self.n_cells,
         )
 
-    def take(self, ks: np.ndarray) -> "ReducedOperator":
-        """The operator at the frequency indices ks."""
+    def take(self, ks: np.ndarray | slice) -> "ReducedOperator":
+        """The operator at the frequency indices ks; views of its symbols when ks is a slice."""
         return ReducedOperator(
             self.sym_p[ks], self.sym_v[ks], self.corner0[ks], self.cornerL[ks],
             self.off, self.n_cells,
@@ -519,12 +518,6 @@ def assemble_spatial_op_adjoint(
 ) -> np.ndarray:
     """Dense reduced adjoint spatial operator at one frequency."""
     return reduced_operator(sd, bl, bl.flux_symbol(np.asarray([s]), rho)).adjoint().dense(0)
-
-
-def split_stacked(sd: SpatialDiscretization, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split (..., n_reduced) stacked values into pressure and interior velocity."""
-    nc = sd.n_cells
-    return values[..., :nc], values[..., nc:]
 
 
 def apply_spatial_op_freq(

@@ -17,9 +17,11 @@ leakage is damped like exp(-rho * padding), which is why
 causality-sensitive callers must leave enough trailing zeros
 (assert_padded checks this).
 
-A real signal has u_hat(-s) = conj u_hat(s), so its half spectrum, the
-rows half_rows(grid) with s >= 0 (plus Nyquist for even n), holds all of
-it: forward_transform(u, half=True) computes it by a real FFT, and
+Every spectrum is in numpy's FFT order, s = 0 first, the positive
+frequencies, then the negative ones.  A real signal has
+u_hat(-s) = conj u_hat(s), so its half spectrum, the first n // 2 + 1
+rows (s >= 0, plus Nyquist for even n), holds all of it:
+forward_transform(u, half=True) computes it by a real FFT, and
 inverse_transform returns it to a real signal by the inverse real FFT.
 The transform acts on time alone, so a separable signal w(t) g is
 transformed as w alone, with g applied to the spectrum.
@@ -36,7 +38,6 @@ from .signals import WeightedGrid, WeightedSignal
 __all__ = [
     "SpectralSignal",
     "frequencies_for",
-    "half_rows",
     "forward_transform",
     "inverse_transform",
     "assert_padded",
@@ -44,10 +45,6 @@ __all__ = [
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 PAD_REL_TOL = 1e-12  # samples above this fraction of the peak count as support
-# Largest temporary of the in-place fftshift: a few rows of a large
-# spectrum, where a copy of its first half would take 16.8 MB on the
-# reflection scenario.
-_BLOCK_BYTES = 2**16
 
 
 @dataclass(frozen=True)
@@ -55,10 +52,10 @@ class SpectralSignal:
     """The weighted transform of a signal on grid: values[k] sits at freqs[k].
 
     A spectrum lives on the line i s + rho fixed by its time grid, so it
-    carries the grid and its form: all grid.n frequencies, or with half
-    the half_rows(grid) of a real signal.  values has shape (rows, d) and
-    is marked read-only; a non-finite value is refused by the
-    WeightedSignal that inverse_transform builds from it.
+    carries the grid and its form: all grid.n frequencies in FFT order,
+    or with half the first n // 2 + 1 of them, a real signal's.  values
+    has shape (rows, d) and is marked read-only; a non-finite value is
+    refused by the WeightedSignal that inverse_transform builds from it.
     """
 
     grid: WeightedGrid
@@ -76,41 +73,12 @@ class SpectralSignal:
 
     @property
     def freqs(self) -> np.ndarray:
-        s = frequencies_for(self.grid)
-        return s[half_rows(self.grid)] if self.half else s
+        return frequencies_for(self.grid)[: self.values.shape[0]]
 
 
 def frequencies_for(grid: WeightedGrid) -> np.ndarray:
-    """The (shifted, increasing) frequency grid implied by a time grid."""
-    return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(grid.n, grid.dt))
-
-
-def half_rows(grid: WeightedGrid) -> np.ndarray:
-    """The rows of frequencies_for(grid) in rfft order: s >= 0, then Nyquist (row 0) for even n."""
-    n = grid.n
-    return (n // 2 + np.arange(n // 2 + 1)) % n
-
-
-def _fftshift_rows(x: np.ndarray) -> None:
-    """np.fft.fftshift(x, axes=0) in place, through temporaries of at most _BLOCK_BYTES.
-
-    The first n // 2 rows swap places with the last n // 2, a block at a
-    time; for odd n the middle row then moves from the front of the
-    second half to its end.
-    """
-    n, h = x.shape[0], x.shape[0] // 2
-    rows = max(1, _BLOCK_BYTES // max(x[0].nbytes, 1))
-    for a in range(0, h, rows):
-        b = min(a + rows, h)
-        head = x[a:b].copy()
-        x[a:b] = x[n - h + a : n - h + b]
-        x[n - h + a : n - h + b] = head
-    if n % 2:
-        middle = x[h].copy()
-        for a in range(h, n - 1, rows):
-            b = min(a + rows, n - 1)
-            x[a:b] = x[a + 1 : b + 1]
-        x[n - 1] = middle
+    """The frequency grid implied by a time grid, in FFT order (np.fft.fftfreq's)."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dt)
 
 
 def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
@@ -124,16 +92,14 @@ def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
     `c[:, None] * a` can differ in the last bit.
     """
     grid = u.grid
-    s = frequencies_for(grid)
     weight = np.exp(-grid.rho * grid.times)[:, None]
     samples = u.values if u.profiles is None else u.profiles[0][:, None]
     if half:
-        s = s[half_rows(grid)]
         vals = np.fft.rfft(np.multiply(weight, samples.real), axis=0)
     else:
         vals = np.multiply(weight, samples, dtype=complex)
         np.fft.fft(vals, axis=0, out=vals)
-        _fftshift_rows(vals)
+    s = frequencies_for(grid)[: vals.shape[0]]
     scaled_phase = (grid.dt / _SQRT_2PI) * np.exp(-1j * s * grid.t0)
     np.multiply(scaled_phase[:, None], vals, out=vals)
     if u.profiles is not None:
@@ -144,23 +110,21 @@ def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
 def inverse_transform(u_hat: SpectralSignal) -> WeightedSignal:
     """The time samples of u_hat on its grid, computed in place in one new array.
 
-    The phase and scale multiply straight into the FFT order, so the
-    spectrum is read once and never copied.  A half spectrum fills the
-    real part, by the inverse real FFT, which drops the imaginary part of
-    its s = 0 and Nyquist rows.
+    The phase and scale multiply straight into the array the inverse FFT
+    runs in, so the spectrum is read once and never copied.  A half
+    spectrum fills the real part, by the inverse real FFT, which drops
+    the imaginary part of its s = 0 and Nyquist rows.
     """
     grid = u_hat.grid
-    n, shift = grid.n, grid.n // 2
     scaled_phase = (_SQRT_2PI / grid.dt) * np.exp(1j * u_hat.freqs * grid.t0)
-    vals = np.empty((n, u_hat.values.shape[1]), dtype=complex)
+    vals = np.empty((grid.n, u_hat.values.shape[1]), dtype=complex)
     if u_hat.half:
         out = vals.real
         vals.imag = 0.0
-        np.fft.irfft(np.multiply(scaled_phase[:, None], u_hat.values), n, axis=0, out=out)
+        np.fft.irfft(np.multiply(scaled_phase[:, None], u_hat.values), grid.n, axis=0, out=out)
     else:
         out = vals
-        np.multiply(scaled_phase[shift:, None], u_hat.values[shift:], out=vals[: n - shift])
-        np.multiply(scaled_phase[:shift, None], u_hat.values[:shift], out=vals[n - shift :])
+        np.multiply(scaled_phase[:, None], u_hat.values, out=vals)
         np.fft.ifft(vals, axis=0, out=vals)
     np.multiply(np.exp(grid.rho * grid.times)[:, None], out, out=out)
     return WeightedSignal(grid, vals)

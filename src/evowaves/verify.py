@@ -42,7 +42,7 @@ from .solver import (
     apply_evo_operator,
     causality_margins,
 )
-from .spatial import boundary_sign_functional, split_stacked
+from .spatial import boundary_sign_functional
 from .transform import forward_transform, frequencies_for, inverse_transform, SpectralSignal
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
 # trial and sample counts; checks.csv for a given seed depends on every one
 POSITIVITY_TRIALS = 24
 SHIFT_TRIALS = 6
-CAUSAL_CUTS = 10
 ADJOINT_FREQ_SAMPLES = 48
 BOUNDARY_TRIALS = 12
 
@@ -134,6 +133,7 @@ def trial_fields(
     out = []
     for i in range(n_trials):
         coeff = rng.standard_normal((grid.n, dim)) + 1j * rng.standard_normal((grid.n, dim))
+        coeff = np.fft.ifftshift(coeff, axes=0)  # row k of the draw goes to the k-th smallest s
         u = inverse_transform(SpectralSignal(grid, decay[:, None] * coeff))
         vals = u.values * envelope[:, None]
         if i % 3 == 2:
@@ -171,12 +171,12 @@ def check_positivity(prob: EvoProblem, seed: int = 0) -> CheckResult:
         chi_u = truncate_before(u, cut)
         u_hat = forward_transform(u)  # T and T* both act on this one spectrum
         tu = _apply_spectral(op, u_hat)
-        denom = rho_inner(chi_u, chi_u).real
+        denom = rho_norm(chi_u) ** 2
         if denom <= 0:
             continue
         margins_f.append((rho_inner(chi_u, tu).real - beta0 * denom) / denom)
         tv = _apply_spectral(adjoint, u_hat)
-        denom_a = rho_inner(u, u).real
+        denom_a = rho_norm(u) ** 2
         margins_a.append((rho_inner(u, tv).real - beta0 * denom_a) / denom_a)
     margin = min(margins_f + margins_a)
     which = "forward" if min(margins_f) <= min(margins_a) else "adjoint"
@@ -215,9 +215,9 @@ def check_positivity_shift_invariance(prob: EvoProblem, seed: int = 1) -> CheckR
             v = translate(u, -a)
             chi_v = truncate_before(v, cut0 + a)
             tv = apply_evo_operator(prob, v)
-            raw = rho_inner(chi_v, tv).real - beta0 * rho_inner(chi_v, chi_v).real
-            vals.append(raw * np.exp(2.0 * grid.rho * a))
-            scale = max(scale, abs(rho_inner(chi_v, chi_v).real) * np.exp(2.0 * grid.rho * a))
+            energy = rho_norm(chi_v) ** 2
+            vals.append((rho_inner(chi_v, tv).real - beta0 * energy) * np.exp(2.0 * grid.rho * a))
+            scale = max(scale, energy * np.exp(2.0 * grid.rho * a))
         spread = max(vals) - min(vals)
         worst = max(worst, spread / max(scale, 1e-300))
     return CheckResult(
@@ -229,20 +229,21 @@ def check_positivity_shift_invariance(prob: EvoProblem, seed: int = 1) -> CheckR
 
 
 def check_causal_estimate(prob: EvoProblem, seed: int = 2) -> CheckResult:
-    """beta0 ||chi U|| <= ||chi f|| at random cut times, relative to ||f||."""
-    rng = np.random.default_rng(seed)
+    """beta0 ||chi_a U|| <= ||chi_a f|| at every grid cut time a, relative to ||f||.
+
+    The check draws nothing; it takes seed only because _run_checks
+    passes seed= to every check.
+    """
     if prob.f_norm == 0.0:
         return CheckResult("causal_estimate", 0.0, 1e-12, "f = 0: trivially causal")
-    grid = prob.grid
-    cuts = grid.t0 + grid.window_length * rng.uniform(0.05, 0.95, size=CAUSAL_CUTS)
     _, _, beta0 = prob.margin_constants()
-    u = _solve_spectral(prob)[0]
-    margins = causality_margins(prob, u, cuts, beta0)
+    margins = causality_margins(prob, _solve_spectral(prob)[0], beta0)
+    worst = int(np.argmin(margins))
     return CheckResult(
         "causal_estimate",
-        float(margins.min()),
+        float(margins[worst]),
         1e-6,
-        f"{CAUSAL_CUTS} random cuts; worst at a={cuts[int(np.argmin(margins))]:.4g}",
+        f"every grid cut; worst at a={prob.grid.times[worst]:.4g}",
     )
 
 
@@ -265,7 +266,7 @@ def check_adjoint_projection(
     if n_band is None:
         n_band = 0.5 * np.abs(s).max()
     sample_idx = np.unique(np.linspace(0, s.size - 1, ADJOINT_FREQ_SAMPLES, dtype=int))
-    s_samp = s[sample_idx]
+    s_samp = np.sort(s)[sample_idx]
     op = prob.operator(s_samp)
     fwd = np.stack([op.dense(k) for k in range(s_samp.size)])
     adjoint = op.adjoint()
@@ -326,8 +327,7 @@ def check_boundary_sign(prob: EvoProblem, seed: int = 4) -> CheckResult:
     cut = _cutoff_time(prob)
     margins = []
     for u in trial_fields(prob, BOUNDARY_TRIALS, rng):
-        p_vals, _ = split_stacked(prob.sd, u.values)
-        p = WeightedSignal(prob.grid, p_vals)
+        p = WeightedSignal(prob.grid, u.values[:, : prob.sd.n_cells])
         nrm2 = rho_norm(p) ** 2
         if nrm2 <= 0:
             continue

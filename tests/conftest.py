@@ -64,6 +64,7 @@ def interior_signal(
     s = frequencies_for(grid)
     decay = np.exp(-((s / (0.15 * np.abs(s).max())) ** 2))
     coeff = rng.standard_normal((grid.n, dim)) + 1j * rng.standard_normal((grid.n, dim))
+    coeff = np.fft.ifftshift(coeff, axes=0)  # row k of the draw goes to the k-th smallest s
     u = inverse_transform(SpectralSignal(grid, decay[:, None] * coeff))
     w = grid.window_length
     center = grid.t0 + 0.45 * w if center is None else center

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import pathlib
 import re
+import time
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ class TestFrequencySolve:
         s = frequencies_for(problem.grid)
         n = problem.grid.n
         assert any(
-            f"broke down at {n} of {n} frequencies in s = [{s[0]:.9g}, {s[-1]:.9g}]" in w
+            f"broke down at {n} of {n} frequencies in s = [{s.min():.9g}, {s.max():.9g}]" in w
             for w in pivoted.warnings
         )
 
@@ -328,7 +329,7 @@ class TestBoundaryFamily:
 
     def test_singular_correction_names_law_and_frequency(self, monkeypatch):
         base = self.scenario.build()
-        s_bad = frequencies_for(base.grid)[base.grid.n // 2 + 7]  # s >= 0: on the half spectrum
+        s_bad = frequencies_for(base.grid)[7]  # s >= 0: on the half spectrum
         laws = [base.bl, BoundaryLaw.robin(0.5, base.sd)]
         flux = BoundaryLaw.flux_symbol
 
@@ -438,7 +439,7 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("n", [512, 511])
     def test_weighted_norm_is_the_parseval_norm(self, n):
         prob = make_problem(n=n)
-        _, _, weight = solver._solved_rows(prob.grid, True)
+        weight = solver._parseval_weights(prob.grid, True)
         half = solver._parseval_norm(forward_transform(prob.f, half=True).values, weight)
         assert half == pytest.approx(np.linalg.norm(forward_transform(prob.f).values), rel=1e-14)
 
@@ -830,7 +831,7 @@ class TestReport:
         lowest = np.array([np.linalg.eigvalsh(h)[0] for h in hermitian])
         assert np.allclose(op.margin(), lowest, rtol=1e-13, atol=0.0)
         assert rep.beta0_grid == op.margin().min()
-        assert rep.beta0_grid_s == s[op.margin().argmin()]
+        assert rep.beta0_grid_s == s[op.margin() == rep.beta0_grid].min()
         assert rep.beta0 <= rep.beta0_grid
         assert f"beta0_grid            {rep.beta0_grid:.17g}" in rep.to_text()
 
@@ -839,8 +840,53 @@ class TestReport:
         s = frequencies_for(problem.grid)
         bound = problem.operator(s).condition_bound()
         assert rep.max_condition_bound == bound.max()
-        assert rep.condition_peak_s == s[bound.argmax()]
-        assert f"condition_peak_s      {s[bound.argmax()]:.9g}" in rep.to_text()
+        assert rep.condition_peak_s == s[bound == bound.max()].min()
+        assert f"condition_peak_s      {rep.condition_peak_s:.9g}" in rep.to_text()
+
+    @pytest.mark.parametrize("odd", [0, 1])
+    def test_ties_go_to_the_smallest_s(self, odd):
+        # a memoryless law: Re of every diagonal is rho m0 at every s, so every
+        # frequency reaches beta0_grid; the report names the smallest s, not
+        # the first in FFT order (s = 0).  For odd n the condition bound peaks
+        # at both ends, s = -s_max and s_max, and names -s_max
+        sc = load_scenario(str(ROOT / "scenarios/reflection.cfg"))
+        sc = dataclasses.replace(sc, n=sc.n // 4 - odd, dt=sc.dt * 4, cells=sc.cells // 4)
+        prob = sc.build()
+        rep = solve_frequency(prob)
+        s = frequencies_for(prob.grid)
+        op = prob.operator(s)
+        assert np.ptp(op.margin()) == 0.0 and s[0] == 0.0
+        assert rep.beta0_grid_s == s.min()
+        bound = op.condition_bound()
+        assert (bound == bound.max()).sum() == 1 + odd
+        assert rep.condition_peak_s == s.min()
+
+    def test_causality_margin_reads_every_cut(self, problem):
+        # U is nonzero at one sample, just after one of ten evenly spaced cut
+        # times, with beta0 ||U|| between ||chi_a f|| there and at the next
+        # such cut: every one of the ten cuts reads a margin >= 0, yet the
+        # cut at that sample reads a violation
+        grid = problem.grid
+        _, _, beta0 = problem.margin_constants()
+        wq = grid.weights()
+        energy_f = np.sqrt(np.cumsum(wq * problem.f.sample_energy()))
+        ten = grid.t0 + grid.window_length * np.arange(1, 11) / 11.0
+        at = np.searchsorted(grid.times, ten, side="right") - 1  # the sample of each cut
+        m = int(np.argmax(energy_f[at[1:]] - energy_f[at[:-1] + 1]))
+        j, nxt = at[m] + 1, at[m + 1]
+        assert energy_f[j] < energy_f[nxt]
+        vals = np.zeros((grid.n, problem.sd.n_reduced))
+        vals[j, 0] = 0.5 * (energy_f[j] + energy_f[nxt]) / (beta0 * np.sqrt(wq[j]))
+        u = WeightedSignal(grid, vals)
+        margins = solver.causality_margins(problem, u, beta0)
+        assert (margins[at] >= 0.0).all()
+        assert np.argmin(margins) == j
+        rep = solver._report(
+            problem, u, "frequency", time.perf_counter(), (0.0, True),
+            problem.grid_operator, frequencies_for(grid), [],
+        )
+        assert rep.causality_margin == margins[j] < -solver.CAUSALITY_SLACK
+        assert not rep.causality_ok()
 
     def test_both_solvers_warn_on_unpadded_source(self):
         # a source centred near the window end leaves too little trailing padding

@@ -18,7 +18,6 @@ from evowaves.spatial import (
     build_grid,
     cell_to_face,
     reduced_operator,
-    split_stacked,
 )
 from evowaves.transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
 
@@ -434,10 +433,3 @@ class TestInterpolation:
         exact = np.sin(2 * np.pi * sd.face_x)
         err = np.abs(cell_to_face(sd, f)[1:-1] - exact[1:-1]).max()
         assert err < 2 * (2 * np.pi * sd.dx / 2) ** 2
-
-    def test_stack_split_roundtrip(self):
-        sd = build_grid(1.0, 8)
-        rng = np.random.default_rng(1)
-        vals = rng.standard_normal((4, sd.n_reduced))
-        p, v = split_stacked(sd, vals)
-        assert np.array_equal(np.concatenate([p, v], axis=-1), vals)

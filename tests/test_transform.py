@@ -3,14 +3,12 @@ import pytest
 import scipy.integrate
 
 from conftest import apply_symbol, bump, interior_signal, zero_signal
-from evowaves import transform
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
 from evowaves.transform import (
     SpectralSignal,
     assert_padded,
     forward_transform,
     frequencies_for,
-    half_rows,
     inverse_transform,
 )
 
@@ -84,19 +82,15 @@ class TestForwardInverse:
         )
         assert rel_gap(lhs, rhs) < 1e-12
 
-    # odd and even n, the fftshift in one block or in blocks of 3 rows;
-    # t0 != 0 so the phase multiplies every row, and the operand order of
-    # each product shows in the last bit
+    # odd and even n; t0 != 0 so the phase multiplies every row, and the
+    # operand order of each product shows in the last bit (the ids are
+    # those of an earlier form of the test, which had a fourth parameter)
     @pytest.mark.parametrize(
-        "n,dim,seed,block_rows",
-        [
-            (512, 63, 0, None), (64, 3, 1, None), (9, 2, 2, None), (2, 1, 3, None),
-            (64, 3, 4, 3), (11, 2, 5, 3),
-        ],
+        "n,dim,seed",
+        [(512, 63, 0), (64, 3, 1), (9, 2, 2), (2, 1, 3)],
+        ids=["512-63-0-None", "64-3-1-None", "9-2-2-None", "2-1-3-None"],
     )
-    def test_bitwise_equal_to_out_of_place(self, monkeypatch, n, dim, seed, block_rows):
-        if block_rows is not None:
-            monkeypatch.setattr(transform, "_BLOCK_BYTES", block_rows * 16 * dim)
+    def test_bitwise_equal_to_out_of_place(self, n, dim, seed):
         rng = np.random.default_rng(seed)
         grid = WeightedGrid(-1.7 + seed, 0.037, n, 1.3)
         vals = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
@@ -104,13 +98,13 @@ class TestForwardInverse:
 
         # the transforms as out-of-place expressions, one temporary per step
         g = np.exp(-grid.rho * grid.times)[:, None] * u.values
-        spec = np.fft.fftshift(np.fft.fft(g, axis=0), axes=0)
+        spec = np.fft.fft(g, axis=0)
         s = frequencies_for(grid)
         phase = np.exp(-1j * s * grid.t0)
         fwd = (grid.dt / SQRT_2PI) * phase[:, None] * spec
 
         phase = np.exp(1j * s * grid.t0)
-        spec = np.fft.ifftshift((SQRT_2PI / grid.dt) * phase[:, None] * vals, axes=0)
+        spec = (SQRT_2PI / grid.dt) * phase[:, None] * vals
         inv = np.exp(grid.rho * grid.times)[:, None] * np.fft.ifft(spec, axis=0)
 
         got_fwd = forward_transform(u).values
@@ -129,18 +123,16 @@ class TestForwardInverse:
     @pytest.mark.parametrize("n", [63, 64])
     def test_freqs_uniform_increasing(self, n):
         # the frequencies a spectrum reports are its grid's, spaced 2 pi/(n dt)
+        # in FFT order: s = 0 first, increasing once fftshift puts them in order
         grid = WeightedGrid(-0.4, 0.05, n, 1.5)
         s = forward_transform(interior_signal(grid, seed=8)).freqs
-        assert s.shape == (n,)
-        np.testing.assert_allclose(np.diff(s), 2.0 * np.pi / (n * grid.dt), rtol=1e-12)
+        assert s.shape == (n,) and s[0] == 0.0
+        sorted_s = np.fft.fftshift(s)
+        np.testing.assert_allclose(np.diff(sorted_s), 2.0 * np.pi / (n * grid.dt), rtol=1e-12)
 
 
 class TestHalfSpectrum:
     """A real signal's spectrum on s >= 0 (plus Nyquist), by the real FFT."""
-
-    def test_half_rows(self):
-        assert half_rows(WeightedGrid(0.0, 0.1, 8, 1.0)).tolist() == [4, 5, 6, 7, 0]
-        assert half_rows(WeightedGrid(0.0, 0.1, 7, 1.0)).tolist() == [3, 4, 5, 6]
 
     @pytest.mark.parametrize("n", [64, 63, 2])
     def test_rows_of_the_full_spectrum(self, n):
@@ -148,9 +140,11 @@ class TestHalfSpectrum:
         u = WeightedSignal(grid, np.random.default_rng(n).standard_normal((n, 3)))
         full, half = forward_transform(u), forward_transform(u, half=True)
         assert half.half and half.values.shape == (n // 2 + 1, 3)
-        np.testing.assert_array_equal(half.freqs, full.freqs[half_rows(grid)])
+        rows = slice(n // 2 + 1)  # the half spectrum is a prefix of the full one
+        np.testing.assert_array_equal(half.freqs, full.freqs[rows])
+        assert (half.freqs >= 0).all() == (n % 2 == 1)  # even n ends at -Nyquist
         scale = np.abs(full.values).max()
-        assert np.abs(half.values - full.values[half_rows(grid)]).max() <= 1e-14 * scale
+        assert np.abs(half.values - full.values[rows]).max() <= 1e-14 * scale
 
         back = inverse_transform(half).values
         assert not back.imag.any()

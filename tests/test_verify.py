@@ -103,6 +103,20 @@ class TestCausalEstimate:
         res = check_causal_estimate(prob, seed=2)
         assert res.passed and "trivially" in res.details
 
+    def test_names_the_worst_cut(self, problem, monkeypatch):
+        # a solution that leads its source fails at every cut before the
+        # source catches up, and the details name the worst of them
+        grid = problem.grid
+        vals = np.zeros((grid.n, problem.sd.n_reduced))
+        vals[0, 0] = 1.0
+        u = problem.f.with_values(vals)
+        monkeypatch.setattr(verify, "_solve_spectral", lambda prob: (u,))
+        margins = verify.causality_margins(problem, u, problem.margin_constants()[2])
+        worst = int(np.argmin(margins))
+        res = check_causal_estimate(problem, seed=2)
+        assert not res.passed and res.margin == margins[worst]
+        assert f"worst at a={grid.times[worst]:.4g}" in res.details
+
 
 class TestAdjointProjection:
     def test_band_projection_identity(self, problem):
