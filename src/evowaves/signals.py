@@ -5,8 +5,9 @@ measured with the weight exp(-2*rho*t).  Large rho suppresses late times,
 which is what makes causal problems coercive; the price is that every
 signal must decay fast enough at the right end of its window for the
 weighted tail to be negligible.  A signal here is a finite uniform window
-[t0, t0 + (n-1)*dt] of that axis carrying complex d-vectors per sample,
-held as those samples or, when separable, as a time and a space profile.
+[t0, t0 + (n-1)*dt] of that axis carrying d-vectors per sample, float64
+when real and complex128 when complex, held as those samples or, when
+separable, as a time and a space profile.
 
 Windows are the caller's responsibility: the verification suite checks
 empirically that chosen windows are adequate, nothing here enforces it.
@@ -100,9 +101,9 @@ class WeightedGrid:
         return int(m_round)
 
 
-def _finite(x: np.ndarray, dtype: type) -> np.ndarray:
-    """x as a read-only contiguous array of dtype; a non-finite entry raises ValueError."""
-    x = np.ascontiguousarray(x, dtype=dtype)
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x read-only and contiguous, complex128 or else float64; non-finite raises ValueError."""
+    x = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite samples")
     x.setflags(write=False)
@@ -111,15 +112,17 @@ def _finite(x: np.ndarray, dtype: type) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedSignal:
-    """Complex d-vector samples on a WeightedGrid, held in one of two forms.
+    """d-vector samples on a WeightedGrid, held in one of two forms.
 
     WeightedSignal(grid, samples) holds the samples, shape (grid.n, d).
     A separable signal, WeightedSignal(grid, profiles=(w, g)), holds a
     real time profile w of shape (n,) and a spatial profile g of shape
     (d,), for the samples w_j g_d; values builds them on first access,
     as w[:, None] * g[None, :], and keeps them.  forward_transform and the
-    per-sample helpers read the profiles alone.  Instances are immutable:
-    every array is read-only, and a non-finite entry raises ValueError.
+    per-sample helpers read the profiles alone.  Real samples, and the
+    values of a real g, are float64 (half the memory of complex128).
+    Instances are immutable: every array is read-only, and a non-finite
+    entry raises ValueError.
     """
 
     grid: WeightedGrid
@@ -131,22 +134,21 @@ class WeightedSignal:
             w, g = self.profiles
             if np.iscomplexobj(w) or np.shape(w) != (self.grid.n,) or np.ndim(g) != 1:
                 raise ValueError(f"profiles must be a real (n,) and a (d,) array, n={self.grid.n}")
-            g = _finite(g, complex if np.iscomplexobj(g) else float)
-            object.__setattr__(self, "profiles", (_finite(w, float), g))
+            object.__setattr__(self, "profiles", (_finite(w), _finite(g)))
             return
-        v = np.asarray(self.samples, dtype=complex)
+        v = np.asarray(self.samples)
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2 or v.shape[0] != self.grid.n:
             raise ValueError(f"values must have shape (n, d) with n={self.grid.n}, got {v.shape}")
-        object.__setattr__(self, "samples", _finite(v, complex))
+        object.__setattr__(self, "samples", _finite(v))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
         if self.profiles is None:
             return self.samples
-        w, g = self.profiles  # straight into complex: a float temporary raised peak memory
-        return _finite(np.multiply(w[:, None], g, out=np.empty((w.size, g.size), complex)), complex)
+        w, g = self.profiles
+        return _finite(w[:, None] * g)
 
     @property
     def dim(self) -> int:
@@ -170,7 +172,8 @@ class WeightedSignal:
     @property
     def is_real(self) -> bool:
         """Whether no sample has an imaginary part; a separable signal's, whether g is real."""
-        return not (self.samples if self.profiles is None else self.profiles[1]).imag.any()
+        x = self.samples if self.profiles is None else self.profiles[1]
+        return not (np.iscomplexobj(x) and x.imag.any())
 
     def with_values(self, values: np.ndarray) -> "WeightedSignal":
         return WeightedSignal(self.grid, values)
@@ -235,11 +238,10 @@ def translate(u: WeightedSignal, h: float) -> WeightedSignal:
 #
 # CPython's "%.17g" costs about 0.7 us a number, so a numpy kernel formats
 # a chunk of rows at a time, each number into a slot ended by a separator
-# word.  When every im_j holds +0.0 bits (a real signal, such as every
-# solution on the half spectrum), only t and the re_j are formatted, and
-# each im_j is the "0" of the word after its re_j: ",0," or ",0" and CRLF.
-# Any other signal, one -0.0 in an im_j included, has every column
-# formatted.  The kernel writes every x with 1e-99 <= |x| < 1, which
+# word.  Of a float64 signal (such as every solution on the half spectrum)
+# only t and the re_j are formatted, and each im_j is the "0" of the word
+# after its re_j: ",0," or ",0" and CRLF.  A complex signal has every
+# column formatted.  The kernel writes every x with 1e-99 <= |x| < 1, which
 # "%.17g" prints in fixed notation from 1e-4 up and in exponent form with
 # a two-digit exponent below (all of the reflection solution but its
 # zeros), and writes zeros, "0" or "-0" by the sign bit, from a table.
@@ -454,10 +456,10 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
 
     Every number is written as "%.17g": the vectorized kernel above
     formats those with 1e-99 <= |x| < 1 and "%.17g" itself the rest, with
-    the same bytes either way.  When every im_j is +0.0 (a real signal),
-    only t and the re_j are formatted and each im_j is written as the "0"
-    of a fixed separator.  Formatting is still most of the cost of a
-    large file, so the rows are split into contiguous blocks, at most one
+    the same bytes either way.  Of a float64 signal only t and the re_j
+    are formatted and each im_j is the "0" of a fixed separator, the bytes
+    of its complex copy.  Formatting is still most of the cost of a large
+    file, so the rows are split into contiguous blocks, at most one
     per usable CPU and per MIN_DOUBLES_PER_WORKER numbers formatted.  The
     parent formats block 0 into a temporary file next to path; each other
     block is formatted by a child forked through _Forked into its own part
@@ -469,13 +471,12 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
     header = ["t"]
     for j in range(u.dim):
         header += [f"re_{j}", f"im_{j}"]
-    # (n, 2*dim) float view: re_0, im_0, re_1, ... in column order
-    floats = u.values.view(np.float64)
-    # every im_j +0.0 bits: each is the "0" of the word after its re_j
-    if u.dim and not floats[:, 1::2].view(np.uint64).any():
-        cols, seps = floats[:, 0::2], [_COMMA] + [_ZERO_COMMA] * (u.dim - 1) + [_ZERO_CRLF]
+    # a real signal's re_j alone, each im_j the "0" of the word after it;
+    # a complex one as its (n, 2*dim) float view: re_0, im_0, re_1, ...
+    if u.dim and not np.iscomplexobj(u.values):
+        cols, seps = u.values, [_COMMA] + [_ZERO_COMMA] * (u.dim - 1) + [_ZERO_CRLF]
     else:
-        cols, seps = floats, [_COMMA] * (2 * u.dim) + [_CRLF]
+        cols, seps = u.values.view(np.float64), [_COMMA] * (2 * u.dim) + [_CRLF]
     seps = np.array(seps)
     times = u.grid.times
     n = u.grid.n
@@ -522,6 +523,7 @@ def read_signal_csv(path: str, grid: WeightedGrid) -> WeightedSignal:
     """Read a signal written by write_signal_csv onto a known grid.
 
     The time column must match the grid times; there is no resampling.
+    The signal is float64 when every im_j reads as +0.0, else complex128.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
@@ -543,6 +545,7 @@ def read_signal_csv(path: str, grid: WeightedGrid) -> WeightedSignal:
         raise ValueError(f"{path}: row {int(np.argmin(finite)) + 1} holds a non-finite sample")
     if not np.allclose(data[:, 0], grid.times, rtol=0, atol=1e-9 * max(grid.dt, 1.0)):
         raise ValueError(f"{path}: time column does not match the scenario grid")
-    # pairs (re_j, im_j) reinterpreted as complex, which keeps the sign of a zero
-    vals = np.ascontiguousarray(data[:, 1:]).view(complex)
-    return WeightedSignal(grid, vals)
+    if data[:, 2::2].view(np.uint64).any():  # an im_j other than +0.0, or -0.0
+        # pairs (re_j, im_j) reinterpreted as complex, which keeps the sign of a zero
+        return WeightedSignal(grid, np.ascontiguousarray(data[:, 1:]).view(complex))
+    return WeightedSignal(grid, data[:, 1::2])

@@ -18,7 +18,8 @@ boundary faces.  Two solvers are provided and cross-checked:
   boundary laws and corrects each law by a 2x2 Woodbury update.  When
   the source and every law are real in time (EvoProblem.real_in_time),
   T(-s) = conj T(s) and U is real, so both solve the half spectrum
-  s >= 0 and Nyquist alone, by real FFTs; anything else, every frequency.
+  s >= 0 and Nyquist alone, by real FFTs, into a float64 U; anything
+  else, every frequency.
   Every spectrum is in FFT order, where the half spectrum is the first
   n // 2 + 1 rows, so its operator is a slice of the grid operator.
 * solve_timestep: causal implicit Euler marching.  Each step solves with
@@ -27,8 +28,9 @@ boundary faces.  Two solvers are provided and cross-checked:
   one state each, so no history is stored.  The solution and every pole
   state live in one array, so a step is one weighted sum, one solve and
   one state update, in float64 when the problem is real in time and
-  every realized pole is real, in complex otherwise.  First order in the
-  step, strictly causal by construction.
+  every realized pole is real, in complex otherwise; U is float64 when
+  the problem is real in time.  First order in the step, strictly causal
+  by construction.
 
 Both end in the same report code: a SolveReport carrying the residual,
 the energy ratio against the solvability margin, the causality margin
@@ -37,7 +39,7 @@ bound, the exact discrete coercivity constant beta0_grid and the same
 warnings.  The stepper's residual is the time-domain one (trapezoid
 norm), the only form that measures its first-order defect; residual_norm
 applies the operator for it on the half spectrum when the problem and
-the solution are real.
+the solution are real, and then subtracts and sums in float64.
 
 Every matrix is the interleaved tridiagonal of spatial.ReducedOperator,
 and the frequency paths run on numpy alone.  scipy.linalg is imported
@@ -613,7 +615,9 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
     plus f[k], solved in place, so a step allocates nothing unless a real
     step matrix meets a complex march.  When the problem is
     real_in_time and every realized pole, gain and coefficient is real,
-    the march runs in float64 with a real LU; otherwise in complex.  Step
+    the march runs in float64 with a real LU; otherwise in complex.  U is
+    float64 for a real_in_time problem, so a complex march of conjugate
+    pole pairs keeps only its real part, Im U being rounding.  Step
     k uses data up to t_k only, so the scheme is strictly causal: a zero
     source prefix gives an exactly zero solution prefix, in either
     arithmetic.
@@ -645,7 +649,7 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
     solve = step.factor(0)
     z = np.zeros(coef.shape, dtype=coef.dtype)
     states, rhs = z[1:], np.empty(dim, dtype=coef.dtype)
-    out = np.zeros((grid.n, sd.n_reduced), dtype=complex)
+    out = np.zeros((grid.n, sd.n_reduced), dtype=coef.dtype)
     for k in range(1, grid.n):
         np.einsum("rj,rj->j", coef, z, out=rhs)
         rhs[0::2] += f[k, :nc]
@@ -657,6 +661,6 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
         states += x
         states *= gain
 
-    u = WeightedSignal(grid, out)
+    u = WeightedSignal(grid, out.real if prob.real_in_time else out)
     nan = np.full(1, np.nan)  # the step matrix has no frequency
     return _report(prob, u, "timestep", t_start, residual_norm(prob, u), step, nan, [])

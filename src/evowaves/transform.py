@@ -22,13 +22,15 @@ frequencies, then the negative ones.  A real signal has
 u_hat(-s) = conj u_hat(s), so its half spectrum, the first n // 2 + 1
 rows (s >= 0, plus Nyquist for even n), holds all of it:
 forward_transform(u, half=True) computes it by a real FFT, and
-inverse_transform returns it to a real signal by the inverse real FFT.
+inverse_transform returns it to a real signal, float64 samples, by the
+inverse real FFT; a full spectrum returns to complex128 samples.
 The transform acts on time alone, so a separable signal w(t) g is
 transformed as w alone, with g applied to the spectrum.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,23 +112,25 @@ def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
 def inverse_transform(u_hat: SpectralSignal) -> WeightedSignal:
     """The time samples of u_hat on its grid, computed in place in one new array.
 
-    The phase and scale multiply straight into the array the inverse FFT
-    runs in, so the spectrum is read once and never copied.  A half
-    spectrum fills the real part, by the inverse real FFT, which drops
-    the imaginary part of its s = 0 and Nyquist rows.
+    A full spectrum gives complex128 samples: the phase and scale multiply
+    straight into the array the inverse FFT runs in, so the spectrum is
+    read once and never copied.  A half spectrum gives float64 samples by
+    the inverse real FFT, which drops the imaginary part of its s = 0 and
+    Nyquist rows, in an anonymous mapping: glibc would serve that size
+    from its heap once a larger block has raised its mmap threshold, and
+    keep the pages resident after the signal is freed.
     """
     grid = u_hat.grid
+    n, d = grid.n, u_hat.values.shape[1]
     scaled_phase = (_SQRT_2PI / grid.dt) * np.exp(1j * u_hat.freqs * grid.t0)
-    vals = np.empty((grid.n, u_hat.values.shape[1]), dtype=complex)
     if u_hat.half:
-        out = vals.real
-        vals.imag = 0.0
-        np.fft.irfft(np.multiply(scaled_phase[:, None], u_hat.values), grid.n, axis=0, out=out)
+        # at least one byte: an empty mapping is an error
+        vals = np.frombuffer(mmap.mmap(-1, max(8 * n * d, 1)), float, n * d).reshape(n, d)
+        np.fft.irfft(np.multiply(scaled_phase[:, None], u_hat.values), n, axis=0, out=vals)
     else:
-        out = vals
-        np.multiply(scaled_phase[:, None], u_hat.values, out=vals)
+        vals = np.multiply(scaled_phase[:, None], u_hat.values, dtype=complex)
         np.fft.ifft(vals, axis=0, out=vals)
-    np.multiply(np.exp(grid.rho * grid.times)[:, None], out, out=out)
+    np.multiply(np.exp(grid.rho * grid.times)[:, None], vals, out=vals)
     return WeightedSignal(grid, vals)
 
 

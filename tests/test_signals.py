@@ -147,6 +147,10 @@ class TestSeparable:
         assert u.is_real == v.is_real == (not complex_g)
         assert rho_norm(u) == pytest.approx(np.sqrt(rho_inner(v, v).real), rel=1e-14)
         assert "values" not in u.__dict__  # the helpers read the profiles alone
+        assert u.values.dtype == (np.complex128 if complex_g else np.float64)
+        if not complex_g:  # a real g gives the complex samples' real parts, bit for bit
+            assert not samples.imag.view(np.uint64).any()
+            samples = samples.real
         assert np.array_equal(u.values.view(np.uint64), samples.view(np.uint64))
         assert u.values is u.values and not u.values.flags.writeable
 
@@ -215,6 +219,28 @@ class TestCsv:
         back = read_signal_csv(str(path), g)
         # bit patterns, so a -0.0 that comes back as +0.0 fails
         assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+
+    @pytest.mark.parametrize("im", [0.0, -0.0])
+    def test_dtype_read_from_the_im_fields(self, tmp_path, im):
+        # every im_j +0.0 reads back float64; one -0.0 is written "-0" and reads back complex
+        g = WeightedGrid(0.0, 0.1, 2, 1.0)
+        u = WeightedSignal(g, np.array([[1.5 + 0j, -0.25 + 0j], [-0.0 + 0j, complex(2.0, im)]]))
+        path = tmp_path / "sig.csv"
+        write_signal_csv(u, str(path))
+        assert path.read_bytes().endswith(b",2,%s\r\n" % (b"-0" if np.signbit(im) else b"0"))
+        back = read_signal_csv(str(path), g)
+        want = u.values if np.signbit(im) else u.values.real
+        assert back.values.dtype == want.dtype
+        assert np.array_equal(back.values.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("data", [[[1.0, -0.0], [2.0, 3.0]], [[1, 2], [3, 4]]])
+    def test_real_samples_stay_float64(self, data):
+        u = WeightedSignal(WeightedGrid(0.0, 0.1, 2, 1.0), data)
+        assert u.values.dtype == np.float64 and u.is_real
+        assert np.array_equal(u.values, np.array(data, float))
+        assert np.array_equal(np.signbit(u.values), np.signbit(np.array(data, float)))
+        c = u.with_values(u.values * (1 + 1j))
+        assert c.values.dtype == np.complex128 and not c.is_real
 
     def test_wrong_grid_rejected(self, grid, tmp_path):
         u = random_signal(grid, seed=11)
@@ -415,7 +441,9 @@ class TestCsvBlocks:
         rows = [b",".join(b"%.17g" % v for v in [t, *r]) + b"\r\n" for t, r in zip([0.0, 0.1], reals)]
         assert path.read_bytes().split(b"\r\n", 1)[1] == b"".join(rows)
 
-    # dim 0 has no im_j column and takes the general path
+    # a complex signal whose every im_j is +0.0 and its float64 real part
+    # write the same bytes, and read back as that float64 signal; dim 0 has
+    # no im_j column
     @pytest.mark.parametrize("dim", [0, 1, 3])
     @pytest.mark.parametrize("n", [2, 7, 10])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -423,13 +451,17 @@ class TestCsvBlocks:
         u = real_signal(n, dim)
         split(cpus)
         path = tmp_path / "sig.csv"
-        write_signal_csv(u, str(path))
-        assert path.read_bytes() == reference_csv(u)
+        real = u.with_values(u.values.real)
+        assert real.values.dtype == np.float64
+        for v in (real, u):
+            write_signal_csv(v, str(path))
+            assert path.read_bytes() == reference_csv(u)
         if dim:
             rows = path.read_bytes().split(b"\r\n")
             assert rows[-1] == b"" and all(row.endswith(b",0") for row in rows[1:-1])
         back = read_signal_csv(str(path), u.grid)
-        assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+        assert back.values.dtype == np.float64
+        assert np.array_equal(back.values.view(np.int64), real.values.view(np.int64))
 
     # one bit pattern other than +0.0 in an im_j sends the signal down the general path
     @pytest.mark.parametrize("im", [-0.0, 5e-324])

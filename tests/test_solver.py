@@ -436,6 +436,25 @@ class TestHalfSpectrum:
         assert "spectrum              half (real source and laws)\n" in half.to_text()
         assert "spectrum              full\n" in full.to_text()
 
+    @pytest.mark.parametrize("solve", [solve_frequency, solve_timestep])
+    def test_solution_dtype_follows_the_problem(self, solve):
+        real = memory_scenario()
+        cplx = dataclasses.replace(real, f=real.f.with_values(real.f.values * (1.0 - 0.5j)))
+        assert real.real_in_time and not cplx.real_in_time
+        assert real.f.values.dtype == np.float64  # a separable source with a real g
+        assert solve(real).solution.values.dtype == np.float64
+        assert solve(cplx).solution.values.dtype == np.complex128
+        # real in time, but the stepper marches its conjugate pole pair in complex
+        assert solve(conjugate_pair_problem()).solution.values.dtype == np.float64
+
+    def test_boundary_family_dtype_follows_the_laws(self):
+        base = parse_scenario(SWEEP_CONFIG).build()
+        complex_law = flux_boundary(base.sd, 0.5, poles_w=[-1.0 + 0.5j], residues_w=[0.3])
+        rows = probe_rows(base.sd)
+        (real_probe, _), = solve_boundary_family(base, [base.bl], rows)
+        (probe, _), _ = solve_boundary_family(base, [base.bl, complex_law], rows)
+        assert real_probe.values.dtype == np.float64 and probe.values.dtype == np.complex128
+
     @pytest.mark.parametrize("n", [512, 511])
     def test_weighted_norm_is_the_parseval_norm(self, n):
         prob = make_problem(n=n)
@@ -644,8 +663,9 @@ class TestFusedMarch:
         complex_prob.__dict__["real_in_time"] = False
         real = solve_timestep(real_prob).solution.values
         forced = solve_timestep(complex_prob).solution.values
-        assert not forced.imag.any()
-        assert np.array_equal(real.view(np.int64), forced.view(np.int64))
+        assert real.dtype == np.float64 and forced.dtype == np.complex128
+        assert not forced.imag.view(np.int64).any()  # +0.0 bits, not just zeros
+        assert np.array_equal(real.view(np.int64), forced.real.view(np.int64))
 
 
 class TestTimestep:

@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -150,6 +152,28 @@ class TestHalfSpectrum:
         assert not back.imag.any()
         assert np.abs(back - u.values).max() <= 1e-13 * np.abs(u.values).max()
         assert np.abs(back - inverse_transform(full).values).max() <= 1e-13 * np.abs(u.values).max()
+
+    def test_inverse_is_float64_in_its_own_mapping(self):
+        grid = WeightedGrid(-1.3, 0.07, 64, 0.9)
+        u = WeightedSignal(grid, np.random.default_rng(5).standard_normal((64, 3)))
+        assert u.values.dtype == np.float64
+        assert inverse_transform(forward_transform(u)).values.dtype == np.complex128
+        back = inverse_transform(forward_transform(u, half=True)).values
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        base = back
+        while isinstance(base, np.ndarray):
+            base = base.base
+        # a memoryview of an anonymous mapping, returned to the system with the signal
+        assert isinstance(base.obj, mmap.mmap)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_width_inverse(self, n):
+        # a zero-byte mapping is an error; a (n, 0) signal is not
+        grid = WeightedGrid(0.0, 0.1, n, 1.0)
+        back = inverse_transform(SpectralSignal(grid, np.zeros((n // 2 + 1, 0), complex), half=True))
+        assert back.values.shape == (n, 0) and back.values.dtype == np.float64
+        with pytest.raises(ValueError, match="need at least 2 samples"):  # no zero-length grid
+            WeightedGrid(0.0, 0.1, 0, 1.0)
 
     def test_shape_checked(self, grid):
         with pytest.raises(ValueError, match=r"n // 2 \+ 1, d\) with n=1024"):
