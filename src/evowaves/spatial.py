@@ -367,27 +367,38 @@ class ReducedOperator:
         """Solve every frequency's system for (n_freq, dim) stacked values.
 
         Returns the solution and the indices of the frequencies that the
-        Thomas kernel handed to the pivoted LU of factor().  A frequency
-        whose matrix is singular comes back as non-finite values.
+        Thomas kernel handed to the pivoted LU of factor(), which re-solves
+        them from rhs.  A frequency whose matrix is singular comes back as
+        non-finite values.
         """
         y = self._interleaved(rhs)
         broken = self._thomas(y)
+        if broken.size:
+            y[:, broken] = _solve_range_pivoted(self, self._interleaved(rhs[broken]), broken)
         return self._stacked(y), broken
 
     def _solve_with_corners(
-        self, rhs: np.ndarray, rows: list[int]
+        self, rhs: np.ndarray, rows: list[int], w: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Solve for stacked rhs and the unit vectors e_0, e_last of the two corner cells at once.
 
-        Returns the three solutions at the stacked rows, (len(rows), 3,
-        n_freq), and each solve's squared residual norm per frequency,
-        (3, n_freq), computed in row blocks to hold no second full array.
+        The operator and rhs, (n_freq, dim), are one block of frequencies,
+        and the solve runs in the caller's work array w, (dim + 2, 3,
+        n_freq), whatever it holds on entry: its first and last rows are
+        zeroed, and rows 1 to dim take the three right-hand sides and then
+        their interleaved solutions, so one w serves every block of a
+        sweep.  Frequencies whose Thomas pivot breaks down are re-solved
+        from rhs and the unit vectors by the pivoted LU.  Returns the three
+        solutions at the stacked rows, (len(rows), 3, n_freq), and each
+        solve's squared residual norm per frequency, (3, n_freq), computed
+        in row blocks to hold no second array of w's size.
         """
-        w = np.zeros((self.dim + 2, 3, rhs.shape[0]), dtype=complex)  # a zero row at each end
-        y = w[1:-1]
-        y[:, 0] = self._interleaved(rhs)
-        y[0, 1] = y[-1, 2] = 1.0
-        self._thomas(y)
+        w[0] = w[-1] = 0.0  # a zero row at each end
+        y = self._corner_rhs(rhs, w[1:-1])
+        broken = self._thomas(y)
+        if broken.size:
+            fallback = np.empty((self.dim, 3, broken.size), dtype=complex)
+            y[..., broken] = _solve_range_pivoted(self, self._corner_rhs(rhs[broken], fallback), broken)
         stacked = self.stacked_rows()
         res_sq = np.zeros(y.shape[1:])
         for a in range(0, self.dim, ROW_BLOCK):
@@ -412,29 +423,30 @@ class ReducedOperator:
         One Thomas sweep runs across all frequencies and right-hand sides
         at once.  The Hermitian part of each matrix is diagonal and bounded
         below by the solvability margin, which keeps the pivots away from
-        zero without row exchanges.  The pivots are eliminated first, so
-        that frequencies where one still collapses (an inadmissible
-        scenario) keep their right-hand sides for the re-solve by the
-        pivoted LU of factor(); their indices are returned.
+        zero without row exchanges.  The forward sweep computes each row's
+        multiplier once and applies it to the pivot and to every
+        right-hand side in the same pass.  Returns the indices of the
+        frequencies where a pivot still collapses (an inadmissible
+        scenario); their y is not a solution, and the caller re-solves
+        them from its own right-hand sides with _solve_range_pivoted.
         """
         d = self._diagonal()
         # rows 0, 1, 2 and -1 hold every distinct diagonal value before the sweep
         floor = PIVOT_FLOOR * max(float(np.abs(d[[0, 1, 2, -1]]).max()), abs(self.off))
         smallest = np.abs(d[0])  # per frequency; NaN once a pivot is NaN
+        mult, step, mag = np.empty_like(d[0]), np.empty_like(d[0]), np.empty_like(smallest)
+        scratch = np.empty(y.shape[1:], dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(1, self.dim):
-                d[i] -= -self.off / d[i - 1] * self.off
-                np.minimum(smallest, np.abs(d[i]), out=smallest)
-            broken = np.flatnonzero(~(smallest >= floor))
-            rhs = y[..., broken]
-            for i in range(1, self.dim):
-                y[i] -= -self.off / d[i - 1] * y[i - 1]
+                np.divide(-self.off, d[i - 1], out=mult)
+                d[i] -= np.multiply(mult, self.off, out=step)
+                np.minimum(smallest, np.abs(d[i], out=mag), out=smallest)
+                y[i] -= np.multiply(mult, y[i - 1], out=scratch)
             y[-1] /= d[-1]
             for i in range(self.dim - 2, -1, -1):
-                y[i] = (y[i] - self.off * y[i + 1]) / d[i]
-        if broken.size:
-            y[..., broken] = _solve_range_pivoted(self, rhs, broken)
-        return broken
+                y[i] -= np.multiply(self.off, y[i + 1], out=scratch)
+                y[i] /= d[i]
+        return np.flatnonzero(~(smallest >= floor))
 
     def _diagonal(self, ks: np.ndarray | slice = slice(None)) -> np.ndarray:
         sym_p = self.sym_p[ks]
@@ -445,12 +457,21 @@ class ReducedOperator:
         d[-1] += self.cornerL[ks]
         return d
 
-    def _interleaved(self, x: np.ndarray) -> np.ndarray:
+    def _interleaved(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Stacked (n_freq, dim) values x in interleaved (dim, n_freq) order, written into out if given."""
         nc = self.n_cells
-        out = np.empty((self.dim, x.shape[0]), dtype=complex)
+        if out is None:
+            out = np.empty((self.dim, x.shape[0]), dtype=complex)
         out[0::2] = x[:, :nc].T
         out[1::2] = x[:, nc:].T
         return out
+
+    def _corner_rhs(self, rhs: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """y, (dim, 3, n_freq), set to the right-hand sides of _solve_with_corners: rhs, e_0, e_last."""
+        self._interleaved(rhs, y[:, 0])
+        y[:, 1:] = 0.0
+        y[0, 1] = y[-1, 2] = 1.0
+        return y
 
     def _stacked(self, y: np.ndarray) -> np.ndarray:
         nc = self.n_cells

@@ -3,6 +3,7 @@ import importlib.util
 import pathlib
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from conftest import (
     zero_fn,
     zero_signal,
 )
-from evowaves import solver
+from evowaves import solver, spatial
 from evowaves.cli import RESIDUAL_PASS, measure_reflection, probe_rows
 from evowaves.config import load_scenario, parse_scenario
 from evowaves.material import MaterialLaw
@@ -292,26 +293,83 @@ class TestFrequencySolve:
         assert np.all(orders > 1.8) and np.all(orders < 2.2)
 
 
+def block_width(monkeypatch, prob: EvoProblem, width: int) -> None:
+    """Make solve_boundary_family on prob run frequency blocks width wide."""
+    monkeypatch.setattr(solver, "BLOCK_BYTES", width * 3 * (prob.sd.n_reduced + 2) * 16)
+
+
+def bits(signal: WeightedSignal) -> np.ndarray:
+    return signal.values.view(np.uint64)
+
+
 class TestBoundaryFamily:
     """One Neumann elimination plus a 2x2 correction per law, against per-law solves."""
 
     scenario = parse_scenario(SWEEP_CONFIG)
 
-    def test_matches_full_solves(self):
+    def test_matches_full_solves(self, monkeypatch):
+        # at the default block width (one block here), at a width of 7 that
+        # does not divide the 513 solved rows, and with every frequency of
+        # every block re-solved by the pivoted LU
         base = self.scenario.build()
         sd = base.sd
         laws = [BoundaryLaw.robin(k, sd) for k in (0.0, 0.5, 4.0)]
         laws.append(flux_boundary(sd, 0.5, poles_w=[-1.0], residues_w=[0.3]))
         rows = probe_rows(sd)
         x_c, t_c = self.scenario.x_center, self.scenario.t_center
-        for bl, (probe, bound) in zip(laws, solve_boundary_family(base, laws, rows)):
+        default = solve_boundary_family(base, laws, rows)
+        n_rows = base.grid.n // 2 + 1
+        assert n_rows % 7 != 0
+        block_width(monkeypatch, base, 7)
+        narrow = solve_boundary_family(base, laws, rows)
+        pivoted_blocks = []
+        pivoted = spatial._solve_range_pivoted
+
+        def counted(op, rhs, ks):
+            pivoted_blocks.append(ks.size)
+            return pivoted(op, rhs, ks)
+
+        monkeypatch.setattr(spatial, "_solve_range_pivoted", counted)
+        monkeypatch.setattr(spatial, "PIVOT_FLOOR", np.inf)
+        fallback = solve_boundary_family(base, laws, rows)
+        assert pivoted_blocks == [7] * (n_rows // 7) + [n_rows % 7]
+        for bl, (probe, bound), (probe_7, bound_7), (probe_lu, bound_lu) in zip(
+            laws, default, narrow, fallback
+        ):
+            assert np.array_equal(bits(probe), bits(probe_7))
+            assert bound_7 == pytest.approx(bound, rel=1e-12)
             full = solve_frequency(dataclasses.replace(base, bl=bl)).solution
             ref = full.with_values(full.values[:, rows])
-            assert rel_gap(probe, ref) <= 1e-10
+            assert rel_gap(probe, ref) <= 1e-10 and rel_gap(probe_lu, ref) <= 1e-10
             r_sweep, _ = measure_reflection(sd, probe, x_c, t_c)
             r_full, _ = measure_reflection(sd, ref, x_c, t_c)
             assert abs(r_sweep - r_full) <= 1e-12
-            assert bound <= RESIDUAL_PASS
+            assert bound <= RESIDUAL_PASS and bound_lu <= RESIDUAL_PASS
+
+    def test_no_laws_no_solve(self, monkeypatch):
+        base = self.scenario.build()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("an empty law list transforms and solves nothing")
+
+        monkeypatch.setattr(solver, "forward_transform", boom)
+        monkeypatch.setattr(ReducedOperator, "_thomas", boom)
+        assert solve_boundary_family(base, [], probe_rows(base.sd)) == []
+
+    def test_full_size_sweep_memory(self):
+        # scenarios/reflection.cfg, the sweep-reflection default laws: one
+        # frequency block's work array, not the whole half spectrum
+        # (80.3 MiB of traced allocations when it was solved at full width)
+        prob = load_scenario(str(ROOT / "scenarios/reflection.cfg")).build()
+        laws = [BoundaryLaw.robin(k, prob.sd) for k in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)]
+        rows = probe_rows(prob.sd)
+        tracemalloc.start()
+        try:
+            solve_boundary_family(prob, laws, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
 
     def test_corrupted_base_solution_fails_the_bound(self, monkeypatch):
         base = self.scenario.build()
@@ -364,7 +422,7 @@ class TestSeparableSource:
     }
 
     @pytest.mark.parametrize("name", problems)
-    def test_frequency_solvers_agree(self, name):
+    def test_frequency_solvers_agree(self, name, monkeypatch):
         prob = self.problems[name]()
         assert prob.f.profiles is not None
         sampled = with_samples(prob)
@@ -372,11 +430,17 @@ class TestSeparableSource:
         assert rel_gap(solve_frequency(prob).solution, solve_frequency(sampled).solution) < 1e-14
         laws = [BoundaryLaw.robin(k, prob.sd) for k in (0.0, 1.0, 4.0)]
         rows = probe_rows(prob.sd)
-        family = zip(
-            solve_boundary_family(prob, laws, rows), solve_boundary_family(sampled, laws, rows)
-        )
-        for (probe, _), (probe_sampled, _) in family:
+        assert (prob.grid.n // 2 + 1) % 7 != 0
+        runs = []
+        for width in (None, 7):  # the default block width, then 7
+            if width:
+                block_width(monkeypatch, prob, width)
+            runs.append([solve_boundary_family(p, laws, rows) for p in (prob, sampled)])
+        for (probe, _), (probe_sampled, _) in zip(*runs[0]):
             assert rel_gap(probe, probe_sampled) < 1e-14
+        for default, narrow in zip(runs[0], runs[1]):
+            for (probe, _), (probe_7, _) in zip(default, narrow):
+                assert np.array_equal(bits(probe), bits(probe_7))
 
     @pytest.mark.parametrize("name", problems)
     def test_solves_build_no_source_samples(self, name):

@@ -173,7 +173,8 @@ class TestReducedOperator:
 
     def test_solve_with_corners_matches_dense(self, monkeypatch):
         # f, e_0 and e_last share one elimination, also through the pivoted
-        # fallback; the residual pass spans two row blocks
+        # fallback; the residual pass spans two row blocks, and the work
+        # array's contents on entry (here NaN) do not matter
         op, u = self.make(n_cells=40)
         corner0 = op.corner0.copy()
         corner0[1] = -op.sym_p[1]
@@ -181,7 +182,8 @@ class TestReducedOperator:
         rows = list(range(op.dim))
         unit = np.eye(op.dim)
         rhs = [np.stack([u[k], unit[0], unit[op.n_cells - 1]], axis=1) for k in range(3)]
-        x, _ = op._solve_with_corners(u, rows)
+        work = np.full((op.dim + 2, 3, 3), np.nan, dtype=complex)
+        x, _ = op._solve_with_corners(u, rows, work)
         for k in range(3):
             exact = np.linalg.solve(op.dense(k), rhs[k])
             assert np.abs(x[:, :, k] - exact).max() < 1e-12 * np.abs(exact).max()
@@ -194,7 +196,7 @@ class TestReducedOperator:
             return broken
 
         monkeypatch.setattr(ReducedOperator, "_thomas", perturbed)
-        x, res_sq = op._solve_with_corners(u, rows)
+        x, res_sq = op._solve_with_corners(u, rows, work)
         for k in range(3):
             expected = np.sum(np.abs(op.dense(k) @ x[:, :, k] - rhs[k]) ** 2, axis=0)
             assert np.allclose(res_sq[:, k], expected, rtol=1e-10)
