@@ -19,7 +19,7 @@ from .solver import (
     solve_frequency,
     solve_timestep,
 )
-from .spatial import BoundaryLaw, SpatialDiscretization, build_grid
+from .spatial import BoundaryLaw, SpatialDiscretization
 from .transform import SpectralSignal, forward_transform, inverse_transform
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "memory_bound",
     "select_rho",
     "SpatialDiscretization",
-    "build_grid",
     "BoundaryLaw",
     "EvoProblem",
     "SolveReport",

@@ -32,7 +32,7 @@ from .material import MaterialLaw, select_rho
 from .rational import RationalMatrixFunction, scalar_rational
 from .signals import WeightedGrid, WeightedSignal, read_signal_csv
 from .solver import EvoProblem
-from .spatial import BoundaryLaw, SpatialDiscretization, build_grid
+from .spatial import BoundaryLaw, SpatialDiscretization
 from .verify import ALL_CHECKS
 
 __all__ = ["ConfigError", "Scenario", "parse_scenario", "load_scenario"]
@@ -217,13 +217,11 @@ class Scenario:
 
     def boundary_law(self, sd: SpatialDiscretization) -> BoundaryLaw:
         if self.alpha_spec == "normal":
-            alpha, div_alpha = BoundaryLaw.normal_profile(sd)
+            alpha = BoundaryLaw.normal_profile(sd)
         else:
-            value = float(self.alpha_spec.split(":", 1)[1])
-            alpha = np.full(sd.n_faces, value)
-            div_alpha = np.zeros(sd.n_cells)
+            alpha = np.full(sd.n_faces, float(self.alpha_spec.split(":", 1)[1]))
         g = scalar_rational(lin=self.robin_k) if self.g is None else self.g
-        return BoundaryLaw(g, alpha, div_alpha, self.boundary_r)
+        return BoundaryLaw(g, alpha, self.boundary_r)
 
     def material_law(self) -> MaterialLaw:
         return MaterialLaw(self.m0, self.m1, self.material_r)
@@ -248,7 +246,7 @@ class Scenario:
         return WeightedSignal(grid, profiles=(wt, g))
 
     def build(self) -> EvoProblem:
-        sd = build_grid(self.length, self.cells)
+        sd = SpatialDiscretization(self.length, self.cells)
         rho = self.resolve_rho()
         grid = WeightedGrid(self.t0, self.dt, self.n, rho)
         law = self.material_law()

@@ -473,9 +473,9 @@ def _source_spectrum(
 ) -> tuple[Callable[[int, int], np.ndarray], float]:
     """(rows, f_norm): rows(lo, hi) is f_hat on solved rows lo to hi, f_norm its Parseval norm.
 
-    A separable source w(t) g keeps only w_hat, the transform of w, and
-    rows(lo, hi) forms w_hat[lo:hi, None] * g (Re g with half), the
-    products forward_transform forms, so its whole f_hat is never built:
+    A separable source w(t) g keeps only w_hat, the transform of w: the
+    transform acts on time alone, so rows(lo, hi) is w_hat[lo:hi, None] * g
+    (Re g with half), and the whole f_hat is never built:
     f_norm = ||g|| sqrt(weight @ |w_hat|^2).  A sampled source is
     transformed whole, and rows slices it.  SolverError names the first
     frequency where f_hat is not finite; f_hat is searched only when the

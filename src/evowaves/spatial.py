@@ -1,16 +1,18 @@
 """Staggered 1D discretization of the acoustic spatial operator.
 
 Pressure lives at cell centers x_c = (c + 1/2) dx, velocity at faces
-x_f = f dx, f = 0..n_cells.  The divergence (faces -> cells) and gradient
-(cells -> faces) matrices are second-order centered; the gradient rows at
-the two boundary faces are zero, which makes the summation-by-parts
-identity
+x_f = f dx, f = 0..n_cells.  The divergence D_div (faces -> cells) and
+gradient D_grad (cells -> faces) are second-order centered differences,
+with zero gradient rows at the two boundary faces.  With the cell
+weights dx and the face weights dx (dx/2 at the two boundary faces) they
+satisfy the summation-by-parts identity
 
-    W_cell @ D_div + D_grad.T @ W_face = B
+    W_cell D_div + D_grad^T W_face = B
 
-hold exactly with B supported on the two corner entries (boundary cell,
-boundary face) with values -1 and +1: the discrete version of
-"volume terms integrate to a boundary flux".
+exactly, with B zero but for its two corner entries (boundary cell,
+boundary face), -1 and +1: the discrete version of "volume terms
+integrate to a boundary flux".  It is why the boundary sign functional
+is computed from the two wall terms alone.
 
 The boundary law couples pressure and normal velocity through a scalar
 rational kernel g and a spatial profile alpha living on faces:
@@ -45,7 +47,6 @@ from .transform import SpectralSignal, forward_transform, inverse_transform
 
 __all__ = [
     "SpatialDiscretization",
-    "build_grid",
     "BoundaryLaw",
     "ReducedOperator",
     "reduced_operator",
@@ -54,7 +55,6 @@ __all__ = [
     "apply_spatial_op_freq",
     "apply_spatial_op_adjoint_freq",
     "boundary_sign_functional",
-    "cell_to_face",
 ]
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
@@ -93,81 +93,19 @@ class SpatialDiscretization:
         """Cells plus interior faces: the two boundary faces are eliminated."""
         return self.n_cells + self.n_faces - 2
 
-    # dense operators (assembled on demand; the hot paths use slicing)
-
-    def d_div(self) -> np.ndarray:
-        """(n_cells, n_faces) centered divergence, exact order 2 everywhere."""
-        m = np.zeros((self.n_cells, self.n_faces))
-        idx = np.arange(self.n_cells)
-        m[idx, idx] = -1.0 / self.dx
-        m[idx, idx + 1] = 1.0 / self.dx
-        return m
-
-    def d_grad(self) -> np.ndarray:
-        """(n_faces, n_cells) centered gradient; boundary-face rows are zero."""
-        m = np.zeros((self.n_faces, self.n_cells))
-        idx = np.arange(1, self.n_cells)
-        m[idx, idx - 1] = -1.0 / self.dx
-        m[idx, idx] = 1.0 / self.dx
-        return m
-
-    def w_cell(self) -> np.ndarray:
-        return np.full(self.n_cells, self.dx)
-
-    def w_face(self) -> np.ndarray:
-        w = np.full(self.n_faces, self.dx)
-        w[0] = w[-1] = 0.5 * self.dx
-        return w
-
-    def boundary_matrix(self) -> np.ndarray:
-        """The corner flux matrix B in the summation-by-parts identity."""
-        b = np.zeros((self.n_cells, self.n_faces))
-        b[0, 0] = -1.0
-        b[-1, -1] = 1.0
-        return b
-
-    def sbp_residual(self) -> float:
-        lhs = self.w_cell()[:, None] * self.d_div() + self.d_grad().T * self.w_face()[None, :]
-        return float(np.abs(lhs - self.boundary_matrix()).max())
-
-
-def build_grid(length: float, n_cells: int) -> SpatialDiscretization:
-    """Build the staggered discretization and verify the SBP identity."""
-    sd = SpatialDiscretization(length, n_cells)
-    res = sd.sbp_residual()
-    if res > 1e-13:
-        raise AssertionError(f"summation-by-parts identity violated: residual {res:.3e}")
-    return sd
-
-
-def cell_to_face(sd: SpatialDiscretization, q: np.ndarray) -> np.ndarray:
-    """Average cell values to faces (copy at the two boundary faces).
-
-    The boundary copy is first order, deliberately: it keeps boundary
-    quadratic forms perfect squares, which the sign checks rely on.
-    """
-    q = np.asarray(q)
-    out = np.empty(q.shape[:-1] + (sd.n_faces,), dtype=q.dtype)
-    out[..., 1:-1] = 0.5 * (q[..., 1:] + q[..., :-1])
-    out[..., 0] = q[..., 0]
-    out[..., -1] = q[..., -1]
-    return out
-
 
 @dataclass(frozen=True)
 class BoundaryLaw:
     """Impedance-type boundary kernel g(z) with spatial profile alpha.
 
-    alpha lives on velocity faces; div_alpha is its divergence on cells
-    (supplied, so that analytic profiles keep their exact derivative).
-    Admissibility (nonnegative real part of the flux symbol) is *not*
+    alpha lives on velocity faces; the law reads it at the two boundary
+    faces alone (normal_alpha).  Admissibility (nonnegative real part of the flux symbol) is *not*
     enforced at construction: the verification suite must be able to build
     inadmissible laws to demonstrate that its sign check has power.
     """
 
     g: RationalMatrixFunction
     alpha: np.ndarray
-    div_alpha: np.ndarray
     r: float
 
     def __post_init__(self) -> None:
@@ -177,16 +115,10 @@ class BoundaryLaw:
             raise ValueError(f"holomorphy radius must be positive, got {self.r}")
         self.g.check_holomorphic(self.r)
         a = np.asarray(self.alpha, dtype=float)
-        da = np.asarray(self.div_alpha, dtype=float)
-        if a.ndim != 1 or da.ndim != 1 or a.size != da.size + 1:
-            raise ValueError(
-                "alpha must live on faces and div_alpha on cells "
-                f"(got {a.shape} and {da.shape})"
-            )
+        if a.ndim != 1 or a.size < 2:
+            raise ValueError(f"alpha must live on faces, got shape {a.shape}")
         a.setflags(write=False)
-        da.setflags(write=False)
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "div_alpha", da)
 
     @property
     def normal_alpha(self) -> tuple[float, float]:
@@ -217,17 +149,14 @@ class BoundaryLaw:
         return low - slack * abs(low)
 
     @staticmethod
-    def normal_profile(sd: SpatialDiscretization) -> tuple[np.ndarray, np.ndarray]:
+    def normal_profile(sd: SpatialDiscretization) -> np.ndarray:
         """The linear profile that equals the outward normal at both ends."""
-        alpha = 2.0 * sd.face_x / sd.length - 1.0
-        div_alpha = np.full(sd.n_cells, 2.0 / sd.length)
-        return alpha, div_alpha
+        return 2.0 * sd.face_x / sd.length - 1.0
 
     @staticmethod
     def robin(k: float, sd: SpatialDiscretization, r: float = 1.0) -> "BoundaryLaw":
         """g(z) = k z with the normal profile: normal velocity = k * pressure."""
-        alpha, div_alpha = BoundaryLaw.normal_profile(sd)
-        return BoundaryLaw(scalar_rational(lin=k), alpha, div_alpha, r)
+        return BoundaryLaw(scalar_rational(lin=k), BoundaryLaw.normal_profile(sd), r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,36 +500,28 @@ def boundary_sign_functional(
 ) -> float:
     """Discrete boundary sign functional truncated at the cutoff time.
 
-    Evaluates Re of the time integral (weighted, over t <= cutoff) of
+    The quantity is Re of the time integral (weighted, over t <= cutoff) of
 
         <grad p | d/dt (a p)> + <p | div d/dt (a p)>
 
-    with a = alpha * g as spatial/temporal kernel.  By the discrete
-    integration-by-parts identity this collapses to boundary terms; a
+    with a = alpha * g as spatial/temporal kernel and a p averaged to
+    faces (copied at the two boundary faces).  The identity
+    W_cell D_div + D_grad^T W_face = B, with B corner-only, collapses
+    this volume sum exactly to the two wall terms
+
+        sum over the ends of (n . alpha_end) conj(p_end) (d/dt g p)_end,
+
+    so only the first and last pressure cells are transformed.  A
     nonnegative value over a battery of trial pressures is the
     admissibility condition on the boundary law.
     """
     if p.dim != sd.n_cells:
         raise ValueError(f"pressure signal must have dim {sd.n_cells}, got {p.dim}")
     grid = p.grid
-    p_hat = forward_transform(p)
-    s = p_hat.freqs
-    w = 1j * s + grid.rho
-    g_vals = bl.g.eval_many(1.0 / w)[:, 0, 0]
-    # d/dt (a p) per frequency: (i s + rho) * alpha * (g p interpolated to faces)
-    q_hat = g_vals[:, None] * p_hat.values
-    ap_faces = bl.alpha[None, :] * cell_to_face(sd, q_hat)
-    dap_hat = w[:, None] * ap_faces
-    dap = inverse_transform(SpectralSignal(grid, dap_hat)).values
-    p_vals = p.values
-
-    grad_p = np.zeros((grid.n, sd.n_faces), dtype=complex)
-    grad_p[:, 1:-1] = (p_vals[:, 1:] - p_vals[:, :-1]) / sd.dx
-    div_dap = (dap[:, 1:] - dap[:, :-1]) / sd.dx
-
-    term_face = np.sum(sd.w_face()[None, :] * np.conj(grad_p) * dap, axis=1)
-    term_cell = np.sum(sd.w_cell()[None, :] * np.conj(p_vals) * div_dap, axis=1)
-    integrand = term_face + term_cell
-
+    ends = p.with_values(p.values[:, [0, -1]])
+    ends_hat = forward_transform(ends)
+    flux = bl.flux_symbol(ends_hat.freqs, grid.rho)  # the symbol of d/dt g
+    dgp = inverse_transform(SpectralSignal(grid, flux[:, None] * ends_hat.values)).values
+    integrand = (np.conj(ends.values) * dgp) @ np.asarray(bl.normal_alpha)
     wq = grid.weights() * (grid.times <= cutoff)
     return float(np.sum(wq * integrand).real)

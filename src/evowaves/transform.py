@@ -24,8 +24,6 @@ rows (s >= 0, plus Nyquist for even n), holds all of it:
 forward_transform(u, half=True) computes it by a real FFT, and
 inverse_transform returns it to a real signal, float64 samples, by the
 inverse real FFT; a full spectrum returns to complex128 samples.
-The transform acts on time alone, so a separable signal w(t) g is
-transformed as w alone, with g applied to the spectrum.
 """
 
 from __future__ import annotations
@@ -87,25 +85,20 @@ def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
     """The weighted transform of u, computed in place in one new array.
 
     With half, the half spectrum of the real part of u, by a real FFT.
-    A separable u, with profiles (w, g), is never sampled: its real w
-    alone is transformed, and the spectrum is w_hat times g (Re g with
-    half).  Each product keeps the operand order of the out-of-place
-    expression, because for complex arrays `a *= c[:, None]` and
-    `c[:, None] * a` can differ in the last bit.
+    The phase multiplies in place with the operand order of the
+    out-of-place expression, because for complex arrays
+    `a *= c[:, None]` and `c[:, None] * a` can differ in the last bit.
     """
     grid = u.grid
     weight = np.exp(-grid.rho * grid.times)[:, None]
-    samples = u.values if u.profiles is None else u.profiles[0][:, None]
     if half:
-        vals = np.fft.rfft(np.multiply(weight, samples.real), axis=0)
+        vals = np.fft.rfft(np.multiply(weight, u.values.real), axis=0)
     else:
-        vals = np.multiply(weight, samples, dtype=complex)
+        vals = np.multiply(weight, u.values, dtype=complex)
         np.fft.fft(vals, axis=0, out=vals)
     s = frequencies_for(grid)[: vals.shape[0]]
     scaled_phase = (grid.dt / _SQRT_2PI) * np.exp(-1j * s * grid.t0)
     np.multiply(scaled_phase[:, None], vals, out=vals)
-    if u.profiles is not None:
-        vals = vals * (u.profiles[1].real if half else u.profiles[1])
     return SpectralSignal(grid, vals, half)
 
 

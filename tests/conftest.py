@@ -11,7 +11,7 @@ from evowaves.material import MaterialLaw
 from evowaves.rational import RationalMatrixFunction, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal
 from evowaves.solver import EvoProblem
-from evowaves.spatial import BoundaryLaw, ReducedOperator, SpatialDiscretization, build_grid
+from evowaves.spatial import BoundaryLaw, ReducedOperator, SpatialDiscretization
 from evowaves.transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
 
 # A small rightward-pulse scenario for the reflection sweep (1024 samples, 128 cells).
@@ -99,7 +99,71 @@ def flux_boundary(sd: SpatialDiscretization, const: float, poles_w=(), residues_
     pw = np.asarray(poles_w, dtype=complex)
     rw = np.asarray(residues_w, dtype=complex)
     g = scalar_rational(const=-np.sum(rw / pw), lin=const, poles=1.0 / pw, residues=-rw / pw**2)
-    return BoundaryLaw(g, *BoundaryLaw.normal_profile(sd), 1.0)
+    return BoundaryLaw(g, BoundaryLaw.normal_profile(sd), 1.0)
+
+
+def d_div(sd: SpatialDiscretization) -> np.ndarray:
+    """(n_cells, n_faces) centered divergence, exact order 2 everywhere."""
+    m = np.zeros((sd.n_cells, sd.n_faces))
+    idx = np.arange(sd.n_cells)
+    m[idx, idx] = -1.0 / sd.dx
+    m[idx, idx + 1] = 1.0 / sd.dx
+    return m
+
+
+def d_grad(sd: SpatialDiscretization) -> np.ndarray:
+    """(n_faces, n_cells) centered gradient; boundary-face rows are zero."""
+    m = np.zeros((sd.n_faces, sd.n_cells))
+    idx = np.arange(1, sd.n_cells)
+    m[idx, idx - 1] = -1.0 / sd.dx
+    m[idx, idx] = 1.0 / sd.dx
+    return m
+
+
+def face_weights(sd: SpatialDiscretization) -> np.ndarray:
+    """The face quadrature weights W_face: dx, halved at the two boundary faces."""
+    w = np.full(sd.n_faces, sd.dx)
+    w[0] = w[-1] = 0.5 * sd.dx
+    return w
+
+
+def sbp_residual(sd: SpatialDiscretization) -> float:
+    """max |W_cell D_div + D_grad^T W_face - B|, B the corner-only boundary matrix."""
+    b = np.zeros((sd.n_cells, sd.n_faces))
+    b[0, 0] = -1.0
+    b[-1, -1] = 1.0
+    lhs = sd.dx * d_div(sd) + d_grad(sd).T * face_weights(sd)[None, :]
+    return float(np.abs(lhs - b).max())
+
+
+def cell_to_face(sd: SpatialDiscretization, q: np.ndarray) -> np.ndarray:
+    """Average cell values to faces (copy at the two boundary faces)."""
+    out = np.empty(q.shape[:-1] + (sd.n_faces,), dtype=q.dtype)
+    out[..., 1:-1] = 0.5 * (q[..., 1:] + q[..., :-1])
+    out[..., 0] = q[..., 0]
+    out[..., -1] = q[..., -1]
+    return out
+
+
+def volume_sign_functional(
+    sd: SpatialDiscretization, bl: BoundaryLaw, p: WeightedSignal, cutoff: float = 0.0
+) -> float:
+    """The boundary sign functional as its volume sum, the reference for the wall form.
+
+    Re of the weighted time integral over t <= cutoff of
+    <grad p | d/dt (a p)> + <p | div d/dt (a p)>, a = alpha * g, with
+    g p averaged to faces and the sums taken over every face and cell.
+    """
+    grid = p.grid
+    p_hat = forward_transform(p)
+    w = 1j * p_hat.freqs + grid.rho
+    q_hat = bl.g.eval_many(1.0 / w)[:, 0, 0][:, None] * p_hat.values
+    dap_hat = w[:, None] * (bl.alpha[None, :] * cell_to_face(sd, q_hat))
+    dap = inverse_transform(SpectralSignal(grid, dap_hat)).values
+    term_face = np.sum(face_weights(sd) * np.conj(p.values @ d_grad(sd).T) * dap, axis=1)
+    term_cell = np.sum(sd.dx * np.conj(p.values) * (dap @ d_div(sd).T), axis=1)
+    wq = grid.weights() * (grid.times <= cutoff)
+    return float(np.sum(wq * (term_face + term_cell)).real)
 
 
 def constant_fn(mat) -> RationalMatrixFunction:
@@ -148,7 +212,7 @@ def make_problem(
     length: float = 1.0,
 ) -> EvoProblem:
     """Standard test problem: pressure pulse in a memory medium, Robin ends."""
-    sd = build_grid(length, n_cells)
+    sd = SpatialDiscretization(length, n_cells)
     grid = WeightedGrid(t0=t0_frac * window, dt=window / n, n=n, rho=rho)
     if law is None:
         law = memory_law()

@@ -34,7 +34,7 @@ from evowaves.signals import (
     truncate_before,
 )
 from evowaves.solver import EvoProblem, solve_boundary_family, solve_frequency, solve_timestep
-from evowaves.spatial import BoundaryLaw, build_grid
+from evowaves.spatial import BoundaryLaw, SpatialDiscretization
 from evowaves.transform import forward_transform, frequencies_for
 from evowaves.verify import (
     check_adjoint_projection,
@@ -105,7 +105,7 @@ def _battery_scenarios():
 
 
 def _build_battery_problem(law, bdry, rho_scale, n_cells=24, n=512):
-    sd = build_grid(1.0, n_cells)
+    sd = SpatialDiscretization(1.0, n_cells)
     kind, k = bdry
     if kind == "neumann":
         bl = BoundaryLaw.robin(0.0, sd)
@@ -159,7 +159,7 @@ def test_criterion_4_solution_operator_causality():
 
 def test_criterion_5_robin_reflection_sweep():
     length, window, rho, n, n_cells = 1.0, 8.0, 2.0, 2048, 512
-    sd = build_grid(length, n_cells)
+    sd = SpatialDiscretization(length, n_cells)
     grid = WeightedGrid(0.0, window / n, n, rho)
     t = grid.times
     x_c, t_c, widths = 0.2, 0.4, (0.05, 0.05)
@@ -214,7 +214,7 @@ def test_criterion_7_positivity_suite_with_power():
     pos_mem = check_positivity(memory_bdry, seed=14)
     negative = dataclasses.replace(
         admissible,
-        bl=BoundaryLaw(scalar_rational(lin=-1.0), *BoundaryLaw.normal_profile(admissible.sd), 1.0),
+        bl=BoundaryLaw(scalar_rational(lin=-1.0), BoundaryLaw.normal_profile(admissible.sd), 1.0),
     )
     neg_sign = check_boundary_sign(negative, seed=15)
     neg_pos = check_positivity(negative, seed=16)
@@ -230,7 +230,7 @@ def test_criterion_7_positivity_suite_with_power():
 def test_criterion_8_convergence():
     gaps = []
     for n in (512, 1024, 2048):
-        sd = build_grid(1.0, 24)
+        sd = SpatialDiscretization(1.0, 24)
         bl = flux_boundary(sd, 0.5, poles_w=[-1.2], residues_w=[0.8])
         prob = make_problem(n_cells=24, n=n, rho=3.0, bl=bl, law=memory_law())
         gaps.append(rel_gap(solve_timestep(prob).solution, solve_frequency(prob).solution))

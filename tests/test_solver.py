@@ -42,7 +42,7 @@ from evowaves.solver import (
     solve_frequency,
     solve_timestep,
 )
-from evowaves.spatial import BoundaryLaw, ReducedOperator, build_grid
+from evowaves.spatial import BoundaryLaw, ReducedOperator, SpatialDiscretization
 from evowaves.transform import (
     SpectralSignal,
     forward_transform,
@@ -121,13 +121,13 @@ class TestRealize:
         assert not real.lin.any()  # proper in w
 
     def test_robin_flux_is_pure_constant(self):
-        sd = build_grid(1.0, 8)
+        sd = SpatialDiscretization(1.0, 8)
         real = realize_flux(BoundaryLaw.robin(0.9, sd), rho=2.0)
         assert real.poles.size == 0
         assert real.const[0, 0] == pytest.approx(0.9)
 
     def test_flux_response_matches_symbol(self):
-        sd = build_grid(1.0, 8)
+        sd = SpatialDiscretization(1.0, 8)
         bl = flux_boundary(sd, 0.3, poles_w=[-1.5 + 2.0j, -0.7], residues_w=[0.4 - 0.1j, 0.9])
         real = realize_flux(bl, rho=2.0)
         s = np.linspace(-30, 30, 64)
@@ -136,17 +136,17 @@ class TestRealize:
         assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
 
     def test_improper_flux_rejected(self):
-        sd = build_grid(1.0, 8)
-        bl = BoundaryLaw(scalar_rational(const=0.3), *BoundaryLaw.normal_profile(sd), 1.0)
+        sd = SpatialDiscretization(1.0, 8)
+        bl = BoundaryLaw(scalar_rational(const=0.3), BoundaryLaw.normal_profile(sd), 1.0)
         with pytest.raises(ImproperKernelError, match="time integration"):
             realize_flux(bl, rho=2.0)
 
     def test_unstable_realization_rejected(self):
         # kernel pole at z = 0.4 outside a tiny ball maps to 1/0.4 = 2.5 > rho;
         # const = res/pole keeps g(0) = 0 so properness is not the blocker
-        sd = build_grid(1.0, 8)
+        sd = SpatialDiscretization(1.0, 8)
         g = scalar_rational(const=0.5, poles=[0.4], residues=[0.2])
-        bl = BoundaryLaw(g, *BoundaryLaw.normal_profile(sd), r=0.05)
+        bl = BoundaryLaw(g, BoundaryLaw.normal_profile(sd), r=0.05)
         with pytest.raises(SolverError, match="unstable"):
             realize_flux(bl, rho=1.0)
 
@@ -275,7 +275,7 @@ class TestFrequencySolve:
         # very stiff proportional coupling approaches the pressure-release
         # wall: reflection coefficient -1 within 3%
         length, window, rho, n, n_cells = 1.0, 8.0, 2.0, 1024, 128
-        sd = build_grid(length, n_cells)
+        sd = SpatialDiscretization(length, n_cells)
         grid = WeightedGrid(0.0, window / n, n, rho)
         t = grid.times
         wt = bump(t, 0.4, 0.05)
@@ -561,8 +561,14 @@ class TestHalfSpectrum:
             real = load_scenario(str(ROOT / "scenarios/default.cfg")).build()
             prob = dataclasses.replace(real, f=real.f.with_values(real.f.values * (1.0 - 0.5j)))
         assert not prob.real_in_time
-        # the full-spectrum solve, step by step: the solver's U must be bit for bit this one
-        u_hat, _ = prob.operator(frequencies_for(prob.grid)).solve(forward_transform(prob.f).values)
+        # the full-spectrum solve, step by step: the solver's U must be bit for bit this one,
+        # with a separable source's spectrum formed as w_hat g
+        if prob.f.profiles is None:
+            f_hat = forward_transform(prob.f).values
+        else:
+            w, g = prob.f.profiles
+            f_hat = forward_transform(WeightedSignal(prob.grid, w)).values * g
+        u_hat, _ = prob.operator(frequencies_for(prob.grid)).solve(f_hat)
         ref = inverse_transform(SpectralSignal(prob.grid, u_hat)).values
         rep = solve_frequency(prob)
         assert np.array_equal(rep.solution.values.view(np.int64), ref.view(np.int64))
@@ -581,7 +587,7 @@ def images_oracle_error(n_cells: int, n: int) -> float:
     length = 1.0
     window, rho = 12.0, 2.5
     t_c, t_w, x_c, x_w = 2.0, 0.25, 0.4, 0.08
-    sd = build_grid(length, n_cells)
+    sd = SpatialDiscretization(length, n_cells)
     grid = WeightedGrid(0.0, window / n, n, rho)
     t = grid.times
     fp = bump(t, t_c, t_w)[:, None] * bump(sd.cell_x, x_c, x_w)[None, :]
@@ -623,7 +629,7 @@ def manufactured_error(n_cells: int, n: int = 512) -> float:
     it is f_p = (T' + k S) cos(k x), f_v = (S' - k T) sin(k x).
     """
     length, window, rho = 1.0, 12.0, 2.5
-    sd = build_grid(length, n_cells)
+    sd = SpatialDiscretization(length, n_cells)
     grid = WeightedGrid(0.0, window / n, n, rho)
     t = grid.times
     k = np.pi / length
@@ -702,7 +708,7 @@ def conjugate_pair_problem() -> EvoProblem:
         residues=[res, res.conj()],
     )
     law = MaterialLaw(np.diag([1.5, 1.0]).astype(complex), m1, r=1.0)
-    bl = flux_boundary(build_grid(1.0, 32), 0.5, poles_w=[-1.2, -0.7], residues_w=[0.8, 0.3])
+    bl = flux_boundary(SpatialDiscretization(1.0, 32), 0.5, poles_w=[-1.2, -0.7], residues_w=[0.8, 0.3])
     return make_problem(law=law, bl=bl)
 
 
@@ -772,7 +778,7 @@ class TestTimestep:
         # implicit Euler replaces z by delta: the frequency operator at
         # w = 1/delta is m0/delta plus each realization's one-step transfer
         # const + delta sum res/(1 - delta p)
-        sd = build_grid(1.0, 16)
+        sd = SpatialDiscretization(1.0, 16)
         m1 = RationalMatrixFunction(
             const=np.diag([0.1, 0.05]),
             lin=np.diag([0.3, 0.2]),
@@ -813,7 +819,7 @@ class TestTimestep:
         # halving dt halves the gap to the spectral oracle, memory included
         gaps = []
         for n in (512, 1024, 2048):
-            sd = build_grid(1.0, 24)
+            sd = SpatialDiscretization(1.0, 24)
             bl = flux_boundary(sd, 0.5, poles_w=[-1.2], residues_w=[0.8])
             prob = make_problem(n_cells=24, n=n, rho=3.0, bl=bl, law=memory_law())
             spec = solve_frequency(prob)

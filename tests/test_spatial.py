@@ -3,20 +3,30 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import apply_symbol, bump, flux_boundary, interior_signal, zero_signal
+from conftest import (
+    apply_symbol,
+    bump,
+    cell_to_face,
+    d_div,
+    d_grad,
+    flux_boundary,
+    interior_signal,
+    sbp_residual,
+    volume_sign_functional,
+    zero_signal,
+)
 from evowaves.config import load_scenario
 from evowaves.rational import PoleError, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
 from evowaves.spatial import (
     BoundaryLaw,
     ReducedOperator,
+    SpatialDiscretization,
     apply_spatial_op_adjoint_freq,
     apply_spatial_op_freq,
     assemble_spatial_op,
     assemble_spatial_op_adjoint,
     boundary_sign_functional,
-    build_grid,
-    cell_to_face,
     reduced_operator,
 )
 from evowaves.transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
@@ -32,28 +42,28 @@ def reduced_trial(sd, grid, seed, x_profile=None):
 
 class TestGridBuild:
     def test_gradient_exact_on_linear(self):
-        sd = build_grid(1.0, 4)
-        grad = sd.d_grad() @ sd.cell_x
+        sd = SpatialDiscretization(1.0, 4)
+        grad = d_grad(sd) @ sd.cell_x
         assert np.allclose(grad[1:-1], 1.0)
         assert grad[0] == 0.0 and grad[-1] == 0.0  # boundary rows are zero
 
     def test_divergence_of_constant(self):
-        sd = build_grid(2.0, 8)
-        assert np.allclose(sd.d_div() @ np.ones(sd.n_faces), 0.0)
+        sd = SpatialDiscretization(2.0, 8)
+        assert np.allclose(d_div(sd) @ np.ones(sd.n_faces), 0.0)
 
     @pytest.mark.parametrize("n_cells", [4, 17, 64, 333])
     def test_sbp_identity(self, n_cells):
-        sd = build_grid(1.3, n_cells)
-        assert sd.sbp_residual() <= 1e-13
+        sd = SpatialDiscretization(1.3, n_cells)
+        assert sbp_residual(sd) <= 1e-13
 
     def test_too_few_cells_rejected(self):
         with pytest.raises(ValueError, match="4"):
-            build_grid(1.0, 3)
+            SpatialDiscretization(1.0, 3)
 
 
 class TestAssembly:
     def test_neumann_skew(self):
-        sd = build_grid(1.0, 16)
+        sd = SpatialDiscretization(1.0, 16)
         bl = BoundaryLaw.robin(0.0, sd)
         mat, elim = assemble_spatial_op(sd, bl, s=0.7, rho=2.0)
         assert np.abs(mat + mat.conj().T).max() <= 1e-13
@@ -61,7 +71,7 @@ class TestAssembly:
 
     def test_robin_elimination_exact(self):
         # flux symbol of g = k z is the constant k at every frequency
-        sd = build_grid(1.0, 16)
+        sd = SpatialDiscretization(1.0, 16)
         k = 0.7
         bl = BoundaryLaw.robin(k, sd)
         for s in (0.0, 3.3, -12.0):
@@ -70,14 +80,14 @@ class TestAssembly:
             assert eL == pytest.approx(k, abs=1e-14)
 
     def test_adjoint_is_conjugate_transpose(self):
-        sd = build_grid(1.0, 12)
+        sd = SpatialDiscretization(1.0, 12)
         bl = flux_boundary(sd, 0.3, poles_w=[-1.5 + 2j], residues_w=[0.8])
         fwd, _ = assemble_spatial_op(sd, bl, s=1.9, rho=2.0)
         adj = assemble_spatial_op_adjoint(sd, bl, s=1.9, rho=2.0)
         assert np.abs(adj - fwd.conj().T).max() <= 1e-14
 
     def test_adjoint_robin_sign_flip(self):
-        sd = build_grid(1.0, 8)
+        sd = SpatialDiscretization(1.0, 8)
         k = 0.5
         bl = BoundaryLaw.robin(k, sd)
         adj = assemble_spatial_op_adjoint(sd, bl, s=0.0, rho=2.0)
@@ -88,19 +98,19 @@ class TestAssembly:
         # off-diagonal blocks are the transposes of the forward ones (the
         # sign flip of the adjoint is already encoded in the grad/div pair)
         assert np.allclose(adj[: sd.n_cells, sd.n_cells :], fwd[sd.n_cells :, : sd.n_cells].T)
-        assert np.allclose(adj[: sd.n_cells, sd.n_cells :], -sd.d_div()[:, 1:-1])
+        assert np.allclose(adj[: sd.n_cells, sd.n_cells :], -d_div(sd)[:, 1:-1])
 
     def test_pole_hit_names_frequency(self):
-        sd = build_grid(1.0, 8)
+        sd = SpatialDiscretization(1.0, 8)
         g = scalar_rational(poles=[0.2], residues=[1.0])
-        bl = BoundaryLaw(g, *BoundaryLaw.normal_profile(sd), r=0.01)
+        bl = BoundaryLaw(g, BoundaryLaw.normal_profile(sd), r=0.01)
         with pytest.raises(PoleError, match="frequency"):
             bl.flux_symbol(np.array([0.0]), rho=5.0)
 
     def test_min_real_flux_finds_narrow_dip(self):
         # flux poles 0.011 off the line w = 0.51 + i s, at s = +-10: a dip about
         # 0.01 wide, where 1024 samples s = rho tan(theta) lie 0.6 apart
-        sd = build_grid(1.0, 8)
+        sd = SpatialDiscretization(1.0, 8)
         w_p = 0.499 + 10j
         bl = flux_boundary(sd, 1.0, poles_w=[w_p, w_p.conjugate()], residues_w=[-0.05, -0.05])
         brute = bl.flux_symbol(10.0 + np.linspace(-0.1, 0.1, 20001), 0.51).real.min()
@@ -109,12 +119,12 @@ class TestAssembly:
 
     def test_min_real_flux_unbounded_for_complex_kernel(self):
         # Re flux = rho Re g(0) - s Im g(0) + O(1/s): unbounded below once Im g(0) != 0
-        sd = build_grid(1.0, 8)
-        bl = BoundaryLaw(scalar_rational(const=0.1j, lin=0.8), *BoundaryLaw.normal_profile(sd), 1.0)
+        sd = SpatialDiscretization(1.0, 8)
+        bl = BoundaryLaw(scalar_rational(const=0.1j, lin=0.8), BoundaryLaw.normal_profile(sd), 1.0)
         assert bl.min_real_flux(2.0) == -np.inf
 
     def test_vectorized_matches_dense(self):
-        sd = build_grid(1.0, 10)
+        sd = SpatialDiscretization(1.0, 10)
         bl = flux_boundary(sd, 0.5, poles_w=[-2.0], residues_w=[1.0])
         rng = np.random.default_rng(0)
         s = np.array([0.0, 2.4, -7.7])
@@ -129,7 +139,7 @@ class TestAssembly:
 
 class TestReducedOperator:
     def make(self, n_cells=6):
-        sd = build_grid(1.0, n_cells)
+        sd = SpatialDiscretization(1.0, n_cells)
         bl = flux_boundary(sd, 0.5, poles_w=[-2.0], residues_w=[1.0])
         s = np.array([0.0, 2.4, -7.7])
         op = reduced_operator(sd, bl, bl.flux_symbol(s, 2.0), 1j * s + 2.0, 1.5 * (1j * s + 2.0))
@@ -249,7 +259,7 @@ class TestReducedOperator:
 
 class TestPairing:
     def test_adjoint_pairing_on_signals(self):
-        sd = build_grid(1.0, 24)
+        sd = SpatialDiscretization(1.0, 24)
         grid = WeightedGrid(-4.0, 16.0 / 512, 512, 3.0)
         bl = flux_boundary(sd, 0.4, poles_w=[-1.0 + 1.5j], residues_w=[0.6])
         rho = grid.rho
@@ -290,14 +300,14 @@ def apply_spatial_time(sd, bl, u):
 
 class TestApplyTime:
     def test_zero(self):
-        sd = build_grid(1.0, 8)
+        sd = SpatialDiscretization(1.0, 8)
         grid = WeightedGrid(0.0, 0.05, 128, 2.0)
         bl = BoundaryLaw.robin(0.0, sd)
         z = zero_signal(grid, sd.n_cells + sd.n_faces)
         assert not apply_spatial_time(sd, bl, z).values.any()
 
     def test_matches_direct_blocks_for_consistent_input(self):
-        sd = build_grid(1.0, 16)
+        sd = SpatialDiscretization(1.0, 16)
         grid = WeightedGrid(-2.0, 12.0 / 512, 512, 2.0)
         bl = BoundaryLaw.robin(0.0, sd)
         t = grid.times
@@ -306,8 +316,8 @@ class TestApplyTime:
         v = wt[:, None] * np.sin(np.pi * sd.face_x / sd.length)[None, :]
         u = WeightedSignal(grid, np.concatenate([p, v], axis=1))
         out = apply_spatial_time(sd, bl, u)
-        direct_p = (sd.d_div() @ v.T).T
-        direct_v = (sd.d_grad() @ p.T).T
+        direct_p = (d_div(sd) @ v.T).T
+        direct_v = (d_grad(sd) @ p.T).T
         direct = WeightedSignal(grid, np.concatenate([direct_p, direct_v], axis=1))
         gap = WeightedSignal(grid, out.values - direct.values)
         assert rho_norm(gap) < 1e-10 * rho_norm(direct)
@@ -319,7 +329,7 @@ class TestApplyTime:
         wt = bump(t, 2.0, 0.5)
         errs = []
         for n_cells in (16, 32, 64):
-            sd = build_grid(1.0, n_cells)
+            sd = SpatialDiscretization(1.0, n_cells)
             bl = BoundaryLaw.robin(0.0, sd)
             k = np.pi / sd.length
             p = wt[:, None] * np.cos(k * sd.cell_x)[None, :]
@@ -351,7 +361,7 @@ class TestProductRule:
 
 def product_rule_residual(n_cells: int) -> tuple[float, float]:
     """Relative residual of div(a q) = (div a) q + a . grad q, discretized."""
-    sd = build_grid(1.0, n_cells)
+    sd = SpatialDiscretization(1.0, n_cells)
     grid = WeightedGrid(-2.0, 12.0 / 256, 256, 2.0)
     alpha = 1.0 + 0.3 * np.sin(2 * np.pi * sd.face_x / sd.length)
     div_alpha_cells = (0.6 * np.pi / sd.length) * np.cos(2 * np.pi * sd.cell_x / sd.length)
@@ -362,9 +372,9 @@ def product_rule_residual(n_cells: int) -> tuple[float, float]:
     s = frequencies_for(grid)
     zs = 1.0 / (1j * s + grid.rho)
     q = apply_symbol(p, g.eval_many(zs)[:, 0, 0]).values
-    term1 = ((alpha * cell_to_face(sd, q)) @ sd.d_div().T)
+    term1 = (alpha * cell_to_face(sd, q)) @ d_div(sd).T
     term2 = div_alpha_cells[None, :] * q
-    term3 = face_to_cell(alpha * (q @ sd.d_grad().T))
+    term3 = face_to_cell(alpha * (q @ d_grad(sd).T))
     resid = WeightedSignal(grid, term1 - term2 - term3)
     scale = rho_norm(WeightedSignal(grid, term1))
     return rho_norm(resid) / scale, scale
@@ -372,7 +382,7 @@ def product_rule_residual(n_cells: int) -> tuple[float, float]:
 
 class TestBoundarySign:
     def make(self, n_cells=24):
-        sd = build_grid(1.0, n_cells)
+        sd = SpatialDiscretization(1.0, n_cells)
         grid = WeightedGrid(-4.0, 16.0 / 512, 512, 2.5)
         return sd, grid
 
@@ -400,14 +410,32 @@ class TestBoundarySign:
 
     def test_negative_kernel_detected(self):
         sd, grid = self.make()
-        bl = BoundaryLaw(scalar_rational(lin=-1.0), *BoundaryLaw.normal_profile(sd), 1.0)
+        bl = BoundaryLaw(scalar_rational(lin=-1.0), BoundaryLaw.normal_profile(sd), 1.0)
         p = interior_signal(grid, dim=sd.n_cells, seed=20)
         assert boundary_sign_functional(sd, bl, p) < 0.0
+
+    @pytest.mark.parametrize("n_cells", [8, 24])
+    @pytest.mark.parametrize("case", ["normal, real pole", "constant:0.7", "conjugate poles"])
+    def test_wall_form_matches_volume_sum(self, n_cells, case):
+        # summation by parts collapses the volume sum to the two wall terms
+        sd, grid = self.make(n_cells)
+        if case == "normal, real pole":
+            bl = flux_boundary(sd, 0.5, poles_w=[-1.0], residues_w=[0.7])
+        elif case == "constant:0.7":
+            bl = BoundaryLaw(scalar_rational(lin=1.3), np.full(sd.n_faces, 0.7), 1.0)
+        else:
+            bl = flux_boundary(sd, 0.4, poles_w=[-1.0 + 1.5j, -1.0 - 1.5j], residues_w=[0.6, 0.6])
+        for seed, cut in ((40, 3.2), (41, np.inf)):
+            p = interior_signal(grid, dim=sd.n_cells, seed=seed)
+            wall = boundary_sign_functional(sd, bl, p, cutoff=cut)
+            volume = volume_sign_functional(sd, bl, p, cutoff=cut)
+            assert volume != 0.0
+            assert abs(wall - volume) <= 1e-13 * abs(volume)
 
 
 class TestNonnegativity:
     def test_forward_with_cutoff_and_adjoint_plain(self):
-        sd = build_grid(1.0, 24)
+        sd = SpatialDiscretization(1.0, 24)
         grid = WeightedGrid(-4.0, 16.0 / 512, 512, 2.5)
         bl = flux_boundary(sd, 0.5, poles_w=[-1.0], residues_w=[0.7])
         assert bl.min_real_flux(grid.rho) >= 0.0
@@ -430,7 +458,7 @@ class TestNonnegativity:
 
 class TestInterpolation:
     def test_cell_to_face_second_order_interior(self):
-        sd = build_grid(1.0, 64)
+        sd = SpatialDiscretization(1.0, 64)
         f = np.sin(2 * np.pi * sd.cell_x)
         exact = np.sin(2 * np.pi * sd.face_x)
         err = np.abs(cell_to_face(sd, f)[1:-1] - exact[1:-1]).max()

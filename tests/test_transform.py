@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import apply_symbol, bump, interior_signal, zero_signal
+from conftest import apply_symbol, bump, identity_law, interior_signal, zero_signal
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
+from evowaves.solver import EvoProblem, _parseval_norm, _parseval_weights, _source_spectrum
+from evowaves.spatial import BoundaryLaw, SpatialDiscretization
 from evowaves.transform import (
     SpectralSignal,
     assert_padded,
@@ -186,16 +188,22 @@ class TestSeparable:
     @pytest.mark.parametrize("half", [False, True])
     @pytest.mark.parametrize("n", [64, 63])
     def test_matches_the_samples(self, n, half):
+        # the solvers' source rows, against the transform of the sampled source
         grid = WeightedGrid(-1.3, 0.07, n, 0.9)
+        sd = SpatialDiscretization(1.0, 4)
         rng = np.random.default_rng(n)
         w = rng.standard_normal(n)
-        g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        u = WeightedSignal(grid, profiles=(w, g))
-        got = forward_transform(u, half)
-        assert "values" not in u.__dict__
-        want = forward_transform(WeightedSignal(grid, w[:, None] * g[None, :]), half)
-        assert got.half == half and got.values.shape == want.values.shape
-        assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
+        g = rng.standard_normal(sd.n_reduced) + 1j * rng.standard_normal(sd.n_reduced)
+        f = WeightedSignal(grid, profiles=(w, g))
+        prob = EvoProblem(grid, sd, identity_law(), BoundaryLaw.robin(0.5, sd), f)
+        weight = _parseval_weights(grid, half)
+        rows, f_norm = _source_spectrum(prob, half, frequencies_for(grid), weight)
+        got = rows(0, weight.size)
+        assert "values" not in f.__dict__
+        want = forward_transform(WeightedSignal(grid, w[:, None] * g[None, :]), half).values
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert f_norm == pytest.approx(_parseval_norm(want, weight), rel=1e-14)
 
     @pytest.mark.parametrize("center", [0.25, 0.95])
     def test_padding_verdict_matches_the_samples(self, grid, center):

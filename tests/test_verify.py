@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from conftest import flux_boundary, identity_law, make_problem, run_child, zero_signal
 from evowaves import signals, verify
 from evowaves.cli import main
+from evowaves.config import load_scenario
 from evowaves.rational import scalar_rational
 from evowaves.solver import EvoProblem, SolverError
 from evowaves.spatial import BoundaryLaw, ReducedOperator
@@ -27,7 +29,7 @@ from evowaves.verify import (
 
 def negative_boundary(prob):
     bl = BoundaryLaw(
-        scalar_rational(lin=-1.0), *BoundaryLaw.normal_profile(prob.sd), 1.0
+        scalar_rational(lin=-1.0), BoundaryLaw.normal_profile(prob.sd), 1.0
     )
     return dataclasses.replace(prob, bl=bl)
 
@@ -169,6 +171,29 @@ class TestBoundarySign:
         bl = flux_boundary(prob.sd, 0.2, poles_w=[-0.5], residues_w=[0.4])
         res = check_boundary_sign(dataclasses.replace(prob, bl=bl), seed=4)
         assert res.passed
+
+
+class TestMemory:
+    @pytest.mark.parametrize("name", ["adjoint_lemma", "positivity_1", "boundary_sign"])
+    def test_check_holds_few_signals(self, name, tmp_path):
+        # scenarios/reflection.cfg at 128 cells and 1024 samples, where one
+        # full complex signal is 4.0 MiB: the bands of 48 blocks, not dense
+        # blocks, and one trial at a time, not the whole batch (66, 30 and
+        # 17 signals of traced allocations when they were stored)
+        text = Path(DEFAULT_CFG).with_name("reflection.cfg").read_text()
+        cfg = tmp_path / "reflection.cfg"
+        cfg.write_text(text.replace("n = 2048", "n = 1024").replace("cells = 512", "cells = 128"))
+        prob = load_scenario(str(cfg)).build()
+        assert (prob.grid.n, prob.sd.n_cells) == (1024, 128)
+        prob.grid_operator  # built once, before the checks, as run_all_checks does
+        signal = 16 * prob.grid.n * prob.sd.n_reduced
+        tracemalloc.start()
+        try:
+            assert verify._CHECK_FUNCS[name](prob, seed=1).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * signal
 
 
 class TestRunAll:
