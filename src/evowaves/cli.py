@@ -112,9 +112,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def probe_rows(sd: SpatialDiscretization) -> list[int]:
-    """Stacked rows that measure_reflection reads: p at the middle cell, v at its two faces."""
+    """The unknowns that measure_reflection reads: p at the middle cell, v at its two faces."""
     c = sd.n_cells // 2
-    return [c, sd.n_cells + c - 1, sd.n_cells + c]
+    return [2 * c, 2 * c - 1, 2 * c + 1]
 
 
 def measure_reflection(

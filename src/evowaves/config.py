@@ -238,11 +238,9 @@ class Scenario:
             return read_signal_csv(self.source_path, grid)
         t = grid.times
         wt = self.amplitude * np.exp(-(((t - self.t_center) / self.t_width) ** 2))
-        x = np.concatenate([sd.cell_x, sd.face_x[1:-1]])
-        g = np.exp(-(((x - self.x_center) / self.x_width) ** 2))
-        if self.source_kind == "gaussian":  # zero on the other component
-            other = slice(sd.n_cells, None) if self.source_component == "p" else slice(sd.n_cells)
-            g[other] = 0.0
+        g = np.exp(-(((sd.x - self.x_center) / self.x_width) ** 2))
+        if self.source_kind == "gaussian":  # zero on the other component, v at the odd unknowns
+            g[(1 if self.source_component == "p" else 0)::2] = 0.0
         return WeightedSignal(grid, profiles=(wt, g))
 
     def build(self) -> EvoProblem:

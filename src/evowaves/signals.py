@@ -101,11 +101,14 @@ class WeightedGrid:
         return int(m_round)
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
-    """x read-only and contiguous, complex128 or else float64; non-finite raises ValueError."""
+def _finite(x: np.ndarray, grid: WeightedGrid | None = None) -> np.ndarray:
+    """x read-only and contiguous, complex128 or else float64; non-finite raises ValueError naming its time."""
     x = np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal contains non-finite samples")
+    finite = np.isfinite(x)
+    if not finite.all():
+        j = int(np.argmin(finite.reshape(x.shape[0], -1).all(axis=1)))
+        at = f", the first at t = {grid.times[j]:.9g} (row {j})" if grid is not None else ""
+        raise ValueError(f"signal contains non-finite samples{at}")
     x.setflags(write=False)
     return x
 
@@ -134,21 +137,21 @@ class WeightedSignal:
             w, g = self.profiles
             if np.iscomplexobj(w) or np.shape(w) != (self.grid.n,) or np.ndim(g) != 1:
                 raise ValueError(f"profiles must be a real (n,) and a (d,) array, n={self.grid.n}")
-            object.__setattr__(self, "profiles", (_finite(w), _finite(g)))
+            object.__setattr__(self, "profiles", (_finite(w, self.grid), _finite(g)))
             return
         v = np.asarray(self.samples)
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2 or v.shape[0] != self.grid.n:
             raise ValueError(f"values must have shape (n, d) with n={self.grid.n}, got {v.shape}")
-        object.__setattr__(self, "samples", _finite(v))
+        object.__setattr__(self, "samples", _finite(v, self.grid))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
         if self.profiles is None:
             return self.samples
         w, g = self.profiles
-        return _finite(w[:, None] * g)
+        return _finite(w[:, None] * g, self.grid)
 
     @property
     def dim(self) -> int:
@@ -234,7 +237,8 @@ def translate(u: WeightedSignal, h: float) -> WeightedSignal:
 # CSV layout: header "t,re_0,im_0,...,re_{d-1},im_{d-1}", one row per grid
 # time, comma-separated without spaces, CRLF line endings, every number as
 # "%.17g" (enough to round-trip doubles exactly).  Samples are finite, so no
-# field ever needs quoting.
+# field ever needs quoting.  The columns hold the even unknowns, then the odd
+# ones (_file_order): a reduced signal's pressures, then its velocities.
 #
 # CPython's "%.17g" costs about 0.7 us a number, so a numpy kernel formats
 # a chunk of rows at a time, each number into a slot ended by a separator
@@ -419,17 +423,28 @@ def _format_slots(x: np.ndarray, slots: np.ndarray) -> None:
         slots[rest, :6] = np.frombuffer(text, "<u4").reshape(rest.size, 6)
 
 
+def _file_order(d: int) -> np.ndarray:
+    """The unknown in each CSV column: the even ones, then the odd ones."""
+    return np.r_[0:d:2, 1:d:2]
+
+
+def _interleave(x: np.ndarray) -> np.ndarray:
+    """The (n, d) columns x of a CSV file, with the unknowns in the program's order."""
+    return np.take(x, np.argsort(_file_order(x.shape[1])), axis=1)
+
+
 def _write_rows(
-    fh, times: np.ndarray, cols: np.ndarray, seps: np.ndarray, lo: int, hi: int
+    fh, times: np.ndarray, values: np.ndarray, seps: np.ndarray, lo: int, hi: int
 ) -> None:
-    """Write rows lo..hi-1: t and the cols, each number followed by its word of seps."""
-    width = 1 + cols.shape[1]
+    """Write rows lo..hi-1: t and the values in file order, each number followed by its word of seps."""
+    width = seps.size
+    order = _file_order(values.shape[1])
     rows = max(1, _CHUNK_NUMBERS // width)
     for start in range(lo, hi, rows):
         stop = min(start + rows, hi)
         x = np.empty((stop - start, width))
         x[:, 0] = times[start:stop]
-        x[:, 1:] = cols[start:stop]
+        x[:, 1:] = np.take(values[start:stop], order, axis=1).view(np.float64)
         slots = np.empty((stop - start, width, _SLOT_WORDS), "<u4")
         _format_slots(x.ravel(), slots.reshape(-1, _SLOT_WORDS))
         slots[:, :, 6] = seps
@@ -444,15 +459,15 @@ def _sibling(path: str, suffix: str) -> str:
 
 
 def _write_part(
-    part: str, times: np.ndarray, cols: np.ndarray, seps: np.ndarray, lo: int, hi: int
+    part: str, times: np.ndarray, values: np.ndarray, seps: np.ndarray, lo: int, hi: int
 ) -> None:
     """Body of a forked writer: format rows lo..hi-1 into part."""
     with open(part, "xb") as fh:
-        _write_rows(fh, times, cols, seps, lo, hi)
+        _write_rows(fh, times, values, seps, lo, hi)
 
 
 def write_signal_csv(u: WeightedSignal, path: str) -> None:
-    """Write u as CSV, replacing path atomically.
+    """Write u as CSV, its unknowns in file order, replacing path atomically.
 
     Every number is written as "%.17g": the vectorized kernel above
     formats those with 1e-99 <= |x| < 1 and "%.17g" itself the rest, with
@@ -472,15 +487,15 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
     for j in range(u.dim):
         header += [f"re_{j}", f"im_{j}"]
     # a real signal's re_j alone, each im_j the "0" of the word after it;
-    # a complex one as its (n, 2*dim) float view: re_0, im_0, re_1, ...
+    # a complex one as its float view: re_0, im_0, re_1, ...
     if u.dim and not np.iscomplexobj(u.values):
-        cols, seps = u.values, [_COMMA] + [_ZERO_COMMA] * (u.dim - 1) + [_ZERO_CRLF]
+        seps = [_COMMA] + [_ZERO_COMMA] * (u.dim - 1) + [_ZERO_CRLF]
     else:
-        cols, seps = u.values.view(np.float64), [_COMMA] * (2 * u.dim) + [_CRLF]
+        seps = [_COMMA] * (2 * u.dim) + [_CRLF]
     seps = np.array(seps)
     times = u.grid.times
     n = u.grid.n
-    n_blocks = _worker_count(min(n * (1 + cols.shape[1]) // MIN_DOUBLES_PER_WORKER, n))
+    n_blocks = _worker_count(min(n * seps.size // MIN_DOUBLES_PER_WORKER, n))
     bounds = [n * b // n_blocks for b in range(n_blocks + 1)]
     tmp = _sibling(path, ".tmp")
     part_files = [_sibling(path, f".part{b}") for b in range(1, n_blocks)]
@@ -495,13 +510,13 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
                 where = blocks[b]
                 writers.fork(
                     functools.partial(
-                        _write_part, part, times, cols, seps, bounds[b], bounds[b + 1]
+                        _write_part, part, times, u.values, seps, bounds[b], bounds[b + 1]
                     )
                 )
             where = blocks[0]
             with open(tmp, "xb") as fh:
                 fh.write((",".join(header) + "\r\n").encode())
-                _write_rows(fh, times, cols, seps, 0, bounds[1])
+                _write_rows(fh, times, u.values, seps, 0, bounds[1])
                 for b, part in enumerate(part_files, 1):
                     where = blocks[b]
                     code = writers.join()
@@ -520,7 +535,7 @@ def write_signal_csv(u: WeightedSignal, path: str) -> None:
 
 
 def read_signal_csv(path: str, grid: WeightedGrid) -> WeightedSignal:
-    """Read a signal written by write_signal_csv onto a known grid.
+    """Read a signal written by write_signal_csv onto a known grid, in the program's order.
 
     The time column must match the grid times; there is no resampling.
     The signal is float64 when every im_j reads as +0.0, else complex128.
@@ -547,5 +562,5 @@ def read_signal_csv(path: str, grid: WeightedGrid) -> WeightedSignal:
         raise ValueError(f"{path}: time column does not match the scenario grid")
     if data[:, 2::2].view(np.uint64).any():  # an im_j other than +0.0, or -0.0
         # pairs (re_j, im_j) reinterpreted as complex, which keeps the sign of a zero
-        return WeightedSignal(grid, np.ascontiguousarray(data[:, 1:]).view(complex))
-    return WeightedSignal(grid, data[:, 1::2])
+        return WeightedSignal(grid, _interleave(np.ascontiguousarray(data[:, 1:]).view(complex)))
+    return WeightedSignal(grid, _interleave(data[:, 1::2]))

@@ -9,8 +9,8 @@ staggered grid and A(s) the reduced spatial operator with eliminated
 boundary faces.  Two solvers are provided and cross-checked:
 
 * solve_frequency: exact per-frequency linear solves.  Each frequency's
-  matrix (spatial.ReducedOperator) is tridiagonal up to a reordering of
-  the unknowns, so all frequencies are solved together in one batched
+  matrix (spatial.ReducedOperator) is tridiagonal in the interleaved
+  order of the unknowns, so all frequencies are solved in one batched
   Thomas sweep at O(n) each.  This is the trusted oracle.  It checks
   itself with the operator it solved: the spectral residual, in the
   rectangle-rule (Parseval) norm, and an O(n) condition bound.
@@ -117,10 +117,10 @@ class EvoProblem:
     The material law must be 2x2 and diagonal: entry (0, 0) acts on the
     pressure component, entry (1, 1) on velocity.  (Cross coupling between
     p and v is not liftable onto a staggered grid, where the two live at
-    different points.)  The source f is a stacked reduced signal
-    [p-cells, interior faces].  The constants (gamma0, mu0, beta0) are
-    computed once, at construction; the operator at the grid frequencies,
-    real_in_time and the source norm f_norm once each, on first use.
+    different points.)  The source f is a reduced signal (interleaved
+    unknowns).  The constants (gamma0, mu0, beta0) are computed once, at
+    construction; the operator at the grid frequencies, real_in_time and
+    the source norm f_norm once each, on first use.
     """
 
     grid: WeightedGrid
@@ -565,7 +565,7 @@ def solve_frequency(prob: EvoProblem) -> SolveReport:
 def solve_boundary_family(
     prob: EvoProblem, laws: list[BoundaryLaw], rows: list[int]
 ) -> list[tuple[WeightedSignal, float]]:
-    """Solve prob once per boundary law: (stacked rows of the solution, residual bound).
+    """Solve prob once per boundary law: (the given rows of the solution, residual bound).
 
     A law adds U D U^T to the Neumann operator A0, U = [e_0, e_last] and
     D = diag(corner0, cornerL).  One elimination of A0 gives y = A0^-1 f
@@ -587,7 +587,7 @@ def solve_boundary_family(
     """
     if not laws:
         return []
-    grid, nc = prob.grid, prob.sd.n_cells
+    grid = prob.grid
     law_probs = [dataclasses.replace(prob, bl=bl) for bl in laws]  # with EvoProblem's checks
     half = all(p.real_in_time for p in law_probs)
     weight = _parseval_weights(grid, half)
@@ -595,7 +595,7 @@ def solve_boundary_family(
     f_rows, f_norm = _source_spectrum(prob, half, s, weight)
     zero = np.zeros(s.size, dtype=complex)
     neumann = dataclasses.replace(prob.operator(s), corner0=zero, cornerL=zero)
-    picks = [*rows, 0, nc - 1]
+    picks = [*rows, 0, neumann.dim - 1]
     at_rows = np.empty((len(picks), 3, s.size), dtype=complex)
     res_sq = np.empty((3, s.size))
     width = max(1, BLOCK_BYTES // (3 * (neumann.dim + 2) * 16))
@@ -648,11 +648,10 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
     The step matrix is the frequency operator at w = 1/delta, delta the
     grid step: implicit Euler replaces the inverse derivative z by delta.
     It is factored once by ReducedOperator.factor (LAPACK, via
-    scipy.linalg) and the march runs in its interleaved order: even
-    unknowns are pressures, odd ones velocities, and the boundary cells
-    are the first and last.  The memory kernels (material and boundary),
-    realized as poles in w, add an explicit history term to each step's
-    right-hand side.
+    scipy.linalg).  Even unknowns are pressures, odd ones velocities, and
+    the boundary cells are the first and last.  The memory kernels
+    (material and boundary), realized as poles in w, add an explicit
+    history term to each step's right-hand side.
 
     The march carries one state array z of shape (1 + modes, dim): row 0
     is the last step's x, every other row the implicit-Euler state of one
@@ -680,7 +679,7 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
         )
 
     step = prob._operator_at(np.zeros(1), 1.0 / delta)
-    nc, dim = sd.n_cells, step.dim
+    dim = step.dim
     block = np.arange(dim) % 2  # material block of each unknown: 0 pressure, 1 velocity
     mem = realize(prob.law.m1, grid.rho)
     flux = realize_flux(prob.bl, grid.rho)
@@ -697,15 +696,12 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
     solve = step.factor(0)
     z = np.zeros(coef.shape, dtype=coef.dtype)
     states, rhs = z[1:], np.empty(dim, dtype=coef.dtype)
-    out = np.zeros((grid.n, sd.n_reduced), dtype=coef.dtype)
+    out = np.zeros((grid.n, dim), dtype=coef.dtype)
     for k in range(1, grid.n):
         np.einsum("rj,rj->j", coef, z, out=rhs)
-        rhs[0::2] += f[k, :nc]
-        rhs[1::2] += f[k, nc:]
+        rhs += f[k]
         x = solve(rhs)
-        out[k, :nc] = x[0::2]
-        out[k, nc:] = x[1::2]
-        z[0] = x
+        out[k] = z[0] = x
         states += x
         states *= gain
 

@@ -26,12 +26,12 @@ and makes the Robin case g(z) = k z exact: its flux symbol is the
 constant k.  The elimination also makes the reduced adjoint equal to the
 per-frequency conjugate transpose, which the adjoint_lemma check verifies.
 
-Every matrix here is one tridiagonal form: the reduced operator with its
-unknowns interleaved as (p_0, v_1, p_1, ..., v_last, p_last).  It runs on
-numpy, except ReducedOperator.factor, which imports scipy.linalg when it
-runs, not at start-up: its LAPACK LU (gttrf) is shared by the time
-stepper's step matrix and by the frequencies where the Thomas pivots
-break down.
+Every reduced signal and matrix interleaves its unknowns as (p_0, v_1,
+p_1, ..., v_last, p_last) (SpatialDiscretization.x), the order in which
+the reduced operator is tridiagonal; only CSV files hold the pressures
+first.  The module runs on numpy, except ReducedOperator.factor, which
+imports scipy.linalg when it runs: its LAPACK LU (gttrf) is shared by the
+time stepper and by the frequencies where the Thomas pivots break down.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
-ROW_BLOCK = 64  # interleaved rows per block of the residual pass in _solve_with_corners
+ROW_BLOCK = 64  # rows per block of the residual pass in _solve_with_corners
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,11 @@ class SpatialDiscretization:
     def n_reduced(self) -> int:
         """Cells plus interior faces: the two boundary faces are eliminated."""
         return self.n_cells + self.n_faces - 2
+
+    @property
+    def x(self) -> np.ndarray:
+        """The position of each reduced unknown: cell_x at even indices, face_x[1:-1] at odd ones."""
+        return (np.arange(self.n_reduced) + 1) * (0.5 * self.dx)
 
 
 @dataclass(frozen=True)
@@ -163,18 +168,16 @@ class BoundaryLaw:
 class ReducedOperator:
     """The reduced per-frequency operator (i s + rho) M(z_s) + A(s), batched.
 
-    Unknowns are stacked as [p (n_cells), v_interior (n_cells - 1)].  At
+    Unknowns are interleaved as (p_0, v_1, p_1, ..., v_last, p_last).  At
     frequency k the matrix has sym_p[k] on the pressure diagonal, sym_v[k]
     on the velocity diagonal, the eliminated boundary faces as corner[k]
     terms on the first and last pressure cell, and the staggered
     differences with coefficient off = 1/dx: pressure row c reads
     off * (v_{c+1} - v_c) and velocity row f reads off * (p_f - p_{f-1}).
-    The adjoint conjugates the four vectors and negates off.
-
-    Interleaving the unknowns as (p_0, v_1, p_1, ..., v_last, p_last)
-    makes every matrix tridiagonal with sub-diagonal -off and
-    super-diagonal +off.  The solvers and dense() work in that order;
-    matvec keeps the stacked one, an independent reference for residuals.
+    So every matrix is tridiagonal with sub-diagonal -off and
+    super-diagonal +off.  The adjoint conjugates the four vectors and
+    negates off.  matvec applies the differences on the pressure and
+    velocity strides, not by rows as the solvers do: a reference for residuals.
     """
 
     sym_p: np.ndarray      # (n_freq,) pressure symbol
@@ -189,11 +192,10 @@ class ReducedOperator:
         return 2 * self.n_cells - 1
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """Apply the operator to (n_freq, dim) stacked values."""
-        nc = self.n_cells
-        p, v = u[:, :nc], u[:, nc:]
+        """Apply the operator to (n_freq, dim) values."""
+        p, v = u[:, 0::2], u[:, 1::2]
         out = np.empty(u.shape, dtype=complex)
-        out_p, out_v = out[:, :nc], out[:, nc:]
+        out_p, out_v = out[:, 0::2], out[:, 1::2]
         np.multiply(self.sym_p[:, None], p, out=out_p)
         dv = self.off * v
         out_p[:, :-1] += dv
@@ -222,32 +224,20 @@ class ReducedOperator:
             self.off, self.n_cells,
         )
 
-    def stacked_rows(self) -> np.ndarray:
-        """The stacked row of each interleaved row: pressures at even rows, velocities at odd."""
-        rows = np.empty(self.dim, dtype=int)
-        rows[0::2] = np.arange(self.n_cells)
-        rows[1::2] = np.arange(self.n_cells, self.dim)
-        return rows
-
     def dense(self, k: int = 0) -> np.ndarray:
-        """The stacked-order matrix at frequency index k, as a dense array."""
-        rows = self.stacked_rows()  # the interleaved tridiagonal, scattered to stacked order
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[rows, rows] = self._diagonal([k])[:, 0]
-        out[rows[:-1], rows[1:]] = self.off
-        out[rows[1:], rows[:-1]] = -self.off
-        return out
+        """The matrix at frequency index k, as a dense array."""
+        off = np.full(self.dim - 1, self.off)
+        return np.diag(self._diagonal([k])[:, 0]) + np.diag(off, 1) - np.diag(off, -1)
 
     def factor(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
-        """LU with partial pivoting (LAPACK gttrf) of the interleaved matrix at frequency index k.
+        """LU with partial pivoting (LAPACK gttrf) of the matrix at frequency index k.
 
         The LU is real (dgttrf) when the diagonal has no imaginary part,
-        complex (zgttrf) otherwise.  Returns the solve (gttrs) for
-        interleaved (dim,) or (dim, n_rhs) right-hand sides b, in place
-        when b is contiguous and of the LU's type; a real LU solves a
-        complex b as its real and imaginary parts.  Raises LinAlgError
-        when U has an exact zero pivot.  scipy.linalg is imported here, on
-        the first call.
+        complex (zgttrf) otherwise.  Returns the solve (gttrs) for (dim,)
+        or (dim, n_rhs) right-hand sides b, in place when b is contiguous
+        and of the LU's type; a real LU solves a complex b as its real and
+        imaginary parts.  Raises LinAlgError when U has an exact zero
+        pivot.  scipy.linalg is imported here, on the first call.
         """
         from scipy.linalg import lapack
 
@@ -293,32 +283,32 @@ class ReducedOperator:
         return np.divide(norm, lowest, out=np.full(norm.shape, np.inf), where=lowest > 0)
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve every frequency's system for (n_freq, dim) stacked values.
+        """Solve every frequency's system for (n_freq, dim) values rhs.
 
-        Returns the solution and the indices of the frequencies that the
-        Thomas kernel handed to the pivoted LU of factor(), which re-solves
-        them from rhs.  A frequency whose matrix is singular comes back as
-        non-finite values.
+        Returns the solution, a transposed view, and the indices of the
+        frequencies that the Thomas kernel handed to the pivoted LU of
+        factor(), which re-solves them from rhs.  A frequency whose matrix
+        is singular comes back as non-finite values.
         """
-        y = self._interleaved(rhs)
+        y = np.array(rhs.T, dtype=complex, order="C")
         broken = self._thomas(y)
         if broken.size:
-            y[:, broken] = _solve_range_pivoted(self, self._interleaved(rhs[broken]), broken)
-        return self._stacked(y), broken
+            y[:, broken] = _solve_range_pivoted(self, rhs[broken].T.astype(complex), broken)
+        return y.T, broken
 
     def _solve_with_corners(
         self, rhs: np.ndarray, rows: list[int], w: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve for stacked rhs and the unit vectors e_0, e_last of the two corner cells at once.
+        """Solve for rhs and the unit vectors e_0, e_last of the two corner cells at once.
 
         The operator and rhs, (n_freq, dim), are one block of frequencies,
         and the solve runs in the caller's work array w, (dim + 2, 3,
         n_freq), whatever it holds on entry: its first and last rows are
         zeroed, and rows 1 to dim take the three right-hand sides and then
-        their interleaved solutions, so one w serves every block of a
-        sweep.  Frequencies whose Thomas pivot breaks down are re-solved
-        from rhs and the unit vectors by the pivoted LU.  Returns the three
-        solutions at the stacked rows, (len(rows), 3, n_freq), and each
+        their solutions, so one w serves every block of a sweep.
+        Frequencies whose Thomas pivot breaks down are re-solved from rhs
+        and the unit vectors by the pivoted LU.  Returns the three
+        solutions at the given rows, (len(rows), 3, n_freq), and each
         solve's squared residual norm per frequency, (3, n_freq), computed
         in row blocks to hold no second array of w's size.
         """
@@ -328,13 +318,12 @@ class ReducedOperator:
         if broken.size:
             fallback = np.empty((self.dim, 3, broken.size), dtype=complex)
             y[..., broken] = _solve_range_pivoted(self, self._corner_rhs(rhs[broken], fallback), broken)
-        stacked = self.stacked_rows()
         res_sq = np.zeros(y.shape[1:])
         for a in range(0, self.dim, ROW_BLOCK):
             b = min(a + ROW_BLOCK, self.dim)
             d = np.where(np.arange(a, b)[:, None] % 2 == 0, self.sym_p, self.sym_v)
             r = d[:, None] * y[a:b] + self.off * (w[a + 2 : b + 2] - w[a:b])
-            r[:, 0] -= rhs[:, stacked[a:b]].T
+            r[:, 0] -= rhs[:, a:b].T
             if a == 0:
                 r[0] += self.corner0 * y[0]
                 r[0, 1] -= 1.0
@@ -342,12 +331,12 @@ class ReducedOperator:
                 r[-1] += self.cornerL * y[-1]
                 r[-1, 2] -= 1.0
             res_sq += np.sum(r.real**2 + r.imag**2, axis=0)
-        return y[np.argsort(stacked)[rows]], res_sq
+        return y[rows], res_sq
 
-    # interleaved (dim, [n_rhs,] n_freq) work layout of the solver kernel
+    # (dim, [n_rhs,] n_freq) work layout of the solver kernel
 
     def _thomas(self, y: np.ndarray) -> np.ndarray:
-        """Solve in place for interleaved (dim, [n_rhs,] n_freq) right-hand sides y.
+        """Solve in place for (dim, [n_rhs,] n_freq) right-hand sides y.
 
         One Thomas sweep runs across all frequencies and right-hand sides
         at once.  The Hermitian part of each matrix is diagonal and bounded
@@ -386,34 +375,18 @@ class ReducedOperator:
         d[-1] += self.cornerL[ks]
         return d
 
-    def _interleaved(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Stacked (n_freq, dim) values x in interleaved (dim, n_freq) order, written into out if given."""
-        nc = self.n_cells
-        if out is None:
-            out = np.empty((self.dim, x.shape[0]), dtype=complex)
-        out[0::2] = x[:, :nc].T
-        out[1::2] = x[:, nc:].T
-        return out
-
     def _corner_rhs(self, rhs: np.ndarray, y: np.ndarray) -> np.ndarray:
         """y, (dim, 3, n_freq), set to the right-hand sides of _solve_with_corners: rhs, e_0, e_last."""
-        self._interleaved(rhs, y[:, 0])
+        y[:, 0] = rhs.T
         y[:, 1:] = 0.0
         y[0, 1] = y[-1, 2] = 1.0
         return y
-
-    def _stacked(self, y: np.ndarray) -> np.ndarray:
-        nc = self.n_cells
-        out = np.empty((y.shape[1], self.dim), dtype=complex)
-        out[:, :nc] = y[0::2].T
-        out[:, nc:] = y[1::2].T
-        return out
 
 
 def _solve_range_pivoted(op: ReducedOperator, rhs: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Solve frequencies ks with op.factor, in place; an exactly singular one becomes NaN.
 
-    rhs holds their interleaved right-hand sides, (dim, [n_rhs,] ks.size).
+    rhs holds their right-hand sides, (dim, [n_rhs,] ks.size).
     """
     for j, k in enumerate(ks):
         try:

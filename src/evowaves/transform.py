@@ -121,7 +121,7 @@ def inverse_transform(u_hat: SpectralSignal) -> WeightedSignal:
         vals = np.frombuffer(mmap.mmap(-1, max(8 * n * d, 1)), float, n * d).reshape(n, d)
         np.fft.irfft(np.multiply(scaled_phase[:, None], u_hat.values), n, axis=0, out=vals)
     else:
-        vals = np.multiply(scaled_phase[:, None], u_hat.values, dtype=complex)
+        vals = np.multiply(scaled_phase[:, None], u_hat.values, dtype=complex, order="C")
         np.fft.ifft(vals, axis=0, out=vals)
     np.multiply(np.exp(grid.rho * grid.times)[:, None], vals, out=vals)
     return WeightedSignal(grid, vals)

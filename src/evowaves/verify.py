@@ -28,6 +28,7 @@ import numpy as np
 from .signals import (
     WeightedSignal,
     _Forked,
+    _interleave,
     _worker_count,
     rho_inner,
     rho_norm,
@@ -120,7 +121,7 @@ def trial_fields(
     boundary activity, and a check blind to them would have no power
     against energy-producing boundary laws.  The trials are drawn one at
     a time, as the caller asks for them, and no array of one is kept here
-    once it is yielded.
+    once it is yielded.  A draw is in CSV file order, interleaved as read.
     """
     grid = prob.grid
     sd = prob.sd
@@ -131,15 +132,14 @@ def trial_fields(
     t = grid.times
     t_mid = grid.t0 + 0.32 * grid.window_length
     envelope = np.exp(-(((t - t_mid) / (0.065 * grid.window_length)) ** 2))
-    x_stacked = np.concatenate([sd.cell_x, sd.face_x[1:-1]])
     for i in range(n_trials):
         coeff = rng.standard_normal((grid.n, dim)) + 1j * rng.standard_normal((grid.n, dim))
         coeff = np.fft.ifftshift(coeff, axes=0)  # row k of the draw goes to the k-th smallest s
-        u = inverse_transform(SpectralSignal(grid, decay[:, None] * coeff))
+        u = inverse_transform(SpectralSignal(grid, decay[:, None] * _interleave(coeff)))
         vals = u.values * envelope[:, None]
         if i % 3 == 2:
             x_b = 0.0 if (i // 3) % 2 == 0 else sd.length
-            profile = np.exp(-(((x_stacked - x_b) / (0.1 * sd.length)) ** 2))
+            profile = np.exp(-(((sd.x - x_b) / (0.1 * sd.length)) ** 2))
             vals = vals * profile[None, :]
         u = WeightedSignal(grid, vals)
         nrm = rho_norm(u)
@@ -331,7 +331,7 @@ def check_boundary_sign(prob: EvoProblem, seed: int = 4) -> CheckResult:
     cut = _cutoff_time(prob)
     margins = []
     for u in trial_fields(prob, BOUNDARY_TRIALS, rng):
-        p = WeightedSignal(prob.grid, u.values[:, : prob.sd.n_cells])
+        p = WeightedSignal(prob.grid, u.values[:, 0::2])
         nrm2 = rho_norm(p) ** 2
         if nrm2 <= 0:
             continue

@@ -47,6 +47,17 @@ def bump(t: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.exp(-(((t - center) / width) ** 2))
 
 
+def interleave(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cell values p, (n, n_cells), and interior-face values v, (n, n_cells - 1), as reduced values.
+
+    The reduced unknowns interleave as (p_0, v_1, p_1, ..., v_last, p_last).
+    """
+    out = np.empty((p.shape[0], p.shape[1] + v.shape[1]), dtype=np.result_type(p, v))
+    out[:, 0::2] = p
+    out[:, 1::2] = v
+    return out
+
+
 def interior_signal(
     grid: WeightedGrid,
     dim: int = 1,
@@ -220,7 +231,7 @@ def make_problem(
         bl = BoundaryLaw.robin(0.0 if robin_k is None else robin_k, sd)
     t, x = grid.times, sd.cell_x
     fp = bump(t, t_center, t_width)[:, None] * bump(x, 0.5 * length, 0.12 * length)[None, :]
-    f = WeightedSignal(grid, np.concatenate([fp, np.zeros((n, n_cells - 1))], axis=1))
+    f = WeightedSignal(grid, interleave(fp, np.zeros((n, n_cells - 1))))
     return EvoProblem(grid, sd, law, bl, f)
 
 

@@ -19,6 +19,7 @@ from conftest import (
     flux_boundary,
     identity_law,
     interior_signal,
+    interleave,
     make_problem,
     memory_law,
     zero_fn,
@@ -117,7 +118,7 @@ def _build_battery_problem(law, bdry, rho_scale, n_cells=24, n=512):
     grid = WeightedGrid(-4.8, 16.0 / n, n, rho)
     t, x = grid.times, sd.cell_x
     fp = bump(t, 1.0, 0.4)[:, None] * bump(x, 0.5, 0.12)[None, :]
-    f = WeightedSignal(grid, np.concatenate([fp, np.zeros((n, n_cells - 1))], axis=1))
+    f = WeightedSignal(grid, interleave(fp, np.zeros((n, n_cells - 1))))
     return EvoProblem(grid, sd, law, bl, f)
 
 
@@ -166,7 +167,7 @@ def test_criterion_5_robin_reflection_sweep():
     wt = bump(t, t_c, widths[0])
     fp = wt[:, None] * bump(sd.cell_x, x_c, widths[1])[None, :]
     fv = wt[:, None] * bump(sd.face_x[1:-1], x_c, widths[1])[None, :]
-    f = WeightedSignal(grid, np.concatenate([fp, fv], axis=1))
+    f = WeightedSignal(grid, interleave(fp, fv))
     base = EvoProblem(grid, sd, identity_law(), BoundaryLaw.robin(1.0, sd), f)
     max_err = 0.0
     absorbed_at_matched = 0.0

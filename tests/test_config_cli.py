@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -423,6 +425,34 @@ class TestShippedScenarios:
             "the source overflows its weighted transform\n"
         )
         assert not out.exists()
+
+    def test_non_finite_solution_names_its_time_exit_3(self, tmp_path):
+        # at rho = 70, exp(rho t) times rounding overflows in the inverse
+        # transform late in the window; the error names that grid time
+        text = (self.scenarios_dir / "default.cfg").read_text().replace("rho = auto", "rho = 70")
+        path = tmp_path / "rho70.cfg"
+        path.write_text(text)
+        out = str(tmp_path / "o")
+        proc = run_child("-m", "evowaves.cli", "solve", "--config", str(path), "--out", out)
+        assert proc.returncode == 3
+        found = re.search(r"non-finite samples, the first at t = (\S+) \(row (\d+)\)\n", proc.stderr)
+        sc = parse_scenario(text)
+        assert found and float(found[1]) == pytest.approx(sc.t0 + int(found[2]) * sc.dt, abs=1e-12)
+
+    # Every norm squares before it sums, so a finite source above about 1e154
+    # overflows them: the sweep's residual sums read as a singular operator at
+    # s = 0, and solve reports NaN norms and exits 4.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: norms that cannot overflow")
+    @pytest.mark.parametrize(
+        "command,cfg", [("solve", "default.cfg"), ("sweep-reflection", "reflection.cfg")]
+    )
+    def test_huge_finite_source_solves(self, command, cfg, tmp_path):
+        text = (self.scenarios_dir / cfg).read_text()
+        path = tmp_path / cfg
+        path.write_text(text.replace("amplitude = 1.0", "amplitude = 1e200"))
+        out = str(tmp_path / "o")
+        proc = run_child("-m", "evowaves.cli", command, "--config", str(path), "--out", out)
+        assert proc.returncode == 0, proc.stderr
 
     def test_reflection_scenario_parses_and_builds(self):
         from evowaves.config import load_scenario

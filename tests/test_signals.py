@@ -203,6 +203,24 @@ class TestCsv:
         back = read_signal_csv(str(path), grid)
         assert np.array_equal(back.values, u.values)
 
+    @pytest.mark.parametrize("dim", [4, 5])
+    @pytest.mark.parametrize("im", [0.0, 0.5])
+    def test_file_order(self, tmp_path, dim, im):
+        # unknown i holds i + 1 (+ 1j * im * i): the first row reads the even
+        # unknowns, a reduced signal's pressures 1, 3, 5, ..., then the odd
+        # ones, its velocities 2, 4, ..., and reads back in the program's order
+        g = WeightedGrid(0.0, 0.1, 2, 1.0)
+        i = np.arange(dim)
+        u = WeightedSignal(g, np.tile(i + 1 + 1j * im * i if im else i + 1.0, (2, 1)))
+        path = tmp_path / "sig.csv"
+        write_signal_csv(u, str(path))
+        row = [float(x) for x in path.read_bytes().split(b"\r\n")[1].split(b",")]
+        assert row[1::2] == [*range(1, dim + 1, 2), *range(2, dim + 1, 2)]
+        assert row[2::2] == [im * j for j in file_order(dim)]
+        back = read_signal_csv(str(path), g)
+        assert back.values.dtype == u.values.dtype
+        assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+
     def test_exact_bytes(self, tmp_path):
         u = exact_signal()
         path = tmp_path / "sig.csv"
@@ -387,12 +405,18 @@ def real_signal(n, dim):
     return WeightedSignal(WeightedGrid(-0.3, 0.1, n, 1.0), vals)
 
 
+def file_order(dim):
+    """The unknown in each CSV column: the even ones, a reduced signal's pressures, then the odd ones."""
+    return [*range(0, dim, 2), *range(1, dim, 2)]
+
+
 def reference_csv(u):
-    """The CSV of u built one number at a time with b"%.17g"."""
+    """The CSV of u built one number at a time with b"%.17g", its unknowns in file order."""
     header = ["t"] + [f"{p}_{j}" for j in range(u.dim) for p in ("re", "im")]
+    cols = np.ascontiguousarray(u.values[:, file_order(u.dim)], dtype=complex).view(np.float64)
     rows = [
         b",".join(b"%.17g" % v for v in [t, *r]) + b"\r\n"
-        for t, r in zip(u.grid.times.tolist(), u.values.view(np.float64).tolist())
+        for t, r in zip(u.grid.times.tolist(), cols.tolist())
     ]
     return (",".join(header) + "\r\n").encode() + b"".join(rows)
 
@@ -438,8 +462,7 @@ class TestCsvBlocks:
         split(cpus)
         path = tmp_path / "sig.csv"
         write_signal_csv(u, str(path))
-        rows = [b",".join(b"%.17g" % v for v in [t, *r]) + b"\r\n" for t, r in zip([0.0, 0.1], reals)]
-        assert path.read_bytes().split(b"\r\n", 1)[1] == b"".join(rows)
+        assert path.read_bytes() == reference_csv(u)
 
     # a complex signal whose every im_j is +0.0 and its float64 real part
     # write the same bytes, and read back as that float64 signal; dim 0 has

@@ -11,6 +11,7 @@ from conftest import (
     d_grad,
     flux_boundary,
     interior_signal,
+    interleave,
     sbp_residual,
     volume_sign_functional,
     zero_signal,
@@ -35,12 +36,17 @@ from evowaves.transform import SpectralSignal, forward_transform, frequencies_fo
 def reduced_trial(sd, grid, seed, x_profile=None):
     u = interior_signal(grid, dim=sd.n_reduced, seed=seed)
     if x_profile is not None:
-        xs = np.concatenate([sd.cell_x, sd.face_x[1:-1]])
-        u = u.with_values(u.values * x_profile(xs)[None, :])
+        u = u.with_values(u.values * x_profile(sd.x)[None, :])
     return u
 
 
 class TestGridBuild:
+    @pytest.mark.parametrize("n_cells", [4, 17])
+    def test_unknown_positions_interleave(self, n_cells):
+        sd = SpatialDiscretization(1.3, n_cells)
+        assert sd.x.shape == (sd.n_reduced,)
+        assert np.array_equal(sd.x[0::2], sd.cell_x) and np.array_equal(sd.x[1::2], sd.face_x[1:-1])
+
     def test_gradient_exact_on_linear(self):
         sd = SpatialDiscretization(1.0, 4)
         grad = d_grad(sd) @ sd.cell_x
@@ -95,10 +101,11 @@ class TestAssembly:
         assert adj[0, 0] == pytest.approx(k / sd.dx)
         fwd, _ = assemble_spatial_op(sd, bl, s=0.0, rho=2.0)
         assert fwd[0, 0] == pytest.approx(k / sd.dx)
-        # off-diagonal blocks are the transposes of the forward ones (the
-        # sign flip of the adjoint is already encoded in the grad/div pair)
-        assert np.allclose(adj[: sd.n_cells, sd.n_cells :], fwd[sd.n_cells :, : sd.n_cells].T)
-        assert np.allclose(adj[: sd.n_cells, sd.n_cells :], -d_div(sd)[:, 1:-1])
+        # off-diagonal blocks, pressure rows (even) against velocity
+        # columns (odd), are the transposes of the forward ones (the sign
+        # flip of the adjoint is already encoded in the grad/div pair)
+        assert np.allclose(adj[0::2, 1::2], fwd[1::2, 0::2].T)
+        assert np.allclose(adj[0::2, 1::2], -d_div(sd)[:, 1:-1])
 
     def test_pole_hit_names_frequency(self):
         sd = SpatialDiscretization(1.0, 8)
@@ -174,10 +181,8 @@ class TestReducedOperator:
         x, pivoted = op.solve(rhs)
         assert pivoted.tolist() == [1]
         assert np.abs(x - u).max() < 1e-12 * np.abs(u).max()
-        # the pivoted LU on its own, in the interleaved order
-        rows = op.stacked_rows()
-        x1 = np.empty(op.dim, dtype=complex)
-        x1[rows] = op.factor(1)(rhs[1, rows])
+        # the pivoted LU on its own
+        x1 = op.factor(1)(rhs[1].copy())
         exact = np.linalg.solve(op.dense(1), rhs[1])
         assert np.abs(x1 - exact).max() < 1e-12 * np.abs(exact).max()
 
@@ -191,7 +196,7 @@ class TestReducedOperator:
         op = ReducedOperator(op.sym_p, op.sym_v, corner0, op.cornerL, op.off, op.n_cells)
         rows = list(range(op.dim))
         unit = np.eye(op.dim)
-        rhs = [np.stack([u[k], unit[0], unit[op.n_cells - 1]], axis=1) for k in range(3)]
+        rhs = [np.stack([u[k], unit[0], unit[-1]], axis=1) for k in range(3)]
         work = np.full((op.dim + 2, 3, 3), np.nan, dtype=complex)
         x, _ = op._solve_with_corners(u, rows, work)
         for k in range(3):
@@ -282,20 +287,20 @@ def face_to_cell(w):
 
 
 def apply_spatial_time(sd, bl, u):
-    """The reduced spatial operator on a full stacked (p, v) signal.
+    """The reduced spatial operator on a full (p, v) signal: every cell, then every face.
 
     The two boundary-face velocities are dropped (they are eliminated
-    through the boundary law); the result is re-stacked with zeros at the
-    boundary faces, matching the zero gradient rows there.
+    through the boundary law); the result is returned in the same layout,
+    with zeros at the boundary faces, matching the zero gradient rows there.
     """
     nc = sd.n_cells
     grid = u.grid
     u_hat = forward_transform(u)
-    red = np.concatenate([u_hat.values[:, :nc], u_hat.values[:, nc + 1 : -1]], axis=1)
+    red = interleave(u_hat.values[:, :nc], u_hat.values[:, nc + 1 : -1])
     out_hat = apply_spatial_op_freq(sd, bl, red, u_hat.freqs, grid.rho)
     out = inverse_transform(SpectralSignal(grid, out_hat)).values
     zeros = np.zeros((grid.n, 1), dtype=complex)
-    return WeightedSignal(grid, np.concatenate([out[:, :nc], zeros, out[:, nc:], zeros], axis=1))
+    return WeightedSignal(grid, np.concatenate([out[:, 0::2], zeros, out[:, 1::2], zeros], axis=1))
 
 
 class TestApplyTime:
