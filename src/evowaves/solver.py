@@ -201,40 +201,54 @@ class EvoProblem:
 
 
 def _apply_spectral(op: ReducedOperator, u_hat: SpectralSignal) -> WeightedSignal:
-    """op applied to the spectrum u_hat, transformed back onto its grid."""
-    return inverse_transform(SpectralSignal(u_hat.grid, op.matvec(u_hat.values)))
+    """op, at the grid frequencies, applied to the full or half spectrum u_hat, back on its grid.
+
+    A half spectrum meets the first n // 2 + 1 rows of op, a view, and
+    returns to a real signal.
+    """
+    rows = op.take(slice(u_hat.values.shape[0]))
+    return inverse_transform(SpectralSignal(u_hat.grid, rows.matvec(u_hat.values), u_hat.half))
 
 
-def _on_problem_grid(prob: EvoProblem, u: WeightedSignal, half: bool = False) -> SpectralSignal:
-    """The spectrum of u, which must live on the problem's grid; with half, its half spectrum."""
+def _on_problem_grid(prob: EvoProblem, u: WeightedSignal) -> SpectralSignal:
+    """The spectrum of u, which must live on the problem's grid.
+
+    It is the half spectrum when prob is real_in_time and u has no
+    imaginary part: every operator of such a problem, and its adjoint,
+    has T(-s) = conj T(s), so T u is real and its half spectrum is all of
+    it.  Otherwise, every frequency.
+    """
     if u.grid != prob.grid:
         raise ValueError(f"signal grid {u.grid} is not the problem's grid {prob.grid}")
-    return forward_transform(u, half)
+    return forward_transform(u, prob.real_in_time and u.is_real)
 
 
 def apply_evo_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
-    """Apply the full space-time operator (time-derivative material part plus A)."""
+    """Apply the full space-time operator (time-derivative material part plus A).
+
+    On the half spectrum, into a real signal, when prob is real_in_time
+    and u is real (_on_problem_grid).
+    """
     return _apply_spectral(prob.grid_operator, _on_problem_grid(prob, u))
 
 
 def apply_evo_adjoint_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
-    """Apply the adjoint space-time operator (conjugate symbols, adjoint A)."""
+    """Apply the adjoint space-time operator (conjugate symbols, adjoint A); half as apply_evo_operator."""
     return _apply_spectral(prob.grid_operator.adjoint(), _on_problem_grid(prob, u))
 
 
 def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
     """Relative residual of the operator equation, in the trapezoid norm; absolute if f = 0.
 
-    The operator is applied as apply_evo_operator does, but on the half
-    spectrum, as solve_frequency solves, when the problem is real_in_time
-    and u has no imaginary part.  Each spectrum is freed as soon as it
-    is used.  Returns (value, is_relative).
+    The operator is applied as apply_evo_operator applies it, on the half
+    spectrum when the problem is real_in_time and u has no imaginary
+    part, but the spectrum of u is freed before the inverse transform.
+    Returns (value, is_relative).
     """
     grid = prob.grid
-    half = prob.real_in_time and u.is_real
-    u_hat = _on_problem_grid(prob, u, half)
+    u_hat = _on_problem_grid(prob, u)
     op = prob.grid_operator.take(slice(u_hat.values.shape[0]))
-    r_hat = SpectralSignal(grid, op.matvec(u_hat.values), half)
+    r_hat = SpectralSignal(grid, op.matvec(u_hat.values), u_hat.half)
     del u_hat
     r = inverse_transform(r_hat).values
     del r_hat

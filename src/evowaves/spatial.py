@@ -484,17 +484,19 @@ def boundary_sign_functional(
 
         sum over the ends of (n . alpha_end) conj(p_end) (d/dt g p)_end,
 
-    so only the first and last pressure cells are transformed.  A
-    nonnegative value over a battery of trial pressures is the
+    so only the first and last pressure cells are transformed, by a real
+    FFT when p and the kernel g are real in time (then d/dt g p is real).
+    A nonnegative value over a battery of trial pressures is the
     admissibility condition on the boundary law.
     """
     if p.dim != sd.n_cells:
         raise ValueError(f"pressure signal must have dim {sd.n_cells}, got {p.dim}")
     grid = p.grid
     ends = p.with_values(p.values[:, [0, -1]])
-    ends_hat = forward_transform(ends)
+    half = ends.is_real and bl.g.is_real()
+    ends_hat = forward_transform(ends, half)
     flux = bl.flux_symbol(ends_hat.freqs, grid.rho)  # the symbol of d/dt g
-    dgp = inverse_transform(SpectralSignal(grid, flux[:, None] * ends_hat.values)).values
+    dgp = inverse_transform(SpectralSignal(grid, flux[:, None] * ends_hat.values, half)).values
     integrand = (np.conj(ends.values) * dgp) @ np.asarray(bl.normal_alpha)
     wq = grid.weights() * (grid.times <= cutoff)
     return float(np.sum(wq * integrand).real)

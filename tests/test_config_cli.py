@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -269,7 +270,9 @@ class TestCliVerify:
         assert len((out / "checks.csv").read_text().splitlines()) == 6
         memory = root / "bench" / "scenarios" / "memory.cfg"
         assert main(["verify", "--config", str(memory), "--out", str(out)]) == 0
-        assert (out / "checks.csv").read_text().splitlines() == ["name,margin,tolerance,pass"]
+        assert (out / "checks.csv").read_text().splitlines() == ["name,margin,tolerance,pass,details"]
+        with open(out / "checks.csv", newline="") as fh:
+            assert list(csv.DictReader(fh)) == []
 
     def test_seed_changes_margins_not_verdict(self, good_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
