@@ -37,6 +37,14 @@ __all__ = [
 ]
 
 
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True)
 class WeightedGrid:
     """Uniform time grid t_j = t0 + j*dt with exponential weight rho.
@@ -52,6 +60,10 @@ class WeightedGrid:
     rho : float
         Weight parameter, > 0.  rho = 0 (the plain L2 case) is excluded:
         the coercivity constants the solver relies on need rho large.
+
+    The grid's vectors are computed once, on first use, and kept read-only:
+    times, weights(), freqs (in FFT order), and the weighted transform's
+    decay exp(-rho t), growth exp(rho t) and scaled phases (transform.py).
     """
 
     t0: float
@@ -67,9 +79,9 @@ class WeightedGrid:
         if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
+        return _read_only(self.t0 + self.dt * np.arange(self.n))
 
     @property
     def t_end(self) -> float:
@@ -81,9 +93,34 @@ class WeightedGrid:
 
     def weights(self) -> np.ndarray:
         """Trapezoid quadrature weights times exp(-2*rho*t_j)."""
+        return self._weights
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
         theta = np.ones(self.n)
         theta[0] = theta[-1] = 0.5
-        return theta * self.dt * np.exp(-2.0 * self.rho * self.times)
+        return _read_only(theta * self.dt * np.exp(-2.0 * self.rho * self.times))
+
+    @functools.cached_property
+    def freqs(self) -> np.ndarray:
+        """The frequency grid implied by the window, in FFT order (np.fft.fftfreq's)."""
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, self.dt))
+
+    @functools.cached_property
+    def decay(self) -> np.ndarray:
+        return _read_only(np.exp(-self.rho * self.times))
+
+    @functools.cached_property
+    def growth(self) -> np.ndarray:
+        return _read_only(np.exp(self.rho * self.times))
+
+    @functools.cached_property
+    def forward_phase(self) -> np.ndarray:
+        return _read_only((self.dt / _SQRT_2PI) * np.exp(-1j * self.freqs * self.t0))
+
+    @functools.cached_property
+    def inverse_phase(self) -> np.ndarray:
+        return _read_only((_SQRT_2PI / self.dt) * np.exp(1j * self.freqs * self.t0))
 
     def steps_of(self, h: float) -> int:
         """Express h as an integer number of grid steps, or fail.
@@ -109,8 +146,7 @@ def _finite(x: np.ndarray, grid: WeightedGrid | None = None) -> np.ndarray:
         j = int(np.argmin(finite.reshape(x.shape[0], -1).all(axis=1)))
         at = f", the first at t = {grid.times[j]:.9g} (row {j})" if grid is not None else ""
         raise ValueError(f"signal contains non-finite samples{at}")
-    x.setflags(write=False)
-    return x
+    return _read_only(x)
 
 
 @dataclass(frozen=True)

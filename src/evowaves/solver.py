@@ -72,7 +72,6 @@ from .transform import (
     SpectralSignal,
     assert_padded,
     forward_transform,
-    frequencies_for,
     inverse_transform,
 )
 
@@ -178,8 +177,8 @@ class EvoProblem:
 
     @functools.cached_property
     def grid_operator(self) -> ReducedOperator:
-        """operator(s) at the grid frequencies s = frequencies_for(grid), built once."""
-        return self.operator(frequencies_for(self.grid))
+        """operator(s) at the grid frequencies s = grid.freqs, built once."""
+        return self.operator(self.grid.freqs)
 
     def _operator_at(self, s: np.ndarray, rho: float) -> ReducedOperator:
         """w M(1/w) + A at the points w = i s + rho, for any weight rho.
@@ -463,7 +462,7 @@ def _report(
 
 
 def _parseval_weights(grid: WeightedGrid, half: bool) -> np.ndarray:
-    """The Parseval weight of each row a solve runs on, the first weight.size of frequencies_for(grid).
+    """The Parseval weight of each row a solve runs on, the first weight.size of grid.freqs.
 
     All n rows, or the half spectrum's first n // 2 + 1.  A half-spectrum
     row k also stands for its mirror -s, at row -k mod n, so it has
@@ -535,7 +534,7 @@ def _solve_spectral(
     rectangle-rule (Parseval) norm of the time-domain residual.
     """
     grid, half = prob.grid, prob.real_in_time
-    s, op = frequencies_for(grid), prob.grid_operator
+    s, op = grid.freqs, prob.grid_operator
     weight = _parseval_weights(grid, half)
     solved = op.take(slice(weight.size))
     f_rows, f_norm = _source_spectrum(prob, half, s, weight)
@@ -605,7 +604,7 @@ def solve_boundary_family(
     law_probs = [dataclasses.replace(prob, bl=bl) for bl in laws]  # with EvoProblem's checks
     half = all(p.real_in_time for p in law_probs)
     weight = _parseval_weights(grid, half)
-    s = frequencies_for(grid)[: weight.size]
+    s = grid.freqs[: weight.size]
     f_rows, f_norm = _source_spectrum(prob, half, s, weight)
     zero = np.zeros(s.size, dtype=complex)
     neumann = dataclasses.replace(prob.operator(s), corner0=zero, cornerL=zero)
@@ -622,10 +621,11 @@ def solve_boundary_family(
         )
     del f_rows, work
     singular = ~np.isfinite(res_sq).all(axis=0)
-    if singular.any():
-        raise SolverError(
-            f"singular Neumann operator at frequency s = {s[np.argmax(singular)]:.9g}"
-        )
+    if singular.any():  # finite solved rows: only the squares of the residual overflowed
+        k = int(np.argmax(singular))
+        finite = np.isfinite(at_rows[..., k]).all()
+        cause = "the residual norm overflowed" if finite else "singular Neumann operator"
+        raise SolverError(f"{cause} at frequency s = {s[k]:.9g}")
     probe, corners = at_rows[:-2], at_rows[-2:]
     res_f, res_x = np.sqrt(res_sq[0]), np.sqrt(res_sq[1] + res_sq[2])
 

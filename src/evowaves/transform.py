@@ -37,14 +37,19 @@ from .signals import WeightedGrid, WeightedSignal
 
 __all__ = [
     "SpectralSignal",
-    "frequencies_for",
     "forward_transform",
     "inverse_transform",
     "assert_padded",
 ]
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 PAD_REL_TOL = 1e-12  # samples above this fraction of the peak count as support
+# Smallest float64 output, in bytes, that inverse_transform writes into an anonymous mapping
+# of its own.  glibc raises its mmap threshold past every mapped block it frees and keeps freed
+# heap pages resident: with heap memory at every size, the solve-reflection benchmark (a 16 MiB
+# solution) peaks at 390.7 MiB against 375.0.  But a fresh mapping faults at each first touch,
+# 2.2-2.9 us a 4 KiB page on 2 CPUs: with a mapping at every size, the five checks of verify
+# on scenarios/default.cfg (252 KiB signals) took 12,600-13,400 faults a run, against 3,100-6,400.
+MAP_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,7 @@ class SpectralSignal:
 
     @property
     def freqs(self) -> np.ndarray:
-        return frequencies_for(self.grid)[: self.values.shape[0]]
-
-
-def frequencies_for(grid: WeightedGrid) -> np.ndarray:
-    """The frequency grid implied by a time grid, in FFT order (np.fft.fftfreq's)."""
-    return 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dt)
+        return self.grid.freqs[: self.values.shape[0]]
 
 
 def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
@@ -90,15 +90,13 @@ def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
     `a *= c[:, None]` and `c[:, None] * a` can differ in the last bit.
     """
     grid = u.grid
-    weight = np.exp(-grid.rho * grid.times)[:, None]
+    weight = grid.decay[:, None]
     if half:
         vals = np.fft.rfft(np.multiply(weight, u.values.real), axis=0)
     else:
         vals = np.multiply(weight, u.values, dtype=complex)
         np.fft.fft(vals, axis=0, out=vals)
-    s = frequencies_for(grid)[: vals.shape[0]]
-    scaled_phase = (grid.dt / _SQRT_2PI) * np.exp(-1j * s * grid.t0)
-    np.multiply(scaled_phase[:, None], vals, out=vals)
+    np.multiply(grid.forward_phase[: vals.shape[0], None], vals, out=vals)
     return SpectralSignal(grid, vals, half)
 
 
@@ -109,21 +107,23 @@ def inverse_transform(u_hat: SpectralSignal) -> WeightedSignal:
     straight into the array the inverse FFT runs in, so the spectrum is
     read once and never copied.  A half spectrum gives float64 samples by
     the inverse real FFT, which drops the imaginary part of its s = 0 and
-    Nyquist rows, in an anonymous mapping: glibc would serve that size
-    from its heap once a larger block has raised its mmap threshold, and
-    keep the pages resident after the signal is freed.
+    Nyquist rows, in an anonymous mapping from MAP_BYTES up, which returns
+    a freed solution's pages to the system, and below it in heap memory,
+    which a small signal reuses without faulting in fresh pages.
     """
     grid = u_hat.grid
     n, d = grid.n, u_hat.values.shape[1]
-    scaled_phase = (_SQRT_2PI / grid.dt) * np.exp(1j * u_hat.freqs * grid.t0)
+    phase = grid.inverse_phase[: u_hat.values.shape[0], None]
     if u_hat.half:
-        # at least one byte: an empty mapping is an error
-        vals = np.frombuffer(mmap.mmap(-1, max(8 * n * d, 1)), float, n * d).reshape(n, d)
-        np.fft.irfft(np.multiply(scaled_phase[:, None], u_hat.values), n, axis=0, out=vals)
+        if 8 * n * d >= MAP_BYTES:
+            vals = np.frombuffer(mmap.mmap(-1, 8 * n * d), float, n * d).reshape(n, d)
+        else:
+            vals = np.empty((n, d))
+        np.fft.irfft(np.multiply(phase, u_hat.values), n, axis=0, out=vals)
     else:
-        vals = np.multiply(scaled_phase[:, None], u_hat.values, dtype=complex, order="C")
+        vals = np.multiply(phase, u_hat.values, dtype=complex, order="C")
         np.fft.ifft(vals, axis=0, out=vals)
-    np.multiply(np.exp(grid.rho * grid.times)[:, None], vals, out=vals)
+    np.multiply(grid.growth[:, None], vals, out=vals)
     return WeightedSignal(grid, vals)
 
 

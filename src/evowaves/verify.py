@@ -50,7 +50,7 @@ from .solver import (
     causality_margins,
 )
 from .spatial import boundary_sign_functional
-from .transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
+from .transform import SpectralSignal, forward_transform, inverse_transform
 
 __all__ = [
     "CheckResult",
@@ -144,21 +144,24 @@ def trial_fields(
     sd = prob.sd
     dim = sd.n_reduced
     half = prob.real_in_time
-    s = frequencies_for(grid)
+    s = grid.freqs
     s_cut = 0.2 * np.abs(s).max()
     decay = np.exp(-((s[: grid.n // 2 + 1 if half else grid.n] / s_cut) ** 2))
     t = grid.times
     t_mid = grid.t0 + 0.32 * grid.window_length
     envelope = np.exp(-(((t - t_mid) / (0.065 * grid.window_length)) ** 2))
     for i in range(n_trials):
-        re_im = rng.standard_normal((2, decay.size, dim))
-        u_hat = SpectralSignal(grid, decay[:, None] * (re_im[0] + 1j * re_im[1]), half)
-        vals = inverse_transform(u_hat).values * envelope[:, None]
-        del re_im, u_hat
+        re, im = rng.standard_normal((2, decay.size, dim))
+        c = np.empty((decay.size, dim), dtype=complex)
+        np.multiply(decay[:, None], re, out=c.real)
+        np.multiply(decay[:, None], im, out=c.imag)
+        del re, im  # freed before the transform's arrays are made: fewer fresh heap pages
+        vals = inverse_transform(SpectralSignal(grid, c, half)).values * envelope[:, None]
+        del c
         if i % 3 == 2:
             x_b = 0.0 if (i // 3) % 2 == 0 else sd.length
             profile = np.exp(-(((sd.x - x_b) / (0.1 * sd.length)) ** 2))
-            vals = vals * profile[None, :]
+            vals *= profile[None, :]
         u = WeightedSignal(grid, vals)
         nrm = rho_norm(u)
         if nrm > 0:
@@ -284,7 +287,7 @@ def check_adjoint_projection(
     with the full vectorized operators.
     """
     grid = prob.grid
-    s = frequencies_for(grid)
+    s = grid.freqs
     if n_band is None:
         n_band = 0.5 * np.abs(s).max()
     sample_idx = np.unique(np.linspace(0, s.size - 1, ADJOINT_FREQ_SAMPLES, dtype=int))

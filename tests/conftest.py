@@ -12,7 +12,7 @@ from evowaves.rational import RationalMatrixFunction, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal
 from evowaves.solver import EvoProblem
 from evowaves.spatial import BoundaryLaw, ReducedOperator, SpatialDiscretization
-from evowaves.transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
+from evowaves.transform import SpectralSignal, forward_transform, inverse_transform
 
 # A small rightward-pulse scenario for the reflection sweep (1024 samples, 128 cells).
 SWEEP_CONFIG = """
@@ -72,7 +72,7 @@ def interior_signal(
     enveloped so both window edges are below 1e-12 of the peak.
     """
     rng = np.random.default_rng(seed)
-    s = frequencies_for(grid)
+    s = grid.freqs
     decay = np.exp(-((s / (0.15 * np.abs(s).max())) ** 2))
     coeff = rng.standard_normal((grid.n, dim)) + 1j * rng.standard_normal((grid.n, dim))
     coeff = np.fft.ifftshift(coeff, axes=0)  # row k of the draw goes to the k-th smallest s
@@ -89,7 +89,7 @@ def apply_symbol(u: WeightedSignal, mats: np.ndarray) -> WeightedSignal:
     mats holds one (d, d) matrix per frequency, or one scalar per
     frequency that multiplies every component.  This is how the solver
     applies its operator: a material law acts as
-    apply_symbol(u, law_symbol(law, frequencies_for(u.grid), u.grid.rho)),
+    apply_symbol(u, law_symbol(law, u.grid.freqs, u.grid.rho)),
     and the time derivative as the scalar symbol i s + rho.
     """
     u_hat = forward_transform(u)

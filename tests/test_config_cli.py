@@ -443,8 +443,8 @@ class TestShippedScenarios:
         assert found and float(found[1]) == pytest.approx(sc.t0 + int(found[2]) * sc.dt, abs=1e-12)
 
     # Every norm squares before it sums, so a finite source above about 1e154
-    # overflows them: the sweep's residual sums read as a singular operator at
-    # s = 0, and solve reports NaN norms and exits 4.
+    # overflows them: the sweep's residual sums overflow, which it reports as
+    # such at s = 0 and exits 3, and solve reports NaN norms and exits 4.
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: norms that cannot overflow")
     @pytest.mark.parametrize(
         "command,cfg", [("solve", "default.cfg"), ("sweep-reflection", "reflection.cfg")]

@@ -19,7 +19,6 @@ from evowaves.signals import (
     translate,
     truncate_before,
 )
-from evowaves.transform import frequencies_for
 
 
 def rel_gap(a, b):
@@ -28,7 +27,7 @@ def rel_gap(a, b):
 
 def symbol(law, grid):
     """The law's per-frequency matrices on the grid's frequencies."""
-    return law_symbol(law, frequencies_for(grid), grid.rho)
+    return law_symbol(law, grid.freqs, grid.rho)
 
 
 def adjoint_symbol(law, grid):
@@ -96,7 +95,7 @@ class TestApply:
             np.zeros((2, 2)), np.eye(2), np.zeros(0), np.zeros((0, 2, 2))
         )
         u = interior_signal(grid, dim=2, seed=1)
-        zs = 1.0 / (1j * frequencies_for(grid) + grid.rho)
+        zs = 1.0 / (1j * grid.freqs + grid.rho)
         a = apply_symbol(u, zfun.eval_many(zs))
         assert rel_gap(a, apply_symbol(u, zs)) < 1e-12
 
@@ -146,7 +145,7 @@ class TestApply:
         u = WeightedSignal(grid, (bump(t, 1.5, 0.35) * np.cos(3 * t))[:, None])
         h = 16 * grid.dt
         target = translate(u, -h)
-        zs = 1.0 / (1j * frequencies_for(grid) + grid.rho)
+        zs = 1.0 / (1j * grid.freqs + grid.rho)
         errs = []
         for order in (2, 4, 8):
             fn = delay_rational(h, order)
@@ -285,7 +284,7 @@ class TestConstants:
         beta0 = margin(law, grid.rho)
         assert beta0 > 0
         # d/dt M is the matrix symbol (i s + rho) M(z_s)
-        w = 1j * frequencies_for(grid) + grid.rho
+        w = 1j * grid.freqs + grid.rho
         dm = w[:, None, None] * symbol(law, grid)
         worst = np.inf
         for seed in range(20):

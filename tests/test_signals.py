@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import re
@@ -40,6 +41,60 @@ class TestGridValidation:
         grid = WeightedGrid(-1.0, 0.25, 9, 1.0)
         assert np.all(np.diff(grid.times) > 0)
         assert grid.t_end == pytest.approx(1.0)
+
+
+class TestGridVectors:
+    """The vectors of a grid are computed once, read-only, and depend on its fields alone."""
+
+    NAMES = ["times", "freqs", "decay", "growth", "forward_phase", "inverse_phase"]
+
+    @staticmethod
+    def vectors(grid):
+        return [getattr(grid, name) for name in TestGridVectors.NAMES] + [grid.weights()]
+
+    def test_computed_once(self):
+        grid = WeightedGrid(-1.3, 0.07, 64, 0.9)
+        for first, again in zip(self.vectors(grid), self.vectors(grid)):
+            assert first is again
+
+    def test_read_only(self):
+        grid = WeightedGrid(-1.3, 0.07, 64, 0.9)
+        for x in self.vectors(grid):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                np.multiply(x, 2.0, out=x)
+            assert not x[1:].flags.writeable  # nor through a view
+
+    def test_equal_grids_equal_vectors(self):
+        grid = WeightedGrid(-1.3, 0.07, 64, 0.9)
+        twin = WeightedGrid(-1.3, 0.07, 64, 0.9)
+        first = self.vectors(grid)  # computed on grid alone
+        assert twin == grid and hash(twin) == hash(grid)
+        for x, y in zip(first, self.vectors(twin)):
+            assert x is not y and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        other = dataclasses.replace(grid, rho=1.1)
+        assert np.array_equal(other.times, grid.times)
+        assert not np.array_equal(other.decay, grid.decay)
+
+    def test_values(self):
+        # the expressions the transforms and norms computed on each call
+        grid = WeightedGrid(-1.3, 0.07, 9, 0.9)
+        times = grid.t0 + grid.dt * np.arange(grid.n)
+        theta = np.r_[0.5, np.ones(grid.n - 2), 0.5]
+        s = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dt)
+        expected = {
+            "times": times,
+            "freqs": s,
+            "decay": np.exp(-grid.rho * times),
+            "growth": np.exp(grid.rho * times),
+            "forward_phase": (grid.dt / np.sqrt(2.0 * np.pi)) * np.exp(-1j * s * grid.t0),
+            "inverse_phase": (np.sqrt(2.0 * np.pi) / grid.dt) * np.exp(1j * s * grid.t0),
+        }
+        for name, x in expected.items():
+            assert np.array_equal(getattr(grid, name).view(np.uint64), x.view(np.uint64)), name
+        weights = theta * grid.dt * np.exp(-2.0 * grid.rho * times)
+        assert np.array_equal(grid.weights().view(np.uint64), weights.view(np.uint64))
 
 
 class TestInnerProduct:

@@ -47,7 +47,6 @@ from evowaves.spatial import BoundaryLaw, ReducedOperator, SpatialDiscretization
 from evowaves.transform import (
     SpectralSignal,
     forward_transform,
-    frequencies_for,
     inverse_transform,
 )
 
@@ -165,7 +164,7 @@ class TestRealize:
         phi = bump(t, 2.0, 0.25)
         u = WeightedSignal(grid, phi[:, None])
         kern.check_holomorphic(10.0)
-        out = apply_symbol(u, kern.eval_many(1.0 / (1j * frequencies_for(grid) + rho)))
+        out = apply_symbol(u, kern.eval_many(1.0 / (1j * grid.freqs + rho)))
         # oracle amplitude from fine quadrature of the convolution weight
         t_fine = np.linspace(0.0, 4.0, 200001)
         amp = c * np.trapezoid(np.exp(-q * t_fine) * bump(t_fine, 2.0, 0.25), t_fine)
@@ -214,7 +213,7 @@ class TestFrequencySolve:
         # the differences are real and skew, so at every frequency
         # Re <f_hat, u_hat> = sum_i Re d_i |u_hat_i|^2, d the diagonal
         prob = load_scenario(str(ROOT / cfg)).build()
-        op = prob.operator(frequencies_for(prob.grid))
+        op = prob.operator(prob.grid.freqs)
         f_hat = forward_transform(prob.f).values
 
         # a separable source's spectrum is w_hat g, exactly 0 where w_hat underflows
@@ -252,7 +251,7 @@ class TestFrequencySolve:
         monkeypatch.setattr(spatial_mod, "PIVOT_FLOOR", np.inf)
         pivoted = solve_frequency(problem)
         assert rel_gap(pivoted.solution, fast.solution) < 1e-12
-        s = frequencies_for(problem.grid)
+        s = problem.grid.freqs
         n = problem.grid.n
         assert any(
             f"broke down at {n} of {n} frequencies in s = [{s.min():.9g}, {s.max():.9g}]" in w
@@ -387,7 +386,7 @@ class TestBoundaryFamily:
 
     def test_singular_correction_names_law_and_frequency(self, monkeypatch):
         base = self.scenario.build()
-        s_bad = frequencies_for(base.grid)[7]  # s >= 0: on the half spectrum
+        s_bad = base.grid.freqs[7]  # s >= 0: on the half spectrum
         laws = [base.bl, BoundaryLaw.robin(0.5, base.sd)]
         flux = BoundaryLaw.flux_symbol
 
@@ -400,6 +399,29 @@ class TestBoundaryFamily:
         monkeypatch.setattr(BoundaryLaw, "flux_symbol", nan_at_one_frequency)
         with pytest.raises(SolverError, match=rf"boundary law 1: .* s = {s_bad:.9g}"):
             solve_boundary_family(base, laws, probe_rows(base.sd))
+
+    def test_overflowed_residual_is_named(self):
+        # a finite source whose solution is finite but whose residual
+        # squares overflow: not a singular operator
+        base = dataclasses.replace(self.scenario, amplitude=1e200).build()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match=r"^the residual norm overflowed at frequency s = 0$"):
+                solve_boundary_family(base, [base.bl], probe_rows(base.sd))
+
+    def test_singular_neumann_operator_is_named(self, monkeypatch):
+        base = self.scenario.build()
+        s_bad = base.grid.freqs[5]
+        thomas = ReducedOperator._thomas
+
+        def nan_at_one_frequency(op, y):
+            broken = thomas(op, y)
+            y[..., op.sym_p == base.grid_operator.sym_p[5]] = np.nan
+            return broken
+
+        monkeypatch.setattr(ReducedOperator, "_thomas", nan_at_one_frequency)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SolverError, match=rf"^singular Neumann operator at frequency s = {s_bad:.9g}$"):
+                solve_boundary_family(base, [base.bl], probe_rows(base.sd))
 
 
 def reduced_reflection() -> EvoProblem:
@@ -568,7 +590,7 @@ class TestHalfSpectrum:
         else:
             w, g = prob.f.profiles
             f_hat = forward_transform(WeightedSignal(prob.grid, w)).values * g
-        u_hat, _ = prob.operator(frequencies_for(prob.grid)).solve(f_hat)
+        u_hat, _ = prob.operator(prob.grid.freqs).solve(f_hat)
         ref = inverse_transform(SpectralSignal(prob.grid, u_hat)).values
         rep = solve_frequency(prob)
         assert np.array_equal(rep.solution.values.view(np.int64), ref.view(np.int64))
@@ -915,7 +937,7 @@ class TestReport:
     def test_beta0_grid_is_the_smallest_hermitian_eigenvalue(self):
         prob = make_problem(n_cells=6, n=128)
         rep = solve_frequency(prob)
-        s = frequencies_for(prob.grid)
+        s = prob.grid.freqs
         op = prob.operator(s)
         hermitian = [0.5 * (op.dense(k) + op.dense(k).conj().T) for k in range(s.size)]
         lowest = np.array([np.linalg.eigvalsh(h)[0] for h in hermitian])
@@ -927,7 +949,7 @@ class TestReport:
 
     def test_condition_bound_peak(self, problem):
         rep = solve_frequency(problem)
-        s = frequencies_for(problem.grid)
+        s = problem.grid.freqs
         bound = problem.operator(s).condition_bound()
         assert rep.max_condition_bound == bound.max()
         assert rep.condition_peak_s == s[bound == bound.max()].min()
@@ -943,7 +965,7 @@ class TestReport:
         sc = dataclasses.replace(sc, n=sc.n // 4 - odd, dt=sc.dt * 4, cells=sc.cells // 4)
         prob = sc.build()
         rep = solve_frequency(prob)
-        s = frequencies_for(prob.grid)
+        s = prob.grid.freqs
         op = prob.operator(s)
         assert np.ptp(op.margin()) == 0.0 and s[0] == 0.0
         assert rep.beta0_grid_s == s.min()
@@ -973,7 +995,7 @@ class TestReport:
         assert np.argmin(margins) == j
         rep = solver._report(
             problem, u, "frequency", time.perf_counter(), (0.0, True),
-            problem.grid_operator, frequencies_for(grid), [],
+            problem.grid_operator, grid.freqs, [],
         )
         assert rep.causality_margin == margins[j] < -solver.CAUSALITY_SLACK
         assert not rep.causality_ok()

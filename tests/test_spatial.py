@@ -30,7 +30,7 @@ from evowaves.spatial import (
     boundary_sign_functional,
     reduced_operator,
 )
-from evowaves.transform import SpectralSignal, forward_transform, frequencies_for, inverse_transform
+from evowaves.transform import SpectralSignal, forward_transform, inverse_transform
 
 
 def reduced_trial(sd, grid, seed, x_profile=None):
@@ -242,7 +242,7 @@ class TestReducedOperator:
     def test_condition_bound_above_exact_on_default_scenario(self):
         cfg = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "default.cfg"
         prob = load_scenario(str(cfg)).build()
-        op = prob.operator(frequencies_for(prob.grid))
+        op = prob.operator(prob.grid.freqs)
         bound = op.condition_bound()
         exact = np.linalg.cond(np.stack([op.dense(k) for k in range(bound.size)]), 2)
         assert np.isfinite(bound).all() and (bound >= exact).all()
@@ -374,7 +374,7 @@ def product_rule_residual(n_cells: int) -> tuple[float, float]:
     t = grid.times
     p_vals = bump(t, 2.0, 0.5)[:, None] * bump(sd.cell_x, 0.5, 0.12)[None, :]
     p = WeightedSignal(grid, p_vals)
-    s = frequencies_for(grid)
+    s = grid.freqs
     zs = 1.0 / (1j * s + grid.rho)
     q = apply_symbol(p, g.eval_many(zs)[:, 0, 0]).values
     term1 = (alpha * cell_to_face(sd, q)) @ d_div(sd).T

@@ -9,10 +9,10 @@ from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, 
 from evowaves.solver import EvoProblem, _parseval_norm, _parseval_weights, _source_spectrum
 from evowaves.spatial import BoundaryLaw, SpatialDiscretization
 from evowaves.transform import (
+    MAP_BYTES,
     SpectralSignal,
     assert_padded,
     forward_transform,
-    frequencies_for,
     inverse_transform,
 )
 
@@ -25,12 +25,12 @@ def rel_gap(a, b):
 
 def time_derivative(u):
     """The closed time derivative: the multiplier i s + rho."""
-    return apply_symbol(u, 1j * frequencies_for(u.grid) + u.grid.rho)
+    return apply_symbol(u, 1j * u.grid.freqs + u.grid.rho)
 
 
 def time_antiderivative(u):
     """The causal antiderivative: the multiplier 1/(i s + rho)."""
-    return apply_symbol(u, 1.0 / (1j * frequencies_for(u.grid) + u.grid.rho))
+    return apply_symbol(u, 1.0 / (1j * u.grid.freqs + u.grid.rho))
 
 
 class TestForwardInverse:
@@ -103,7 +103,7 @@ class TestForwardInverse:
         # the transforms as out-of-place expressions, one temporary per step
         g = np.exp(-grid.rho * grid.times)[:, None] * u.values
         spec = np.fft.fft(g, axis=0)
-        s = frequencies_for(grid)
+        s = grid.freqs
         phase = np.exp(-1j * s * grid.t0)
         fwd = (grid.dt / SQRT_2PI) * phase[:, None] * spec
 
@@ -155,9 +155,11 @@ class TestHalfSpectrum:
         assert np.abs(back - u.values).max() <= 1e-13 * np.abs(u.values).max()
         assert np.abs(back - inverse_transform(full).values).max() <= 1e-13 * np.abs(u.values).max()
 
-    def test_inverse_is_float64_in_its_own_mapping(self):
-        grid = WeightedGrid(-1.3, 0.07, 64, 0.9)
-        u = WeightedSignal(grid, np.random.default_rng(5).standard_normal((64, 3)))
+    @staticmethod
+    def half_inverse(n, d):
+        """The float64 samples of a real (n, d) signal, back from its half spectrum."""
+        grid = WeightedGrid(-1.3, 0.07, n, 0.9)
+        u = WeightedSignal(grid, np.random.default_rng(5).standard_normal((n, d)))
         assert u.values.dtype == np.float64
         assert inverse_transform(forward_transform(u)).values.dtype == np.complex128
         back = inverse_transform(forward_transform(u, half=True)).values
@@ -165,8 +167,19 @@ class TestHalfSpectrum:
         base = back
         while isinstance(base, np.ndarray):
             base = base.base
-        # a memoryview of an anonymous mapping, returned to the system with the signal
-        assert isinstance(base.obj, mmap.mmap)
+        return base
+
+    def test_inverse_is_float64_in_its_own_mapping(self):
+        # a solution-sized signal, from MAP_BYTES up: a memoryview of an
+        # anonymous mapping, returned to the system with the signal
+        assert 8 * 1024 * 128 == MAP_BYTES
+        assert isinstance(self.half_inverse(1024, 128).obj, mmap.mmap)
+
+    @pytest.mark.parametrize("n,d", [(64, 3), (1024, 127)])
+    def test_small_inverse_is_float64_on_the_heap(self, n, d):
+        # below MAP_BYTES: an array that owns heap memory, no mapping of its own
+        assert 8 * n * d < MAP_BYTES
+        assert self.half_inverse(n, d) is None
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_zero_width_inverse(self, n):
@@ -197,7 +210,7 @@ class TestSeparable:
         f = WeightedSignal(grid, profiles=(w, g))
         prob = EvoProblem(grid, sd, identity_law(), BoundaryLaw.robin(0.5, sd), f)
         weight = _parseval_weights(grid, half)
-        rows, f_norm = _source_spectrum(prob, half, frequencies_for(grid), weight)
+        rows, f_norm = _source_spectrum(prob, half, grid.freqs, weight)
         got = rows(0, weight.size)
         assert "values" not in f.__dict__
         want = forward_transform(WeightedSignal(grid, w[:, None] * g[None, :]), half).values
@@ -250,7 +263,7 @@ class TestDerivative:
     def test_normality_commutator(self, grid):
         # the derivative and its adjoint (conjugate symbol) commute
         u = interior_signal(grid, seed=10)
-        s = frequencies_for(grid)
+        s = grid.freqs
         fwd = 1j * s + grid.rho
         adj = -1j * s + grid.rho
         a = apply_symbol(apply_symbol(u, fwd), adj)
