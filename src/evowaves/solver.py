@@ -93,12 +93,14 @@ ENERGY_SLACK = 0.02          # tolerated relative slack on the energy bound
 CAUSALITY_SLACK = 1e-6       # tolerated causality margin, relative to ||f||
 # the norm each solver's residual is measured in, by SolveReport.method
 RESIDUAL_NORMS = {"frequency": "spectral (rectangle rule)", "timestep": "time-domain (trapezoid)"}
-# Bytes of the work array of one frequency block of solve_boundary_family: 3 complex
-# columns of dim + 2 rows per frequency.  On scenarios/reflection.cfg (dim 1023) a block
-# is 532 of the half spectrum's 1025 rows, and its six default laws trace a 42.0 MiB peak
-# in 0.108 s, against 80.6 MiB in 0.104 s in one block; 256 rows: 20.4 MiB in 0.116 s,
-# 128 rows: 10.4 MiB in 0.143 s (medians of 9, 2 CPUs, numpy 2.4).
-BLOCK_BYTES = 25 * 2**20
+# Bytes of the work array of one frequency block of solve_boundary_family: 2 complex
+# columns, the source and e_last, of dim + 2 rows per frequency; two thirds of the 25 MiB
+# that three columns took, so a block keeps its rows.  On scenarios/reflection.cfg
+# (dim 1023) that is 532 of the half spectrum's 1025 rows, and its six default laws trace
+# a 37.2 MiB peak, against 71.4 MiB in one block; 256 rows: 18.1 MiB, 128 rows: 9.4 MiB.
+# Narrower blocks are slower, and 799 rows (25 MiB of two columns) are no faster but
+# raise sweep-reflection's peak RSS from 79.9 to 98.6 MiB (CHANGES.md).
+BLOCK_BYTES = 2 * (25 * 2**20) // 3
 
 
 class SolverError(RuntimeError):
@@ -581,13 +583,17 @@ def solve_boundary_family(
     """Solve prob once per boundary law: (the given rows of the solution, residual bound).
 
     A law adds U D U^T to the Neumann operator A0, U = [e_0, e_last] and
-    D = diag(corner0, cornerL).  One elimination of A0 gives y = A0^-1 f
-    and Z = A0^-1 U; each law's solution is x = y - Z beta, with the 2x2
-    system (I + D U^T Z) beta = D U^T y per frequency.  With r_f = A0 y - f
-    and R_X = A0 Z - U, x has residual r_f - R_X beta - U rho2 exactly,
-    rho2 the 2x2 residual, so the l2 sum over frequencies of ||r_f|| +
+    D = diag(corner0, cornerL).  One Thomas sweep of A0 gives y = A0^-1 f,
+    and its pivots give Z = A0^-1 U: A0^-1 e_last as their running
+    product, A0^-1 e_0 as its mirror (ReducedOperator._solve_with_corners).
+    Each law's solution is x = y - Z beta, with the 2x2 system
+    (I + D U^T Z) beta = D U^T y per frequency.  With r_f = A0 y - f and
+    R_X = A0 Z - U, x has residual r_f - R_X beta - U rho2 exactly, rho2
+    the 2x2 residual, so the l2 sum over frequencies of ||r_f|| +
     ||R_X||_F ||beta|| + ||rho2||, over ||f_hat||, bounds the relative
     residual in the rectangle-rule (Parseval) norm (absolute if f = 0).
+    R_X's two columns mirror each other row for row, so ||R_X||_F^2 is
+    twice the squared residual of the e_last column.
     When every law's problem is real_in_time, all of this runs on the half
     spectrum, with the Parseval weights of _solve_spectral.
 
@@ -610,9 +616,9 @@ def solve_boundary_family(
     neumann = dataclasses.replace(prob.operator(s), corner0=zero, cornerL=zero)
     picks = [*rows, 0, neumann.dim - 1]
     at_rows = np.empty((len(picks), 3, s.size), dtype=complex)
-    res_sq = np.empty((3, s.size))
-    width = max(1, BLOCK_BYTES // (3 * (neumann.dim + 2) * 16))
-    work = np.empty((neumann.dim + 2, 3, min(width, s.size)), dtype=complex)
+    res_sq = np.empty((2, s.size))
+    width = max(1, BLOCK_BYTES // (2 * (neumann.dim + 2) * 16))
+    work = np.empty((neumann.dim + 2, 2, min(width, s.size)), dtype=complex)
     for lo in range(0, s.size, width):
         hi = min(lo + width, s.size)
         block = neumann.take(slice(lo, hi))
@@ -627,7 +633,7 @@ def solve_boundary_family(
         cause = "the residual norm overflowed" if finite else "singular Neumann operator"
         raise SolverError(f"{cause} at frequency s = {s[k]:.9g}")
     probe, corners = at_rows[:-2], at_rows[-2:]
-    res_f, res_x = np.sqrt(res_sq[0]), np.sqrt(res_sq[1] + res_sq[2])
+    res_f, res_x = np.sqrt(res_sq[0]), np.sqrt(2.0 * res_sq[1])  # R_X's columns mirror each other
 
     out = []
     for j, law_prob in enumerate(law_probs):

@@ -291,7 +291,7 @@ class ReducedOperator:
         is singular comes back as non-finite values.
         """
         y = np.array(rhs.T, dtype=complex, order="C")
-        broken = self._thomas(y)
+        _, broken = self._thomas(y)
         if broken.size:
             y[:, broken] = _solve_range_pivoted(self, rhs[broken].T.astype(complex), broken)
         return y.T, broken
@@ -299,72 +299,91 @@ class ReducedOperator:
     def _solve_with_corners(
         self, rhs: np.ndarray, rows: list[int], w: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve for rhs and the unit vectors e_0, e_last of the two corner cells at once.
+        """Solve the Neumann operator A0 for rhs and the unit vectors e_0, e_last of the corner cells.
 
-        The operator and rhs, (n_freq, dim), are one block of frequencies,
-        and the solve runs in the caller's work array w, (dim + 2, 3,
-        n_freq), whatever it holds on entry: its first and last rows are
-        zeroed, and rows 1 to dim take the three right-hand sides and then
-        their solutions, so one w serves every block of a sweep.
+        The operator, with zero corner terms (ValueError otherwise), and
+        rhs, (n_freq, dim), are one block of frequencies, and the solve
+        runs in the caller's work array w, (dim + 2, 2, n_freq), whatever
+        it holds on entry: its first and last rows are zeroed, and rows 1
+        to dim take the solutions for rhs and e_last, so one w serves
+        every block of a sweep.  Only rhs goes through the Thomas sweep.
+        A0^-1 e_last is a running product over its pivots d': x_last =
+        1/d'_last and x_i = (-off/d'_i) x_{i+1}, the sweep's own row
+        multipliers, which it leaves in w.  A0's diagonal is a palindrome
+        (dim is odd) and its off-diagonals are -off and +off, so
+        J D A0 J D = A0, J the row reversal and D = diag((-1)^i): row r of
+        A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its
+        residual is the mirror of e_last's, row for row and bit for bit.
         Frequencies whose Thomas pivot breaks down are re-solved from rhs
-        and the unit vectors by the pivoted LU.  Returns the three
-        solutions at the given rows, (len(rows), 3, n_freq), and each
-        solve's squared residual norm per frequency, (3, n_freq), computed
-        in row blocks to hold no second array of w's size.
+        and e_last by the pivoted LU.  Returns the solutions for rhs, e_0
+        and e_last at the given rows, (len(rows), 3, n_freq), and the
+        squared residual norms of rhs and e_last per frequency,
+        (2, n_freq), computed in row blocks to hold no second array of
+        w's size.
         """
+        if self.corner0.any() or self.cornerL.any():
+            raise ValueError("the corner columns need the Neumann operator: zero corner terms")
         w[0] = w[-1] = 0.0  # a zero row at each end
-        y = self._corner_rhs(rhs, w[1:-1])
-        broken = self._thomas(y)
+        y, z = w[1:-1], w[1:-1, 1]
+        y[:, 0] = rhs.T
+        pivots, broken = self._thomas(y[:, 0], mult=z)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(1.0, pivots[-1], out=z[-1])
+            np.multiply.accumulate(z[::-1], axis=0, out=z[::-1])
         if broken.size:
-            fallback = np.empty((self.dim, 3, broken.size), dtype=complex)
-            y[..., broken] = _solve_range_pivoted(self, self._corner_rhs(rhs[broken], fallback), broken)
+            fallback = np.zeros((self.dim, 2, broken.size), dtype=complex)
+            fallback[:, 0] = rhs[broken].T
+            fallback[-1, 1] = 1.0
+            y[..., broken] = _solve_range_pivoted(self, fallback, broken)
         res_sq = np.zeros(y.shape[1:])
         for a in range(0, self.dim, ROW_BLOCK):
             b = min(a + ROW_BLOCK, self.dim)
             d = np.where(np.arange(a, b)[:, None] % 2 == 0, self.sym_p, self.sym_v)
             r = d[:, None] * y[a:b] + self.off * (w[a + 2 : b + 2] - w[a:b])
             r[:, 0] -= rhs[:, a:b].T
-            if a == 0:
-                r[0] += self.corner0 * y[0]
-                r[0, 1] -= 1.0
             if b == self.dim:
-                r[-1] += self.cornerL * y[-1]
-                r[-1, 2] -= 1.0
-            res_sq += np.sum(r.real**2 + r.imag**2, axis=0)
-        return y[rows], res_sq
+                r[-1, 1] -= 1.0
+            with np.errstate(over="ignore"):  # the caller names a residual that overflows
+                sq = np.square(r.view(float), out=r.view(float)).sum(axis=0)  # re, im pairs
+                res_sq += sq[..., 0::2] + sq[..., 1::2]
+        rows = np.asarray(rows)
+        mirror = np.where(rows % 2 == 0, 1.0, -1.0)[:, None] * z[self.dim - 1 - rows]
+        return np.stack([y[rows, 0], mirror, z[rows]], axis=1), res_sq
 
-    # (dim, [n_rhs,] n_freq) work layout of the solver kernel
+    # (dim, n_freq) work layout of the solver kernel
 
-    def _thomas(self, y: np.ndarray) -> np.ndarray:
-        """Solve in place for (dim, [n_rhs,] n_freq) right-hand sides y.
+    def _thomas(self, y: np.ndarray, mult: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Solve in place for (dim, n_freq) right-hand sides y.
 
-        One Thomas sweep runs across all frequencies and right-hand sides
-        at once.  The Hermitian part of each matrix is diagonal and bounded
-        below by the solvability margin, which keeps the pivots away from
-        zero without row exchanges.  The forward sweep computes each row's
-        multiplier once and applies it to the pivot and to every
-        right-hand side in the same pass.  Returns the indices of the
-        frequencies where a pivot still collapses (an inadmissible
-        scenario); their y is not a solution, and the caller re-solves
-        them from its own right-hand sides with _solve_range_pivoted.
+        One Thomas sweep runs across all frequencies at once.  The
+        Hermitian part of each matrix is diagonal and bounded below by the
+        solvability margin, which keeps the pivots away from zero without
+        row exchanges.  The forward sweep computes each row's multiplier
+        -off/d'_i once and applies it to the next pivot and right-hand
+        side in the same pass; rows 0 to dim - 2 of mult, (dim, n_freq),
+        keep them when it is given.  Returns the pivots d', (dim, n_freq),
+        and the indices of the frequencies where a pivot still collapses
+        (an inadmissible scenario); their y is not a solution, and the
+        caller re-solves them from its own right-hand sides with
+        _solve_range_pivoted.
         """
         d = self._diagonal()
         # rows 0, 1, 2 and -1 hold every distinct diagonal value before the sweep
         floor = PIVOT_FLOOR * max(float(np.abs(d[[0, 1, 2, -1]]).max()), abs(self.off))
         smallest = np.abs(d[0])  # per frequency; NaN once a pivot is NaN
-        mult, step, mag = np.empty_like(d[0]), np.empty_like(d[0]), np.empty_like(smallest)
-        scratch = np.empty(y.shape[1:], dtype=complex)
+        row_mult, step, scratch = (np.empty_like(d[0]) for _ in range(3))
+        mag = np.empty_like(smallest)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(1, self.dim):
-                np.divide(-self.off, d[i - 1], out=mult)
-                d[i] -= np.multiply(mult, self.off, out=step)
+                m = np.divide(-self.off, d[i - 1], out=row_mult if mult is None else mult[i - 1])
+                d[i] -= np.multiply(m, self.off, out=step)
                 np.minimum(smallest, np.abs(d[i], out=mag), out=smallest)
-                y[i] -= np.multiply(mult, y[i - 1], out=scratch)
+                y[i] -= np.multiply(m, y[i - 1], out=scratch)
             y[-1] /= d[-1]
             for i in range(self.dim - 2, -1, -1):
                 y[i] -= np.multiply(self.off, y[i + 1], out=scratch)
                 y[i] /= d[i]
-        return np.flatnonzero(~(smallest >= floor))
+        return d, np.flatnonzero(~(smallest >= floor))
 
     def _diagonal(self, ks: np.ndarray | slice = slice(None)) -> np.ndarray:
         sym_p = self.sym_p[ks]
@@ -374,13 +393,6 @@ class ReducedOperator:
         d[0] += self.corner0[ks]
         d[-1] += self.cornerL[ks]
         return d
-
-    def _corner_rhs(self, rhs: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """y, (dim, 3, n_freq), set to the right-hand sides of _solve_with_corners: rhs, e_0, e_last."""
-        y[:, 0] = rhs.T
-        y[:, 1:] = 0.0
-        y[0, 1] = y[-1, 2] = 1.0
-        return y
 
 
 def _solve_range_pivoted(op: ReducedOperator, rhs: np.ndarray, ks: np.ndarray) -> np.ndarray:

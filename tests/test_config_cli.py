@@ -429,6 +429,18 @@ class TestShippedScenarios:
         )
         assert not out.exists()
 
+    def test_overflowing_residual_names_itself_alone_exit_3(self, tmp_path):
+        # the sweep's solution is finite but its residual squares overflow: one
+        # line names the cause, and no numpy RuntimeWarning precedes it
+        text = (self.scenarios_dir / "reflection.cfg").read_text()
+        path = tmp_path / "reflection.cfg"
+        path.write_text(text.replace("amplitude = 1.0", "amplitude = 1e200"))
+        out = tmp_path / "o"
+        proc = run_child("-m", "evowaves.cli", "sweep-reflection", "--config", str(path), "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stderr == "solver error: the residual norm overflowed at frequency s = 0\n"
+        assert not out.exists()
+
     def test_non_finite_solution_names_its_time_exit_3(self, tmp_path):
         # at rho = 70, exp(rho t) times rounding overflows in the inverse
         # transform late in the window; the error names that grid time

@@ -294,7 +294,7 @@ class TestFrequencySolve:
 
 def block_width(monkeypatch, prob: EvoProblem, width: int) -> None:
     """Make solve_boundary_family on prob run frequency blocks width wide."""
-    monkeypatch.setattr(solver, "BLOCK_BYTES", width * 3 * (prob.sd.n_reduced + 2) * 16)
+    monkeypatch.setattr(solver, "BLOCK_BYTES", width * 2 * (prob.sd.n_reduced + 2) * 16)
 
 
 def bits(signal: WeightedSignal) -> np.ndarray:
@@ -370,15 +370,64 @@ class TestBoundaryFamily:
             tracemalloc.stop()
         assert peak <= 48 * 2**20
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="the true residual is formed in extended precision",
+    )
+    @pytest.mark.parametrize("pivot_error", [0.0, 1e-8])
+    def test_bound_is_above_the_true_residual(self, monkeypatch, pivot_error):
+        # every row of each law's spectral solution x = y - Z beta, taken on its
+        # way to the inverse transform: ||T_law x - f|| / ||f||, in the same
+        # Parseval norm and in extended precision, must not exceed the law's
+        # bound.  Pivots off by a relative 1e-8 give both corner columns a
+        # residual on every row, so R_X beta dominates and the bound must count
+        # the mirrored column's share: without it the k = 4 law reads 1.01
+        # times its bound, against 0.71 with it
+        base = self.scenario.build()
+        sd = base.sd
+        laws = [BoundaryLaw.robin(k, sd) for k in (0.0, 0.5, 4.0)]
+        laws.append(flux_boundary(sd, 0.5, poles_w=[-1.0], residues_w=[0.3]))
+        thomas = ReducedOperator._thomas
+
+        def off_pivots(op, y, mult=None):
+            pivots, broken = thomas(op, y, mult)
+            pivots *= 1.0 + pivot_error
+            mult[:-1] /= 1.0 + pivot_error  # the multipliers -off/d' of those pivots
+            return pivots, broken
+
+        spectra = []
+        inverse = solver.inverse_transform
+
+        def kept(x_hat):
+            spectra.append(x_hat)
+            return inverse(x_hat)
+
+        monkeypatch.setattr(ReducedOperator, "_thomas", off_pivots)
+        monkeypatch.setattr(solver, "inverse_transform", kept)
+        family = solve_boundary_family(base, laws, list(range(sd.n_reduced)))
+        assert len(spectra) == len(laws) and all(x_hat.half for x_hat in spectra)
+        weight = solver._parseval_weights(base.grid, True)
+        s = base.grid.freqs[: weight.size]
+        f_rows, f_norm = solver._source_spectrum(base, True, s, weight)
+        f_hat = f_rows(0, s.size).astype(np.clongdouble)
+        for bl, (_, bound), x_hat in zip(laws, family, spectra):
+            op = dataclasses.replace(base, bl=bl).operator(s)
+            x = np.zeros((s.size, op.dim + 2), dtype=np.clongdouble)
+            x[:, 1:-1] = x_hat.values
+            r_hat = op._diagonal().T * x[:, 1:-1] + np.longdouble(op.off) * (x[:, 2:] - x[:, :-2]) - f_hat
+            true = float(np.sqrt(weight @ np.sum(np.abs(r_hat) ** 2, axis=1))) / f_norm
+            assert true <= bound
+            assert bound <= (RESIDUAL_PASS if pivot_error == 0 else 1e3 * pivot_error)
+
     def test_corrupted_base_solution_fails_the_bound(self, monkeypatch):
         base = self.scenario.build()
         thomas = ReducedOperator._thomas
 
-        def corrupted(op, y):
-            broken = thomas(op, y)
-            y_f = y[:, 0]
-            y_f[np.unravel_index(np.abs(y_f).argmax(), y_f.shape)] *= 1.0 + 1e-6
-            return broken
+        def corrupted(op, y, mult=None):  # y holds the source column alone
+            pivots, broken = thomas(op, y, mult)
+            assert y.shape == (op.dim, op.sym_p.size)
+            y[np.unravel_index(np.abs(y).argmax(), y.shape)] *= 1.0 + 1e-6
+            return pivots, broken
 
         monkeypatch.setattr(ReducedOperator, "_thomas", corrupted)
         [(_, bound)] = solve_boundary_family(base, [base.bl], probe_rows(base.sd))
@@ -402,21 +451,22 @@ class TestBoundaryFamily:
 
     def test_overflowed_residual_is_named(self):
         # a finite source whose solution is finite but whose residual
-        # squares overflow: not a singular operator
+        # squares overflow: not a singular operator, and no RuntimeWarning
+        # (an error under pytest) on the way
         base = dataclasses.replace(self.scenario, amplitude=1e200).build()
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SolverError, match=r"^the residual norm overflowed at frequency s = 0$"):
-                solve_boundary_family(base, [base.bl], probe_rows(base.sd))
+        with pytest.raises(SolverError, match=r"^the residual norm overflowed at frequency s = 0$"):
+            solve_boundary_family(base, [base.bl], probe_rows(base.sd))
 
     def test_singular_neumann_operator_is_named(self, monkeypatch):
         base = self.scenario.build()
         s_bad = base.grid.freqs[5]
         thomas = ReducedOperator._thomas
 
-        def nan_at_one_frequency(op, y):
-            broken = thomas(op, y)
-            y[..., op.sym_p == base.grid_operator.sym_p[5]] = np.nan
-            return broken
+        def nan_at_one_frequency(op, y, mult=None):  # the source column, pivots and multipliers
+            pivots, broken = thomas(op, y, mult)
+            bad = op.sym_p == base.grid_operator.sym_p[5]
+            y[..., bad] = pivots[..., bad] = mult[..., bad] = np.nan
+            return pivots, broken
 
         monkeypatch.setattr(ReducedOperator, "_thomas", nan_at_one_frequency)
         with np.errstate(invalid="ignore"):

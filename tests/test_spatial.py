@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     volume_sign_functional,
     zero_signal,
 )
+from evowaves import spatial
 from evowaves.config import load_scenario
 from evowaves.rational import PoleError, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
@@ -144,6 +146,14 @@ class TestAssembly:
             assert np.abs(dense.conj().T @ u[k] - vec_adj[k]).max() < 1e-12
 
 
+def banded_residual(off: float, d: np.ndarray, x: np.ndarray, row: int) -> np.ndarray:
+    """d x + off (x_{i+1} - x_{i-1}) - e_row, one row at a time: the same steps at mirrored rows."""
+    pad = np.concatenate([[0.0], x, [0.0]])
+    r = d * x + off * (pad[2:] - pad[:-2])
+    r[row] -= 1.0
+    return r
+
+
 class TestReducedOperator:
     def make(self, n_cells=6):
         sd = SpatialDiscretization(1.0, n_cells)
@@ -186,35 +196,80 @@ class TestReducedOperator:
         exact = np.linalg.solve(op.dense(1), rhs[1])
         assert np.abs(x1 - exact).max() < 1e-12 * np.abs(exact).max()
 
-    def test_solve_with_corners_matches_dense(self, monkeypatch):
-        # f, e_0 and e_last share one elimination, also through the pivoted
-        # fallback; the residual pass spans two row blocks, and the work
-        # array's contents on entry (here NaN) do not matter
+    def neumann(self):
+        """A Neumann block, zero corner terms, at n_cells = 40 and three complex frequencies.
+
+        At the second, sym_v = -off^2 / sym_p makes the second Thomas pivot
+        vanish, though the matrix stays invertible: it takes the pivoted LU.
+        """
         op, u = self.make(n_cells=40)
-        corner0 = op.corner0.copy()
-        corner0[1] = -op.sym_p[1]
-        op = ReducedOperator(op.sym_p, op.sym_v, corner0, op.cornerL, op.off, op.n_cells)
+        zero = np.zeros(3, dtype=complex)
+        sym_v = op.sym_v.copy()
+        sym_v[1] = -op.off**2 / op.sym_p[1]
+        return ReducedOperator(op.sym_p, sym_v, zero, zero, op.off, op.n_cells), u
+
+    def test_solve_with_corners_matches_dense(self, monkeypatch):
+        # f and e_last share one elimination and e_0 mirrors e_last, also
+        # through the pivoted fallback; the residual pass spans two row
+        # blocks, and the work array's contents on entry (here NaN) do not matter
+        op, u = self.neumann()
+        pivoted = []
+        solve_range = spatial._solve_range_pivoted
+
+        def counted(op, rhs, ks):
+            pivoted.extend(ks.tolist())
+            return solve_range(op, rhs, ks)
+
+        monkeypatch.setattr(spatial, "_solve_range_pivoted", counted)
         rows = list(range(op.dim))
         unit = np.eye(op.dim)
         rhs = [np.stack([u[k], unit[0], unit[-1]], axis=1) for k in range(3)]
-        work = np.full((op.dim + 2, 3, 3), np.nan, dtype=complex)
+        work = np.full((op.dim + 2, 2, 3), np.nan, dtype=complex)
         x, _ = op._solve_with_corners(u, rows, work)
+        assert pivoted == [1]
         for k in range(3):
             exact = np.linalg.solve(op.dense(k), rhs[k])
-            assert np.abs(x[:, :, k] - exact).max() < 1e-12 * np.abs(exact).max()
+            for j in range(3):
+                assert np.abs(x[:, j, k] - exact[:, j]).max() < 1e-12 * np.abs(exact[:, j]).max()
 
         thomas = ReducedOperator._thomas
 
-        def perturbed(self, y):
-            broken = thomas(self, y)
+        def perturbed(self, y, mult=None):
+            pivots, broken = thomas(self, y, mult)
             y += 1e-3
-            return broken
+            pivots *= 1.0 + 1e-3
+            mult[:-1] /= 1.0 + 1e-3  # the multipliers -off/d' of those pivots
+            return pivots, broken
 
         monkeypatch.setattr(ReducedOperator, "_thomas", perturbed)
         x, res_sq = op._solve_with_corners(u, rows, work)
         for k in range(3):
             expected = np.sum(np.abs(op.dense(k) @ x[:, :, k] - rhs[k]) ** 2, axis=0)
-            assert np.allclose(res_sq[:, k], expected, rtol=1e-10)
+            assert np.allclose(res_sq[:, k], expected[[0, 2]], rtol=1e-10)
+            assert 2.0 * res_sq[1, k] == pytest.approx(expected[1] + expected[2], rel=1e-10)
+
+    def test_mirrored_corner_residual_bitwise(self):
+        # J D A0 J D = A0: row r of e_0's residual is (-1)^r row dim - 1 - r of
+        # e_last's, bit for bit, so R_X's squared norm is twice e_last's
+        op, u = self.neumann()
+        work = np.empty((op.dim + 2, 2, 3), dtype=complex)
+        x, res_sq = op._solve_with_corners(u, list(range(op.dim)), work)
+        d = op._diagonal()
+        sign = np.where(np.arange(op.dim) % 2 == 0, 1.0, -1.0)
+        for k in range(3):
+            r_0 = banded_residual(op.off, d[:, k], x[:, 1, k], 0)
+            r_last = banded_residual(op.off, d[:, k], x[:, 2, k], -1)
+            assert np.abs(r_last).max() > 0
+            assert np.array_equal(r_0, sign * r_last[::-1])
+            assert np.array_equal(np.abs(r_0), np.abs(r_last)[::-1])
+            assert res_sq[1, k] == pytest.approx(np.sum(np.abs(r_last) ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("corner", ["corner0", "cornerL"])
+    def test_solve_with_corners_needs_neumann(self, corner):
+        op, u = self.neumann()
+        op = dataclasses.replace(op, **{corner: np.array([0.0, 0.5, 0.0], dtype=complex)})
+        with pytest.raises(ValueError, match="Neumann operator"):
+            op._solve_with_corners(u, [0], np.empty((op.dim + 2, 2, 3), dtype=complex))
 
     def test_singular_frequency_non_finite(self):
         # skew-symmetric matrices of odd dimension are singular
