@@ -38,8 +38,8 @@ the energy ratio against the solvability margin, the causality margin
 bound, the exact discrete coercivity constant beta0_grid and the same
 warnings.  The stepper's residual is the time-domain one (trapezoid
 norm), the only form that measures its first-order defect; residual_norm
-applies the operator for it on the half spectrum when the problem and
-the solution are real, and then subtracts and sums in float64.
+takes it in the spectrum, with no inverse transform, on the half
+spectrum when the problem and the solution are real.
 
 Every matrix is the interleaved tridiagonal of spatial.ReducedOperator,
 and the frequency paths run on numpy alone.  scipy.linalg is imported
@@ -94,9 +94,9 @@ CAUSALITY_SLACK = 1e-6       # tolerated causality margin, relative to ||f||
 # the norm each solver's residual is measured in, by SolveReport.method
 RESIDUAL_NORMS = {"frequency": "spectral (rectangle rule)", "timestep": "time-domain (trapezoid)"}
 # Bytes of the work array of one frequency block of solve_boundary_family: 2 complex
-# columns, the source and e_last, of dim + 2 rows per frequency; two thirds of the 25 MiB
+# columns, the source and e_last, of dim rows per frequency; two thirds of the 25 MiB
 # that three columns took, so a block keeps its rows.  On scenarios/reflection.cfg
-# (dim 1023) that is 532 of the half spectrum's 1025 rows, and its six default laws trace
+# (dim 1023) that is 533 of the half spectrum's 1025 rows, and its six default laws trace
 # a 37.2 MiB peak, against 71.4 MiB in one block; 256 rows: 18.1 MiB, 128 rows: 9.4 MiB.
 # Narrower blocks are slower, and 799 rows (25 MiB of two columns) are no faster but
 # raise sweep-reflection's peak RSS from 79.9 to 98.6 MiB (CHANGES.md).
@@ -241,19 +241,30 @@ def apply_evo_adjoint_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedS
 def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
     """Relative residual of the operator equation, in the trapezoid norm; absolute if f = 0.
 
-    The operator is applied as apply_evo_operator applies it, on the half
-    spectrum when the problem is real_in_time and u has no imaginary
-    part, but the spectrum of u is freed before the inverse transform.
+    It stays in the spectrum: r_hat = T u_hat - f_hat, on the half
+    spectrum when the problem is real_in_time and u has no imaginary part
+    (where r_hat drops what irfft would drop: the imaginary part of its
+    phased s = 0 and Nyquist rows).  The rectangle rule's squared norm of
+    r is the Parseval sum of r_hat times 2 pi / (n dt); the trapezoid's
+    subtracts half of the two end samples, from a two-row inverse DFT.
     Returns (value, is_relative).
     """
     grid = prob.grid
     u_hat = _on_problem_grid(prob, u)
-    op = prob.grid_operator.take(slice(u_hat.values.shape[0]))
-    r_hat = SpectralSignal(grid, op.matvec(u_hat.values), u_hat.half)
+    half, weight = u_hat.half, _parseval_weights(grid, u_hat.half)
+    r_hat = prob.grid_operator.take(slice(weight.size)).matvec(u_hat.values)
     del u_hat
-    r = inverse_transform(r_hat).values
-    del r_hat
-    norm = _parseval_norm(r - prob.f.values, grid.weights())  # with trapezoid weights
+    r_hat -= _source_spectrum(prob, half, grid.freqs[: weight.size], weight)[0](0, weight.size)
+    phase = grid.inverse_phase[: weight.size]
+    if half:
+        edge = weight == 1.0
+        r_hat[edge] = (phase[edge, None] * r_hat[edge]).real / phase[edge, None]
+    # rows t_0 and t_{n-1} of the inverse DFT: e^{2 pi i j k / n} is 1 and e^{-2 pi i k / n}
+    dft = np.exp(-2j * np.pi / grid.n * np.outer([0, 1], np.arange(weight.size)))
+    ends = grid.growth[[0, -1], None] * ((dft * (weight * phase / grid.n)) @ r_hat)
+    end_sq = grid.weights()[[0, -1]] @ (np.abs(ends.real if half else ends) ** 2).sum(axis=1)
+    total = 2.0 * np.pi / (grid.n * grid.dt) * _parseval_norm(r_hat, weight) ** 2
+    norm = float(np.sqrt(max(total - end_sq, 0.0)))
     if prob.f_norm == 0.0:
         return norm, False
     return norm / prob.f_norm, True
@@ -398,8 +409,13 @@ def causality_margins(prob: EvoProblem, u: WeightedSignal, beta0: float) -> np.n
     at every cut are two prefix sums of the per-sample weighted energies;
     a cut between two samples equals the cut at the earlier one.
     """
+    return _cut_margins(prob, u.sample_energy(), beta0)
+
+
+def _cut_margins(prob: EvoProblem, energy: np.ndarray, beta0: float) -> np.ndarray:
+    """causality_margins from U's per-sample energies, u.sample_energy()."""
     wq = prob.grid.weights()
-    energy_u = np.cumsum(wq * u.sample_energy())
+    energy_u = np.cumsum(wq * energy)
     energy_f = np.cumsum(wq * prob.f.sample_energy())
     f_norm = float(np.sqrt(energy_f[-1]))
     if f_norm == 0.0:
@@ -434,7 +450,8 @@ def _report(
     bound, margin = op.condition_bound(), op.margin()
     peak, lowest = _first_extreme(-bound, s), _first_extreme(margin, s)
     gamma, mu, beta0 = prob.margin_constants()
-    energy_ratio = rho_norm(u) / prob.f_norm if prob.f_norm > 0 else 0.0
+    energy = u.sample_energy()  # rho_norm(u) is sqrt(weights @ energy)
+    energy_ratio = float(np.sqrt(grid.weights() @ energy)) / prob.f_norm if prob.f_norm > 0 else 0.0
     try:
         assert_padded(prob.f)
         padded = True
@@ -452,7 +469,7 @@ def _report(
         beta0_grid_s=float(s[lowest]),
         rho=grid.rho,
         energy_ratio=energy_ratio,
-        causality_margin=float(causality_margins(prob, u, beta0).min()),
+        causality_margin=float(_cut_margins(prob, energy, beta0).min()),
         max_condition_bound=float(bound[peak]),
         condition_peak_s=float(s[peak]),
         wall_time_s=time.perf_counter() - t_start,
@@ -533,7 +550,8 @@ def _solve_spectral(
     spectrum.  A frequency the solve cannot invert, or where the source
     spectrum is not finite, raises SolverError naming it.  The residual is
     ||op U_hat - f_hat|| / ||f_hat|| (absolute if f = 0), the
-    rectangle-rule (Parseval) norm of the time-domain residual.
+    rectangle-rule (Parseval) norm of the time-domain residual, summed in
+    row blocks over what solve() returns (ReducedOperator._residual_sq).
     """
     grid, half = prob.grid, prob.real_in_time
     s, op = grid.freqs, prob.grid_operator
@@ -549,10 +567,8 @@ def _solve_spectral(
             "(the solvability margin is not positive, or the boundary "
             "law is inadmissible)"
         )
-    r_hat = solved.matvec(u_hat)
-    r_hat -= f_hat
-    r_norm = _parseval_norm(r_hat, weight)
-    del f_rows, f_hat, r_hat  # two fewer spectra held through the inverse transform
+    r_norm = float(np.sqrt(weight @ solved._residual_sq(u_hat.T[:, None], f_hat)[0]))
+    del f_rows, f_hat  # one fewer spectrum held through the inverse transform
     residual = (r_norm / f_norm, True) if f_norm > 0 else (r_norm, False)
     u = inverse_transform(SpectralSignal(grid, u_hat, half))
     return u, op, s, np.union1d(pivoted, -pivoted % grid.n if half else pivoted), residual
@@ -617,8 +633,8 @@ def solve_boundary_family(
     picks = [*rows, 0, neumann.dim - 1]
     at_rows = np.empty((len(picks), 3, s.size), dtype=complex)
     res_sq = np.empty((2, s.size))
-    width = max(1, BLOCK_BYTES // (2 * (neumann.dim + 2) * 16))
-    work = np.empty((neumann.dim + 2, 2, min(width, s.size)), dtype=complex)
+    width = max(1, BLOCK_BYTES // (2 * neumann.dim * 16))
+    work = np.empty((neumann.dim, 2, min(width, s.size)), dtype=complex)
     for lo in range(0, s.size, width):
         hi = min(lo + width, s.size)
         block = neumann.take(slice(lo, hi))
@@ -679,15 +695,15 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
     unknown; a boundary-flux pole only on the two end cells, where it
     enters as (n . alpha) / dx times the flux response, so its row of coef
     is zero elsewhere.  Each step's right-hand side is sum_r coef[r] z[r]
-    plus f[k], solved in place, so a step allocates nothing unless a real
-    step matrix meets a complex march.  When the problem is
-    real_in_time and every realized pole, gain and coefficient is real,
-    the march runs in float64 with a real LU; otherwise in complex.  U is
-    float64 for a real_in_time problem, so a complex march of conjugate
-    pole pairs keeps only its real part, Im U being rounding.  Step
-    k uses data up to t_k only, so the scheme is strictly causal: a zero
-    source prefix gives an exactly zero solution prefix, in either
-    arithmetic.
+    plus f[k], formed and solved in place in z[0], so a step allocates
+    nothing unless a real step matrix meets a complex march.  When the
+    problem is real_in_time and every realized pole, gain and coefficient
+    is real, the march runs in float64 with a real LU; otherwise in
+    complex.  U is float64 for a real_in_time problem, so a complex march
+    of conjugate pole pairs keeps only its real part, Im U being
+    rounding.  Step k uses data up to t_k only, so the scheme is strictly
+    causal: the march starts at the source's first nonzero sample, or
+    t_1, and the rows before it are +0.0.
     """
     t_start = time.perf_counter()
     grid, sd = prob.grid, prob.sd
@@ -715,13 +731,16 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
 
     solve = step.factor(0)
     z = np.zeros(coef.shape, dtype=coef.dtype)
-    states, rhs = z[1:], np.empty(dim, dtype=coef.dtype)
+    x, states, terms = z[0], z[1:], np.empty_like(z)
+    gain = np.broadcast_to(gain, states.shape).copy()
     out = np.zeros((grid.n, dim), dtype=coef.dtype)
-    for k in range(1, grid.n):
-        np.einsum("rj,rj->j", coef, z, out=rhs)
-        rhs += f[k]
-        x = solve(rhs)
-        out[k] = z[0] = x
+    source = np.flatnonzero(prob.f.sample_peak())
+    for k in range(max(1, source[0]) if source.size else grid.n, grid.n):
+        np.multiply(coef, z, out=terms)
+        np.add.reduce(terms, axis=0, out=x)
+        x += f[k]
+        solve(x)
+        out[k] = x
         states += x
         states *= gain
 

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
-ROW_BLOCK = 64  # rows per block of the residual pass in _solve_with_corners
+ROW_BLOCK = 64  # rows per block of ReducedOperator._residual_sq
 
 
 @dataclass(frozen=True)
@@ -234,10 +234,10 @@ class ReducedOperator:
 
         The LU is real (dgttrf) when the diagonal has no imaginary part,
         complex (zgttrf) otherwise.  Returns the solve (gttrs) for (dim,)
-        or (dim, n_rhs) right-hand sides b, in place when b is contiguous
-        and of the LU's type; a real LU solves a complex b as its real and
-        imaginary parts.  Raises LinAlgError when U has an exact zero
-        pivot.  scipy.linalg is imported here, on the first call.
+        or (dim, n_rhs) right-hand sides b, in place when b is contiguous;
+        a real LU solves a complex b as its real and imaginary parts and
+        writes them back into b.  Raises LinAlgError when U has an exact
+        zero pivot.  scipy.linalg is imported here, on the first call.
         """
         from scipy.linalg import lapack
 
@@ -254,8 +254,9 @@ class ReducedOperator:
             )
 
         def solve(b: np.ndarray) -> np.ndarray:
-            if real and np.iscomplexobj(b):
-                return gttrs(*lu, b.real)[0] + 1j * gttrs(*lu, b.imag)[0]
+            if real and b.dtype.kind == "c":
+                b[...] = gttrs(*lu, b.real)[0] + 1j * gttrs(*lu, b.imag)[0]
+                return b
             return gttrs(*lu, b, overwrite_b=True)[0]
 
         return solve
@@ -303,30 +304,27 @@ class ReducedOperator:
 
         The operator, with zero corner terms (ValueError otherwise), and
         rhs, (n_freq, dim), are one block of frequencies, and the solve
-        runs in the caller's work array w, (dim + 2, 2, n_freq), whatever
-        it holds on entry: its first and last rows are zeroed, and rows 1
-        to dim take the solutions for rhs and e_last, so one w serves
-        every block of a sweep.  Only rhs goes through the Thomas sweep.
-        A0^-1 e_last is a running product over its pivots d': x_last =
-        1/d'_last and x_i = (-off/d'_i) x_{i+1}, the sweep's own row
-        multipliers, which it leaves in w.  A0's diagonal is a palindrome
-        (dim is odd) and its off-diagonals are -off and +off, so
-        J D A0 J D = A0, J the row reversal and D = diag((-1)^i): row r of
-        A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its
+        runs in the caller's work array w, (dim, 2, n_freq), whatever it
+        holds on entry: it takes the solutions for rhs and e_last, so one
+        w serves every block of a sweep.  Only rhs goes through the Thomas
+        sweep.  A0^-1 e_last is a running product over its pivots d':
+        x_last = 1/d'_last and x_i = (-off/d'_i) x_{i+1}, the sweep's own
+        row multipliers, which it leaves in w.  A0's diagonal is a
+        palindrome (dim is odd) and its off-diagonals are -off and +off,
+        so J D A0 J D = A0, J the row reversal and D = diag((-1)^i): row r
+        of A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its
         residual is the mirror of e_last's, row for row and bit for bit.
         Frequencies whose Thomas pivot breaks down are re-solved from rhs
         and e_last by the pivoted LU.  Returns the solutions for rhs, e_0
         and e_last at the given rows, (len(rows), 3, n_freq), and the
-        squared residual norms of rhs and e_last per frequency,
-        (2, n_freq), computed in row blocks to hold no second array of
-        w's size.
+        squared residual norms of rhs and e_last per frequency, (2,
+        n_freq), from _residual_sq.
         """
         if self.corner0.any() or self.cornerL.any():
             raise ValueError("the corner columns need the Neumann operator: zero corner terms")
-        w[0] = w[-1] = 0.0  # a zero row at each end
-        y, z = w[1:-1], w[1:-1, 1]
-        y[:, 0] = rhs.T
-        pivots, broken = self._thomas(y[:, 0], mult=z)
+        z = w[:, 1]
+        w[:, 0] = rhs.T
+        pivots, broken = self._thomas(w[:, 0], mult=z)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(1.0, pivots[-1], out=z[-1])
             np.multiply.accumulate(z[::-1], axis=0, out=z[::-1])
@@ -334,21 +332,34 @@ class ReducedOperator:
             fallback = np.zeros((self.dim, 2, broken.size), dtype=complex)
             fallback[:, 0] = rhs[broken].T
             fallback[-1, 1] = 1.0
-            y[..., broken] = _solve_range_pivoted(self, fallback, broken)
+            w[..., broken] = _solve_range_pivoted(self, fallback, broken)
+        rows = np.asarray(rows)
+        mirror = np.where(rows % 2 == 0, 1.0, -1.0)[:, None] * z[self.dim - 1 - rows]
+        return np.stack([w[rows, 0], mirror, z[rows]], axis=1), self._residual_sq(w, rhs)
+
+    def _residual_sq(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Per-frequency squared residual norms (n_col, n_freq) of y's columns, (dim, n_col, n_freq).
+
+        Column 0 solves rhs, (n_freq, dim), a second one, if any, e_last;
+        ROW_BLOCK rows at a time, squared in place: no array of y's size.
+        """
         res_sq = np.zeros(y.shape[1:])
         for a in range(0, self.dim, ROW_BLOCK):
             b = min(a + ROW_BLOCK, self.dim)
+            lo, hi = max(a, 1), min(b, self.dim - 1)  # the rows with two neighbours
             d = np.where(np.arange(a, b)[:, None] % 2 == 0, self.sym_p, self.sym_v)
-            r = d[:, None] * y[a:b] + self.off * (w[a + 2 : b + 2] - w[a:b])
-            r[:, 0] -= rhs[:, a:b].T
+            r = d[:, None] * y[a:b]
+            r[lo - a : hi - a] += self.off * (y[lo + 1 : hi + 1] - y[lo - 1 : hi - 1])
+            if a == 0:
+                r[0] += self.corner0 * y[0] + self.off * y[1]
             if b == self.dim:
-                r[-1, 1] -= 1.0
+                r[-1] += self.cornerL * y[-1] - self.off * y[-2]
+                r[-1, 1:] -= 1.0
+            r[:, 0] -= rhs[:, a:b].T
             with np.errstate(over="ignore"):  # the caller names a residual that overflows
                 sq = np.square(r.view(float), out=r.view(float)).sum(axis=0)  # re, im pairs
                 res_sq += sq[..., 0::2] + sq[..., 1::2]
-        rows = np.asarray(rows)
-        mirror = np.where(rows % 2 == 0, 1.0, -1.0)[:, None] * z[self.dim - 1 - rows]
-        return np.stack([y[rows, 0], mirror, z[rows]], axis=1), res_sq
+        return res_sq
 
     # (dim, n_freq) work layout of the solver kernel
 

@@ -294,7 +294,7 @@ class TestFrequencySolve:
 
 def block_width(monkeypatch, prob: EvoProblem, width: int) -> None:
     """Make solve_boundary_family on prob run frequency blocks width wide."""
-    monkeypatch.setattr(solver, "BLOCK_BYTES", width * 2 * (prob.sd.n_reduced + 2) * 16)
+    monkeypatch.setattr(solver, "BLOCK_BYTES", width * 2 * prob.sd.n_reduced * 16)
 
 
 def bits(signal: WeightedSignal) -> np.ndarray:
@@ -647,6 +647,28 @@ class TestHalfSpectrum:
         assert "spectrum              full\n" in rep.to_text()
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    ["scenarios/default.cfg", "scenarios/reflection.cfg", "bench/scenarios/memory.cfg",
+     "bench/scenarios/near_pole.cfg"],
+)
+def test_blocked_frequency_residual_is_the_matvec_residual(cfg):
+    # _solve_spectral sums the residual in row blocks over the solve's (dim, n_freq)
+    # layout; the reference applies matvec and takes the Parseval norm of op U_hat - f_hat
+    prob = load_scenario(str(ROOT / cfg)).build()
+    half = prob.real_in_time
+    weight = solver._parseval_weights(prob.grid, half)
+    s = prob.grid.freqs[: weight.size]
+    f_rows, f_norm = solver._source_spectrum(prob, half, s, weight)
+    f_hat = f_rows(0, s.size)
+    op = prob.grid_operator.take(slice(s.size))
+    u_hat, _ = op.solve(f_hat)
+    blocked = np.sqrt(weight @ op._residual_sq(u_hat.T[:, None], f_hat)[0])
+    want = solver._parseval_norm(op.matvec(u_hat) - f_hat, weight)
+    assert want > 0 and abs(blocked - want) <= 1e-14 * f_norm
+    assert solve_frequency(prob).residual_rel == blocked / f_norm
+
+
 def images_oracle_error(n_cells: int, n: int) -> float:
     """Error of the spectral solve against the reflected-images solution.
 
@@ -836,6 +858,17 @@ class TestTimestep:
         # source with an exact zero prefix: solution prefix must be exactly zero too
         u, start_idx = self.zero_prefix_march()
         assert np.abs(u[:start_idx]).max() == 0.0
+        assert not u[:start_idx].view(np.int64).any()  # +0.0 bits: the march starts at the source
+
+    def test_source_at_the_first_sample_only(self):
+        # U's row 0 is the initial state, never a step: a source sample there moves nothing
+        prob = make_problem(n=512)
+        vals = np.zeros(prob.f.values.shape)
+        vals[0] = prob.f.values[np.argmax(prob.f.sample_peak())]
+        prob = EvoProblem(prob.grid, prob.sd, prob.law, prob.bl, WeightedSignal(prob.grid, vals))
+        u = solve_timestep(prob).solution.values
+        assert not u[0].view(np.int64).any()
+        assert not u.any()
 
     @pytest.mark.parametrize("case", ["complex_source", "complex_pole"])
     def test_exactly_causal_in_complex_arithmetic(self, case):
@@ -845,6 +878,7 @@ class TestTimestep:
         else:
             u, start_idx = self.zero_prefix_march(law=memory_law(pole=-0.5 + 0.3j))
         assert np.abs(u[:start_idx]).max() == 0.0
+        assert not u[:start_idx].view(np.int64).any()  # +0.0 bits, real and imaginary parts
 
     def test_step_matrix_is_operator_at_inverse_step(self):
         # implicit Euler replaces z by delta: the frequency operator at
@@ -959,6 +993,29 @@ class TestResidual:
         w = u.with_values(u.values + 0.1j * u.values[:, ::-1])
         assert residual_norm(half_prob, w)[0] == residual_norm(full_prob, w)[0]
         assert residual_norm(half_prob, w)[0] > 1.5 * half
+
+    @pytest.mark.parametrize(
+        "case", ["memory-512", "memory-511", "noise-512", "noise-511", "near_pole", "complex_source"]
+    )
+    def test_spectral_residual_is_the_time_domain_residual(self, case):
+        # residual_norm never leaves the spectrum; the reference applies the operator,
+        # transforms back and sums the trapezoid norm of T U - f over the samples
+        name, _, n = case.partition("-")
+        if name == "near_pole":  # a complex law: the full spectrum
+            prob = load_scenario(str(ROOT / "bench/scenarios/near_pole.cfg")).build()
+        elif name == "complex_source":
+            real = memory_scenario(512)
+            prob = dataclasses.replace(real, f=real.f.with_values(real.f.values * (1.0 - 0.5j)))
+        else:  # the half spectrum, with (512) and without (511) a Nyquist row
+            prob = memory_scenario(int(n))
+        u = solve_timestep(prob).solution
+        if name == "noise":  # large end samples, which the trapezoid weighs by half
+            u = u.with_values(u.values + 0.1 * np.random.default_rng(3).standard_normal(u.values.shape))
+        assert prob.real_in_time == (name in ("memory", "noise"))
+        r = apply_evo_operator(prob, u).values - prob.f.values
+        want = np.sqrt(prob.grid.weights() @ np.sum(np.abs(r) ** 2, axis=1)) / rho_norm(prob.f)
+        got, is_rel = residual_norm(prob, u)
+        assert is_rel and got == pytest.approx(want, rel=1e-12)
 
     def test_source_norm_computed_once(self, problem):
         assert "f_norm" not in problem.__dict__

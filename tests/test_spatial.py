@@ -224,7 +224,7 @@ class TestReducedOperator:
         rows = list(range(op.dim))
         unit = np.eye(op.dim)
         rhs = [np.stack([u[k], unit[0], unit[-1]], axis=1) for k in range(3)]
-        work = np.full((op.dim + 2, 2, 3), np.nan, dtype=complex)
+        work = np.full((op.dim, 2, 3), np.nan, dtype=complex)
         x, _ = op._solve_with_corners(u, rows, work)
         assert pivoted == [1]
         for k in range(3):
@@ -252,7 +252,7 @@ class TestReducedOperator:
         # J D A0 J D = A0: row r of e_0's residual is (-1)^r row dim - 1 - r of
         # e_last's, bit for bit, so R_X's squared norm is twice e_last's
         op, u = self.neumann()
-        work = np.empty((op.dim + 2, 2, 3), dtype=complex)
+        work = np.empty((op.dim, 2, 3), dtype=complex)
         x, res_sq = op._solve_with_corners(u, list(range(op.dim)), work)
         d = op._diagonal()
         sign = np.where(np.arange(op.dim) % 2 == 0, 1.0, -1.0)
@@ -269,7 +269,7 @@ class TestReducedOperator:
         op, u = self.neumann()
         op = dataclasses.replace(op, **{corner: np.array([0.0, 0.5, 0.0], dtype=complex)})
         with pytest.raises(ValueError, match="Neumann operator"):
-            op._solve_with_corners(u, [0], np.empty((op.dim + 2, 2, 3), dtype=complex))
+            op._solve_with_corners(u, [0], np.empty((op.dim, 2, 3), dtype=complex))
 
     def test_singular_frequency_non_finite(self):
         # skew-symmetric matrices of odd dimension are singular
