@@ -11,12 +11,14 @@ boundary faces.  Two solvers are provided and cross-checked:
 * solve_frequency: exact per-frequency linear solves.  Each frequency's
   matrix (spatial.ReducedOperator) is tridiagonal in the interleaved
   order of the unknowns, so all frequencies are solved in one batched
-  Thomas sweep at O(n) each.  This is the trusted oracle.  It checks
-  itself with the operator it solved: the spectral residual, in the
-  rectangle-rule (Parseval) norm, and an O(n) condition bound.
-  solve_boundary_family runs the same kernel once, in frequency blocks,
-  for a whole family of boundary laws and corrects each law by a 2x2
-  Woodbury update.  When the source and every law are real in time
+  Thomas sweep at O(n) each, in place in one (unknowns, frequencies)
+  array where the source spectrum is formed.  This is the trusted
+  oracle.  It checks itself with the operator it solved: the spectral
+  residual, in the rectangle-rule (Parseval) norm, and an O(n)
+  condition bound.  solve_boundary_family runs the same kernel once, in
+  frequency blocks, each block's source formed in its work array, for a
+  whole family of boundary laws and corrects each law by a 2x2 Woodbury
+  update.  When the source and every law are real in time
   (EvoProblem.real_in_time), T(-s) = conj T(s) and U is real, so both
   solve the half spectrum s >= 0 and Nyquist alone, by real FFTs, into a
   float64 U; anything else, every frequency.
@@ -97,7 +99,7 @@ RESIDUAL_NORMS = {"frequency": "spectral (rectangle rule)", "timestep": "time-do
 # columns, the source and e_last, of dim rows per frequency; two thirds of the 25 MiB
 # that three columns took, so a block keeps its rows.  On scenarios/reflection.cfg
 # (dim 1023) that is 533 of the half spectrum's 1025 rows, and its six default laws trace
-# a 37.2 MiB peak, against 71.4 MiB in one block; 256 rows: 18.1 MiB, 128 rows: 9.4 MiB.
+# a 25.8 MiB peak, against 49.0 MiB in one block; 256 rows: 12.5 MiB, 128 rows: 6.4 MiB.
 # Narrower blocks are slower, and 799 rows (25 MiB of two columns) are no faster but
 # raise sweep-reflection's peak RSS from 79.9 to 98.6 MiB (CHANGES.md).
 BLOCK_BYTES = 2 * (25 * 2**20) // 3
@@ -254,7 +256,8 @@ def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
     half, weight = u_hat.half, _parseval_weights(grid, u_hat.half)
     r_hat = prob.grid_operator.take(slice(weight.size)).matvec(u_hat.values)
     del u_hat
-    r_hat -= _source_spectrum(prob, half, grid.freqs[: weight.size], weight)[0](0, weight.size)
+    source = _source_spectrum(prob, half, grid.freqs[: weight.size], weight)[0](0, weight.size)
+    r_hat -= source(0, r_hat.shape[1], out=np.empty_like(r_hat).T).T  # formed in r_hat's order
     phase = grid.inverse_phase[: weight.size]
     if half:
         edge = weight == 1.0
@@ -502,16 +505,19 @@ def _parseval_norm(x: np.ndarray, weight: np.ndarray) -> float:
 
 def _source_spectrum(
     prob: EvoProblem, half: bool, s: np.ndarray, weight: np.ndarray
-) -> tuple[Callable[[int, int], np.ndarray], float]:
-    """(rows, f_norm): rows(lo, hi) is f_hat on solved rows lo to hi, f_norm its Parseval norm.
+) -> tuple[Callable[[int, int], Callable[..., np.ndarray]], float]:
+    """(block, f_norm): block(lo, hi) is the source of solved rows lo to hi, f_norm f_hat's Parseval norm.
 
-    A separable source w(t) g keeps only w_hat, the transform of w: the
-    transform acts on time alone, so rows(lo, hi) is w_hat[lo:hi, None] * g
-    (Re g with half), and the whole f_hat is never built:
-    f_norm = ||g|| sqrt(weight @ |w_hat|^2).  A sampled source is
-    transformed whole, and rows slices it.  SolverError names the first
-    frequency where f_hat is not finite; f_hat is searched only when the
-    norm is not finite, which such a value makes it.
+    A source is f_hat's transpose in the work layout of ReducedOperator.solve:
+    source(a, b, out=None) is unknowns a to b (rows) at the block's
+    frequencies (columns), written into out if given.  A separable source
+    w(t) g keeps only w_hat, the transform of w (it acts on time alone),
+    so that is np.multiply(w_hat[None, lo:hi], g[a:b, None]) (Re g with
+    half), the operand order and bits of w_hat[:, None] * g; the whole f_hat
+    is never built: f_norm = ||g|| sqrt(weight @ |w_hat|^2).  A sampled
+    source is transformed whole, and that is a transposed slice of f_hat.
+    SolverError names the first frequency where f_hat is not finite; f_hat
+    is searched only when the norm is not finite, which such a value makes it.
     """
     f = prob.f
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
@@ -519,24 +525,25 @@ def _source_spectrum(
             f_hat = forward_transform(f, half).values
             f_norm = _parseval_norm(f_hat, weight)
 
-            def rows(lo: int, hi: int) -> np.ndarray:
-                return f_hat[lo:hi]
+            def block(lo: int, hi: int) -> Callable[..., np.ndarray]:  # np.positive copies into out
+                return lambda a, b, out=None: np.positive(f_hat[lo:hi, a:b].T, out=out)
         else:
             w, g = f.profiles
             w_hat = forward_transform(WeightedSignal(prob.grid, w), half).values[:, 0]
             g = g.real if half else g
             f_norm = float(np.linalg.norm(g) * np.sqrt(weight @ (w_hat.real**2 + w_hat.imag**2)))
 
-            def rows(lo: int, hi: int) -> np.ndarray:
-                return w_hat[lo:hi, None] * g
+            def block(lo: int, hi: int) -> Callable[..., np.ndarray]:
+                return lambda a, b, out=None: np.multiply(w_hat[None, lo:hi], g[a:b, None], out=out)
 
-        bad = np.zeros(1, bool) if np.isfinite(f_norm) else ~np.isfinite(rows(0, weight.size)).all(axis=1)
+        rows = block(0, weight.size)
+        bad = np.zeros(1, bool) if np.isfinite(f_norm) else ~np.isfinite(rows(0, f.dim)).all(axis=0)
     if bad.any():
         raise SolverError(
             f"the source spectrum is not finite at frequency s = {s[np.argmax(bad)]:.9g}: "
             "the source overflows its weighted transform"
         )
-    return rows, f_norm
+    return block, f_norm
 
 
 def _solve_spectral(
@@ -544,10 +551,12 @@ def _solve_spectral(
 ) -> tuple[WeightedSignal, ReducedOperator, np.ndarray, np.ndarray, tuple[float, bool]]:
     """The bare frequency solve: (u, op, s, pivoted frequency indices, residual).
 
-    The rows of _parseval_weights are solved in one batched Thomas sweep; any
-    frequency where a pivot breaks down is re-solved by the pivoted LU of
-    ReducedOperator.factor, and reported with its mirror on the half
-    spectrum.  A frequency the solve cannot invert, or where the source
+    The rows of _parseval_weights are solved in one batched Thomas sweep
+    in one (dim, n_freq) array: the source is formed in it, solved in
+    place by ReducedOperator.solve, and U_hat is its transposed view.  Any
+    frequency where a pivot breaks down is re-solved from the source by the
+    pivoted LU of ReducedOperator.factor, and reported with its mirror on
+    the half spectrum.  A frequency the solve cannot invert, or where the source
     spectrum is not finite, raises SolverError naming it.  The residual is
     ||op U_hat - f_hat|| / ||f_hat|| (absolute if f = 0), the
     rectangle-rule (Parseval) norm of the time-domain residual, summed in
@@ -557,9 +566,10 @@ def _solve_spectral(
     s, op = grid.freqs, prob.grid_operator
     weight = _parseval_weights(grid, half)
     solved = op.take(slice(weight.size))
-    f_rows, f_norm = _source_spectrum(prob, half, s, weight)
-    f_hat = f_rows(0, weight.size)
-    u_hat, pivoted = solved.solve(f_hat)
+    f_block, f_norm = _source_spectrum(prob, half, s, weight)
+    source = f_block(0, weight.size)
+    y = source(0, solved.dim, out=np.empty((solved.dim, weight.size), dtype=complex))
+    u_hat, pivoted = solved.solve(y.T, source)
     singular = ~np.isfinite(u_hat).all(axis=1)
     if singular.any():
         raise SolverError(
@@ -567,8 +577,8 @@ def _solve_spectral(
             "(the solvability margin is not positive, or the boundary "
             "law is inadmissible)"
         )
-    r_norm = float(np.sqrt(weight @ solved._residual_sq(u_hat.T[:, None], f_hat)[0]))
-    del f_rows, f_hat  # one fewer spectrum held through the inverse transform
+    r_norm = float(np.sqrt(weight @ solved._residual_sq(u_hat.T[:, None], source)[0]))
+    del f_block, source  # a sampled source's f_hat is not held through the inverse transform
     residual = (r_norm / f_norm, True) if f_norm > 0 else (r_norm, False)
     u = inverse_transform(SpectralSignal(grid, u_hat, half))
     return u, op, s, np.union1d(pivoted, -pivoted % grid.n if half else pivoted), residual
@@ -616,9 +626,9 @@ def solve_boundary_family(
     Every frequency is independent, so the elimination walks the solved
     rows in blocks, as wide as BLOCK_BYTES allows, through one reused work
     array; only the probe and corner rows and the residual sums of each
-    block are kept.  A separable source's block of f_hat is formed from
-    w_hat when it is solved (_source_spectrum), so its whole spectrum is
-    never built.  No laws, no transform and no solve: [].
+    block are kept.  Each block's source is formed in that array, in the
+    kernel's layout (_source_spectrum), so a separable source's whole
+    spectrum is never built.  No laws, no transform and no solve: [].
     """
     if not laws:
         return []
@@ -627,7 +637,7 @@ def solve_boundary_family(
     half = all(p.real_in_time for p in law_probs)
     weight = _parseval_weights(grid, half)
     s = grid.freqs[: weight.size]
-    f_rows, f_norm = _source_spectrum(prob, half, s, weight)
+    f_block, f_norm = _source_spectrum(prob, half, s, weight)
     zero = np.zeros(s.size, dtype=complex)
     neumann = dataclasses.replace(prob.operator(s), corner0=zero, cornerL=zero)
     picks = [*rows, 0, neumann.dim - 1]
@@ -639,9 +649,9 @@ def solve_boundary_family(
         hi = min(lo + width, s.size)
         block = neumann.take(slice(lo, hi))
         at_rows[..., lo:hi], res_sq[:, lo:hi] = block._solve_with_corners(
-            f_rows(lo, hi), picks, work[..., : hi - lo]
+            f_block(lo, hi), picks, work[..., : hi - lo]
         )
-    del f_rows, work
+    del f_block, work
     singular = ~np.isfinite(res_sq).all(axis=0)
     if singular.any():  # finite solved rows: only the squares of the residual overflowed
         k = int(np.argmax(singular))

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
-ROW_BLOCK = 64  # rows per block of ReducedOperator._residual_sq
+ROW_BLOCK = 64  # rows per block of ReducedOperator._residual_sq and of _thomas's smallest pivot
 
 
 @dataclass(frozen=True)
@@ -283,81 +283,91 @@ class ReducedOperator:
         norm = np.maximum.reduce([np.abs(x) for x in self._diagonal_values()]) + 2.0 * abs(self.off)
         return np.divide(norm, lowest, out=np.full(norm.shape, np.inf), where=lowest > 0)
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, rhs: np.ndarray, source: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Solve every frequency's system for (n_freq, dim) values rhs.
 
-        Returns the solution, a transposed view, and the indices of the
-        frequencies that the Thomas kernel handed to the pivoted LU of
-        factor(), which re-solves them from rhs.  A frequency whose matrix
-        is singular comes back as non-finite values.
+        The sweep runs in a copy of rhs.T, the (dim, n_freq) work layout,
+        or in rhs.T itself given source(a, b), rows a to b of rhs.T: then
+        rhs.T must be C-ordered complex.  Returns the solution, a transposed
+        view, and the indices of the frequencies that the Thomas kernel
+        handed to the pivoted LU of factor(), which re-solves them from rhs,
+        or from source.  A frequency whose matrix is singular comes back
+        as non-finite values.
         """
-        y = np.array(rhs.T, dtype=complex, order="C")
+        y = np.array(rhs.T, dtype=complex, order="C") if source is None else rhs.T
         _, broken = self._thomas(y)
         if broken.size:
-            y[:, broken] = _solve_range_pivoted(self, rhs[broken].T.astype(complex), broken)
+            f_t = rhs.T if source is None else source(0, self.dim)
+            y[:, broken] = _solve_range_pivoted(self, f_t[:, broken].astype(complex), broken)
         return y.T, broken
 
     def _solve_with_corners(
-        self, rhs: np.ndarray, rows: list[int], w: np.ndarray
+        self, source: Callable[..., np.ndarray], rows: list[int], w: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve the Neumann operator A0 for rhs and the unit vectors e_0, e_last of the corner cells.
+        """Solve the Neumann operator A0 for a source and the unit vectors e_0, e_last of the corner cells.
 
-        The operator, with zero corner terms (ValueError otherwise), and
-        rhs, (n_freq, dim), are one block of frequencies, and the solve
-        runs in the caller's work array w, (dim, 2, n_freq), whatever it
-        holds on entry: it takes the solutions for rhs and e_last, so one
-        w serves every block of a sweep.  Only rhs goes through the Thomas
-        sweep.  A0^-1 e_last is a running product over its pivots d':
+        The operator, with zero corner terms (ValueError otherwise), is one
+        block of frequencies, and source(a, b, out=None) is rows a to b of
+        its right-hand sides in the work layout of solve().  The solve runs
+        in the caller's work array w, (dim, 2, n_freq), whatever it holds
+        on entry: the source is formed and solved in place in its first
+        column, e_last's solution in the second, so one w serves every
+        block of a sweep.  Only the source goes through the Thomas sweep.
+        A0^-1 e_last is a running product over its pivots d':
         x_last = 1/d'_last and x_i = (-off/d'_i) x_{i+1}, the sweep's own
         row multipliers, which it leaves in w.  A0's diagonal is a
         palindrome (dim is odd) and its off-diagonals are -off and +off,
         so J D A0 J D = A0, J the row reversal and D = diag((-1)^i): row r
         of A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its
         residual is the mirror of e_last's, row for row and bit for bit.
-        Frequencies whose Thomas pivot breaks down are re-solved from rhs
-        and e_last by the pivoted LU.  Returns the solutions for rhs, e_0
-        and e_last at the given rows, (len(rows), 3, n_freq), and the
-        squared residual norms of rhs and e_last per frequency, (2,
-        n_freq), from _residual_sq.
+        Frequencies whose Thomas pivot breaks down are re-solved from the
+        source and e_last by the pivoted LU.  Returns the solutions for the
+        source, e_0 and e_last at the given rows, (len(rows), 3, n_freq), and
+        their squared residual norms, (2, n_freq), from _residual_sq.
         """
         if self.corner0.any() or self.cornerL.any():
             raise ValueError("the corner columns need the Neumann operator: zero corner terms")
         z = w[:, 1]
-        w[:, 0] = rhs.T
-        pivots, broken = self._thomas(w[:, 0], mult=z)
+        pivots, broken = self._thomas(source(0, self.dim, out=w[:, 0]), mult=z)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(1.0, pivots[-1], out=z[-1])
             np.multiply.accumulate(z[::-1], axis=0, out=z[::-1])
+        del pivots  # not held through the residual
         if broken.size:
             fallback = np.zeros((self.dim, 2, broken.size), dtype=complex)
-            fallback[:, 0] = rhs[broken].T
+            fallback[:, 0] = source(0, self.dim)[:, broken]
             fallback[-1, 1] = 1.0
             w[..., broken] = _solve_range_pivoted(self, fallback, broken)
         rows = np.asarray(rows)
         mirror = np.where(rows % 2 == 0, 1.0, -1.0)[:, None] * z[self.dim - 1 - rows]
-        return np.stack([w[rows, 0], mirror, z[rows]], axis=1), self._residual_sq(w, rhs)
+        return np.stack([w[rows, 0], mirror, z[rows]], axis=1), self._residual_sq(w, source)
 
-    def _residual_sq(self, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def _residual_sq(self, y: np.ndarray, source: Callable[..., np.ndarray]) -> np.ndarray:
         """Per-frequency squared residual norms (n_col, n_freq) of y's columns, (dim, n_col, n_freq).
 
-        Column 0 solves rhs, (n_freq, dim), a second one, if any, e_last;
-        ROW_BLOCK rows at a time, squared in place: no array of y's size.
+        Column 0 solves the rows source(a, b, out) of solve()'s layout, a
+        second one, if any, e_last; ROW_BLOCK rows at a time, in buffers
+        that every block reuses: no array of y's size.
         """
         res_sq = np.zeros(y.shape[1:])
-        for a in range(0, self.dim, ROW_BLOCK):
+        r, diff = (np.empty((ROW_BLOCK, *y.shape[1:]), dtype=complex) for _ in range(2))
+        f = np.empty((ROW_BLOCK, y.shape[2]), dtype=complex)
+        for a in range(0, self.dim, ROW_BLOCK):  # ROW_BLOCK is even: row a is a pressure
             b = min(a + ROW_BLOCK, self.dim)
             lo, hi = max(a, 1), min(b, self.dim - 1)  # the rows with two neighbours
-            d = np.where(np.arange(a, b)[:, None] % 2 == 0, self.sym_p, self.sym_v)
-            r = d[:, None] * y[a:b]
-            r[lo - a : hi - a] += self.off * (y[lo + 1 : hi + 1] - y[lo - 1 : hi - 1])
+            np.multiply(self.sym_p, y[a:b:2], out=r[0 : b - a : 2])
+            np.multiply(self.sym_v, y[a + 1 : b : 2], out=r[1 : b - a : 2])
+            step = np.subtract(y[lo + 1 : hi + 1], y[lo - 1 : hi - 1], out=diff[: hi - lo])
+            r[lo - a : hi - a] += np.multiply(self.off, step, out=step)
             if a == 0:
                 r[0] += self.corner0 * y[0] + self.off * y[1]
             if b == self.dim:
-                r[-1] += self.cornerL * y[-1] - self.off * y[-2]
-                r[-1, 1:] -= 1.0
-            r[:, 0] -= rhs[:, a:b].T
+                r[b - a - 1] += self.cornerL * y[-1] - self.off * y[-2]
+                r[b - a - 1, 1:] -= 1.0
+            r[: b - a, 0] -= source(a, b, out=f[: b - a])
             with np.errstate(over="ignore"):  # the caller names a residual that overflows
-                sq = np.square(r.view(float), out=r.view(float)).sum(axis=0)  # re, im pairs
+                v = r[: b - a].view(float)  # re, im pairs
+                sq = np.square(v, out=v).sum(axis=0)
                 res_sq += sq[..., 0::2] + sq[..., 1::2]
         return res_sq
 
@@ -373,27 +383,27 @@ class ReducedOperator:
         -off/d'_i once and applies it to the next pivot and right-hand
         side in the same pass; rows 0 to dim - 2 of mult, (dim, n_freq),
         keep them when it is given.  Returns the pivots d', (dim, n_freq),
-        and the indices of the frequencies where a pivot still collapses
-        (an inadmissible scenario); their y is not a solution, and the
-        caller re-solves them from its own right-hand sides with
-        _solve_range_pivoted.
+        and the indices of the frequencies where a pivot, at any row,
+        collapses (an inadmissible scenario; min |d'| is taken in row blocks
+        after the sweep); their y is not a solution, and the caller
+        re-solves them from its own right-hand sides with _solve_range_pivoted.
         """
         d = self._diagonal()
         # rows 0, 1, 2 and -1 hold every distinct diagonal value before the sweep
         floor = PIVOT_FLOOR * max(float(np.abs(d[[0, 1, 2, -1]]).max()), abs(self.off))
-        smallest = np.abs(d[0])  # per frequency; NaN once a pivot is NaN
+        off, minus_off = complex(self.off), complex(-self.off)  # converted once, not per row
         row_mult, step, scratch = (np.empty_like(d[0]) for _ in range(3))
-        mag = np.empty_like(smallest)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(1, self.dim):
-                m = np.divide(-self.off, d[i - 1], out=row_mult if mult is None else mult[i - 1])
-                d[i] -= np.multiply(m, self.off, out=step)
-                np.minimum(smallest, np.abs(d[i], out=mag), out=smallest)
+                m = np.divide(minus_off, d[i - 1], out=row_mult if mult is None else mult[i - 1])
+                d[i] -= np.multiply(m, off, out=step)
                 y[i] -= np.multiply(m, y[i - 1], out=scratch)
             y[-1] /= d[-1]
             for i in range(self.dim - 2, -1, -1):
-                y[i] -= np.multiply(self.off, y[i + 1], out=scratch)
+                y[i] -= np.multiply(off, y[i + 1], out=scratch)
                 y[i] /= d[i]
+        blocks = range(0, self.dim, ROW_BLOCK)  # min |d'| per frequency, NaN once a pivot is NaN
+        smallest = np.minimum.reduce([np.abs(d[a : a + ROW_BLOCK]).min(axis=0) for a in blocks])
         return d, np.flatnonzero(~(smallest >= floor))
 
     def _diagonal(self, ks: np.ndarray | slice = slice(None)) -> np.ndarray:

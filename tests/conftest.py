@@ -251,13 +251,19 @@ def run_child(*args: str, timeout: float | None = None, **env: str) -> subproces
     )
 
 
+def transposed_source(values: np.ndarray):
+    """(n_freq, dim) values as the solvers read a source: source(a, b, out=None) is rows a to b of values.T."""
+    return lambda a, b, out=None: np.positive(values[:, a:b].T, out=out)  # np.positive copies
+
+
 def corrupt_solve(monkeypatch) -> None:
     """Make ReducedOperator.solve scale U_hat by 1 + 1e-6 at the source's strongest frequency."""
     solve = ReducedOperator.solve
 
-    def corrupted(op, rhs):
-        u_hat, pivoted = solve(op, rhs)
-        u_hat[np.linalg.norm(rhs, axis=1).argmax()] *= 1.0 + 1e-6
+    def corrupted(op, rhs, *source):
+        strongest = np.linalg.norm(rhs, axis=1).argmax()  # before a solve in place overwrites rhs
+        u_hat, pivoted = solve(op, rhs, *source)
+        u_hat[strongest] *= 1.0 + 1e-6
         return u_hat, pivoted
 
     monkeypatch.setattr(ReducedOperator, "solve", corrupted)

@@ -208,6 +208,37 @@ class TestFrequencySolve:
         with pytest.raises(SolverError, match="frequency s ="):
             solve_frequency(problem)
 
+    def test_interior_pivot_collapse_takes_the_pivoted_lu(self, monkeypatch):
+        # one frequency's Thomas pivot vanishes at an interior row alone, past the
+        # first ROW_BLOCK rows of the kernel's blocked min |d'|: a diagonal entry equal
+        # to the sweep's own step there leaves that pivot exactly 0.  The frequency
+        # must reach the pivoted LU, and be named when that fails too
+        prob = make_problem(n_cells=64)
+        solved = prob.grid_operator.take(slice(prob.grid.n // 2 + 1))
+        k, row = 9, spatial.ROW_BLOCK + 37
+        assert row < solved.dim - 1
+        pivots, _ = solved._thomas(np.zeros((solved.dim, solved.sym_p.size), dtype=complex))
+        step = np.multiply(np.divide(complex(-solved.off), pivots[row - 1]), complex(solved.off))
+        diagonal = ReducedOperator._diagonal
+
+        def collapsed(op, ks=slice(None)):
+            d = diagonal(op, ks)
+            d[row, op.sym_p[ks] == solved.sym_p[k]] = step[k]
+            return d
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(ReducedOperator, "_diagonal", collapsed)
+        rhs = np.random.default_rng(3).standard_normal((solved.sym_p.size, solved.dim)) + 0j
+        x, pivoted = solved.solve(rhs)
+        assert pivoted.tolist() == [k]
+        exact = np.linalg.solve(solved.dense(k), rhs[k])
+        assert np.abs(x[k] - exact).max() < 1e-10 * np.abs(exact).max()
+        monkeypatch.setattr(ReducedOperator, "factor", boom)
+        with pytest.raises(SolverError, match=rf"^singular operator at frequency s = {prob.grid.freqs[k]:.9g} "):
+            solve_frequency(prob)
+
     @pytest.mark.parametrize("cfg", ["scenarios/default.cfg", "bench/scenarios/memory.cfg"])
     def test_discrete_energy_identity(self, cfg, monkeypatch):
         # the differences are real and skew, so at every frequency
@@ -408,8 +439,8 @@ class TestBoundaryFamily:
         assert len(spectra) == len(laws) and all(x_hat.half for x_hat in spectra)
         weight = solver._parseval_weights(base.grid, True)
         s = base.grid.freqs[: weight.size]
-        f_rows, f_norm = solver._source_spectrum(base, True, s, weight)
-        f_hat = f_rows(0, s.size).astype(np.clongdouble)
+        f_block, f_norm = solver._source_spectrum(base, True, s, weight)
+        f_hat = f_block(0, s.size)(0, sd.n_reduced).T.astype(np.clongdouble)
         for bl, (_, bound), x_hat in zip(laws, family, spectra):
             op = dataclasses.replace(base, bl=bl).operator(s)
             x = np.zeros((s.size, op.dim + 2), dtype=np.clongdouble)
@@ -654,19 +685,43 @@ class TestHalfSpectrum:
 )
 def test_blocked_frequency_residual_is_the_matvec_residual(cfg):
     # _solve_spectral sums the residual in row blocks over the solve's (dim, n_freq)
-    # layout; the reference applies matvec and takes the Parseval norm of op U_hat - f_hat
+    # layout, the source's rows formed again block by block; the reference applies
+    # matvec and takes the Parseval norm of op U_hat - f_hat
     prob = load_scenario(str(ROOT / cfg)).build()
     half = prob.real_in_time
     weight = solver._parseval_weights(prob.grid, half)
     s = prob.grid.freqs[: weight.size]
-    f_rows, f_norm = solver._source_spectrum(prob, half, s, weight)
-    f_hat = f_rows(0, s.size)
+    f_block, f_norm = solver._source_spectrum(prob, half, s, weight)
+    source = f_block(0, s.size)
     op = prob.grid_operator.take(slice(s.size))
+    f_hat = source(0, op.dim).T
     u_hat, _ = op.solve(f_hat)
-    blocked = np.sqrt(weight @ op._residual_sq(u_hat.T[:, None], f_hat)[0])
+    blocked = np.sqrt(weight @ op._residual_sq(u_hat.T[:, None], source)[0])
     want = solver._parseval_norm(op.matvec(u_hat) - f_hat, weight)
     assert want > 0 and abs(blocked - want) <= 1e-14 * f_norm
     assert solve_frequency(prob).residual_rel == blocked / f_norm
+
+
+@pytest.mark.parametrize("call", ["solve", "sweep"])
+def test_full_size_peaks_in_the_work_layout(call):
+    # scenarios/reflection.cfg.  The spectral solve forms the source in its one
+    # (dim, n_freq) work array and solves it there, so it holds that array and the
+    # Thomas diagonal: 2.04 units of K dim complex, K the solved rows, against 3.01
+    # with a separate source spectrum.  The six-law sweep forms each block's source
+    # in its work array: 25.8 MiB, against 36.7 MiB with a separate block of f_hat
+    prob = load_scenario(str(ROOT / "scenarios/reflection.cfg")).build()
+    laws = [BoundaryLaw.robin(k, prob.sd) for k in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)]
+    tracemalloc.start()
+    try:
+        if call == "solve":
+            solver._solve_spectral(prob)
+        else:
+            solve_boundary_family(prob, laws, probe_rows(prob.sd))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = (prob.grid.n // 2 + 1) * prob.sd.n_reduced * 16
+    assert peak <= (2.25 * unit if call == "solve" else 29 * 2**20)
 
 
 def images_oracle_error(n_cells: int, n: int) -> float:

@@ -14,6 +14,7 @@ from conftest import (
     interior_signal,
     interleave,
     sbp_residual,
+    transposed_source,
     volume_sign_functional,
     zero_signal,
 )
@@ -225,7 +226,7 @@ class TestReducedOperator:
         unit = np.eye(op.dim)
         rhs = [np.stack([u[k], unit[0], unit[-1]], axis=1) for k in range(3)]
         work = np.full((op.dim, 2, 3), np.nan, dtype=complex)
-        x, _ = op._solve_with_corners(u, rows, work)
+        x, _ = op._solve_with_corners(transposed_source(u), rows, work)
         assert pivoted == [1]
         for k in range(3):
             exact = np.linalg.solve(op.dense(k), rhs[k])
@@ -242,7 +243,7 @@ class TestReducedOperator:
             return pivots, broken
 
         monkeypatch.setattr(ReducedOperator, "_thomas", perturbed)
-        x, res_sq = op._solve_with_corners(u, rows, work)
+        x, res_sq = op._solve_with_corners(transposed_source(u), rows, work)
         for k in range(3):
             expected = np.sum(np.abs(op.dense(k) @ x[:, :, k] - rhs[k]) ** 2, axis=0)
             assert np.allclose(res_sq[:, k], expected[[0, 2]], rtol=1e-10)
@@ -253,7 +254,7 @@ class TestReducedOperator:
         # e_last's, bit for bit, so R_X's squared norm is twice e_last's
         op, u = self.neumann()
         work = np.empty((op.dim, 2, 3), dtype=complex)
-        x, res_sq = op._solve_with_corners(u, list(range(op.dim)), work)
+        x, res_sq = op._solve_with_corners(transposed_source(u), list(range(op.dim)), work)
         d = op._diagonal()
         sign = np.where(np.arange(op.dim) % 2 == 0, 1.0, -1.0)
         for k in range(3):
@@ -269,7 +270,7 @@ class TestReducedOperator:
         op, u = self.neumann()
         op = dataclasses.replace(op, **{corner: np.array([0.0, 0.5, 0.0], dtype=complex)})
         with pytest.raises(ValueError, match="Neumann operator"):
-            op._solve_with_corners(u, [0], np.empty((op.dim, 2, 3), dtype=complex))
+            op._solve_with_corners(transposed_source(u), [0], np.empty((op.dim, 2, 3), dtype=complex))
 
     def test_singular_frequency_non_finite(self):
         # skew-symmetric matrices of odd dimension are singular

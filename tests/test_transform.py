@@ -210,8 +210,8 @@ class TestSeparable:
         f = WeightedSignal(grid, profiles=(w, g))
         prob = EvoProblem(grid, sd, identity_law(), BoundaryLaw.robin(0.5, sd), f)
         weight = _parseval_weights(grid, half)
-        rows, f_norm = _source_spectrum(prob, half, grid.freqs, weight)
-        got = rows(0, weight.size)
+        block, f_norm = _source_spectrum(prob, half, grid.freqs, weight)
+        got = block(0, weight.size)(0, sd.n_reduced).T
         assert "values" not in f.__dict__
         want = forward_transform(WeightedSignal(grid, w[:, None] * g[None, :]), half).values
         assert got.shape == want.shape
