@@ -11,14 +11,13 @@ boundary faces.  Two solvers are provided and cross-checked:
 * solve_frequency: exact per-frequency linear solves.  Each frequency's
   matrix (spatial.ReducedOperator) is tridiagonal in the interleaved
   order of the unknowns, so all frequencies are solved in one batched
-  Thomas sweep at O(n) each, in place in one (unknowns, frequencies)
-  array where the source spectrum is formed.  This is the trusted
-  oracle.  It checks itself with the operator it solved: the spectral
-  residual, in the rectangle-rule (Parseval) norm, and an O(n)
-  condition bound.  solve_boundary_family runs the same kernel once, in
-  frequency blocks, each block's source formed in its work array, for a
-  whole family of boundary laws and corrects each law by a 2x2 Woodbury
-  update.  When the source and every law are real in time
+  Thomas sweep at O(n) each, in the (unknowns, frequencies) array where
+  the source spectrum is formed.  This is the trusted oracle.  It checks
+  itself with the operator it solved: the spectral residual, in the
+  rectangle-rule (Parseval) norm, and an O(n) condition bound.
+  solve_boundary_family runs the same kernel once, in frequency blocks,
+  for a whole family of boundary laws and corrects each law by a 2x2
+  Woodbury update.  When the source and every law are real in time
   (EvoProblem.real_in_time), T(-s) = conj T(s) and U is real, so both
   solve the half spectrum s >= 0 and Nyquist alone, by real FFTs, into a
   float64 U; anything else, every frequency.
@@ -64,6 +63,7 @@ from .material import MaterialLaw, coercivity, law_symbol, memory_bound
 from .rational import RationalMatrixFunction, scalar_rational
 from .signals import WeightedGrid, WeightedSignal, rho_norm
 from .spatial import (
+    ROW_BLOCK,
     BoundaryLaw,
     ReducedOperator,
     SpatialDiscretization,
@@ -256,8 +256,11 @@ def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
     half, weight = u_hat.half, _parseval_weights(grid, u_hat.half)
     r_hat = prob.grid_operator.take(slice(weight.size)).matvec(u_hat.values)
     del u_hat
-    source = _source_spectrum(prob, half, grid.freqs[: weight.size], weight)[0](0, weight.size)
-    r_hat -= source(0, r_hat.shape[1], out=np.empty_like(r_hat).T).T  # formed in r_hat's order
+    f_block = _source_spectrum(prob, half, grid.freqs[: weight.size], weight)[0]
+    f_rows = np.empty((ROW_BLOCK, r_hat.shape[1]), dtype=complex)  # f_hat's rows, in r_hat's order
+    for lo in range(0, weight.size, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, weight.size)
+        r_hat[lo:hi] -= f_block(lo, hi)(0, r_hat.shape[1], out=f_rows[: hi - lo].T).T
     phase = grid.inverse_phase[: weight.size]
     if half:
         edge = weight == 1.0
@@ -508,16 +511,15 @@ def _source_spectrum(
 ) -> tuple[Callable[[int, int], Callable[..., np.ndarray]], float]:
     """(block, f_norm): block(lo, hi) is the source of solved rows lo to hi, f_norm f_hat's Parseval norm.
 
-    A source is f_hat's transpose in the work layout of ReducedOperator.solve:
-    source(a, b, out=None) is unknowns a to b (rows) at the block's
-    frequencies (columns), written into out if given.  A separable source
-    w(t) g keeps only w_hat, the transform of w (it acts on time alone),
-    so that is np.multiply(w_hat[None, lo:hi], g[a:b, None]) (Re g with
-    half), the operand order and bits of w_hat[:, None] * g; the whole f_hat
-    is never built: f_norm = ||g|| sqrt(weight @ |w_hat|^2).  A sampled
-    source is transformed whole, and that is a transposed slice of f_hat.
-    SolverError names the first frequency where f_hat is not finite; f_hat
-    is searched only when the norm is not finite, which such a value makes it.
+    A source(a, b, out=None) is unknowns a to b of f_hat's transpose, the
+    layout of ReducedOperator.solve, written into out if given.  A
+    separable source w(t) g keeps only w_hat, the transform of w (it acts
+    on time alone), and forms w_hat[None, lo:hi] * g[a:b, None] (Re g with
+    half), the bits of w_hat[:, None] * g; the whole f_hat is never built:
+    f_norm = ||g|| sqrt(weight @ |w_hat|^2).  A sampled source is
+    transformed whole, and copies a transposed slice.  SolverError names
+    the first frequency where f_hat is not finite; f_hat is searched only
+    when the norm is not finite, which such a value makes it.
     """
     f = prob.f
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
@@ -551,12 +553,12 @@ def _solve_spectral(
 ) -> tuple[WeightedSignal, ReducedOperator, np.ndarray, np.ndarray, tuple[float, bool]]:
     """The bare frequency solve: (u, op, s, pivoted frequency indices, residual).
 
-    The rows of _parseval_weights are solved in one batched Thomas sweep
-    in one (dim, n_freq) array: the source is formed in it, solved in
-    place by ReducedOperator.solve, and U_hat is its transposed view.  Any
-    frequency where a pivot breaks down is re-solved from the source by the
-    pivoted LU of ReducedOperator.factor, and reported with its mirror on
-    the half spectrum.  A frequency the solve cannot invert, or where the source
+    The rows of _parseval_weights are solved by ReducedOperator.solve in
+    one batched Thomas sweep, in the (dim, n_freq) array where the source
+    is formed; U_hat is its transposed view.  Any frequency where a pivot
+    breaks down is re-solved by the pivoted LU of ReducedOperator.factor,
+    and reported with its mirror on the half spectrum.  A frequency the
+    solve cannot invert, or where the source
     spectrum is not finite, raises SolverError naming it.  The residual is
     ||op U_hat - f_hat|| / ||f_hat|| (absolute if f = 0), the
     rectangle-rule (Parseval) norm of the time-domain residual, summed in
@@ -568,8 +570,7 @@ def _solve_spectral(
     solved = op.take(slice(weight.size))
     f_block, f_norm = _source_spectrum(prob, half, s, weight)
     source = f_block(0, weight.size)
-    y = source(0, solved.dim, out=np.empty((solved.dim, weight.size), dtype=complex))
-    u_hat, pivoted = solved.solve(y.T, source)
+    u_hat, pivoted = solved.solve(source)
     singular = ~np.isfinite(u_hat).all(axis=1)
     if singular.any():
         raise SolverError(

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
-ROW_BLOCK = 64  # rows per block of ReducedOperator._residual_sq and of _thomas's smallest pivot
+ROW_BLOCK = 64  # rows per block of _residual_sq, _source_columns and _thomas's smallest pivot
 
 
 @dataclass(frozen=True)
@@ -283,47 +283,47 @@ class ReducedOperator:
         norm = np.maximum.reduce([np.abs(x) for x in self._diagonal_values()]) + 2.0 * abs(self.off)
         return np.divide(norm, lowest, out=np.full(norm.shape, np.inf), where=lowest > 0)
 
-    def solve(self, rhs: np.ndarray, source: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Solve every frequency's system for (n_freq, dim) values rhs.
+    def solve(self, source: Callable[..., np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Solve every frequency's system for source(a, b, out=None), unknowns a to b at every frequency.
 
-        The sweep runs in a copy of rhs.T, the (dim, n_freq) work layout,
-        or in rhs.T itself given source(a, b), rows a to b of rhs.T: then
-        rhs.T must be C-ordered complex.  Returns the solution, a transposed
-        view, and the indices of the frequencies that the Thomas kernel
-        handed to the pivoted LU of factor(), which re-solves them from rhs,
-        or from source.  A frequency whose matrix is singular comes back
-        as non-finite values.
+        The source is formed whole, with out=, in a (dim, n_freq) array and
+        swept there in place.  Returns the solution, a transposed view, and
+        the indices of the frequencies that the Thomas kernel handed to the
+        pivoted LU of factor(), which re-solves them from _source_columns.
+        A frequency whose matrix is singular comes back as non-finite values.
         """
-        y = np.array(rhs.T, dtype=complex, order="C") if source is None else rhs.T
+        y = source(0, self.dim, out=np.empty((self.dim, self.sym_p.size), dtype=complex))
         _, broken = self._thomas(y)
         if broken.size:
-            f_t = rhs.T if source is None else source(0, self.dim)
-            y[:, broken] = _solve_range_pivoted(self, f_t[:, broken].astype(complex), broken)
+            y[:, broken] = _solve_range_pivoted(self, self._source_columns(source, broken), broken)
         return y.T, broken
+
+    def _source_columns(self, source: Callable[..., np.ndarray], ks: np.ndarray) -> np.ndarray:
+        """Columns ks of source(0, dim), formed ROW_BLOCK rows at a time: never the whole source."""
+        blocks = range(0, self.dim, ROW_BLOCK)
+        return np.concatenate([source(a, min(a + ROW_BLOCK, self.dim))[:, ks] for a in blocks], dtype=complex)
 
     def _solve_with_corners(
         self, source: Callable[..., np.ndarray], rows: list[int], w: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Solve the Neumann operator A0 for a source and the unit vectors e_0, e_last of the corner cells.
 
-        The operator, with zero corner terms (ValueError otherwise), is one
-        block of frequencies, and source(a, b, out=None) is rows a to b of
-        its right-hand sides in the work layout of solve().  The solve runs
-        in the caller's work array w, (dim, 2, n_freq), whatever it holds
-        on entry: the source is formed and solved in place in its first
-        column, e_last's solution in the second, so one w serves every
-        block of a sweep.  Only the source goes through the Thomas sweep.
-        A0^-1 e_last is a running product over its pivots d':
-        x_last = 1/d'_last and x_i = (-off/d'_i) x_{i+1}, the sweep's own
-        row multipliers, which it leaves in w.  A0's diagonal is a
-        palindrome (dim is odd) and its off-diagonals are -off and +off,
-        so J D A0 J D = A0, J the row reversal and D = diag((-1)^i): row r
-        of A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its
-        residual is the mirror of e_last's, row for row and bit for bit.
-        Frequencies whose Thomas pivot breaks down are re-solved from the
-        source and e_last by the pivoted LU.  Returns the solutions for the
-        source, e_0 and e_last at the given rows, (len(rows), 3, n_freq), and
-        their squared residual norms, (2, n_freq), from _residual_sq.
+        The operator, with zero corner terms (ValueError otherwise), and the
+        source, as solve() takes it, are one block of frequencies; the solve
+        runs in the caller's work array w, (dim, 2, n_freq), whatever it holds
+        on entry: the source is formed and solved in its first column, e_last
+        in the second, so one w serves every block of a sweep.  Only the source
+        goes through the Thomas sweep.  A0^-1 e_last is a running product over
+        its pivots d': x_last = 1/d'_last and x_i = (-off/d'_i) x_{i+1}, the
+        sweep's own row multipliers, which it leaves in w.  A0's diagonal is a
+        palindrome (dim is odd) and its off-diagonals are -off and +off, so
+        J D A0 J D = A0, J the row reversal and D = diag((-1)^i): row r of
+        A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its residual
+        is the mirror of e_last's, row for row and bit for bit.  Frequencies
+        whose Thomas pivot breaks down are re-solved by the pivoted LU.
+        Returns the solutions for the source, e_0 and e_last at the given
+        rows, (len(rows), 3, n_freq), and their squared residual norms,
+        (2, n_freq), from _residual_sq.
         """
         if self.corner0.any() or self.cornerL.any():
             raise ValueError("the corner columns need the Neumann operator: zero corner terms")
@@ -335,7 +335,7 @@ class ReducedOperator:
         del pivots  # not held through the residual
         if broken.size:
             fallback = np.zeros((self.dim, 2, broken.size), dtype=complex)
-            fallback[:, 0] = source(0, self.dim)[:, broken]
+            fallback[:, 0] = self._source_columns(source, broken)
             fallback[-1, 1] = 1.0
             w[..., broken] = _solve_range_pivoted(self, fallback, broken)
         rows = np.asarray(rows)
@@ -345,9 +345,8 @@ class ReducedOperator:
     def _residual_sq(self, y: np.ndarray, source: Callable[..., np.ndarray]) -> np.ndarray:
         """Per-frequency squared residual norms (n_col, n_freq) of y's columns, (dim, n_col, n_freq).
 
-        Column 0 solves the rows source(a, b, out) of solve()'s layout, a
-        second one, if any, e_last; ROW_BLOCK rows at a time, in buffers
-        that every block reuses: no array of y's size.
+        Column 0 solves source, as solve() takes it, a second one, if any,
+        e_last; ROW_BLOCK rows at a time, in reused buffers: no array of y's size.
         """
         res_sq = np.zeros(y.shape[1:])
         r, diff = (np.empty((ROW_BLOCK, *y.shape[1:]), dtype=complex) for _ in range(2))

@@ -260,9 +260,9 @@ def corrupt_solve(monkeypatch) -> None:
     """Make ReducedOperator.solve scale U_hat by 1 + 1e-6 at the source's strongest frequency."""
     solve = ReducedOperator.solve
 
-    def corrupted(op, rhs, *source):
-        strongest = np.linalg.norm(rhs, axis=1).argmax()  # before a solve in place overwrites rhs
-        u_hat, pivoted = solve(op, rhs, *source)
+    def corrupted(op, source):
+        strongest = np.linalg.norm(source(0, op.dim), axis=0).argmax()
+        u_hat, pivoted = solve(op, source)
         u_hat[strongest] *= 1.0 + 1e-6
         return u_hat, pivoted
 

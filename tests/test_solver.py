@@ -21,6 +21,7 @@ from conftest import (
     interleave,
     make_problem,
     memory_law,
+    transposed_source,
     zero_fn,
     zero_signal,
 )
@@ -231,8 +232,17 @@ class TestFrequencySolve:
 
         monkeypatch.setattr(ReducedOperator, "_diagonal", collapsed)
         rhs = np.random.default_rng(3).standard_normal((solved.sym_p.size, solved.dim)) + 0j
-        x, pivoted = solved.solve(rhs)
+        spans, source = [], transposed_source(rhs)
+
+        def recorded(a, b, out=None):
+            spans.append((b - a, out is None))
+            return source(a, b, out)
+
+        x, pivoted = solved.solve(recorded)
         assert pivoted.tolist() == [k]
+        # formed whole once, in the work array; the fallback takes it a row block at a time
+        assert spans[0] == (solved.dim, False)
+        assert spans[1:] and all(fresh and n <= spatial.ROW_BLOCK for n, fresh in spans[1:])
         exact = np.linalg.solve(solved.dense(k), rhs[k])
         assert np.abs(x[k] - exact).max() < 1e-10 * np.abs(exact).max()
         monkeypatch.setattr(ReducedOperator, "factor", boom)
@@ -255,7 +265,7 @@ class TestFrequencySolve:
 
             Where f_hat_k is exactly 0, u_hat_k must be exactly 0 too.
             """
-            u_hat, _ = op.solve(f_hat)
+            u_hat, _ = op.solve(transposed_source(f_hat))
             assert not u_hat[zero].any()
             f_nz, u_hat = f_hat[~zero], u_hat[~zero]
             power = np.abs(u_hat) ** 2
@@ -671,7 +681,7 @@ class TestHalfSpectrum:
         else:
             w, g = prob.f.profiles
             f_hat = forward_transform(WeightedSignal(prob.grid, w)).values * g
-        u_hat, _ = prob.operator(prob.grid.freqs).solve(f_hat)
+        u_hat, _ = prob.operator(prob.grid.freqs).solve(transposed_source(f_hat))
         ref = inverse_transform(SpectralSignal(prob.grid, u_hat)).values
         rep = solve_frequency(prob)
         assert np.array_equal(rep.solution.values.view(np.int64), ref.view(np.int64))
@@ -695,7 +705,7 @@ def test_blocked_frequency_residual_is_the_matvec_residual(cfg):
     source = f_block(0, s.size)
     op = prob.grid_operator.take(slice(s.size))
     f_hat = source(0, op.dim).T
-    u_hat, _ = op.solve(f_hat)
+    u_hat, _ = op.solve(source)
     blocked = np.sqrt(weight @ op._residual_sq(u_hat.T[:, None], source)[0])
     want = solver._parseval_norm(op.matvec(u_hat) - f_hat, weight)
     assert want > 0 and abs(blocked - want) <= 1e-14 * f_norm
