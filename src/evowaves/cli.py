@@ -172,7 +172,12 @@ def cmd_sweep_reflection(args: argparse.Namespace) -> int:
     try:
         base = scenario.build()
         laws = [BoundaryLaw.robin(k, base.sd, r=scenario.boundary_r) for k in k_values]
-        min_flux = [bl.min_real_flux(base.grid.rho) for bl in laws]
+        min_flux = []
+        for k, bl in zip(k_values, laws):
+            try:
+                min_flux.append(bl.min_real_flux(base.grid.rho))
+            except ValueError as exc:  # e.g. a k so large that the symbol's coefficients overflow
+                raise SolverError(f"k={k:g}: min_real_flux cannot be computed: {exc}") from exc
         inadmissible = [
             f"k={k:g} min_real_flux={m:.6g}" for k, m in zip(k_values, min_flux) if m < 0
         ]
@@ -227,6 +232,14 @@ def cmd_dump_config(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def non_negative_int(text: str) -> int:
+    """The --seed type: numpy's default_rng takes no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evowaves",
@@ -247,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         commands[name] = p
     commands["verify"].add_argument(
-        "--seed", type=int, default=0, help="seed for randomized checks"
+        "--seed", type=non_negative_int, default=0, help="seed for randomized checks (non-negative)"
     )
     commands["sweep-reflection"].add_argument(
         "--k-list",

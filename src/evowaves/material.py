@@ -2,10 +2,10 @@
 
 A material law is M(z) = M0 + z * M1(z) with M0 Hermitian positive
 definite and M1 rational, holomorphic and bounded on the ball B(r, r).
-It acts per frequency: the weighted Fourier transform turns the inverse
-time derivative into multiplication by z_k = 1/(i s_k + rho), so the law
-is its symbol law_symbol(law, s, rho) = M(z_k).  Those points fill the
-ball exactly when rho > 1/(2 r), which is therefore a hard precondition.
+It acts per frequency: the weighted Fourier transform turns the inverse time
+derivative into multiplication by 1/w at the grid's points w = i s + rho
+(WeightedGrid.w), so the law is its symbol law_symbol(law, w) = M(1/w).  Those
+points lie in the ball exactly when Re w > 1/(2 r): a hard precondition.
 
 Two constants summarize a law for the solvability theory: the coercivity
 of the instantaneous part (smallest eigenvalue of M0) and a bound on the
@@ -75,10 +75,10 @@ def _check_rho(law: MaterialLaw, rho: float) -> None:
         )
 
 
-def law_symbol(law: MaterialLaw, s: np.ndarray, rho: float) -> np.ndarray:
-    """M evaluated at z_k = 1/(i s_k + rho); shape (len(s), d, d)."""
-    _check_rho(law, rho)
-    zs = 1.0 / (1j * np.asarray(s, dtype=float) + rho)
+def law_symbol(law: MaterialLaw, w: np.ndarray) -> np.ndarray:
+    """M evaluated at z_k = 1/w_k, for points w_k with Re w_k > 1/(2r); shape (len(w), d, d)."""
+    _check_rho(law, np.min(np.real(w)))
+    zs = 1.0 / np.asarray(w)
     return law.m0[None, :, :] + zs[:, None, None] * law.m1.eval_many(zs)
 
 
@@ -93,7 +93,7 @@ def coercivity(law: MaterialLaw) -> float:
 
 
 def memory_bound(law: MaterialLaw, rho: float) -> float:
-    """sup of ||M1(1/(i s + rho))||_2 over all s, the end s = +-inf (z = 0) included.
+    """sup of ||M1(1/w)||_2 over the circle w = i s + rho, the end s = +-inf (z = 0) included.
 
     For a diagonal M1, which EvoProblem requires, the exact max_j sup |m_jj|;
     for any other M1 the exact sup of the Frobenius norm, a rigorous bound.
@@ -109,8 +109,8 @@ def memory_bound(law: MaterialLaw, rho: float) -> float:
     sup2 = max(
         _extremum(
             sum(np.convolve(n, n.conj()).real for n in num[b]), np.convolve(den, den.conj()).real,
-            lambda t, b=b: (np.abs(m1.eval_many(1.0 / (rho + 1j * rho * t))[:, b]) ** 2).sum(axis=1),
-            largest=True, even=m1.is_real(),
+            lambda w, b=b: (np.abs(m1.eval_many(1.0 / w)[:, b]) ** 2).sum(axis=1),
+            rho, largest=True, even=m1.is_real(),
         )
         for b in blocks
     )

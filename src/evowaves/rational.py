@@ -13,9 +13,9 @@ w = 1/z that the time stepper realizes.
 
 Functions intended as operator symbols must be holomorphic on the ball
 B(r, r) = {z : |z - r| <= r}; `check_holomorphic` verifies the pole
-locations.  On an operating circle z = 1/(i s + rho) a norm or a real part
-of the function is a real rational function of s, whose exact extrema
-`_extremum` finds: the memory bound and the boundary sign margin.
+locations.  On the operating circle z = 1/w, w = rho (1 + i t) (`_circle`),
+a norm or a real part of the function is a real rational function of t,
+whose exact extrema `_extremum` finds: memory bound and boundary sign margin.
 """
 
 from __future__ import annotations
@@ -115,8 +115,13 @@ class RationalMatrixFunction:
             )
 
 
+def _circle(rho: float) -> np.ndarray:
+    """The operating circle w(t) = rho (1 + i t), t = s / rho, as ascending coefficients in t."""
+    return np.array([rho, 1j * rho])
+
+
 def _circle_fraction(fn: RationalMatrixFunction, rho: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """fn(1/w) = num(t) / den(t) on w = rho (1 + i t), t = s / rho, and the rounding slack there.
+    """fn(1/w) = num(t) / den(t) on the circle w = _circle(rho), and the rounding slack there.
 
     num (d x d x k) and den (k) are ascending coefficients; den has no real
     root.  Rounding moves a point z of the circle |z - c| = c, c = 1/(2 rho),
@@ -126,23 +131,23 @@ def _circle_fraction(fn: RationalMatrixFunction, rho: float) -> tuple[np.ndarray
     # r / (z - p) = r w / (1 - p w) and l z = l / w, over den = w prod(1 - p w)
     factors = [np.array([1.0 - p * rho, -1j * p * rho]) for p in fn.poles]
     prod = functools.reduce(np.convolve, factors, np.ones(1))
-    den = np.convolve(prod, [rho, 1j * rho])
+    den = np.convolve(prod, _circle(rho))
     num = fn.const[..., None] * den + fn.lin[..., None] * np.append(prod, 0.0)
-    w2 = [rho**2, 2j * rho**2, -(rho**2)]
+    w2 = [rho**2, 2j * rho**2, -(rho**2)]  # _circle(rho) squared, in the bits of rho**2
     for m, res in enumerate(fn.residues):
         num = num + res[..., None] * functools.reduce(np.convolve, factors[:m] + factors[m + 1:], w2)
     c = 0.5 / rho
     return num, den, 1e-12 * float(np.max(1.0 / (rho * (np.abs(fn.poles - c) - c)), initial=1.0))
 
 
-def _extremum(num: np.ndarray, den: np.ndarray, f, largest: bool, even: bool) -> float:
+def _extremum(num: np.ndarray, den: np.ndarray, f, rho: float, largest: bool, even: bool) -> float:
     """Exact max (largest) or min of the real rational num/den over t in R and t = +-inf.
 
     The candidates are the real part of every root of num' den - num den'
     (a double root split by rounding is not lost), valued by f, the function
-    itself on an array of t, and the ends from the leading coefficients,
-    +-inf where num has the higher degree.  An even function (a kernel real
-    in time) has its odd coefficients set to the zeros they are.
+    itself on their points w of _circle(rho), and the ends from the leading
+    coefficients, +-inf where num has the higher degree.  An even function
+    (a kernel real in time) has its odd coefficients set to the zeros they are.
     """
     if even:
         num, den = num * (np.arange(num.size) % 2 == 0), den * (np.arange(den.size) % 2 == 0)
@@ -153,7 +158,7 @@ def _extremum(num: np.ndarray, den: np.ndarray, f, largest: bool, even: bool) ->
         crit = npoly.polytrim(crit[: max(num.size + den.size - 3, 1)])
     up = np.copysign(np.inf, num[-1] / den[-1])
     ends = [0.0] if gap < 0 else [num[-1] / den[-1]] if gap == 0 else [up, up * (-1) ** gap]
-    vals = np.concatenate([f(npoly.polyroots(crit).real), ends])
+    vals = np.concatenate([f(npoly.polyval(npoly.polyroots(crit).real, _circle(rho))), ends])
     return float(vals.max() if largest else vals.min())
 
 

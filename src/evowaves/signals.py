@@ -62,8 +62,8 @@ class WeightedGrid:
         the coercivity constants the solver relies on need rho large.
 
     The grid's vectors are computed once, on first use, and kept read-only:
-    times, weights(), freqs (in FFT order), and the weighted transform's
-    decay exp(-rho t), growth exp(rho t) and scaled phases (transform.py).
+    times, weights(), freqs s (FFT order), the points w = i s + rho, and the
+    transform's decay exp(-rho t), growth exp(rho t) and phases (transform.py).
     """
 
     t0: float
@@ -105,6 +105,11 @@ class WeightedGrid:
     def freqs(self) -> np.ndarray:
         """The frequency grid implied by the window, in FFT order (np.fft.fftfreq's)."""
         return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, self.dt))
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        """The points w = i s + rho at the frequencies s = freqs, where every symbol is evaluated."""
+        return _read_only(1j * self.freqs + self.rho)
 
     @functools.cached_property
     def decay(self) -> np.ndarray:

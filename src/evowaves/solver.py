@@ -2,11 +2,11 @@
 
 The equation in the weighted space is, per frequency,
 
-    [(i s + rho) * M(z_s) + A(s)] U_hat(s) = f_hat(s),     z_s = 1/(i s + rho),
+    [w M(1/w) + A(w)] U_hat(s) = f_hat(s)     (EvoProblem.operator_at(w)),
 
-with M the (diagonal, per-component) material law lifted onto the
-staggered grid and A(s) the reduced spatial operator with eliminated
-boundary faces.  Two solvers are provided and cross-checked:
+at the grid's points w = i s + rho (WeightedGrid.w), M the diagonal material
+law lifted onto the staggered grid and A(w) the reduced spatial operator
+with eliminated boundary faces.  Two solvers are provided and cross-checked:
 
 * solve_frequency: exact per-frequency linear solves.  Each frequency's
   matrix (spatial.ReducedOperator) is tridiagonal in the interleaved
@@ -24,7 +24,7 @@ boundary faces.  Two solvers are provided and cross-checked:
   Every spectrum is in FFT order, where the half spectrum is the first
   n // 2 + 1 rows, so its operator is a slice of the grid operator.
 * solve_timestep: causal implicit Euler marching.  Each step solves with
-  the frequency operator at w = 1/delta plus an explicit memory history:
+  operator_at(1/delta), off the grid's curve, plus an explicit memory history:
   every memory kernel (material and boundary) is realized as poles in w,
   one state each, so no history is stored.  The solution and every pole
   state live in one array, so a step is one weighted sum, one solve and
@@ -160,10 +160,6 @@ class EvoProblem:
         """Holomorphy radius for the composite problem: min over both laws."""
         return min(self.law.r, self.bl.r)
 
-    def operator(self, s: np.ndarray) -> ReducedOperator:
-        """The per-frequency operator (i s + rho) M(z_s) + A(s) on frequencies s."""
-        return self._operator_at(s, self.grid.rho)
-
     @functools.cached_property
     def real_in_time(self) -> bool:
         """Whether U is real: a real source, and laws whose kernels are real in time.
@@ -181,19 +177,13 @@ class EvoProblem:
 
     @functools.cached_property
     def grid_operator(self) -> ReducedOperator:
-        """operator(s) at the grid frequencies s = grid.freqs, built once."""
-        return self.operator(self.grid.freqs)
+        """operator_at(grid.w), at every grid frequency, built once."""
+        return self.operator_at(self.grid.w)
 
-    def _operator_at(self, s: np.ndarray, rho: float) -> ReducedOperator:
-        """w M(1/w) + A at the points w = i s + rho, for any weight rho.
-
-        operator(s) is this at the problem's weight; the implicit Euler step
-        of size delta is it at the single point s = 0, rho = 1/delta.
-        """
-        w = 1j * np.asarray(s, dtype=float) + rho
-        m = law_symbol(self.law, s, rho)
-        flux = self.bl.flux_symbol(s, rho)
-        return reduced_operator(self.sd, self.bl, flux, w * m[:, 0, 0], w * m[:, 1, 1])
+    def operator_at(self, w: np.ndarray) -> ReducedOperator:
+        """w M(1/w) + A(w) at an array of points w: grid.w or a slice of it, or the Euler step's 1/delta."""
+        m = law_symbol(self.law, w)
+        return reduced_operator(self.sd, self.bl, self.bl.flux_symbol(w), w * m[:, 0, 0], w * m[:, 1, 1])
 
     def margin_constants(self) -> tuple[float, float, float]:
         """(gamma0, mu0, beta0) for this problem at its operating weight.
@@ -637,10 +627,10 @@ def solve_boundary_family(
     law_probs = [dataclasses.replace(prob, bl=bl) for bl in laws]  # with EvoProblem's checks
     half = all(p.real_in_time for p in law_probs)
     weight = _parseval_weights(grid, half)
-    s = grid.freqs[: weight.size]
+    s, w = grid.freqs[: weight.size], grid.w[: weight.size]
     f_block, f_norm = _source_spectrum(prob, half, s, weight)
     zero = np.zeros(s.size, dtype=complex)
-    neumann = dataclasses.replace(prob.operator(s), corner0=zero, cornerL=zero)
+    neumann = dataclasses.replace(prob.operator_at(w), corner0=zero, cornerL=zero)
     picks = [*rows, 0, neumann.dim - 1]
     at_rows = np.empty((len(picks), 3, s.size), dtype=complex)
     res_sq = np.empty((2, s.size))
@@ -664,7 +654,7 @@ def solve_boundary_family(
 
     out = []
     for j, law_prob in enumerate(law_probs):
-        law_op = law_prob.operator(s)
+        law_op = law_prob.operator_at(w)
         c = np.stack([law_op.corner0, law_op.cornerL])
         m = np.eye(2)[:, :, None] + c[:, None] * corners[:, 1:]
         rhs = c * corners[:, 0]
@@ -692,8 +682,8 @@ def solve_boundary_family(
 def solve_timestep(prob: EvoProblem) -> SolveReport:
     """Causal implicit-Euler march of the same equation, one step per grid sample.
 
-    The step matrix is the frequency operator at w = 1/delta, delta the
-    grid step: implicit Euler replaces the inverse derivative z by delta.
+    The step matrix is operator_at the point w = 1/delta, delta the grid
+    step: implicit Euler replaces the inverse derivative z by delta.
     It is factored once by ReducedOperator.factor (LAPACK, via
     scipy.linalg).  Even unknowns are pressures, odd ones velocities, and
     the boundary cells are the first and last.  The memory kernels
@@ -725,7 +715,7 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
             "Euler evaluates the kernels at z = dt, outside their holomorphy ball"
         )
 
-    step = prob._operator_at(np.zeros(1), 1.0 / delta)
+    step = prob.operator_at(np.full(1, 1.0 / delta, dtype=complex))
     dim = step.dim
     block = np.arange(dim) % 2  # material block of each unknown: 0 pressure, 1 velocity
     mem = realize(prob.law.m1, grid.rho)

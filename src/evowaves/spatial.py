@@ -17,9 +17,9 @@ is computed from the two wall terms alone.
 The boundary law couples pressure and normal velocity through a scalar
 rational kernel g and a spatial profile alpha living on faces:
 
-    (outward normal velocity) = flux_symbol(s) * (n . alpha) * (boundary pressure)
+    (outward normal velocity) = flux_symbol(w) * (n . alpha) * (boundary pressure)
 
-per frequency, where flux_symbol(s) = (i s + rho) * g(1/(i s + rho)).
+per frequency, where flux_symbol(w) = w g(1/w) at w = i s + rho (grid.w).
 Eliminating the two boundary-face velocities with this relation (boundary
 pressure taken from the adjacent cell) keeps the reduced operator square
 and makes the Robin case g(z) = k z exact: its flux symbol is the
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rational import PoleError, RationalMatrixFunction, _circle_fraction, _extremum, scalar_rational
+from .rational import PoleError, RationalMatrixFunction, _circle, _circle_fraction, _extremum, scalar_rational
 from .signals import WeightedSignal
 from .transform import SpectralSignal, forward_transform, inverse_transform
 
@@ -130,26 +130,25 @@ class BoundaryLaw:
         """Outward-normal component of alpha at the left and right ends."""
         return (-float(self.alpha[0]), float(self.alpha[-1]))
 
-    def flux_symbol(self, s: np.ndarray, rho: float) -> np.ndarray:
-        """(i s + rho) * g(1/(i s + rho)) on an array of frequencies."""
-        w = 1j * np.asarray(s, dtype=float) + rho
+    def flux_symbol(self, w: np.ndarray) -> np.ndarray:
+        """w * g(1/w) on an array of points w, such as WeightedGrid.w."""
         try:
             return w * self.g.eval_many(1.0 / w)[:, 0, 0]
         except PoleError as exc:
             raise PoleError(f"boundary kernel pole hit on the frequency grid: {exc}") from exc
 
     def min_real_flux(self, rho: float) -> float:
-        """Min of Re flux_symbol over all s and s = +-inf; >= 0 is the frequency-domain sign condition.
+        """Min of Re flux_symbol at w = i s + rho over all s and s = +-inf; >= 0 is the sign condition.
 
         With g(1/w) = N / D it is the exact min of Re(w N conj D) / |D|^2, a
         real rational function of s, lowered by the rounding slack of
         rational._circle_fraction.
         """
         num, den, slack = _circle_fraction(self.g, rho)
-        flux = np.convolve([rho, 1j * rho], num[0, 0])
+        flux = np.convolve(_circle(rho), num[0, 0])
         low = _extremum(
             np.convolve(flux, den.conj()).real, np.convolve(den, den.conj()).real,
-            lambda t: self.flux_symbol(rho * t, rho).real, largest=False, even=self.g.is_real(),
+            lambda w: self.flux_symbol(w).real, rho, largest=False, even=self.g.is_real(),
         )
         return low - slack * abs(low)
 
@@ -166,7 +165,7 @@ class BoundaryLaw:
 
 @dataclass(frozen=True, eq=False)
 class ReducedOperator:
-    """The reduced per-frequency operator (i s + rho) M(z_s) + A(s), batched.
+    """The reduced per-frequency operator w M(1/w) + A(w), batched over points w.
 
     Unknowns are interleaved as (p_0, v_1, p_1, ..., v_last, p_last).  At
     frequency k the matrix has sym_p[k] on the pressure diagonal, sym_v[k]
@@ -435,7 +434,7 @@ def reduced_operator(
     sym_p: np.ndarray | complex = 0.0,
     sym_v: np.ndarray | complex = 0.0,
 ) -> ReducedOperator:
-    """The reduced operator for flux symbol values flux(s_k), plus material symbols.
+    """The reduced operator for flux symbol values flux(w_k), plus material symbols.
 
     Eliminating v at a boundary face through
     (n . v) = flux * (n . alpha) * p_cell adds flux * (n . alpha) / dx to
@@ -462,7 +461,7 @@ def assemble_spatial_op(
     The returned elimination pair (e0, eL) reconstructs the boundary-face
     velocities as v_0 = e0 * p_0 and v_last = eL * p_last (in x-components).
     """
-    flux = bl.flux_symbol(np.asarray([s]), rho)
+    flux = bl.flux_symbol(np.asarray([1j * s + rho]))
     a0, aL = bl.normal_alpha
     elim = (complex(-flux[0] * a0), complex(flux[0] * aL))
     return reduced_operator(sd, bl, flux).dense(0), elim
@@ -472,7 +471,7 @@ def assemble_spatial_op_adjoint(
     sd: SpatialDiscretization, bl: BoundaryLaw, s: float, rho: float
 ) -> np.ndarray:
     """Dense reduced adjoint spatial operator at one frequency."""
-    return reduced_operator(sd, bl, bl.flux_symbol(np.asarray([s]), rho)).adjoint().dense(0)
+    return reduced_operator(sd, bl, bl.flux_symbol(np.asarray([1j * s + rho]))).adjoint().dense(0)
 
 
 def apply_spatial_op_freq(
@@ -483,7 +482,7 @@ def apply_spatial_op_freq(
     rho: float,
 ) -> np.ndarray:
     """Reduced spatial operator on (n_freq, n_reduced) spectral values."""
-    return reduced_operator(sd, bl, bl.flux_symbol(s, rho)).matvec(u_hat)
+    return reduced_operator(sd, bl, bl.flux_symbol(1j * np.asarray(s) + rho)).matvec(u_hat)
 
 
 def apply_spatial_op_adjoint_freq(
@@ -494,7 +493,7 @@ def apply_spatial_op_adjoint_freq(
     rho: float,
 ) -> np.ndarray:
     """Reduced adjoint spatial operator on (n_freq, n_reduced) spectral values."""
-    return reduced_operator(sd, bl, bl.flux_symbol(s, rho)).adjoint().matvec(u_hat)
+    return reduced_operator(sd, bl, bl.flux_symbol(1j * np.asarray(s) + rho)).adjoint().matvec(u_hat)
 
 
 def boundary_sign_functional(
@@ -527,7 +526,7 @@ def boundary_sign_functional(
     ends = p.with_values(p.values[:, [0, -1]])
     half = ends.is_real and bl.g.is_real()
     ends_hat = forward_transform(ends, half)
-    flux = bl.flux_symbol(ends_hat.freqs, grid.rho)  # the symbol of d/dt g
+    flux = bl.flux_symbol(grid.w[: ends_hat.values.shape[0]])  # the symbol of d/dt g
     dgp = inverse_transform(SpectralSignal(grid, flux[:, None] * ends_hat.values, half)).values
     integrand = (np.conj(ends.values) * dgp) @ np.asarray(bl.normal_alpha)
     wq = grid.weights() * (grid.times <= cutoff)

@@ -291,11 +291,11 @@ def check_adjoint_projection(
     if n_band is None:
         n_band = 0.5 * np.abs(s).max()
     sample_idx = np.unique(np.linspace(0, s.size - 1, ADJOINT_FREQ_SAMPLES, dtype=int))
-    s_samp = np.sort(s)[sample_idx]
-    op = prob.operator(s_samp)
+    w_samp = grid.w[np.argsort(s)[sample_idx]]
+    op = prob.operator_at(w_samp)
     adjoint = op.adjoint()
     d = op._diagonal()  # (dim, samples), with +off above and -off below
-    in_band = np.abs(s_samp) <= n_band
+    in_band = np.abs(w_samp.imag) <= n_band
     # the conjugate transpose has conj(d) on the diagonal, -off above and +off below
     defect = max(
         float(np.abs(np.conj(d[:, in_band]) - adjoint._diagonal()[:, in_band]).max(initial=0.0)),
@@ -347,7 +347,7 @@ def check_adjoint_projection(
 def check_boundary_sign(prob: EvoProblem, seed: int = 4) -> CheckResult:
     """Sign condition on the boundary law, in frequency and in time.
 
-    Frequency side: the exact min of Re[(i s + rho) g(1/(i s + rho))].
+    Frequency side: the exact min of Re[w g(1/w)] over the circle w = i s + rho.
     Time side: the discrete boundary functional on random pressures,
     normalized by the squared weighted norm.  The margin is the min of
     both, so an active (energy-producing) boundary law fails here.

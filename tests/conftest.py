@@ -89,7 +89,7 @@ def apply_symbol(u: WeightedSignal, mats: np.ndarray) -> WeightedSignal:
     mats holds one (d, d) matrix per frequency, or one scalar per
     frequency that multiplies every component.  This is how the solver
     applies its operator: a material law acts as
-    apply_symbol(u, law_symbol(law, u.grid.freqs, u.grid.rho)),
+    apply_symbol(u, law_symbol(law, u.grid.w)),
     and the time derivative as the scalar symbol i s + rho.
     """
     u_hat = forward_transform(u)

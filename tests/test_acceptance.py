@@ -76,7 +76,7 @@ def test_criterion_2_functional_calculus_causality():
     worst = 0.0
     for seed in range(20):
         law = random_law(seed, r=1.0)
-        out = apply_symbol(u, law_symbol(law, grid.freqs, grid.rho))
+        out = apply_symbol(u, law_symbol(law, grid.w))
         pre = truncate_before(out, t_support - grid.dt)
         worst = max(worst, rho_norm(pre) / rho_norm(u))
     report(2, worst <= 1e-8, f"pre-support mass of 20 single-pole laws {worst:.2e} <= 1e-8")

@@ -280,6 +280,19 @@ class TestCliVerify:
         assert main(["verify", "--config", good_cfg, "--out", str(out2), "--seed", "2"]) == 0
         assert (out1 / "checks.csv").read_text() != (out2 / "checks.csv").read_text()
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_a_parse_error(self, good_cfg, tmp_path, capsys, monkeypatch, seed):
+        # exit 2 from argparse, before any check runs: not numpy's error at exit 3
+        def no_checks(*args, **kwargs):
+            raise AssertionError("checks ran on a bad seed")
+
+        monkeypatch.setattr(cli, "run_all_checks", no_checks)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", good_cfg, "--out", str(tmp_path / "o"), "--seed", seed])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_verify_deterministic_given_seed(self, good_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -329,6 +342,18 @@ class TestCliSweep:
         ])
         assert code == 4
         assert f"k={k} min_real_flux={k}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "reflection.csv").exists()
+
+    def test_min_flux_failure_names_k(self, sweep_cfg, tmp_path, capsys):
+        # k rho overflows in the [rho, i rho] product, and numpy's polyroots refuses
+        # the coefficients: still exit 3 and one stderr line, which names the k
+        code = main([
+            "sweep-reflection", "--config", sweep_cfg, "--out", str(tmp_path / "o"),
+            "--k-list", "1,1e308",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("solver error: k=1e+308: min_real_flux ")
         assert not (tmp_path / "o" / "reflection.csv").exists()
 
     def test_residual_above_pass_exit_4(self, sweep_cfg, tmp_path, capsys, monkeypatch):

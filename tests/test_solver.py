@@ -50,6 +50,7 @@ from evowaves.transform import (
     forward_transform,
     inverse_transform,
 )
+from evowaves.verify import check_adjoint_projection
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -105,6 +106,44 @@ class TestProblemSetup:
             )
 
 
+class TestOperatingCurve:
+    """Every symbol is evaluated at the points its caller passes: the grid's w, or the Euler step's."""
+
+    def test_grid_forms_its_points_once(self):
+        grid = WeightedGrid(-1.0, 0.05, 64, 2.5)
+        assert grid.w is grid.w and not grid.w.flags.writeable
+        assert np.array_equal(grid.w.view(np.int64), (1j * grid.freqs + grid.rho).view(np.int64))
+
+    def test_symbols_take_their_points_from_grid_w(self, monkeypatch):
+        prob = load_scenario(str(ROOT / "scenarios/default.cfg")).build()
+        grid, seen = prob.grid, []
+        flux, operator_at = BoundaryLaw.flux_symbol, EvoProblem.operator_at
+        monkeypatch.setattr(BoundaryLaw, "flux_symbol", lambda bl, w: seen.append(w) or flux(bl, w))
+        monkeypatch.setattr(EvoProblem, "operator_at", lambda p, w: seen.append(w) or operator_at(p, w))
+
+        def points(call):
+            seen.clear()
+            call()
+            assert seen
+            return list(seen)
+
+        # the operator, both operators of the sweep and the boundary functional: rows 0 .. k of grid.w
+        pressures = WeightedSignal(grid, prob.f.values[:, 0::2])
+        for call in (
+            lambda: prob.grid_operator,
+            lambda: solve_boundary_family(prob, [prob.bl, BoundaryLaw.robin(0.5, prob.sd)], [0]),
+            lambda: spatial.boundary_sign_functional(prob.sd, prob.bl, pressures),
+        ):
+            for w in points(call):
+                assert np.shares_memory(w, grid.w) and np.array_equal(w, grid.w[: w.size])
+        # the adjoint check's sampled frequencies are some of the grid's points
+        [w, w_flux] = points(lambda: check_adjoint_projection(prob))
+        assert w is w_flux and w.size < grid.n and np.isin(w, grid.w).all()
+        # the stepper's one point, 1/delta, lies off the curve
+        [w, w_flux] = points(lambda: solve_timestep(prob))
+        assert w is w_flux and w.tolist() == [1.0 / grid.dt]
+
+
 class TestRealize:
     def test_constant_kernel(self):
         kern = constant_fn(0.7 * np.eye(2))
@@ -132,7 +171,7 @@ class TestRealize:
         bl = flux_boundary(sd, 0.3, poles_w=[-1.5 + 2.0j, -0.7], residues_w=[0.4 - 0.1j, 0.9])
         real = realize_flux(bl, rho=2.0)
         s = np.linspace(-30, 30, 64)
-        direct = bl.flux_symbol(s, 2.0)
+        direct = bl.flux_symbol(1j * s + 2.0)
         got = real.eval_many(1j * s + 2.0)[:, 0, 0]
         assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
 
@@ -254,7 +293,7 @@ class TestFrequencySolve:
         # the differences are real and skew, so at every frequency
         # Re <f_hat, u_hat> = sum_i Re d_i |u_hat_i|^2, d the diagonal
         prob = load_scenario(str(ROOT / cfg)).build()
-        op = prob.operator(prob.grid.freqs)
+        op = prob.operator_at(prob.grid.w)
         f_hat = forward_transform(prob.f).values
 
         # a separable source's spectrum is w_hat g, exactly 0 where w_hat underflows
@@ -452,7 +491,7 @@ class TestBoundaryFamily:
         f_block, f_norm = solver._source_spectrum(base, True, s, weight)
         f_hat = f_block(0, s.size)(0, sd.n_reduced).T.astype(np.clongdouble)
         for bl, (_, bound), x_hat in zip(laws, family, spectra):
-            op = dataclasses.replace(base, bl=bl).operator(s)
+            op = dataclasses.replace(base, bl=bl).operator_at(base.grid.w[: s.size])
             x = np.zeros((s.size, op.dim + 2), dtype=np.clongdouble)
             x[:, 1:-1] = x_hat.values
             r_hat = op._diagonal().T * x[:, 1:-1] + np.longdouble(op.off) * (x[:, 2:] - x[:, :-2]) - f_hat
@@ -480,10 +519,10 @@ class TestBoundaryFamily:
         laws = [base.bl, BoundaryLaw.robin(0.5, base.sd)]
         flux = BoundaryLaw.flux_symbol
 
-        def nan_at_one_frequency(bl, freqs, rho):
-            out = flux(bl, freqs, rho)
+        def nan_at_one_frequency(bl, w):
+            out = flux(bl, w)
             if bl is laws[1]:
-                out[freqs == s_bad] = np.nan
+                out[w.imag == s_bad] = np.nan
             return out
 
         monkeypatch.setattr(BoundaryLaw, "flux_symbol", nan_at_one_frequency)
@@ -681,7 +720,7 @@ class TestHalfSpectrum:
         else:
             w, g = prob.f.profiles
             f_hat = forward_transform(WeightedSignal(prob.grid, w)).values * g
-        u_hat, _ = prob.operator(prob.grid.freqs).solve(transposed_source(f_hat))
+        u_hat, _ = prob.operator_at(prob.grid.w).solve(transposed_source(f_hat))
         ref = inverse_transform(SpectralSignal(prob.grid, u_hat)).values
         rep = solve_frequency(prob)
         assert np.array_equal(rep.solution.values.view(np.int64), ref.view(np.int64))
@@ -825,7 +864,7 @@ def reference_march(prob: EvoProblem) -> np.ndarray:
     """
     grid, sd = prob.grid, prob.sd
     delta, dim = grid.dt, sd.n_reduced
-    step_inverse = np.linalg.inv(prob._operator_at(np.zeros(1), 1.0 / delta).dense(0))
+    step_inverse = np.linalg.inv(prob.operator_at(np.full(1, 1.0 / delta, dtype=complex)).dense(0))
     block = np.arange(dim) % 2  # 0 pressure, 1 velocity
     mem = realize(prob.law.m1, grid.rho)
     flux = realize_flux(prob.bl, grid.rho)
@@ -960,7 +999,7 @@ class TestTimestep:
         bl = flux_boundary(sd, 0.5, poles_w=[-1.2, -0.7 + 0.4j], residues_w=[0.8, 0.3 - 0.1j])
         prob = make_problem(n_cells=16, law=law, bl=bl)
         rho, delta = prob.grid.rho, prob.grid.dt
-        op = prob._operator_at(np.zeros(1), 1.0 / delta)
+        op = prob.operator_at(np.full(1, 1.0 / delta, dtype=complex))
 
         def transfer(real):
             return real.const + delta * np.sum(
@@ -978,7 +1017,7 @@ class TestTimestep:
 
     def test_reports_the_step_matrix_condition_bound(self, problem):
         rep = solve_timestep(problem)
-        step = problem._operator_at(np.zeros(1), 1.0 / problem.grid.dt)
+        step = problem.operator_at(np.full(1, 1.0 / problem.grid.dt, dtype=complex))
         assert rep.max_condition_bound == step.condition_bound()[0]
         assert rep.max_condition_bound >= np.linalg.cond(step.dense(0), 2)
         assert np.isnan(rep.condition_peak_s)
@@ -1110,7 +1149,7 @@ class TestReport:
         prob = make_problem(n_cells=6, n=128)
         rep = solve_frequency(prob)
         s = prob.grid.freqs
-        op = prob.operator(s)
+        op = prob.operator_at(prob.grid.w)
         hermitian = [0.5 * (op.dense(k) + op.dense(k).conj().T) for k in range(s.size)]
         lowest = np.array([np.linalg.eigvalsh(h)[0] for h in hermitian])
         assert np.allclose(op.margin(), lowest, rtol=1e-13, atol=0.0)
@@ -1122,7 +1161,7 @@ class TestReport:
     def test_condition_bound_peak(self, problem):
         rep = solve_frequency(problem)
         s = problem.grid.freqs
-        bound = problem.operator(s).condition_bound()
+        bound = problem.operator_at(problem.grid.w).condition_bound()
         assert rep.max_condition_bound == bound.max()
         assert rep.condition_peak_s == s[bound == bound.max()].min()
         assert f"condition_peak_s      {rep.condition_peak_s:.9g}" in rep.to_text()
@@ -1138,7 +1177,7 @@ class TestReport:
         prob = sc.build()
         rep = solve_frequency(prob)
         s = prob.grid.freqs
-        op = prob.operator(s)
+        op = prob.operator_at(prob.grid.w)
         assert np.ptp(op.margin()) == 0.0 and s[0] == 0.0
         assert rep.beta0_grid_s == s.min()
         bound = op.condition_bound()

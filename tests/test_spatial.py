@@ -115,7 +115,7 @@ class TestAssembly:
         g = scalar_rational(poles=[0.2], residues=[1.0])
         bl = BoundaryLaw(g, BoundaryLaw.normal_profile(sd), r=0.01)
         with pytest.raises(PoleError, match="frequency"):
-            bl.flux_symbol(np.array([0.0]), rho=5.0)
+            bl.flux_symbol(np.array([5.0 + 0j]))
 
     def test_min_real_flux_finds_narrow_dip(self):
         # flux poles 0.011 off the line w = 0.51 + i s, at s = +-10: a dip about
@@ -123,7 +123,7 @@ class TestAssembly:
         sd = SpatialDiscretization(1.0, 8)
         w_p = 0.499 + 10j
         bl = flux_boundary(sd, 1.0, poles_w=[w_p, w_p.conjugate()], residues_w=[-0.05, -0.05])
-        brute = bl.flux_symbol(10.0 + np.linspace(-0.1, 0.1, 20001), 0.51).real.min()
+        brute = bl.flux_symbol(1j * (10.0 + np.linspace(-0.1, 0.1, 20001)) + 0.51).real.min()
         assert brute < -3.0
         assert brute - 1e-4 <= bl.min_real_flux(0.51) <= brute
 
@@ -160,7 +160,7 @@ class TestReducedOperator:
         sd = SpatialDiscretization(1.0, n_cells)
         bl = flux_boundary(sd, 0.5, poles_w=[-2.0], residues_w=[1.0])
         s = np.array([0.0, 2.4, -7.7])
-        op = reduced_operator(sd, bl, bl.flux_symbol(s, 2.0), 1j * s + 2.0, 1.5 * (1j * s + 2.0))
+        op = reduced_operator(sd, bl, bl.flux_symbol(1j * s + 2.0), 1j * s + 2.0, 1.5 * (1j * s + 2.0))
         rng = np.random.default_rng(5)
         u = rng.standard_normal((3, sd.n_reduced)) + 1j * rng.standard_normal((3, sd.n_reduced))
         return op, u
@@ -298,7 +298,7 @@ class TestReducedOperator:
     def test_condition_bound_above_exact_on_default_scenario(self):
         cfg = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "default.cfg"
         prob = load_scenario(str(cfg)).build()
-        op = prob.operator(prob.grid.freqs)
+        op = prob.operator_at(prob.grid.w)
         bound = op.condition_bound()
         exact = np.linalg.cond(np.stack([op.dense(k) for k in range(bound.size)]), 2)
         assert np.isfinite(bound).all() and (bound >= exact).all()
