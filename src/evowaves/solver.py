@@ -26,12 +26,13 @@ with eliminated boundary faces.  Two solvers are provided and cross-checked:
 * solve_timestep: causal implicit Euler marching.  Each step solves with
   operator_at(1/delta), off the grid's curve, plus an explicit memory history:
   every memory kernel (material and boundary) is realized as poles in w,
-  one state each, so no history is stored.  The solution and every pole
-  state live in one array, so a step is one weighted sum, one solve and
-  one state update, in float64 when the problem is real in time and
-  every realized pole is real, in complex otherwise; U is float64 when
-  the problem is real in time.  First order in the step, strictly causal
-  by construction.
+  one state each, so no history is stored.  The solution, every pole
+  state and the source live in one array, so a step is one weighted sum,
+  one solve and one state update, in float64 when the problem is real in
+  time and every realized pole is real, in complex otherwise; U is
+  float64 when the problem is real in time.  A separable source's
+  samples are never built.  First order in the step, strictly causal by
+  construction.
 
 Both end in the same report code: a SolveReport carrying the residual,
 the energy ratio against the solvability margin, the causality margin
@@ -40,7 +41,8 @@ bound, the exact discrete coercivity constant beta0_grid and the same
 warnings.  The stepper's residual is the time-domain one (trapezoid
 norm), the only form that measures its first-order defect; residual_norm
 takes it in the spectrum, with no inverse transform, on the half
-spectrum when the problem and the solution are real.
+spectrum when the problem and the solution are real, and applies the
+operator in row blocks inside the array the transform returns.
 
 Every matrix is the interleaved tridiagonal of spatial.ReducedOperator,
 and the frequency paths run on numpy alone.  scipy.linalg is imported
@@ -72,6 +74,7 @@ from .spatial import (
 )
 from .transform import (
     SpectralSignal,
+    _spectrum,
     assert_padded,
     forward_transform,
     inverse_transform,
@@ -203,31 +206,31 @@ def _apply_spectral(op: ReducedOperator, u_hat: SpectralSignal) -> WeightedSigna
     return inverse_transform(SpectralSignal(u_hat.grid, rows.matvec(u_hat.values), u_hat.half))
 
 
-def _on_problem_grid(prob: EvoProblem, u: WeightedSignal) -> SpectralSignal:
-    """The spectrum of u, which must live on the problem's grid.
+def _half_on_grid(prob: EvoProblem, u: WeightedSignal) -> bool:
+    """Whether prob's operators act on u's half spectrum; u must live on the problem's grid.
 
-    It is the half spectrum when prob is real_in_time and u has no
-    imaginary part: every operator of such a problem, and its adjoint,
-    has T(-s) = conj T(s), so T u is real and its half spectrum is all of
-    it.  Otherwise, every frequency.
+    They do when prob is real_in_time and u has no imaginary part: every
+    operator of such a problem, and its adjoint, has T(-s) = conj T(s),
+    so T u is real and its half spectrum is all of it.  Otherwise they
+    act on every frequency.
     """
     if u.grid != prob.grid:
         raise ValueError(f"signal grid {u.grid} is not the problem's grid {prob.grid}")
-    return forward_transform(u, prob.real_in_time and u.is_real)
+    return prob.real_in_time and u.is_real
 
 
 def apply_evo_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
     """Apply the full space-time operator (time-derivative material part plus A).
 
     On the half spectrum, into a real signal, when prob is real_in_time
-    and u is real (_on_problem_grid).
+    and u is real (_half_on_grid).
     """
-    return _apply_spectral(prob.grid_operator, _on_problem_grid(prob, u))
+    return _apply_spectral(prob.grid_operator, forward_transform(u, _half_on_grid(prob, u)))
 
 
 def apply_evo_adjoint_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
     """Apply the adjoint space-time operator (conjugate symbols, adjoint A); half as apply_evo_operator."""
-    return _apply_spectral(prob.grid_operator.adjoint(), _on_problem_grid(prob, u))
+    return _apply_spectral(prob.grid_operator.adjoint(), forward_transform(u, _half_on_grid(prob, u)))
 
 
 def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
@@ -236,20 +239,21 @@ def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
     It stays in the spectrum: r_hat = T u_hat - f_hat, on the half
     spectrum when the problem is real_in_time and u has no imaginary part
     (where r_hat drops what irfft would drop: the imaginary part of its
-    phased s = 0 and Nyquist rows).  The rectangle rule's squared norm of
-    r is the Parseval sum of r_hat times 2 pi / (n dt); the trapezoid's
-    subtracts half of the two end samples, from a two-row inverse DFT.
-    Returns (value, is_relative).
+    phased s = 0 and Nyquist rows).  r_hat is formed in the array u's
+    transform returns, ROW_BLOCK frequency rows at a time: each row is
+    independent, so no second spectrum is allocated.  The rectangle
+    rule's squared norm of r is the Parseval sum of r_hat times
+    2 pi / (n dt); the trapezoid's subtracts half of the two end
+    samples, from a two-row inverse DFT.  Returns (value, is_relative).
     """
-    grid = prob.grid
-    u_hat = _on_problem_grid(prob, u)
-    half, weight = u_hat.half, _parseval_weights(grid, u_hat.half)
-    r_hat = prob.grid_operator.take(slice(weight.size)).matvec(u_hat.values)
-    del u_hat
+    grid, half = prob.grid, _half_on_grid(prob, u)
+    r_hat = _spectrum(u, half)
+    weight = _parseval_weights(grid, half)
     f_block = _source_spectrum(prob, half, grid.freqs[: weight.size], weight)[0]
     f_rows = np.empty((ROW_BLOCK, r_hat.shape[1]), dtype=complex)  # f_hat's rows, in r_hat's order
     for lo in range(0, weight.size, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, weight.size)
+        r_hat[lo:hi] = prob.grid_operator.take(slice(lo, hi)).matvec(r_hat[lo:hi])
         r_hat[lo:hi] -= f_block(lo, hi)(0, r_hat.shape[1], out=f_rows[: hi - lo].T).T
     phase = grid.inverse_phase[: weight.size]
     if half:
@@ -690,19 +694,23 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
     (material and boundary), realized as poles in w, add an explicit
     history term to each step's right-hand side.
 
-    The march carries one state array z of shape (1 + modes, dim): row 0
-    is the last step's x, every other row the implicit-Euler state of one
-    pole, over delta, for every unknown.  Material poles act on every
-    unknown; a boundary-flux pole only on the two end cells, where it
-    enters as (n . alpha) / dx times the flux response, so its row of coef
-    is zero elsewhere.  Each step's right-hand side is sum_r coef[r] z[r]
-    plus f[k], formed and solved in place in z[0], so a step allocates
-    nothing unless a real step matrix meets a complex march.  When the
-    problem is real_in_time and every realized pole, gain and coefficient
-    is real, the march runs in float64 with a real LU; otherwise in
-    complex.  U is float64 for a real_in_time problem, so a complex march
-    of conjugate pole pairs keeps only its real part, Im U being
-    rounding.  Step k uses data up to t_k only, so the scheme is strictly
+    The march carries one state array z of shape (2 + modes, dim): row 0
+    is the last step's x, the last row the source, every other row the
+    implicit-Euler state of one pole, over delta, for every unknown.
+    Material poles act on every unknown; a boundary-flux pole only on the
+    two end cells, where it enters as (n . alpha) / dx times the flux
+    response, so its row of coef is zero elsewhere.  A separable source
+    w(t) g holds g in its row (Re g in a real march), and its row of coef
+    takes w[k] at step k, so the source's (n, dim) samples are never
+    built; a sampled source's row takes f[k], at weight 1.  Each step's
+    right-hand side is sum_r coef[r] z[r], the memory terms summed first
+    and the source last, formed and solved in place in z[0], so a step
+    allocates nothing unless a real step matrix meets a complex march.
+    When the problem is real_in_time and every realized pole, gain and
+    coefficient is real, the march runs in float64 with a real LU;
+    otherwise in complex.  U is float64 for a real_in_time problem, so a
+    complex march of conjugate pole pairs keeps only its real part, Im U
+    being rounding.  Step k uses data up to t_k only, so the scheme is strictly
     causal: the march starts at the source's first nonzero sample, or
     t_1, and the rows before it are +0.0.
     """
@@ -725,21 +733,28 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
     residues[: mem.n_poles] = mem.residues[:, block, block]
     residues[mem.n_poles :, [0, -1]] = flux.residues[:, 0] * prob.bl.normal_alpha / sd.dx
     gain = 1.0 / (1.0 - delta * poles[:, None])
-    coef = np.concatenate([np.diag(prob.law.m0)[None, block] / delta, -delta * gain * residues])
-    f = prob.f.values
-    if prob.real_in_time and not any(a.imag.any() for a in (poles, gain, coef)):
-        coef, gain, f = coef.real.copy(), gain.real, f.real
+    m0 = np.diag(prob.law.m0)[None, block] / delta
+    coef = np.concatenate([m0, -delta * gain * residues, np.ones((1, dim))])  # the last row weighs the source
+    real = prob.real_in_time and not any(a.imag.any() for a in (poles, gain, coef))
+    if real:
+        coef, gain = coef.real.copy(), gain.real
 
     solve = step.factor(0)
     z = np.zeros(coef.shape, dtype=coef.dtype)
-    x, states, terms = z[0], z[1:], np.empty_like(z)
+    x, states, terms = z[0], z[1:-1], np.empty_like(z)
+    if prob.f.profiles is None:  # samples: the source row takes f[k], at weight 1
+        fed, feed = z[-1], prob.f.values.real if real else prob.f.values
+    else:  # w(t) g: the source row holds g, and its weight takes w[k]
+        w, g = prob.f.profiles
+        z[-1] = g.real if real else g
+        fed, feed = coef[-1], w
     gain = np.broadcast_to(gain, states.shape).copy()
     out = np.zeros((grid.n, dim), dtype=coef.dtype)
     source = np.flatnonzero(prob.f.sample_peak())
     for k in range(max(1, source[0]) if source.size else grid.n, grid.n):
+        fed[...] = feed[k]
         np.multiply(coef, z, out=terms)
-        np.add.reduce(terms, axis=0, out=x)
-        x += f[k]
+        np.add.reduce(terms, axis=0, out=x)  # the memory terms, then the source
         solve(x)
         out[k] = x
         states += x

@@ -439,15 +439,26 @@ def reduced_operator(
     Eliminating v at a boundary face through
     (n . v) = flux * (n . alpha) * p_cell adds flux * (n . alpha) / dx to
     the matching diagonal entry of the pressure block, with the same sign
-    at both ends (the outward normal absorbs the orientation).
+    at both ends (the outward normal absorbs the orientation).  A corner
+    term that overflows where the flux is finite (say a Robin k near the
+    float64 maximum, over dx) raises ValueError naming its end and the
+    first point where it is not finite.
     """
     flux = np.asarray(flux, dtype=complex)
-    a0, aL = bl.normal_alpha
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing corner is named below
+        corners = [flux * a / sd.dx for a in bl.normal_alpha]
+    for end, corner in zip(("left", "right"), corners):
+        bad = ~np.isfinite(corner) & np.isfinite(flux)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"the {end} boundary corner term flux * (n . alpha) / dx overflows at point "
+                f"{k} of {flux.size} (flux = {flux[k]:.6g}, dx = {sd.dx:.6g})"
+            )
     return ReducedOperator(
         np.broadcast_to(np.asarray(sym_p, dtype=complex), flux.shape),
         np.broadcast_to(np.asarray(sym_v, dtype=complex), flux.shape),
-        flux * a0 / sd.dx,
-        flux * aL / sd.dx,
+        *corners,
         1.0 / sd.dx,
         sd.n_cells,
     )

@@ -85,6 +85,13 @@ def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
     """The weighted transform of u, computed in place in one new array.
 
     With half, the half spectrum of the real part of u, by a real FFT.
+    """
+    return SpectralSignal(u.grid, _spectrum(u, half), half)
+
+
+def _spectrum(u: WeightedSignal, half: bool) -> np.ndarray:
+    """forward_transform's values, in a new array that stays writable for a caller that works in it.
+
     The phase multiplies in place with the operand order of the
     out-of-place expression, because for complex arrays
     `a *= c[:, None]` and `c[:, None] * a` can differ in the last bit.
@@ -97,7 +104,7 @@ def forward_transform(u: WeightedSignal, half: bool = False) -> SpectralSignal:
         vals = np.multiply(weight, u.values, dtype=complex)
         np.fft.fft(vals, axis=0, out=vals)
     np.multiply(grid.forward_phase[: vals.shape[0], None], vals, out=vals)
-    return SpectralSignal(grid, vals, half)
+    return vals
 
 
 def inverse_transform(u_hat: SpectralSignal) -> WeightedSignal:

@@ -43,7 +43,7 @@ from .signals import (
 from .solver import (
     EvoProblem,
     _apply_spectral,
-    _on_problem_grid,
+    _half_on_grid,
     _solve_spectral,
     apply_evo_adjoint_operator,
     apply_evo_operator,
@@ -191,7 +191,7 @@ def check_positivity(prob: EvoProblem, seed: int = 0) -> CheckResult:
     margins_a: list[float] = []
     for u in trial_fields(prob, POSITIVITY_TRIALS, rng):
         chi_u = truncate_before(u, cut)
-        u_hat = _on_problem_grid(prob, u)  # T and T* both act on this one spectrum
+        u_hat = forward_transform(u, _half_on_grid(prob, u))  # T and T* both act on this one spectrum
         tu = _apply_spectral(op, u_hat)
         denom = rho_norm(chi_u) ** 2
         if denom <= 0:

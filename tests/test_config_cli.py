@@ -466,6 +466,23 @@ class TestShippedScenarios:
         assert proc.stderr == "solver error: the residual norm overflowed at frequency s = 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_overflowing_corner_term_names_itself_exit_3(self, command, tmp_path):
+        # k / dx overflows where the boundary faces are eliminated: one line names
+        # that corner term, not a singular operator or non-finite samples
+        text = (self.scenarios_dir / "default.cfg").read_text()
+        assert "robin_k = 0.8" in text
+        path = tmp_path / "k1e308.cfg"
+        path.write_text(text.replace("robin_k = 0.8", "robin_k = 1e308"))
+        out = tmp_path / "o"
+        proc = run_child("-m", "evowaves.cli", command, "--config", str(path), "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "solver error: the left boundary corner term flux * (n . alpha) / dx overflows "
+            "at point 0 of 512 (flux = 1e+308+0j, dx = 0.03125)\n"
+        )
+        assert not out.exists()
+
     def test_non_finite_solution_names_its_time_exit_3(self, tmp_path):
         # at rho = 70, exp(rho t) times rounding overflows in the inverse
         # transform late in the window; the error names that grid time
