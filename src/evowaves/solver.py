@@ -48,7 +48,7 @@ Every matrix is the interleaved tridiagonal of spatial.ReducedOperator,
 and the frequency paths run on numpy alone.  scipy.linalg is imported
 only by ReducedOperator.factor, the LAPACK LU that the time stepper and
 the pivoted fallback share, so a process that never steps in time or
-meets a pivot breakdown never loads it.
+meets a pivot breakdown, which needs a non-positive margin, never loads it.
 """
 
 from __future__ import annotations
@@ -358,12 +358,13 @@ class SolveReport:
     condition_peak_s: float
     wall_time_s: float
     method: str
+    wall_admissible: bool  # min Re flux >= 0: the energy bound 1/beta0 holds for such walls alone
     f_padded_ok: bool = True
     warnings: list[str] = field(default_factory=list)
     half_spectrum: bool = False
 
     def energy_bound_ok(self) -> bool:
-        if self.beta0 <= 0:
+        if self.beta0 <= 0 or not self.wall_admissible:
             return False
         return self.energy_ratio <= (1.0 / self.beta0) * (1.0 + ENERGY_SLACK)
 
@@ -445,6 +446,8 @@ def _report(
     constant of the discrete problem, to set against beta0.  It and the
     largest condition bound are reported at the smallest s where they are
     reached, and the causality margin is the smallest over every cut.
+    A boundary law with min Re flux < 0 is warned of, and fails the
+    energy bound, which holds for admissible walls alone.
     """
     grid = prob.grid
     bound, margin = op.condition_bound(), op.margin()
@@ -458,6 +461,12 @@ def _report(
     except ValueError as exc:
         padded = False
         warnings.append(str(exc))
+    flux = prob.bl.min_real_flux(grid.rho)
+    if flux < 0:
+        warnings.append(
+            f"the boundary law's min Re flux is {flux:.6g} < 0 (an inadmissible wall): "
+            "the energy bound 1/beta0 does not apply"
+        )
     return SolveReport(
         solution=u,
         residual_rel=residual[0],
@@ -474,6 +483,7 @@ def _report(
         condition_peak_s=float(s[peak]),
         wall_time_s=time.perf_counter() - t_start,
         method=method,
+        wall_admissible=not flux < 0,
         f_padded_ok=padded,
         warnings=warnings,
         half_spectrum=half_spectrum,
@@ -549,10 +559,10 @@ def _solve_spectral(
 
     The rows of _parseval_weights are solved by ReducedOperator.solve in
     one batched Thomas sweep, in the (dim, n_freq) array where the source
-    is formed; U_hat is its transposed view.  Any frequency where a pivot
-    breaks down is re-solved by the pivoted LU of ReducedOperator.factor,
-    and reported with its mirror on the half spectrum.  A frequency the
-    solve cannot invert, or where the source
+    is formed; U_hat is its transposed view.  A frequency of non-positive
+    margin where a pivot breaks down is re-solved by the pivoted LU of
+    ReducedOperator.factor, and reported with its mirror on the half
+    spectrum.  A frequency the solve cannot invert, or where the source
     spectrum is not finite, raises SolverError naming it.  The residual is
     ||op U_hat - f_hat|| / ||f_hat|| (absolute if f = 0), the
     rectangle-rule (Parseval) norm of the time-domain residual, summed in
@@ -583,17 +593,17 @@ def solve_frequency(prob: EvoProblem) -> SolveReport:
     """Exact per-frequency solve (the oracle path).
 
     The solve and its spectral residual are _solve_spectral; the report's
-    warnings name frequencies that fell back to the pivoted LU, and
-    max_condition_bound bounds every frequency's 2-norm condition number.
+    warnings name frequencies of non-positive margin that fell back to the
+    pivoted LU; max_condition_bound bounds every 2-norm condition number.
     """
     t_start = time.perf_counter()
     u, op, s, pivoted, residual = _solve_spectral(prob)
     warnings: list[str] = []
     if pivoted.size:
         warnings.append(
-            f"Thomas pivot broke down at {pivoted.size} of {s.size} frequencies in "
-            f"s = [{s[pivoted].min():.9g}, {s[pivoted].max():.9g}]; those were solved "
-            "by pivoted tridiagonal LU"
+            f"the margin was not positive and the Thomas pivot broke down at {pivoted.size} of "
+            f"{s.size} frequencies in s = [{s[pivoted].min():.9g}, {s[pivoted].max():.9g}]; "
+            "those were solved by pivoted tridiagonal LU"
         )
     return _report(prob, u, "frequency", t_start, residual, op, s, warnings, prob.real_in_time)
 
@@ -761,5 +771,6 @@ def solve_timestep(prob: EvoProblem) -> SolveReport:
         states *= gain
 
     u = WeightedSignal(grid, out.real if prob.real_in_time else out)
+    del out  # a complex march's buffer is not held through the residual
     nan = np.full(1, np.nan)  # the step matrix has no frequency
     return _report(prob, u, "timestep", t_start, residual_norm(prob, u), step, nan, [])

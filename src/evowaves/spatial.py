@@ -31,7 +31,7 @@ p_1, ..., v_last, p_last) (SpatialDiscretization.x), the order in which
 the reduced operator is tridiagonal; only CSV files hold the pressures
 first.  The module runs on numpy, except ReducedOperator.factor, which
 imports scipy.linalg when it runs: its LAPACK LU (gttrf) is shared by the
-time stepper and by the frequencies where the Thomas pivots break down.
+time stepper and by frequencies of non-positive margin whose pivots break down.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
-ROW_BLOCK = 64  # rows per block of _residual_sq, _source_columns and _thomas's smallest pivot
+ROW_BLOCK = 64  # rows per block of _residual_sq, _source_columns and solve's smallest pivot
 
 
 @dataclass(frozen=True)
@@ -286,14 +286,19 @@ class ReducedOperator:
         """Solve every frequency's system for source(a, b, out=None), unknowns a to b at every frequency.
 
         The source is formed whole, with out=, in a (dim, n_freq) array and
-        swept there in place.  Returns the solution, a transposed view, and
-        the indices of the frequencies that the Thomas kernel handed to the
-        pivoted LU of factor(), which re-solves them from _source_columns.
+        swept there in place.  A pivot can fall below the pivot floor only
+        where margin() does (_thomas); such a frequency, found in row blocks,
+        is re-solved from _source_columns by the pivoted LU of factor().
+        Returns the solution, a transposed view, and the re-solved indices.
         A frequency whose matrix is singular comes back as non-finite values.
         """
         y = source(0, self.dim, out=np.empty((self.dim, self.sym_p.size), dtype=complex))
-        _, broken = self._thomas(y)
-        if broken.size:
+        pivots = self._thomas(y)
+        floor = PIVOT_FLOOR * max(float(np.abs(self._diagonal_values()).max()), abs(self.off))
+        broken = np.flatnonzero(~(self.margin() >= floor))  # uncertified, a NaN margin too
+        if broken.size:  # their min |d'|, NaN once a pivot is NaN
+            low = [np.abs(pivots[a : a + ROW_BLOCK, broken]).min(axis=0) for a in range(0, self.dim, ROW_BLOCK)]
+            broken = broken[~(np.minimum.reduce(low) >= floor)]
             y[:, broken] = _solve_range_pivoted(self, self._source_columns(source, broken), broken)
         return y.T, broken
 
@@ -318,25 +323,19 @@ class ReducedOperator:
         palindrome (dim is odd) and its off-diagonals are -off and +off, so
         J D A0 J D = A0, J the row reversal and D = diag((-1)^i): row r of
         A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its residual
-        is the mirror of e_last's, row for row and bit for bit.  Frequencies
-        whose Thomas pivot breaks down are re-solved by the pivoted LU.
-        Returns the solutions for the source, e_0 and e_last at the given
-        rows, (len(rows), 3, n_freq), and their squared residual norms,
-        (2, n_freq), from _residual_sq.
+        is the mirror of e_last's, row for row and bit for bit.  A0's margin is
+        at least beta0 > 0: no pivot breaks down (_thomas).  Returns the source,
+        e_0 and e_last solutions at the given rows, (len(rows), 3, n_freq), and
+        their squared residual norms, (2, n_freq), from _residual_sq.
         """
         if self.corner0.any() or self.cornerL.any():
             raise ValueError("the corner columns need the Neumann operator: zero corner terms")
         z = w[:, 1]
-        pivots, broken = self._thomas(source(0, self.dim, out=w[:, 0]), mult=z)
+        pivots = self._thomas(source(0, self.dim, out=w[:, 0]), mult=z)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(1.0, pivots[-1], out=z[-1])
             np.multiply.accumulate(z[::-1], axis=0, out=z[::-1])
         del pivots  # not held through the residual
-        if broken.size:
-            fallback = np.zeros((self.dim, 2, broken.size), dtype=complex)
-            fallback[:, 0] = self._source_columns(source, broken)
-            fallback[-1, 1] = 1.0
-            w[..., broken] = _solve_range_pivoted(self, fallback, broken)
         rows = np.asarray(rows)
         mirror = np.where(rows % 2 == 0, 1.0, -1.0)[:, None] * z[self.dim - 1 - rows]
         return np.stack([w[rows, 0], mirror, z[rows]], axis=1), self._residual_sq(w, source)
@@ -371,24 +370,17 @@ class ReducedOperator:
 
     # (dim, n_freq) work layout of the solver kernel
 
-    def _thomas(self, y: np.ndarray, mult: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Solve in place for (dim, n_freq) right-hand sides y.
+    def _thomas(self, y: np.ndarray, mult: np.ndarray | None = None) -> np.ndarray:
+        """Solve in place for (dim, n_freq) right-hand sides y; returns the pivots d', (dim, n_freq).
 
-        One Thomas sweep runs across all frequencies at once.  The
-        Hermitian part of each matrix is diagonal and bounded below by the
-        solvability margin, which keeps the pivots away from zero without
-        row exchanges.  The forward sweep computes each row's multiplier
-        -off/d'_i once and applies it to the next pivot and right-hand
-        side in the same pass; rows 0 to dim - 2 of mult, (dim, n_freq),
-        keep them when it is given.  Returns the pivots d', (dim, n_freq),
-        and the indices of the frequencies where a pivot, at any row,
-        collapses (an inadmissible scenario; min |d'| is taken in row blocks
-        after the sweep); their y is not a solution, and the caller
-        re-solves them from its own right-hand sides with _solve_range_pivoted.
+        One Thomas sweep runs across all frequencies at once, with no row
+        exchanges: d'_i = d_i + off^2 / d'_{i-1}, the off-diagonals being -off
+        and +off.  Re(off^2 / d'_{i-1}) >= 0 where Re d'_{i-1} > 0, so by
+        induction Re d'_i >= Re d_i >= margin(): where the margin is positive
+        no pivot breaks down.  Each row's multiplier -off/d'_i is computed
+        once; rows 0 to dim - 2 of mult, (dim, n_freq), keep them when given.
         """
         d = self._diagonal()
-        # rows 0, 1, 2 and -1 hold every distinct diagonal value before the sweep
-        floor = PIVOT_FLOOR * max(float(np.abs(d[[0, 1, 2, -1]]).max()), abs(self.off))
         off, minus_off = complex(self.off), complex(-self.off)  # converted once, not per row
         row_mult, step, scratch = (np.empty_like(d[0]) for _ in range(3))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -400,9 +392,7 @@ class ReducedOperator:
             for i in range(self.dim - 2, -1, -1):
                 y[i] -= np.multiply(off, y[i + 1], out=scratch)
                 y[i] /= d[i]
-        blocks = range(0, self.dim, ROW_BLOCK)  # min |d'| per frequency, NaN once a pivot is NaN
-        smallest = np.minimum.reduce([np.abs(d[a : a + ROW_BLOCK]).min(axis=0) for a in blocks])
-        return d, np.flatnonzero(~(smallest >= floor))
+        return d
 
     def _diagonal(self, ks: np.ndarray | slice = slice(None)) -> np.ndarray:
         sym_p = self.sym_p[ks]

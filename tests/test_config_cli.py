@@ -47,20 +47,22 @@ checks = positivity_1 boundary_sign
 """
 
 
-# a fresh interpreter that runs one command and prints the scipy modules it loaded
+# a fresh interpreter that runs one command, prints the scipy modules it loaded
+# and exits with the command's exit code
 NO_SCIPY_CHILD = """
 import sys
 import evowaves
 import evowaves.config
 
+code = 0
 if sys.argv[1] == "build":
     evowaves.config.load_scenario(sys.argv[2]).build()
 else:
     from evowaves.cli import main
 
-    if main(sys.argv[1:]) != 0:
-        sys.exit("the command failed")
+    code = main(sys.argv[1:])
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
+sys.exit(code)
 """
 
 # a fresh interpreter that runs the time stepper, which alone needs scipy: its LAPACK LU
@@ -560,6 +562,19 @@ class TestCliMisc:
         }[command]
         proc = run_child("-c", NO_SCIPY_CHILD, command, *argv)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_non_positive_margin_loads_no_scipy(self, command, tmp_path):
+        # default.cfg with g_lin_re = -1.0 in place of robin_k: the margin is negative
+        # at every solved frequency, so solve takes every frequency's smallest Thomas
+        # pivot.  None breaks down, so the pivoted LU, and scipy, are never loaded
+        text = (TestShippedScenarios.scenarios_dir / "default.cfg").read_text()
+        cfg = tmp_path / "inadmissible.cfg"
+        cfg.write_text(text.replace("\nrobin_k = 0.8\n", "\ng_lin_re = -1.0\n"))
+        assert "g_lin_re = -1.0" in cfg.read_text()
+        proc = run_child("-c", NO_SCIPY_CHILD, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 4, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_time_stepper_imports_scipy_linalg_not_sparse(self, good_cfg):
