@@ -38,11 +38,10 @@ Both end in the same report code: a SolveReport carrying the residual,
 the energy ratio against the solvability margin, the causality margin
 (the smallest over every cut), the source padding flag, the condition
 bound, the exact discrete coercivity constant beta0_grid and the same
-warnings.  The stepper's residual is the time-domain one (trapezoid
-norm), the only form that measures its first-order defect; residual_norm
-takes it in the spectrum, with no inverse transform, on the half
-spectrum when the problem and the solution are real, and applies the
-operator in row blocks inside the array the transform returns.
+warnings.  Both report one residual, ||T U_hat - f_hat|| / ||f_hat||,
+the rectangle-rule (Parseval) norm of the time-domain residual, summed
+by one kernel, ReducedOperator._residual_sq: over the array the frequency
+solve solved in, and the transposed view of the stepper's spectrum.
 
 Every matrix is the interleaved tridiagonal of spatial.ReducedOperator,
 and the frequency paths run on numpy alone.  scipy.linalg is imported
@@ -65,7 +64,6 @@ from .material import MaterialLaw, coercivity, law_symbol, memory_bound
 from .rational import RationalMatrixFunction, scalar_rational
 from .signals import WeightedGrid, WeightedSignal, rho_norm
 from .spatial import (
-    ROW_BLOCK,
     BoundaryLaw,
     ReducedOperator,
     SpatialDiscretization,
@@ -96,8 +94,6 @@ __all__ = [
 
 ENERGY_SLACK = 0.02          # tolerated relative slack on the energy bound
 CAUSALITY_SLACK = 1e-6       # tolerated causality margin, relative to ||f||
-# the norm each solver's residual is measured in, by SolveReport.method
-RESIDUAL_NORMS = {"frequency": "spectral (rectangle rule)", "timestep": "time-domain (trapezoid)"}
 # Bytes of the work array of one frequency block of solve_boundary_family: 2 complex
 # columns, the source and e_last, of dim rows per frequency; two thirds of the 25 MiB
 # that three columns took, so a block keeps its rows.  On scenarios/reflection.cfg
@@ -223,7 +219,10 @@ def apply_evo_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedSignal:
     """Apply the full space-time operator (time-derivative material part plus A).
 
     On the half spectrum, into a real signal, when prob is real_in_time
-    and u is real (_half_on_grid).
+    and u is real (_half_on_grid).  On an even grid the inverse real FFT
+    then drops the imaginary part of the phased Nyquist row of T u_hat,
+    which the full spectrum keeps: that row stands for both +-pi/dt, and T
+    there is complex.
     """
     return _apply_spectral(prob.grid_operator, forward_transform(u, _half_on_grid(prob, u)))
 
@@ -234,40 +233,19 @@ def apply_evo_adjoint_operator(prob: EvoProblem, u: WeightedSignal) -> WeightedS
 
 
 def residual_norm(prob: EvoProblem, u: WeightedSignal) -> tuple[float, bool]:
-    """Relative residual of the operator equation, in the trapezoid norm; absolute if f = 0.
+    """||T U_hat - f_hat|| / ||f_hat||, the rectangle-rule (Parseval) norm; absolute if f = 0.
 
-    It stays in the spectrum: r_hat = T u_hat - f_hat, on the half
-    spectrum when the problem is real_in_time and u has no imaginary part
-    (where r_hat drops what irfft would drop: the imaginary part of its
-    phased s = 0 and Nyquist rows).  r_hat is formed in the array u's
-    transform returns, ROW_BLOCK frequency rows at a time: each row is
-    independent, so no second spectrum is allocated.  The rectangle
-    rule's squared norm of r is the Parseval sum of r_hat times
-    2 pi / (n dt); the trapezoid's subtracts half of the two end
-    samples, from a two-row inverse DFT.  Returns (value, is_relative).
+    What _solve_spectral reports for its own solution, by its kernel, over
+    the transposed view of u's spectrum: the half spectrum when prob is
+    real_in_time and u is real, whose Parseval sum keeps all of its s = 0
+    and Nyquist rows.  Returns (value, is_relative).
     """
     grid, half = prob.grid, _half_on_grid(prob, u)
-    r_hat = _spectrum(u, half)
     weight = _parseval_weights(grid, half)
-    f_block = _source_spectrum(prob, half, grid.freqs[: weight.size], weight)[0]
-    f_rows = np.empty((ROW_BLOCK, r_hat.shape[1]), dtype=complex)  # f_hat's rows, in r_hat's order
-    for lo in range(0, weight.size, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, weight.size)
-        r_hat[lo:hi] = prob.grid_operator.take(slice(lo, hi)).matvec(r_hat[lo:hi])
-        r_hat[lo:hi] -= f_block(lo, hi)(0, r_hat.shape[1], out=f_rows[: hi - lo].T).T
-    phase = grid.inverse_phase[: weight.size]
-    if half:
-        edge = weight == 1.0
-        r_hat[edge] = (phase[edge, None] * r_hat[edge]).real / phase[edge, None]
-    # rows t_0 and t_{n-1} of the inverse DFT: e^{2 pi i j k / n} is 1 and e^{-2 pi i k / n}
-    dft = np.exp(-2j * np.pi / grid.n * np.outer([0, 1], np.arange(weight.size)))
-    ends = grid.growth[[0, -1], None] * ((dft * (weight * phase / grid.n)) @ r_hat)
-    end_sq = grid.weights()[[0, -1]] @ (np.abs(ends.real if half else ends) ** 2).sum(axis=1)
-    total = 2.0 * np.pi / (grid.n * grid.dt) * _parseval_norm(r_hat, weight) ** 2
-    norm = float(np.sqrt(max(total - end_sq, 0.0)))
-    if prob.f_norm == 0.0:
-        return norm, False
-    return norm / prob.f_norm, True
+    f_block, f_norm = _source_spectrum(prob, half, grid.freqs[: weight.size], weight)
+    op = prob.grid_operator.take(slice(weight.size))
+    res_sq = op._residual_sq(_spectrum(u, half).T[:, None], f_block(0, weight.size))[0]
+    return _relative(float(np.sqrt(weight @ res_sq)), f_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +365,7 @@ class SolveReport:
             f"beta0_grid_s          {self.beta0_grid_s:.9g}",
             f"residual{'_rel' if self.residual_is_relative else '_abs'}          "
             f"{self.residual_rel:.6e}",
-            f"residual_norm         {RESIDUAL_NORMS[self.method]}",
+            "residual_norm         spectral (rectangle rule)",
             f"energy_ratio          {self.energy_ratio:.17g}",
             f"energy_bound 1/beta0  {1.0 / self.beta0 if self.beta0 > 0 else float('inf'):.17g}",
             f"energy_bound_ok       {self.energy_bound_ok()}",
@@ -510,6 +488,11 @@ def _parseval_norm(x: np.ndarray, weight: np.ndarray) -> float:
     return float(np.sqrt(weight @ np.einsum("ij,ij->i", v, v)))
 
 
+def _relative(norm: float, f_norm: float) -> tuple[float, bool]:
+    """(norm / f_norm, True), or (norm, False) when the source is zero."""
+    return (norm / f_norm, True) if f_norm > 0 else (norm, False)
+
+
 def _source_spectrum(
     prob: EvoProblem, half: bool, s: np.ndarray, weight: np.ndarray
 ) -> tuple[Callable[[int, int], Callable[..., np.ndarray]], float]:
@@ -563,10 +546,9 @@ def _solve_spectral(
     margin where a pivot breaks down is re-solved by the pivoted LU of
     ReducedOperator.factor, and reported with its mirror on the half
     spectrum.  A frequency the solve cannot invert, or where the source
-    spectrum is not finite, raises SolverError naming it.  The residual is
-    ||op U_hat - f_hat|| / ||f_hat|| (absolute if f = 0), the
-    rectangle-rule (Parseval) norm of the time-domain residual, summed in
-    row blocks over what solve() returns (ReducedOperator._residual_sq).
+    spectrum is not finite, raises SolverError naming it.  The residual,
+    ||op U_hat - f_hat|| / ||f_hat|| (absolute if f = 0) in the Parseval
+    norm, is summed by ReducedOperator._residual_sq over what solve() returns.
     """
     grid, half = prob.grid, prob.real_in_time
     s, op = grid.freqs, prob.grid_operator
@@ -584,7 +566,7 @@ def _solve_spectral(
         )
     r_norm = float(np.sqrt(weight @ solved._residual_sq(u_hat.T[:, None], source)[0]))
     del f_block, source  # a sampled source's f_hat is not held through the inverse transform
-    residual = (r_norm / f_norm, True) if f_norm > 0 else (r_norm, False)
+    residual = _relative(r_norm, f_norm)
     u = inverse_transform(SpectralSignal(grid, u_hat, half))
     return u, op, s, np.union1d(pivoted, -pivoted % grid.n if half else pivoted), residual
 
@@ -683,7 +665,7 @@ def solve_boundary_family(
             )
         rho2 = np.einsum("ijk,jk->ik", m, beta) - rhs
         per_freq = res_f + res_x * np.linalg.norm(beta, axis=0) + np.linalg.norm(rho2, axis=0)
-        bound = _parseval_norm(per_freq[:, None], weight) / (f_norm if f_norm > 0 else 1.0)
+        bound = _relative(_parseval_norm(per_freq[:, None], weight), f_norm)[0]
         x = probe[:, 0] - np.einsum("rjk,jk->rk", probe[:, 1:], beta)
         out.append((inverse_transform(SpectralSignal(grid, x.T, half)), bound))
     return out

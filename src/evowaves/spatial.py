@@ -176,7 +176,7 @@ class ReducedOperator:
     So every matrix is tridiagonal with sub-diagonal -off and
     super-diagonal +off.  The adjoint conjugates the four vectors and
     negates off.  matvec applies the differences on the pressure and
-    velocity strides, not by rows as the solvers do: a reference for residuals.
+    velocity strides of (n_freq, dim) values; residuals are _residual_sq's.
     """
 
     sym_p: np.ndarray      # (n_freq,) pressure symbol
@@ -343,8 +343,9 @@ class ReducedOperator:
     def _residual_sq(self, y: np.ndarray, source: Callable[..., np.ndarray]) -> np.ndarray:
         """Per-frequency squared residual norms (n_col, n_freq) of y's columns, (dim, n_col, n_freq).
 
-        Column 0 solves source, as solve() takes it, a second one, if any,
-        e_last; ROW_BLOCK rows at a time, in reused buffers: no array of y's size.
+        The residual of the solve, the sweep and solver.residual_norm: column 0
+        against source, as solve() takes it, a second one, if any, against e_last;
+        y may be a strided view.  ROW_BLOCK rows at a time: no array of y's size.
         """
         res_sq = np.zeros(y.shape[1:])
         r, diff = (np.empty((ROW_BLOCK, *y.shape[1:]), dtype=complex) for _ in range(2))

@@ -47,6 +47,7 @@ from evowaves.solver import (
 from evowaves.spatial import BoundaryLaw, ReducedOperator, SpatialDiscretization
 from evowaves.transform import (
     SpectralSignal,
+    _spectrum,
     forward_transform,
     inverse_transform,
 )
@@ -728,20 +729,32 @@ class TestHalfSpectrum:
 def test_blocked_frequency_residual_is_the_matvec_residual(cfg):
     # _solve_spectral sums the residual in row blocks over the solve's (dim, n_freq)
     # layout, the source's rows formed again block by block; the reference applies
-    # matvec and takes the Parseval norm of op U_hat - f_hat
+    # matvec and takes the Parseval norm of op U_hat - f_hat.  residual_norm hands the
+    # same kernel a stepper solution's spectrum as its transposed view, whose rows are
+    # strided by dim: on the half spectrum of a real problem and on the full one
     prob = load_scenario(str(ROOT / cfg)).build()
-    half = prob.real_in_time
-    weight = solver._parseval_weights(prob.grid, half)
-    s = prob.grid.freqs[: weight.size]
-    f_block, f_norm = solver._source_spectrum(prob, half, s, weight)
-    source = f_block(0, s.size)
-    op = prob.grid_operator.take(slice(s.size))
-    f_hat = source(0, op.dim).T
-    u_hat, _ = op.solve(source)
-    blocked = np.sqrt(weight @ op._residual_sq(u_hat.T[:, None], source)[0])
-    want = solver._parseval_norm(op.matvec(u_hat) - f_hat, weight)
-    assert want > 0 and abs(blocked - want) <= 1e-14 * f_norm
-    assert solve_frequency(prob).residual_rel == blocked / f_norm
+    stepped = solve_timestep(prob).solution
+    full = load_scenario(str(ROOT / cfg)).build()
+    full.__dict__["real_in_time"] = False
+    for p in [prob, full] if prob.real_in_time else [prob]:
+        half = p.real_in_time
+        weight = solver._parseval_weights(p.grid, half)
+        s = p.grid.freqs[: weight.size]
+        f_block, f_norm = solver._source_spectrum(p, half, s, weight)
+        source = f_block(0, s.size)
+        op = p.grid_operator.take(slice(s.size))
+        f_hat = source(0, op.dim).T
+        step_hat = _spectrum(stepped, half).T
+        assert step_hat.strides == (16, 16 * op.dim)
+        inputs = [(step_hat, residual_norm(p, stepped)[0])]
+        if p is prob:
+            u_hat, _ = op.solve(source)
+            inputs.append((u_hat.T, solve_frequency(prob).residual_rel))
+        for y, got in inputs:
+            blocked = np.sqrt(weight @ op._residual_sq(y[:, None], source)[0])
+            want = solver._parseval_norm(op.matvec(y.T) - f_hat, weight)
+            assert want > 0 and abs(blocked - want) <= 1e-14 * f_norm
+            assert got == blocked / f_norm
 
 
 @pytest.mark.parametrize("call", ["solve", "sweep"])
@@ -1039,7 +1052,7 @@ class TestTimestep:
         assert np.isnan(rep.condition_peak_s)
         assert "condition_peak_s      nan" in rep.to_text()
         assert rep.beta0_grid == step.margin()[0] and np.isnan(rep.beta0_grid_s)
-        assert "residual_norm         time-domain (trapezoid)\n" in rep.to_text()
+        assert "residual_norm         spectral (rectangle rule)\n" in rep.to_text()
 
     def test_cross_solver_first_order_convergence(self):
         # halving dt halves the gap to the spectral oracle, memory included
@@ -1102,14 +1115,19 @@ class TestResidual:
 
     @pytest.mark.parametrize("n", [512, 511])
     def test_half_spectrum_matches_the_full_spectrum(self, n):
-        # a real stepper solution of a real problem is applied on s >= 0 alone
+        # a real stepper solution of a real problem is applied on s >= 0 alone; with white
+        # noise added, large at the Nyquist row of an even grid, whose imaginary part the
+        # half spectrum's Parseval sum keeps
         half_prob, full_prob = memory_scenario(n), memory_scenario(n)
         full_prob.__dict__["real_in_time"] = False
         u = solve_timestep(half_prob).solution
         assert not u.values.imag.any()
-        half, full = residual_norm(half_prob, u)[0], residual_norm(full_prob, u)[0]
-        assert half == pytest.approx(full, rel=1e-12)
+        noise = 0.1 * np.random.default_rng(3).standard_normal(u.values.shape)
+        for v in (u, u.with_values(u.values + noise)):
+            half, full = residual_norm(half_prob, v)[0], residual_norm(full_prob, v)[0]
+            assert half == pytest.approx(full, rel=1e-12)
         # an imaginary part takes the full spectrum, which the half one would drop
+        half = residual_norm(half_prob, u)[0]
         w = u.with_values(u.values + 0.1j * u.values[:, ::-1])
         assert residual_norm(half_prob, w)[0] == residual_norm(full_prob, w)[0]
         assert residual_norm(half_prob, w)[0] > 1.5 * half
@@ -1118,8 +1136,9 @@ class TestResidual:
         "case", ["memory-512", "memory-511", "noise-512", "noise-511", "near_pole", "complex_source"]
     )
     def test_spectral_residual_is_the_time_domain_residual(self, case):
-        # residual_norm never leaves the spectrum; the reference applies the operator,
-        # transforms back and sums the trapezoid norm of T U - f over the samples
+        # residual_norm never leaves the spectrum; the reference applies the operator on the
+        # full spectrum, transforms back to complex samples and sums the rectangle-rule
+        # norms of T U - f and of f over the samples
         name, _, n = case.partition("-")
         if name == "near_pole":  # a complex law: the full spectrum
             prob = load_scenario(str(ROOT / "bench/scenarios/near_pole.cfg")).build()
@@ -1129,11 +1148,12 @@ class TestResidual:
         else:  # the half spectrum, with (512) and without (511) a Nyquist row
             prob = memory_scenario(int(n))
         u = solve_timestep(prob).solution
-        if name == "noise":  # large end samples, which the trapezoid weighs by half
+        if name == "noise":  # large end samples and a large Nyquist row
             u = u.with_values(u.values + 0.1 * np.random.default_rng(3).standard_normal(u.values.shape))
         assert prob.real_in_time == (name in ("memory", "noise"))
-        r = apply_evo_operator(prob, u).values - prob.f.values
-        want = np.sqrt(prob.grid.weights() @ np.sum(np.abs(r) ** 2, axis=1)) / rho_norm(prob.f)
+        r = solver._apply_spectral(prob.grid_operator, forward_transform(u)).values - prob.f.values
+        rectangle = prob.grid.dt * np.exp(-2.0 * prob.grid.rho * prob.grid.times)
+        want = np.sqrt(rectangle @ np.sum(np.abs(r) ** 2, axis=1) / (rectangle @ prob.f.sample_energy()))
         got, is_rel = residual_norm(prob, u)
         assert is_rel and got == pytest.approx(want, rel=1e-12)
 
