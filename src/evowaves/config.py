@@ -15,15 +15,18 @@ rejected with the offending line number; so are non-finite numbers
 to an equivalent scenario (the config round-trip used by the
 `dump-config` subcommand).
 
-Complex data enters as separate real/imaginary arrays: the instantaneous
-material matrix is row-major 2x2 (`m0_re`/`m0_im`), memory-kernel pole
-and residue lists are flat arrays with one row-major 2x2 block per pole.
-The boundary kernel is scalar; `robin_k = <k>` is shorthand for the
-proportional kernel g(z) = k z with the normal spatial profile.
+Complex data enters as `<stem>_re` and `<stem>_im` arrays; a missing
+half is zero, and each half keeps its bits, signed zeros included.  The
+material matrix `m0` is row-major 2x2.  The 2x2 memory kernel `m1` and the
+scalar boundary kernel `g` are spelled alike, `<prefix>_{const,lin,poles,res}`,
+with one row-major residue block per pole: required with poles, refused
+without.  Any `g_*` key selects g and excludes `robin_k = <k>`, shorthand
+for g(z) = k z; with neither, k = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,35 +48,19 @@ class ConfigError(ValueError):
         super().__init__(prefix + message)
 
 
+# the one spelling of a rational kernel: <prefix>_<part>_re and _im for each part
+_KERNEL_PARTS = ("const", "lin", "poles", "res")
+
+
+def _kernel_keys(prefix: str) -> set[str]:
+    return {f"{prefix}_{part}_{half}" for part in _KERNEL_PARTS for half in ("re", "im")}
+
+
 _KNOWN_KEYS = {
     "grid": {"t0", "dt", "window", "n", "rho"},
     "space": {"length", "cells"},
-    "material": {
-        "r",
-        "m0_re",
-        "m0_im",
-        "m1_const_re",
-        "m1_const_im",
-        "m1_lin_re",
-        "m1_lin_im",
-        "m1_poles_re",
-        "m1_poles_im",
-        "m1_res_re",
-        "m1_res_im",
-    },
-    "boundary": {
-        "robin_k",
-        "g_const_re",
-        "g_const_im",
-        "g_lin_re",
-        "g_lin_im",
-        "g_poles_re",
-        "g_poles_im",
-        "g_res_re",
-        "g_res_im",
-        "alpha",
-        "r",
-    },
+    "material": {"r", "m0_re", "m0_im"} | _kernel_keys("m1"),
+    "boundary": {"robin_k", "alpha", "r"} | _kernel_keys("g"),
     "source": {
         "kind",
         "component",
@@ -159,9 +146,7 @@ class _Section:
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {value!r}", line) from None
 
-    def array(self, key: str, default: list[float] | None = None) -> np.ndarray:
-        if not self.has(key) and default is not None:
-            return np.asarray(default, dtype=float)
+    def array(self, key: str) -> np.ndarray:
         value, line = self._raw(key)
         try:
             numbers = np.asarray([float(tok) for tok in value.split()], dtype=float)
@@ -175,17 +160,48 @@ class _Section:
         return self.data[key][1] if key in self.data else None
 
 
-def _complex_matrix(sec: _Section, stem: str, required: bool) -> np.ndarray:
-    """The 2x2 matrix stem_re + i stem_im; zero where neither key is given and it is not required."""
-    if required and not sec.has(f"{stem}_re") and not sec.has(f"{stem}_im"):
-        raise ConfigError(f"missing key {stem}_re in section [{sec.name}]")
-    re = sec.array(f"{stem}_re", default=[0.0, 0.0, 0.0, 0.0])
-    im = sec.array(f"{stem}_im", default=[0.0, 0.0, 0.0, 0.0])
-    if re.size != 4 or im.size != 4:
-        raise ConfigError(
-            f"{stem}_re/_im must be row-major 2x2 (4 numbers)", sec.line_of(f"{stem}_re")
-        )
-    return (re + 1j * im).reshape(2, 2)
+def _complex(
+    sec: _Section, stem: str, shape: tuple[int, ...], required: bool, line: int | None = None
+) -> np.ndarray:
+    """The array stem_re + i stem_im in `shape`; a shape (-1,) takes the length of the first half given.
+
+    A missing half is zero, and so is the array where neither half is given,
+    unless it is required: then that is an error at `line`.  Both halves
+    keep their bits, the sign of a zero included.
+    """
+    halves = {key: sec.array(key) for key in (f"{stem}_re", f"{stem}_im") if sec.has(key)}
+    if not halves:
+        if required:
+            raise ConfigError(f"missing key {stem}_re in section [{sec.name}]", line)
+        return np.zeros([max(k, 0) for k in shape], dtype=complex)
+    first = next(iter(halves))
+    if shape == (-1,):
+        size, layout = halves[first].size, f"as many as {first}"
+    else:
+        size, d = math.prod(shape), shape[-1]
+        layout = f"row-major {d}x{d}" + (f", one block for each of {shape[0]} poles" if len(shape) == 3 else "")
+    for key, arr in halves.items():
+        if arr.size != size:
+            raise ConfigError(f"{key} has {arr.size} numbers, not {size} ({layout})", sec.line_of(key))
+    out = np.empty(size, dtype=complex)
+    out.real, out.imag = (halves.get(f"{stem}_{half}", 0.0) for half in ("re", "im"))
+    return out.reshape(shape)
+
+
+def _kernel(sec: _Section, prefix: str, d: int, r: float, what: str) -> RationalMatrixFunction:
+    """The d x d kernel <prefix>_{const,lin,poles,res}, holomorphic on B(r, r); a residue block per pole."""
+    if not r > 0:
+        raise ConfigError(f"r must be positive, got {r:g}", sec.line_of("r"))
+    const, lin = (_complex(sec, f"{prefix}_{part}", (d, d), False) for part in _KERNEL_PARTS[:2])
+    poles = _complex(sec, f"{prefix}_poles", (-1,), False)
+    key = f"{prefix}_poles_re" if sec.has(f"{prefix}_poles_re") else f"{prefix}_poles_im"
+    residues = _complex(sec, f"{prefix}_res", (poles.size, d, d), poles.size > 0, sec.line_of(key))
+    try:
+        fn = RationalMatrixFunction(const, lin, poles, residues)
+        fn.check_holomorphic(r)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}, {key}: {exc}", sec.line_of(key)) from None
+    return fn
 
 
 @dataclass(frozen=True)
@@ -336,30 +352,8 @@ def parse_scenario(text: str) -> Scenario:
 
     mat = section("material")
     material_r = mat.number("r", default=1.0)
-    m0 = _complex_matrix(mat, "m0", required=True)
-    m1_const = _complex_matrix(mat, "m1_const", required=False)
-    m1_lin = _complex_matrix(mat, "m1_lin", required=False)
-    poles_re = mat.array("m1_poles_re", default=[])
-    poles_im = mat.array("m1_poles_im", default=[0.0] * poles_re.size)
-    if poles_im.size != poles_re.size:
-        raise ConfigError("m1_poles_im length mismatch", mat.line_of("m1_poles_im"))
-    poles = poles_re + 1j * poles_im
-    if poles.size:
-        res_re = mat.array("m1_res_re")
-        res_im = mat.array("m1_res_im", default=[0.0] * res_re.size)
-        if res_re.size != 4 * poles.size or res_im.size != res_re.size:
-            raise ConfigError(
-                "m1_res_re/_im must hold one row-major 2x2 block per pole",
-                mat.line_of("m1_res_re"),
-            )
-        residues = (res_re + 1j * res_im).reshape(poles.size, 2, 2)
-    else:
-        residues = np.zeros((0, 2, 2), dtype=complex)
-    try:
-        m1 = RationalMatrixFunction(m1_const, m1_lin, poles, residues)
-        m1.check_holomorphic(material_r)
-    except ValueError as exc:
-        raise ConfigError(f"invalid material memory kernel: {exc}", mat.line_of("m1_poles_re"))
+    m0 = _complex(mat, "m0", (2, 2), True)
+    m1 = _kernel(mat, "m1", 2, material_r, "material memory kernel")
 
     bnd = section("boundary")
     boundary_r = bnd.number("r", default=material_r)
@@ -377,37 +371,12 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError(f"bad alpha value {parts[1]!r}", bnd.line_of("alpha")) from None
         if not np.isfinite(value):
             raise ConfigError(f"alpha must be finite, got {parts[1]!r}", bnd.line_of("alpha"))
-    has_g = any(bnd.has(k) for k in ("g_const_re", "g_lin_re", "g_poles_re"))
-    robin_k: float | None = None
-    g: RationalMatrixFunction | None = None
-    if bnd.has("robin_k") and has_g:
-        raise ConfigError(
-            "give either robin_k or the g_* kernel, not both", bnd.line_of("robin_k")
-        )
-    if bnd.has("robin_k"):
-        robin_k = bnd.number("robin_k")
-    elif has_g:
-        g_poles_re = bnd.array("g_poles_re", default=[])
-        g_poles_im = bnd.array("g_poles_im", default=[0.0] * g_poles_re.size)
-        if g_poles_im.size != g_poles_re.size:
-            raise ConfigError("g_poles_im length mismatch", bnd.line_of("g_poles_im"))
-        g_poles = g_poles_re + 1j * g_poles_im
-        g_res_re = bnd.array("g_res_re", default=[0.0] * g_poles.size)
-        g_res_im = bnd.array("g_res_im", default=[0.0] * g_poles.size)
-        if g_res_re.size != g_poles.size or g_res_im.size != g_poles.size:
-            raise ConfigError("g_res_re/_im must match the pole count", bnd.line_of("g_res_re"))
-        try:
-            g = scalar_rational(
-                const=complex(bnd.number("g_const_re", 0.0), bnd.number("g_const_im", 0.0)),
-                lin=complex(bnd.number("g_lin_re", 0.0), bnd.number("g_lin_im", 0.0)),
-                poles=g_poles,
-                residues=g_res_re + 1j * g_res_im,
-            )
-            g.check_holomorphic(boundary_r)
-        except ValueError as exc:
-            raise ConfigError(f"invalid boundary kernel: {exc}", bnd.line_of("g_poles_re"))
-    else:
-        robin_k = 0.0  # no boundary keys: vanishing normal velocity
+    g_keys = [key for key in bnd.data if key.startswith("g_")]
+    if bnd.has("robin_k") and g_keys:
+        message = f"give either robin_k or the g_* kernel, not both ({g_keys[0]} is given)"
+        raise ConfigError(message, bnd.line_of("robin_k"))
+    g = _kernel(bnd, "g", 1, boundary_r, "boundary kernel") if g_keys else None
+    robin_k = None if g_keys else bnd.number("robin_k", default=0.0)  # no key: vanishing normal velocity
 
     src = section("source")
     kind = src.string("kind")

@@ -1,13 +1,17 @@
 import csv
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import SWEEP_CONFIG, corrupt_solve, run_child
 from evowaves import cli
 from evowaves.cli import main
 from evowaves.config import ConfigError, parse_scenario
+from evowaves.rational import RationalMatrixFunction
 from evowaves.signals import rho_norm
 from evowaves.solver import solve_frequency
 
@@ -79,6 +83,32 @@ print(before, "scipy.linalg" in sys.modules, sparse, report.residual_rel)
 """
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def kernels(draw, d: int, r: float) -> RationalMatrixFunction:
+    """A d x d kernel: complex const, lin and residues, and 0 to 3 poles outside B(r, r)."""
+
+    def complex_array(n: int, near: float | None = None) -> np.ndarray:
+        numbers = FINITE if near is None else st.floats(-near, near)
+        out = np.empty(n, dtype=complex)
+        out.real, out.imag = (draw(st.lists(numbers, min_size=n, max_size=n)) for _ in range(2))
+        return out
+
+    def matrix() -> np.ndarray:
+        # dump writes no all-zero m1 const or lin, so it reads back as +0
+        a = complex_array(d * d).reshape(d, d)
+        return a if a.any() else np.zeros((d, d), dtype=complex)
+
+    const, lin = matrix(), matrix()
+    poles = complex_array(draw(st.integers(0, 3)), near=50.0)
+    assume(np.all(np.abs(poles - r) > 1.01 * r))
+    assume(np.all(np.abs(poles[:, None] - poles)[np.triu_indices(poles.size, 1)] > 1e-3))
+    residues = complex_array(poles.size * d * d)
+    return RationalMatrixFunction(const, lin, poles, residues)
+
+
 @pytest.fixture
 def good_cfg(tmp_path):
     path = tmp_path / "scenario.cfg"
@@ -127,10 +157,16 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_scenario(bad)
 
-    def test_robin_and_g_exclusive(self):
-        bad = GOOD_CONFIG.replace("robin_k = 0.8", "robin_k = 0.8\ng_lin_re = 1.0")
-        with pytest.raises(ConfigError, match="not both"):
+    @pytest.mark.parametrize("g_key", ["g_lin_re", "g_lin_im", "g_const_im", "g_poles_im", "g_res_re"])
+    def test_robin_and_g_exclusive(self, g_key):
+        bad = GOOD_CONFIG.replace("robin_k = 0.8", f"robin_k = 0.8\n{g_key} = 3.0")
+        with pytest.raises(ConfigError, match=rf"line 20: .*robin_k.*not both \({g_key}"):
             parse_scenario(bad)
+
+    def test_any_g_key_selects_the_boundary_kernel(self):
+        sc = parse_scenario(GOOD_CONFIG.replace("robin_k = 0.8", "g_const_im = 0.5"))
+        assert sc.robin_k is None and sc.g is not None
+        assert sc.g.const.tolist() == [[0.5j]] and not sc.g.lin.any() and sc.g.n_poles == 0
 
     def test_unknown_check_rejected(self):
         bad = GOOD_CONFIG.replace("boundary_sign", "vibes")
@@ -157,6 +193,28 @@ class TestParsing:
         assert f"config error: line {line}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("m1_poles_re = -0.5", "m1_poles_re = -0.5\nm1_poles_im = 0.1 0.2", "m1_poles_im"),
+            ("m1_res_re = 0.2 0 0 0.1", "m1_res_re = 0.2 0 0.1", "m1_res_re"),
+            ("robin_k = 0.8", "g_poles_re = -1.0", "g_res_re"),
+            ("m1_poles_re = -0.5", "m1_poles_re = 0.5", "m1_poles_re"),
+            ("m1_poles_re = -0.5\nm1_res_re = 0.2 0 0 0.1", "m1_res_re = 0.2 0 0 0.1", "m1_res_re"),
+        ],
+        ids=["poles-im-length", "residue-count", "poles-without-residues", "pole-in-ball", "residues-without-poles"],
+    )
+    def test_malformed_kernel_exits_2(self, old, new, key, tmp_path, capsys):
+        # the line at fault is the last one replaced; missing residues point at their poles
+        text = GOOD_CONFIG.replace(old, new)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        line = text.splitlines().index(new.splitlines()[-1]) + 1
+        err = capsys.readouterr().err
+        assert f"config error: line {line}: " in err and key in err
+        assert not (tmp_path / "o").exists()
+
     def test_dump_round_trip_equivalent(self):
         sc = parse_scenario(GOOD_CONFIG)
         sc2 = parse_scenario(sc.dump())
@@ -165,6 +223,18 @@ class TestParsing:
         assert p1.grid == p2.grid
         assert np.array_equal(p1.f.values, p2.f.values)
         assert np.array_equal(p1.law.m0, p2.law.m0)
+
+    @given(m1=kernels(2, 1.0), g=kernels(1, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_dump_rebuilds_every_kernel_bit(self, m1, g):
+        sc = dataclasses.replace(parse_scenario(GOOD_CONFIG), m1=m1, g=g, robin_k=None)
+        text = sc.dump()
+        back = parse_scenario(text)
+        for fn, read in ((m1, back.m1), (g, back.g)):
+            for part in ("const", "lin", "poles", "residues"):
+                a, b = getattr(fn, part), getattr(read, part)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), part
+        assert back.dump() == text
 
     def test_csv_source_round_trip(self, tmp_path):
         from evowaves.signals import write_signal_csv

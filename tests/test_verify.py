@@ -94,6 +94,23 @@ class TestShiftInvariance:
         res = check_positivity_shift_invariance(prob, seed=1)
         assert "inconclusive" in res.details
 
+    def test_time_varying_operator_fails(self, monkeypatch):
+        # T v scaled by 1 + 0.5 (t - t0) / window is not translation invariant:
+        # the reweighted margins at the three cuts no longer agree
+        prob = load_scenario(DEFAULT_CFG).build()
+        grid = prob.grid
+        ramp = 1.0 + 0.5 * (grid.times - grid.t0) / (grid.n * grid.dt)
+        apply = verify.apply_evo_operator
+
+        def ramped(p, v):
+            tv = apply(p, v)
+            return tv.with_values(tv.values * ramp[:, None])
+
+        assert check_positivity_shift_invariance(prob, seed=1).passed
+        monkeypatch.setattr(verify, "apply_evo_operator", ramped)
+        res = check_positivity_shift_invariance(prob, seed=1)
+        assert not res.passed and res.margin < -1e3 * res.tolerance
+
 
 class TestCausalEstimate:
     def test_solution_operator_causal(self, problem):
