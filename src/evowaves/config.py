@@ -127,7 +127,7 @@ class _Section:
             return default
         return self._raw(key)[0]
 
-    def number(self, key: str, default: float | None = None) -> float:
+    def number(self, key: str, default: float | None = None, positive: bool = False) -> float:
         if not self.has(key) and default is not None:
             return default
         value, line = self._raw(key)
@@ -137,6 +137,8 @@ class _Section:
             raise ConfigError(f"{key} must be a number, got {value!r}", line) from None
         if not np.isfinite(number):
             raise ConfigError(f"{key} must be finite, got {value!r}", line)
+        if positive and not number > 0:
+            raise ConfigError(f"{key} must be positive, got {number:g}", line)
         return number
 
     def integer(self, key: str) -> int:
@@ -190,8 +192,6 @@ def _complex(
 
 def _kernel(sec: _Section, prefix: str, d: int, r: float, what: str) -> RationalMatrixFunction:
     """The d x d kernel <prefix>_{const,lin,poles,res}, holomorphic on B(r, r); a residue block per pole."""
-    if not r > 0:
-        raise ConfigError(f"r must be positive, got {r:g}", sec.line_of("r"))
     const, lin = (_complex(sec, f"{prefix}_{part}", (d, d), False) for part in _KERNEL_PARTS[:2])
     poles = _complex(sec, f"{prefix}_poles", (-1,), False)
     key = f"{prefix}_poles_re" if sec.has(f"{prefix}_poles_re") else f"{prefix}_poles_im"
@@ -276,8 +276,9 @@ class Scenario:
             return " ".join(fmt(float(v)) for v in np.asarray(arr).reshape(-1))
 
         def kernel(prefix: str, fn: RationalMatrixFunction, always: bool) -> list[str]:
-            """const and lin (if nonzero, or always), then the poles and residues if any."""
-            parts = [("const", fn.const, always or fn.const.any()), ("lin", fn.lin, always or fn.lin.any())]
+            """const and lin (if not all +0, so a -0 reads back, or always), then the poles and residues if any."""
+            parts = [(part, a, always or a.any() or np.signbit([a.real, a.imag]).any())
+                     for part, a in (("const", fn.const), ("lin", fn.lin))]
             parts += [("poles", fn.poles, fn.n_poles), ("res", fn.residues, fn.n_poles)]
             return [
                 f"{prefix}_{key}_{part} = {fmt_list(getattr(arr, attr))}"
@@ -351,12 +352,12 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError("need at least 4 cells", space.line_of("cells"))
 
     mat = section("material")
-    material_r = mat.number("r", default=1.0)
+    material_r = mat.number("r", default=1.0, positive=True)
     m0 = _complex(mat, "m0", (2, 2), True)
     m1 = _kernel(mat, "m1", 2, material_r, "material memory kernel")
 
     bnd = section("boundary")
-    boundary_r = bnd.number("r", default=material_r)
+    boundary_r = bnd.number("r", default=material_r, positive=True)  # robin_k too: rho > 1/(2r)
     alpha_spec = bnd.string("alpha", default="normal")
     if alpha_spec != "normal":
         parts = alpha_spec.split(":")

@@ -94,13 +94,12 @@ __all__ = [
 
 ENERGY_SLACK = 0.02          # tolerated relative slack on the energy bound
 CAUSALITY_SLACK = 1e-6       # tolerated causality margin, relative to ||f||
-# Bytes of the work array of one frequency block of solve_boundary_family: 2 complex
-# columns, the source and e_last, of dim rows per frequency; two thirds of the 25 MiB
-# that three columns took, so a block keeps its rows.  On scenarios/reflection.cfg
-# (dim 1023) that is 533 of the half spectrum's 1025 rows, and its six default laws trace
-# a 25.8 MiB peak, against 49.0 MiB in one block; 256 rows: 12.5 MiB, 128 rows: 6.4 MiB.
-# Narrower blocks are slower, and 799 rows (25 MiB of two columns) are no faster but
-# raise sweep-reflection's peak RSS from 79.9 to 98.6 MiB (CHANGES.md).
+# Most bytes of the work array of one frequency block of solve_boundary_family, the
+# block's only frequency-sized array: 2 complex columns, the source and e_last, of dim
+# rows per frequency.  The half spectrum is split into equal blocks under it: on
+# scenarios/reflection.cfg (dim 1023) 513 + 512 of its 1025 rows, and its six default
+# laws trace an 18.4 MiB peak.  Narrower blocks are slower; 799 rows are no faster but
+# raise sweep-reflection's peak RSS from 79.9 to 98.6 MiB (ROADMAP, "Not pursued").
 BLOCK_BYTES = 2 * (25 * 2**20) // 3
 
 
@@ -611,7 +610,7 @@ def solve_boundary_family(
     spectrum, with the Parseval weights of _solve_spectral.
 
     Every frequency is independent, so the elimination walks the solved
-    rows in blocks, as wide as BLOCK_BYTES allows, through one reused work
+    rows in equal blocks, each within BLOCK_BYTES, through one reused work
     array; only the probe and corner rows and the residual sums of each
     block are kept.  Each block's source is formed in that array, in the
     kernel's layout (_source_spectrum), so a separable source's whole
@@ -630,8 +629,9 @@ def solve_boundary_family(
     picks = [*rows, 0, neumann.dim - 1]
     at_rows = np.empty((len(picks), 3, s.size), dtype=complex)
     res_sq = np.empty((2, s.size))
-    width = max(1, BLOCK_BYTES // (2 * neumann.dim * 16))
-    work = np.empty((neumann.dim, 2, min(width, s.size)), dtype=complex)
+    n_blocks = -(-s.size // max(1, BLOCK_BYTES // (2 * neumann.dim * 16)))
+    width = -(-s.size // n_blocks)  # equal blocks, each within BLOCK_BYTES
+    work = np.empty((neumann.dim, 2, width), dtype=complex)
     for lo in range(0, s.size, width):
         hi = min(lo + width, s.size)
         block = neumann.take(slice(lo, hi))

@@ -286,18 +286,20 @@ class ReducedOperator:
         """Solve every frequency's system for source(a, b, out=None), unknowns a to b at every frequency.
 
         The source is formed whole, with out=, in a (dim, n_freq) array and
-        swept there in place.  A pivot can fall below the pivot floor only
-        where margin() does (_thomas); such a frequency, found in row blocks,
-        is re-solved from _source_columns by the pivoted LU of factor().
-        Returns the solution, a transposed view, and the re-solved indices.
-        A frequency whose matrix is singular comes back as non-finite values.
+        swept there in place, the multipliers kept in a second one.  A pivot
+        can fall below the pivot floor only where margin() does (_thomas); such
+        a frequency's pivots are formed again in row blocks (_pivots), and one
+        whose min |d'| is below the floor is re-solved from _source_columns by
+        the pivoted LU of factor().  Returns the solution, a transposed view,
+        and the re-solved indices.  A singular frequency comes back non-finite.
         """
         y = source(0, self.dim, out=np.empty((self.dim, self.sym_p.size), dtype=complex))
-        pivots = self._thomas(y)
+        self._thomas(y, mult := np.empty_like(y))
         floor = PIVOT_FLOOR * max(float(np.abs(self._diagonal_values()).max()), abs(self.off))
         broken = np.flatnonzero(~(self.margin() >= floor))  # uncertified, a NaN margin too
         if broken.size:  # their min |d'|, NaN once a pivot is NaN
-            low = [np.abs(pivots[a : a + ROW_BLOCK, broken]).min(axis=0) for a in range(0, self.dim, ROW_BLOCK)]
+            blocks = range(0, self.dim, ROW_BLOCK)
+            low = [np.abs(self._pivots(mult, a, a + ROW_BLOCK, broken)).min(axis=0) for a in blocks]
             broken = broken[~(np.minimum.reduce(low) >= floor)]
             y[:, broken] = _solve_range_pivoted(self, self._source_columns(source, broken), broken)
         return y.T, broken
@@ -319,23 +321,22 @@ class ReducedOperator:
         in the second, so one w serves every block of a sweep.  Only the source
         goes through the Thomas sweep.  A0^-1 e_last is a running product over
         its pivots d': x_last = 1/d'_last and x_i = (-off/d'_i) x_{i+1}, the
-        sweep's own row multipliers, which it leaves in w.  A0's diagonal is a
-        palindrome (dim is odd) and its off-diagonals are -off and +off, so
-        J D A0 J D = A0, J the row reversal and D = diag((-1)^i): row r of
-        A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its residual
-        is the mirror of e_last's, row for row and bit for bit.  A0's margin is
-        at least beta0 > 0: no pivot breaks down (_thomas).  Returns the source,
-        e_0 and e_last solutions at the given rows, (len(rows), 3, n_freq), and
-        their squared residual norms, (2, n_freq), from _residual_sq.
+        sweep's own row multipliers, which it leaves in w with d'_last in the
+        last row.  A0's diagonal is a palindrome (dim is odd), its off-diagonals
+        -off and +off, so J D A0 J D = A0, J the row reversal and D = diag((-1)^i):
+        row r of A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its
+        residual mirrors e_last's, row for row and bit for bit.  A0's margin is at
+        least beta0 > 0: no pivot breaks down (_thomas).  Returns the source, e_0
+        and e_last solutions at the given rows, (len(rows), 3, n_freq), and their
+        squared residual norms, (2, n_freq), from _residual_sq.
         """
         if self.corner0.any() or self.cornerL.any():
             raise ValueError("the corner columns need the Neumann operator: zero corner terms")
         z = w[:, 1]
-        pivots = self._thomas(source(0, self.dim, out=w[:, 0]), mult=z)
+        self._thomas(source(0, self.dim, out=w[:, 0]), z)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(1.0, pivots[-1], out=z[-1])
+            np.divide(1.0, z[-1], out=z[-1])
             np.multiply.accumulate(z[::-1], axis=0, out=z[::-1])
-        del pivots  # not held through the residual
         rows = np.asarray(rows)
         mirror = np.where(rows % 2 == 0, 1.0, -1.0)[:, None] * z[self.dim - 1 - rows]
         return np.stack([w[rows, 0], mirror, z[rows]], axis=1), self._residual_sq(w, source)
@@ -345,63 +346,81 @@ class ReducedOperator:
 
         The residual of the solve, the sweep and solver.residual_norm: column 0
         against source, as solve() takes it, a second one, if any, against e_last;
-        y may be a strided view.  ROW_BLOCK rows at a time: no array of y's size.
+        y may be a strided view.  ROW_BLOCK rows of one column at a time: no array of y's size.
         """
         res_sq = np.zeros(y.shape[1:])
-        r, diff = (np.empty((ROW_BLOCK, *y.shape[1:]), dtype=complex) for _ in range(2))
-        f = np.empty((ROW_BLOCK, y.shape[2]), dtype=complex)
+        r, diff, f = (np.empty((ROW_BLOCK, y.shape[2]), dtype=complex) for _ in range(3))
         for a in range(0, self.dim, ROW_BLOCK):  # ROW_BLOCK is even: row a is a pressure
             b = min(a + ROW_BLOCK, self.dim)
             lo, hi = max(a, 1), min(b, self.dim - 1)  # the rows with two neighbours
-            np.multiply(self.sym_p, y[a:b:2], out=r[0 : b - a : 2])
-            np.multiply(self.sym_v, y[a + 1 : b : 2], out=r[1 : b - a : 2])
-            step = np.subtract(y[lo + 1 : hi + 1], y[lo - 1 : hi - 1], out=diff[: hi - lo])
-            r[lo - a : hi - a] += np.multiply(self.off, step, out=step)
-            if a == 0:
-                r[0] += self.corner0 * y[0] + self.off * y[1]
-            if b == self.dim:
-                r[b - a - 1] += self.cornerL * y[-1] - self.off * y[-2]
-                r[b - a - 1, 1:] -= 1.0
-            r[: b - a, 0] -= source(a, b, out=f[: b - a])
-            with np.errstate(over="ignore"):  # the caller names a residual that overflows
-                v = r[: b - a].view(float)  # re, im pairs
-                sq = np.square(v, out=v).sum(axis=0)
-                res_sq += sq[..., 0::2] + sq[..., 1::2]
+            for c, x in enumerate(y.transpose(1, 0, 2)):
+                np.multiply(self.sym_p, x[a:b:2], out=r[0 : b - a : 2])
+                np.multiply(self.sym_v, x[a + 1 : b : 2], out=r[1 : b - a : 2])
+                step = np.subtract(x[lo + 1 : hi + 1], x[lo - 1 : hi - 1], out=diff[: hi - lo])
+                r[lo - a : hi - a] += np.multiply(self.off, step, out=step)
+                if a == 0:
+                    r[0] += self.corner0 * x[0] + self.off * x[1]
+                if b == self.dim:
+                    r[b - a - 1] += self.cornerL * x[-1] - self.off * x[-2]
+                if c == 0:
+                    r[: b - a] -= source(a, b, out=f[: b - a])
+                elif b == self.dim:
+                    r[b - a - 1] -= 1.0
+                with np.errstate(over="ignore"):  # the caller names a residual that overflows
+                    v = r[: b - a].view(float)  # re, im pairs
+                    sq = np.square(v, out=v).sum(axis=0)
+                    res_sq[c] += sq[0::2] + sq[1::2]
         return res_sq
 
     # (dim, n_freq) work layout of the solver kernel
 
-    def _thomas(self, y: np.ndarray, mult: np.ndarray | None = None) -> np.ndarray:
-        """Solve in place for (dim, n_freq) right-hand sides y; returns the pivots d', (dim, n_freq).
+    def _thomas(self, y: np.ndarray, mult: np.ndarray) -> None:
+        """Solve in place for (dim, n_freq) right-hand sides y; mult, (dim, n_freq), takes the multipliers.
 
         One Thomas sweep runs across all frequencies at once, with no row
         exchanges: d'_i = d_i + off^2 / d'_{i-1}, the off-diagonals being -off
         and +off.  Re(off^2 / d'_{i-1}) >= 0 where Re d'_{i-1} > 0, so by
         induction Re d'_i >= Re d_i >= margin(): where the margin is positive
         no pivot breaks down.  Each row's multiplier -off/d'_i is computed
-        once; rows 0 to dim - 2 of mult, (dim, n_freq), keep them when given.
+        once, into rows 0 to dim - 2 of mult, whose last row holds the rolling
+        pivot and ends as d'_last.  They are the only per-row state: d_i is read
+        from sym_p and sym_v, and the back substitution forms each ROW_BLOCK's
+        pivots again from them (_pivots), bit for bit.
         """
-        d = self._diagonal()
+        pivot, last = self.sym_p + self.corner0, self.sym_p + self.cornerL  # the corner rows' d
         off, minus_off = complex(self.off), complex(-self.off)  # converted once, not per row
-        row_mult, step, scratch = (np.empty_like(d[0]) for _ in range(3))
+        step, scratch = (np.empty(y.shape[1], dtype=complex) for _ in range(2))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(1, self.dim):
-                m = np.divide(minus_off, d[i - 1], out=row_mult if mult is None else mult[i - 1])
-                d[i] -= np.multiply(m, off, out=step)
+                m = np.divide(minus_off, pivot, out=mult[i - 1])
+                d = last if i == self.dim - 1 else self.sym_v if i % 2 else self.sym_p
+                pivot = np.subtract(d, np.multiply(m, off, out=step), out=mult[-1])
                 y[i] -= np.multiply(m, y[i - 1], out=scratch)
-            y[-1] /= d[-1]
-            for i in range(self.dim - 2, -1, -1):
-                y[i] -= np.multiply(off, y[i + 1], out=scratch)
-                y[i] /= d[i]
+            y[-1] /= pivot
+            for a in reversed(range(0, self.dim, ROW_BLOCK)):
+                pivots = self._pivots(mult, a, a + ROW_BLOCK)
+                for i in range(min(a + ROW_BLOCK, self.dim - 1) - 1, a - 1, -1):
+                    y[i] -= np.multiply(off, y[i + 1], out=scratch)
+                    y[i] /= pivots[i - a]
+                del pivots  # freed before the next block's are formed
+
+    def _pivots(self, mult: np.ndarray, a: int, b: int, ks: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Pivots d'_a to d'_{b-1} at frequencies ks, d_i - mult[i-1] off from _thomas's multipliers, bit for bit."""
+        d, lo = self._diagonal(ks, a, b), max(a, 1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            d[lo - a :] -= np.multiply(mult[lo - 1 : a + len(d) - 1, ks], complex(self.off))
         return d
 
-    def _diagonal(self, ks: np.ndarray | slice = slice(None)) -> np.ndarray:
-        sym_p = self.sym_p[ks]
-        d = np.empty((self.dim, sym_p.size), dtype=complex)
-        d[0::2] = sym_p
-        d[1::2] = self.sym_v[ks]
-        d[0] += self.corner0[ks]
-        d[-1] += self.cornerL[ks]
+    def _diagonal(self, ks: np.ndarray | slice = slice(None), a: int = 0, b: int | None = None) -> np.ndarray:
+        """Rows a to b - 1 (b at most dim) of the diagonal at frequencies ks."""
+        sym_p, b = self.sym_p[ks], self.dim if b is None else min(b, self.dim)
+        d = np.empty((b - a, sym_p.size), dtype=complex)
+        d[a % 2 :: 2] = sym_p
+        d[1 - a % 2 :: 2] = self.sym_v[ks]
+        if a == 0:
+            d[0] += self.corner0[ks]
+        if b == self.dim:
+            d[-1] += self.cornerL[ks]
         return d
 
 

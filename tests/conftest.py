@@ -256,6 +256,28 @@ def transposed_source(values: np.ndarray):
     return lambda a, b, out=None: np.positive(values[:, a:b].T, out=out)  # np.positive copies
 
 
+def stored_pivot_thomas(op: ReducedOperator, y: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The Thomas sweep on a materialized diagonal that it turns into the pivots d' and returns.
+
+    The reference for ReducedOperator._thomas, which keeps the multipliers
+    alone: the same rounded operations, row for row, on a (dim, n_freq)
+    pivot array.  Rows 0 to dim - 2 of mult take the multipliers.
+    """
+    d = op._diagonal()
+    off, minus_off = complex(op.off), complex(-op.off)
+    step, scratch = np.empty_like(d[0]), np.empty_like(d[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, op.dim):
+            m = np.divide(minus_off, d[i - 1], out=mult[i - 1])
+            d[i] -= np.multiply(m, off, out=step)
+            y[i] -= np.multiply(m, y[i - 1], out=scratch)
+        y[-1] /= d[-1]
+        for i in range(op.dim - 2, -1, -1):
+            y[i] -= np.multiply(off, y[i + 1], out=scratch)
+            y[i] /= d[i]
+    return d
+
+
 def corrupt_solve(monkeypatch) -> None:
     """Make ReducedOperator.solve scale U_hat by 1 + 1e-6 at the source's strongest frequency."""
     solve = ReducedOperator.solve

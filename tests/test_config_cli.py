@@ -96,12 +96,7 @@ def kernels(draw, d: int, r: float) -> RationalMatrixFunction:
         out.real, out.imag = (draw(st.lists(numbers, min_size=n, max_size=n)) for _ in range(2))
         return out
 
-    def matrix() -> np.ndarray:
-        # dump writes no all-zero m1 const or lin, so it reads back as +0
-        a = complex_array(d * d).reshape(d, d)
-        return a if a.any() else np.zeros((d, d), dtype=complex)
-
-    const, lin = matrix(), matrix()
+    const, lin = complex_array(d * d).reshape(d, d), complex_array(d * d).reshape(d, d)
     poles = complex_array(draw(st.integers(0, 3)), near=50.0)
     assume(np.all(np.abs(poles - r) > 1.01 * r))
     assume(np.all(np.abs(poles[:, None] - poles)[np.triu_indices(poles.size, 1)] > 1e-3))
@@ -214,6 +209,30 @@ class TestParsing:
         err = capsys.readouterr().err
         assert f"config error: line {line}: " in err and key in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("r", ["-1", "0"])
+    def test_nonpositive_boundary_r_with_robin_k_exits_2(self, r, tmp_path, capsys):
+        # robin_k needs the radius too (rho > 1/(2r)): a config error at the r
+        # line, not a solver error about rho
+        text = GOOD_CONFIG.replace("robin_k = 0.8", f"r = {r}\nrobin_k = 0.8")
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        line = text.splitlines().index(f"r = {r}") + 1
+        assert f"config error: line {line}: r must be positive, got {float(r):g}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["m1_const_re", "m1_const_im", "m1_lin_re", "m1_lin_im"])
+    def test_dump_keeps_a_negative_zero_matrix(self, key):
+        # an all-zero m1 const or lin is left out of the dump, and reads back as
+        # +0; one with a -0 is written
+        sc = parse_scenario(GOOD_CONFIG.replace("m1_poles_re", f"{key} = 0 -0 0 0\nm1_poles_re", 1)
+                            .replace("m1_const_re = 0.1 0 0 0.05\n", ""))
+        back = parse_scenario(sc.dump())
+        for part in ("const", "lin"):
+            a, b = getattr(sc.m1, part), getattr(back.m1, part)
+            assert a.tobytes() == b.tobytes(), part
+        assert np.signbit(getattr(back.m1, key.split("_")[1]).view(float)).any()
 
     def test_dump_round_trip_equivalent(self):
         sc = parse_scenario(GOOD_CONFIG)

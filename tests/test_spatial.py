@@ -16,6 +16,7 @@ from conftest import (
     interior_signal,
     interleave,
     sbp_residual,
+    stored_pivot_thomas,
     transposed_source,
     volume_sign_functional,
     zero_signal,
@@ -226,11 +227,54 @@ class TestReducedOperator:
         op = ReducedOperator(d_p, d_v, d_0 - d_p, d_last - d_p, 10.0**log_off, n_cells)
         lowest = op.margin()
         assert (lowest > 0).all()
-        pivots = op._thomas(np.zeros((op.dim, n_freq), dtype=complex))
+        mult = np.empty((op.dim, n_freq), dtype=complex)
+        op._thomas(np.zeros((op.dim, n_freq), dtype=complex), mult)
+        pivots = op._pivots(mult, 0, op.dim)
         eps = np.finfo(float).eps
         allowance = eps * lowest + 5.0 * eps * op.off**2 / np.abs(pivots[:-1])
         assert (pivots[0].real >= lowest).all()
         assert (pivots[1:].real >= lowest - allowance).all()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_cells=st.integers(4, 150),
+        log_off=st.floats(-3.0, 6.0),
+        n_freq=st.integers(1, 9),
+        breakdown=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_the_stored_pivot_kernel_bitwise(self, seed, n_cells, log_off, n_freq, breakdown):
+        # _thomas keeps the multipliers alone and forms each row block's pivots
+        # again for the back substitution.  Against the sweep that stores its
+        # pivots in a materialized diagonal, every bit must agree: the solution,
+        # the multipliers, d'_last in mult's last row, and the pivots _pivots
+        # forms in each row block at any frequencies.  The operators span up to
+        # five row blocks and either sign of off (the adjoint's); with breakdown,
+        # one frequency's first pivot is exactly 0 and its sweep turns non-finite
+        rng = np.random.default_rng(seed)
+
+        def values():
+            scale = 10.0 ** rng.uniform(-4.0, 4.0, n_freq)
+            return scale * (rng.standard_normal(n_freq) + 1j * rng.standard_normal(n_freq))
+
+        sym_p, sym_v, corner0, corner_last = (values() for _ in range(4))
+        if breakdown:
+            corner0[0] = -sym_p[0]
+        off = 10.0**log_off * rng.choice([-1.0, 1.0])
+        op = ReducedOperator(sym_p, sym_v, corner0, corner_last, off, n_cells)
+        y = rng.standard_normal((op.dim, n_freq)) + 1j * rng.standard_normal((op.dim, n_freq))
+        y_ref, mult_ref = y.copy(), np.empty_like(y)
+        pivots = stored_pivot_thomas(op, y_ref, mult_ref)
+        mult = np.full_like(y, np.nan)
+        op._thomas(y, mult)
+        assert y.tobytes() == y_ref.tobytes()
+        assert mult[:-1].tobytes() == mult_ref[:-1].tobytes()
+        assert mult[-1].tobytes() == pivots[-1].tobytes()
+        assert op._pivots(mult, 0, op.dim).tobytes() == pivots.tobytes()
+        ks = np.flatnonzero(rng.random(n_freq) < 0.5)
+        for a in range(0, op.dim, spatial.ROW_BLOCK):
+            got = op._pivots(mult, a, a + spatial.ROW_BLOCK, ks)
+            assert got.tobytes() == pivots[a : a + spatial.ROW_BLOCK, ks].tobytes()
 
     def neumann(self):
         """A Neumann block, zero corner terms, at n_cells = 40 and three complex frequencies."""
@@ -253,17 +297,18 @@ class TestReducedOperator:
             for j in range(3):
                 assert np.abs(x[:, j, k] - exact[:, j]).max() < 1e-12 * np.abs(exact[:, j]).max()
 
-        thomas = ReducedOperator._thomas
+        thomas, calls = ReducedOperator._thomas, []
 
-        def perturbed(self, y, mult=None):
-            pivots = thomas(self, y, mult)
+        def perturbed(self, y, mult):
+            thomas(self, y, mult)
             y += 1e-3
-            pivots *= 1.0 + 1e-3
-            mult[:-1] /= 1.0 + 1e-3  # the multipliers -off/d' of those pivots
-            return pivots
+            mult[:-1] /= 1.0 + 1e-3  # the multipliers -off/d' of pivots d' (1 + 1e-3)
+            mult[-1] *= 1.0 + 1e-3  # and d'_last
+            calls.append(y.shape)
 
         monkeypatch.setattr(ReducedOperator, "_thomas", perturbed)
         x, res_sq = op._solve_with_corners(transposed_source(u), rows, work)
+        assert calls == [(op.dim, 3)]
         for k in range(3):
             expected = np.sum(np.abs(op.dense(k) @ x[:, :, k] - rhs[k]) ** 2, axis=0)
             assert np.allclose(res_sq[:, k], expected[[0, 2]], rtol=1e-10)
