@@ -127,7 +127,7 @@ class _Section:
             return default
         return self._raw(key)[0]
 
-    def number(self, key: str, default: float | None = None, positive: bool = False) -> float:
+    def number(self, key: str, default: float | None = None) -> float:
         if not self.has(key) and default is not None:
             return default
         value, line = self._raw(key)
@@ -137,8 +137,6 @@ class _Section:
             raise ConfigError(f"{key} must be a number, got {value!r}", line) from None
         if not np.isfinite(number):
             raise ConfigError(f"{key} must be finite, got {value!r}", line)
-        if positive and not number > 0:
-            raise ConfigError(f"{key} must be positive, got {number:g}", line)
         return number
 
     def integer(self, key: str) -> int:
@@ -352,12 +350,16 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError("need at least 4 cells", space.line_of("cells"))
 
     mat = section("material")
-    material_r = mat.number("r", default=1.0, positive=True)
+    material_r = mat.number("r", default=1.0)
+    if not material_r > 0:
+        raise ConfigError(f"r must be positive, got {material_r:g}", mat.line_of("r"))
     m0 = _complex(mat, "m0", (2, 2), True)
     m1 = _kernel(mat, "m1", 2, material_r, "material memory kernel")
 
     bnd = section("boundary")
-    boundary_r = bnd.number("r", default=material_r, positive=True)  # robin_k too: rho > 1/(2r)
+    boundary_r = bnd.number("r", default=material_r)
+    if not boundary_r > 0:  # robin_k too: rho > 1/(2r)
+        raise ConfigError(f"r must be positive, got {boundary_r:g}", bnd.line_of("r"))
     alpha_spec = bnd.string("alpha", default="normal")
     if alpha_spec != "normal":
         parts = alpha_spec.split(":")

@@ -381,13 +381,13 @@ class ReducedOperator:
         exchanges: d'_i = d_i + off^2 / d'_{i-1}, the off-diagonals being -off
         and +off.  Re(off^2 / d'_{i-1}) >= 0 where Re d'_{i-1} > 0, so by
         induction Re d'_i >= Re d_i >= margin(): where the margin is positive
-        no pivot breaks down.  Each row's multiplier -off/d'_i is computed
-        once, into rows 0 to dim - 2 of mult, whose last row holds the rolling
-        pivot and ends as d'_last.  They are the only per-row state: d_i is read
-        from sym_p and sym_v, and the back substitution forms each ROW_BLOCK's
-        pivots again from them (_pivots), bit for bit.
+        no pivot breaks down.  Each row's multiplier -off/d'_i is computed once,
+        into rows 0 to dim - 2 of mult, whose last row holds the rolling pivot and
+        ends as d'_last: the only per-row state.  d_i is read from sym_p and sym_v,
+        and the back substitution forms each d'_i again, bit for bit, into one row.
         """
-        pivot, last = self.sym_p + self.corner0, self.sym_p + self.cornerL  # the corner rows' d
+        first, last = self.sym_p + self.corner0, self.sym_p + self.cornerL  # the corner rows' d
+        pivot = first  # the rolling pivot, d'_0
         off, minus_off = complex(self.off), complex(-self.off)  # converted once, not per row
         step, scratch = (np.empty(y.shape[1], dtype=complex) for _ in range(2))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -397,12 +397,10 @@ class ReducedOperator:
                 pivot = np.subtract(d, np.multiply(m, off, out=step), out=mult[-1])
                 y[i] -= np.multiply(m, y[i - 1], out=scratch)
             y[-1] /= pivot
-            for a in reversed(range(0, self.dim, ROW_BLOCK)):
-                pivots = self._pivots(mult, a, a + ROW_BLOCK)
-                for i in range(min(a + ROW_BLOCK, self.dim - 1) - 1, a - 1, -1):
-                    y[i] -= np.multiply(off, y[i + 1], out=scratch)
-                    y[i] /= pivots[i - a]
-                del pivots  # freed before the next block's are formed
+            for i in range(self.dim - 2, -1, -1):
+                y[i] -= np.multiply(off, y[i + 1], out=scratch)
+                d = self.sym_v if i % 2 else self.sym_p
+                y[i] /= np.subtract(d, np.multiply(mult[i - 1], off, out=step), out=step) if i else first
 
     def _pivots(self, mult: np.ndarray, a: int, b: int, ks: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Pivots d'_a to d'_{b-1} at frequencies ks, d_i - mult[i-1] off from _thomas's multipliers, bit for bit."""
