@@ -396,8 +396,9 @@ def parse_scenario(text: str) -> Scenario:
     t_width = src.number("t_width", default=1.0)
     x_center = src.number("x_center", default=0.5 * length)
     x_width = src.number("x_width", default=0.1 * length)
-    if kind != "csv" and (t_width <= 0 or x_width <= 0):
-        raise ConfigError("pulse widths must be positive", src.line_of("t_width"))
+    for key, width in (("t_width", t_width), ("x_width", x_width)):
+        if kind != "csv" and width <= 0:
+            raise ConfigError(f"{key} must be positive", src.line_of(key))
 
     out = section("output", required=False)
     if out.has("checks"):

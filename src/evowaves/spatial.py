@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 PIVOT_FLOOR = 1e-14  # Thomas pivots below this, relative to the largest entry, break down
-ROW_BLOCK = 64  # rows per block of _residual_sq, _source_columns and solve's smallest pivot
+ROW_BLOCK = 64  # rows per block of _residual_sq, _source_columns and solve's min |d'| over the pivots
 
 
 @dataclass(frozen=True)
@@ -286,20 +286,19 @@ class ReducedOperator:
         """Solve every frequency's system for source(a, b, out=None), unknowns a to b at every frequency.
 
         The source is formed whole, with out=, in a (dim, n_freq) array and
-        swept there in place, the multipliers kept in a second one.  A pivot
-        can fall below the pivot floor only where margin() does (_thomas); such
-        a frequency's pivots are formed again in row blocks (_pivots), and one
-        whose min |d'| is below the floor is re-solved from _source_columns by
-        the pivoted LU of factor().  Returns the solution, a transposed view,
-        and the re-solved indices.  A singular frequency comes back non-finite.
+        swept there in place, the pivots kept in a second one.  A pivot can
+        fall below the pivot floor only where margin() does (_thomas); such a
+        frequency's min |d'| is read from the pivots in row blocks, and one
+        below the floor is re-solved from _source_columns by the pivoted LU of
+        factor().  Returns the solution, a transposed view, and the re-solved
+        indices.  A singular frequency comes back non-finite.
         """
         y = source(0, self.dim, out=np.empty((self.dim, self.sym_p.size), dtype=complex))
-        self._thomas(y, mult := np.empty_like(y))
+        self._thomas(y, piv := np.empty_like(y))
         floor = PIVOT_FLOOR * max(float(np.abs(self._diagonal_values()).max()), abs(self.off))
         broken = np.flatnonzero(~(self.margin() >= floor))  # uncertified, a NaN margin too
         if broken.size:  # their min |d'|, NaN once a pivot is NaN
-            blocks = range(0, self.dim, ROW_BLOCK)
-            low = [np.abs(self._pivots(mult, a, a + ROW_BLOCK, broken)).min(axis=0) for a in blocks]
+            low = [np.abs(piv[a : a + ROW_BLOCK, broken]).min(axis=0) for a in range(0, self.dim, ROW_BLOCK)]
             broken = broken[~(np.minimum.reduce(low) >= floor)]
             y[:, broken] = _solve_range_pivoted(self, self._source_columns(source, broken), broken)
         return y.T, broken
@@ -320,14 +319,14 @@ class ReducedOperator:
         on entry: the source is formed and solved in its first column, e_last
         in the second, so one w serves every block of a sweep.  Only the source
         goes through the Thomas sweep.  A0^-1 e_last is a running product over
-        its pivots d': x_last = 1/d'_last and x_i = (-off/d'_i) x_{i+1}, the
-        sweep's own row multipliers, which it leaves in w with d'_last in the
-        last row.  A0's diagonal is a palindrome (dim is odd), its off-diagonals
-        -off and +off, so J D A0 J D = A0, J the row reversal and D = diag((-1)^i):
-        row r of A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its
-        residual mirrors e_last's, row for row and bit for bit.  A0's margin is at
-        least beta0 > 0: no pivot breaks down (_thomas).  Returns the source, e_0
-        and e_last solutions at the given rows, (len(rows), 3, n_freq), and their
+        its pivots d': x_last = 1/d'_last and x_i = (-off/d'_i) x_{i+1}, formed
+        in place from the pivots the sweep leaves in w.  A0's diagonal is a
+        palindrome (dim is odd), its off-diagonals -off and +off, so
+        J D A0 J D = A0, J the row reversal and D = diag((-1)^i): row r of
+        A0^-1 e_0 is (-1)^r row dim - 1 - r of A0^-1 e_last, and its residual
+        mirrors e_last's, row for row and bit for bit.  A0's margin is at least
+        beta0 > 0: no pivot breaks down (_thomas).  Returns the source, e_0 and
+        e_last solutions at the given rows, (len(rows), 3, n_freq), and their
         squared residual norms, (2, n_freq), from _residual_sq.
         """
         if self.corner0.any() or self.cornerL.any():
@@ -335,6 +334,7 @@ class ReducedOperator:
         z = w[:, 1]
         self._thomas(source(0, self.dim, out=w[:, 0]), z)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(complex(-self.off), z[:-1], out=z[:-1])  # the multipliers -off/d'_i
             np.divide(1.0, z[-1], out=z[-1])
             np.multiply.accumulate(z[::-1], axis=0, out=z[::-1])
         rows = np.asarray(rows)
@@ -374,51 +374,39 @@ class ReducedOperator:
 
     # (dim, n_freq) work layout of the solver kernel
 
-    def _thomas(self, y: np.ndarray, mult: np.ndarray) -> None:
-        """Solve in place for (dim, n_freq) right-hand sides y; mult, (dim, n_freq), takes the multipliers.
+    def _thomas(self, y: np.ndarray, piv: np.ndarray) -> None:
+        """Solve in place for (dim, n_freq) right-hand sides y; piv, (dim, n_freq), takes the pivots d'.
 
         One Thomas sweep runs across all frequencies at once, with no row
         exchanges: d'_i = d_i + off^2 / d'_{i-1}, the off-diagonals being -off
         and +off.  Re(off^2 / d'_{i-1}) >= 0 where Re d'_{i-1} > 0, so by
         induction Re d'_i >= Re d_i >= margin(): where the margin is positive
-        no pivot breaks down.  Each row's multiplier -off/d'_i is computed once,
-        into rows 0 to dim - 2 of mult, whose last row holds the rolling pivot and
-        ends as d'_last: the only per-row state.  d_i is read from sym_p and sym_v,
-        and the back substitution forms each d'_i again, bit for bit, into one row.
+        no pivot breaks down.  Each row's multiplier -off/d'_{i-1} is formed once,
+        in one reused row, and each pivot once, into piv, from d_i read from
+        sym_p and sym_v; the back substitution divides by the pivots.
         """
-        first, last = self.sym_p + self.corner0, self.sym_p + self.cornerL  # the corner rows' d
-        pivot = first  # the rolling pivot, d'_0
+        piv[0], last = self.sym_p + self.corner0, self.sym_p + self.cornerL  # the corner rows' d
         off, minus_off = complex(self.off), complex(-self.off)  # converted once, not per row
-        step, scratch = (np.empty(y.shape[1], dtype=complex) for _ in range(2))
+        m, step, scratch = (np.empty(y.shape[1], dtype=complex) for _ in range(3))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(1, self.dim):
-                m = np.divide(minus_off, pivot, out=mult[i - 1])
+                np.divide(minus_off, piv[i - 1], out=m)
                 d = last if i == self.dim - 1 else self.sym_v if i % 2 else self.sym_p
-                pivot = np.subtract(d, np.multiply(m, off, out=step), out=mult[-1])
+                np.subtract(d, np.multiply(m, off, out=step), out=piv[i])
                 y[i] -= np.multiply(m, y[i - 1], out=scratch)
-            y[-1] /= pivot
+            y[-1] /= piv[-1]
             for i in range(self.dim - 2, -1, -1):
                 y[i] -= np.multiply(off, y[i + 1], out=scratch)
-                d = self.sym_v if i % 2 else self.sym_p
-                y[i] /= np.subtract(d, np.multiply(mult[i - 1], off, out=step), out=step) if i else first
+                y[i] /= piv[i]
 
-    def _pivots(self, mult: np.ndarray, a: int, b: int, ks: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """Pivots d'_a to d'_{b-1} at frequencies ks, d_i - mult[i-1] off from _thomas's multipliers, bit for bit."""
-        d, lo = self._diagonal(ks, a, b), max(a, 1)
-        with np.errstate(invalid="ignore", over="ignore"):
-            d[lo - a :] -= np.multiply(mult[lo - 1 : a + len(d) - 1, ks], complex(self.off))
-        return d
-
-    def _diagonal(self, ks: np.ndarray | slice = slice(None), a: int = 0, b: int | None = None) -> np.ndarray:
-        """Rows a to b - 1 (b at most dim) of the diagonal at frequencies ks."""
-        sym_p, b = self.sym_p[ks], self.dim if b is None else min(b, self.dim)
-        d = np.empty((b - a, sym_p.size), dtype=complex)
-        d[a % 2 :: 2] = sym_p
-        d[1 - a % 2 :: 2] = self.sym_v[ks]
-        if a == 0:
-            d[0] += self.corner0[ks]
-        if b == self.dim:
-            d[-1] += self.cornerL[ks]
+    def _diagonal(self, ks: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The diagonal at frequencies ks, (dim, n_ks)."""
+        sym_p = self.sym_p[ks]
+        d = np.empty((self.dim, sym_p.size), dtype=complex)
+        d[0::2] = sym_p
+        d[1::2] = self.sym_v[ks]
+        d[0] += self.corner0[ks]
+        d[-1] += self.cornerL[ks]
         return d
 
 

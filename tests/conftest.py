@@ -259,9 +259,9 @@ def transposed_source(values: np.ndarray):
 def stored_pivot_thomas(op: ReducedOperator, y: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """The Thomas sweep on a materialized diagonal that it turns into the pivots d' and returns.
 
-    The reference for ReducedOperator._thomas, which keeps the multipliers
-    alone: the same rounded operations, row for row, on a (dim, n_freq)
-    pivot array.  Rows 0 to dim - 2 of mult take the multipliers.
+    The reference for ReducedOperator._thomas, which reads each d_i from
+    the symbols: the same rounded operations, row for row, on a (dim, n_freq)
+    diagonal.  Rows 0 to dim - 2 of mult take the multipliers.
     """
     d = op._diagonal()
     off, minus_off = complex(op.off), complex(-op.off)

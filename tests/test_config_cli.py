@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ from evowaves import cli
 from evowaves.cli import main
 from evowaves.config import ConfigError, parse_scenario
 from evowaves.rational import RationalMatrixFunction
-from evowaves.signals import rho_norm
+from evowaves.signals import _usable_cpus, rho_norm
 from evowaves.solver import solve_frequency
 
 GOOD_CONFIG = """
@@ -80,6 +81,30 @@ before = "scipy.linalg" in sys.modules
 report = solve_timestep(prob)
 sparse = any(name.startswith("scipy.sparse") for name in sys.modules)
 print(before, "scipy.linalg" in sys.modules, sparse, report.residual_rel)
+"""
+
+# a fresh interpreter that runs solve on its first config and verify on its second,
+# and records how many Python threads are alive at each os.fork
+FORK_THREADS_CHILD = """
+import json
+import os
+import sys
+import threading
+from evowaves.cli import main
+
+seen, fork = [], os.fork
+
+
+def counted():
+    seen.append(threading.active_count())
+    return fork()
+
+
+os.fork = counted
+solve_cfg, verify_cfg, out = sys.argv[1:]
+codes = [main(["solve", "--config", solve_cfg, "--out", out + "/solve"])]
+codes.append(main(["verify", "--config", verify_cfg, "--out", out + "/verify"]))
+print(json.dumps([codes, seen]))
 """
 
 
@@ -175,6 +200,8 @@ class TestParsing:
             ("amplitude = 1.0", "amplitude = nan"),
             ("length = 1.0", "length = -1.0"),
             ("x_width = 0.12", "x_width = inf"),
+            ("x_width = 0.12", "x_width = -1"),
+            ("t_width = 0.4", "t_width = 0"),
             ("alpha = normal", "alpha = constant:nan"),
             ("alpha = normal", "alpha = constant:inf"),
         ],
@@ -672,3 +699,17 @@ class TestCliMisc:
         before, after, sparse, residual = proc.stdout.split()
         assert (before, after, sparse) == ("False", "True", "False")
         assert float(residual) < 0.1
+
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="one usable CPU: nothing forks")
+    def test_no_thread_is_alive_at_a_fork(self, tmp_path):
+        # _Forked's precondition: a forked child copies only the forking thread, so no
+        # other Python thread may be alive.  solve on reflection.cfg forks a U.csv
+        # writer and verify on default.cfg a check worker
+        scenarios = TestShippedScenarios.scenarios_dir
+        proc = run_child(
+            "-c", FORK_THREADS_CHILD, str(scenarios / "reflection.cfg"), str(scenarios / "default.cfg"), str(tmp_path)
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, seen = json.loads(proc.stdout.splitlines()[-1])  # the commands print their reports first
+        assert codes == [0, 0]
+        assert len(seen) >= 2 and set(seen) == {1}

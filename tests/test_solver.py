@@ -254,14 +254,12 @@ class TestFrequencySolve:
             solve_frequency(problem)
 
     def test_interior_pivot_collapse_takes_the_pivoted_lu(self, monkeypatch):
-        # an inadmissible wall leaves every margin negative, so solve forms every
-        # frequency's pivots again from _thomas's multipliers and takes their
-        # min |d'|, in row blocks.  At one frequency, a multiplier at an interior
-        # row alone, past the first ROW_BLOCK rows, is set to d_row / off, so the
-        # pivot formed from it, d_row - mult off, is exactly 0 (off = 64), and its
-        # swept column is poisoned, so x[k] is right only if the LU's solution
-        # replaces it.  The frequency must reach the pivoted LU, and be named when
-        # that fails too
+        # an inadmissible wall leaves every margin negative, so solve reads every
+        # frequency's min |d'| from _thomas's pivots, in row blocks.  At one
+        # frequency, the pivot at an interior row alone, past the first ROW_BLOCK
+        # rows, is set to exactly 0, and its swept column is poisoned, so x[k] is
+        # right only if the LU's solution replaces it.  The frequency must reach
+        # the pivoted LU, and be named when that fails too
         prob = make_problem(n_cells=64, robin_k=-0.8)
         solved = prob.grid_operator.take(slice(prob.grid.n // 2 + 1))
         assert (solved.margin() < 0).all()
@@ -269,12 +267,12 @@ class TestFrequencySolve:
         assert row < solved.dim - 1
         thomas, collapsed = ReducedOperator._thomas, []
 
-        def collapse(op, y, mult):
-            thomas(op, y, mult)
+        def collapse(op, y, piv):
+            thomas(op, y, piv)
             at = np.flatnonzero(op.sym_p == solved.sym_p[k])
-            mult[row - 1, at] = op._diagonal(at)[row] / op.off
+            piv[row, at] = 0.0
             y[:, at] = np.nan
-            collapsed.append(op._pivots(mult, row, row + 1, at)[0])
+            collapsed.append(piv[row, at].copy())
 
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix")
@@ -426,8 +424,9 @@ class TestBoundaryFamily:
 
     def test_kernel_matches_the_stored_pivot_kernel_bitwise(self, monkeypatch):
         # the sweep's source column and its Z columns, A0^-1 e_last as the running
-        # product of the multipliers and A0^-1 e_0 as its mirror, and both squared
-        # residuals: bit for bit the values of the sweep that stored its pivots
+        # product of the multipliers formed from the pivots and A0^-1 e_0 as its
+        # mirror, and both squared residuals: bit for bit the values of the sweep
+        # that turns a materialized diagonal into its pivots
         base = self.scenario.build()
         weight = solver._parseval_weights(base.grid, True)
         s, w = base.grid.freqs[: weight.size], base.grid.w[: weight.size]
@@ -438,8 +437,8 @@ class TestBoundaryFamily:
         work = np.empty((neumann.dim, 2, s.size), dtype=complex)
         kept = neumann._solve_with_corners(f_block(0, s.size), rows, work)
 
-        def stored_pivots(op, y, mult):
-            mult[-1] = stored_pivot_thomas(op, y, mult)[-1]
+        def stored_pivots(op, y, piv):
+            piv[...] = stored_pivot_thomas(op, y, np.empty_like(y))
 
         monkeypatch.setattr(ReducedOperator, "_thomas", stored_pivots)
         stored = neumann._solve_with_corners(f_block(0, s.size), rows, work)
@@ -491,10 +490,9 @@ class TestBoundaryFamily:
         laws.append(flux_boundary(sd, 0.5, poles_w=[-1.0], residues_w=[0.3]))
         thomas, swept = ReducedOperator._thomas, []
 
-        def off_pivots(op, y, mult):
-            thomas(op, y, mult)
-            mult[:-1] /= 1.0 + pivot_error  # the multipliers -off/d' of pivots d' (1 + pivot_error)
-            mult[-1] *= 1.0 + pivot_error  # and d'_last
+        def off_pivots(op, y, piv):
+            thomas(op, y, piv)
+            piv *= 1.0 + pivot_error  # pivots d' (1 + pivot_error): every multiplier and 1/d'_last move
             swept.append(op.sym_p.size)
 
         spectra = []
@@ -526,9 +524,9 @@ class TestBoundaryFamily:
         base = self.scenario.build()
         thomas, swept = ReducedOperator._thomas, []
 
-        def corrupted(op, y, mult):  # y holds the source column alone
-            thomas(op, y, mult)
-            assert y.shape == mult.shape == (op.dim, op.sym_p.size)
+        def corrupted(op, y, piv):  # y holds the source column alone
+            thomas(op, y, piv)
+            assert y.shape == piv.shape == (op.dim, op.sym_p.size)
             y[np.unravel_index(np.abs(y).argmax(), y.shape)] *= 1.0 + 1e-6
             swept.append(op.sym_p.size)
 
@@ -566,10 +564,10 @@ class TestBoundaryFamily:
         s_bad = base.grid.freqs[5]
         thomas, poisoned = ReducedOperator._thomas, []
 
-        def nan_at_one_frequency(op, y, mult):  # the source column and the multipliers, d'_last too
-            thomas(op, y, mult)
+        def nan_at_one_frequency(op, y, piv):  # the source column and every pivot
+            thomas(op, y, piv)
             bad = op.sym_p == base.grid_operator.sym_p[5]
-            y[..., bad] = mult[..., bad] = np.nan
+            y[..., bad] = piv[..., bad] = np.nan
             poisoned.append(int(bad.sum()))
 
         monkeypatch.setattr(ReducedOperator, "_thomas", nan_at_one_frequency)
@@ -793,11 +791,11 @@ def test_blocked_frequency_residual_is_the_matvec_residual(cfg):
 def test_full_size_peaks_in_the_work_layout(call):
     # scenarios/reflection.cfg.  The spectral solve forms the source in its one
     # (dim, n_freq) work array and solves it there, so it holds that array and the
-    # Thomas multipliers: 2.03 units of K dim complex, K the solved rows, against 3.01
+    # Thomas pivots: 2.03 units of K dim complex, K the solved rows, against 3.01
     # with a separate source spectrum.  The six-law sweep forms each block's source
-    # in its work array, and the Thomas kernel keeps no pivot array beside it:
-    # 18.4 MiB, against 25.3 MiB with the pivots and 36.7 MiB with a separate
-    # block of f_hat as well
+    # in its work array, and the Thomas kernel keeps its pivots in the array's
+    # second column: 18.4 MiB, against 25.3 MiB with a pivot array beside it and
+    # 36.7 MiB with a separate block of f_hat as well
     prob = load_scenario(str(ROOT / "scenarios/reflection.cfg")).build()
     laws = [BoundaryLaw.robin(k, prob.sd) for k in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)]
     tracemalloc.start()

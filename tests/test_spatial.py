@@ -21,7 +21,6 @@ from conftest import (
     volume_sign_functional,
     zero_signal,
 )
-from evowaves import spatial
 from evowaves.config import load_scenario
 from evowaves.rational import PoleError, scalar_rational
 from evowaves.signals import WeightedGrid, WeightedSignal, rho_inner, rho_norm, truncate_before
@@ -227,9 +226,8 @@ class TestReducedOperator:
         op = ReducedOperator(d_p, d_v, d_0 - d_p, d_last - d_p, 10.0**log_off, n_cells)
         lowest = op.margin()
         assert (lowest > 0).all()
-        mult = np.empty((op.dim, n_freq), dtype=complex)
-        op._thomas(np.zeros((op.dim, n_freq), dtype=complex), mult)
-        pivots = op._pivots(mult, 0, op.dim)
+        pivots = np.empty((op.dim, n_freq), dtype=complex)
+        op._thomas(np.zeros((op.dim, n_freq), dtype=complex), pivots)
         eps = np.finfo(float).eps
         allowance = eps * lowest + 5.0 * eps * op.off**2 / np.abs(pivots[:-1])
         assert (pivots[0].real >= lowest).all()
@@ -244,13 +242,13 @@ class TestReducedOperator:
     )
     @settings(max_examples=100, deadline=None)
     def test_kernel_matches_the_stored_pivot_kernel_bitwise(self, seed, n_cells, log_off, n_freq, breakdown):
-        # _thomas keeps the multipliers alone and forms each row block's pivots
-        # again for the back substitution.  Against the sweep that stores its
-        # pivots in a materialized diagonal, every bit must agree: the solution,
-        # the multipliers, d'_last in mult's last row, and the pivots _pivots
-        # forms in each row block at any frequencies.  The operators span up to
-        # five row blocks and either sign of off (the adjoint's); with breakdown,
-        # one frequency's first pivot is exactly 0 and its sweep turns non-finite
+        # _thomas reads each row's d_i from the symbols and keeps its multipliers
+        # in one reused row.  Against the sweep that turns a materialized diagonal
+        # into its pivots, every bit must agree: the solution, every pivot, and the
+        # multipliers -off/d' that _solve_with_corners forms again from the pivots.
+        # The operators span up to five row blocks and either sign of off (the
+        # adjoint's); with breakdown, one frequency's first pivot is exactly 0 and
+        # its sweep turns non-finite
         rng = np.random.default_rng(seed)
 
         def values():
@@ -265,16 +263,13 @@ class TestReducedOperator:
         y = rng.standard_normal((op.dim, n_freq)) + 1j * rng.standard_normal((op.dim, n_freq))
         y_ref, mult_ref = y.copy(), np.empty_like(y)
         pivots = stored_pivot_thomas(op, y_ref, mult_ref)
-        mult = np.full_like(y, np.nan)
-        op._thomas(y, mult)
+        piv = np.full_like(y, np.nan)
+        op._thomas(y, piv)
         assert y.tobytes() == y_ref.tobytes()
-        assert mult[:-1].tobytes() == mult_ref[:-1].tobytes()
-        assert mult[-1].tobytes() == pivots[-1].tobytes()
-        assert op._pivots(mult, 0, op.dim).tobytes() == pivots.tobytes()
-        ks = np.flatnonzero(rng.random(n_freq) < 0.5)
-        for a in range(0, op.dim, spatial.ROW_BLOCK):
-            got = op._pivots(mult, a, a + spatial.ROW_BLOCK, ks)
-            assert got.tobytes() == pivots[a : a + spatial.ROW_BLOCK, ks].tobytes()
+        assert piv.tobytes() == pivots.tobytes()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mult = np.divide(complex(-op.off), piv[:-1])
+        assert mult.tobytes() == mult_ref[:-1].tobytes()
 
     def neumann(self):
         """A Neumann block, zero corner terms, at n_cells = 40 and three complex frequencies."""
@@ -299,11 +294,10 @@ class TestReducedOperator:
 
         thomas, calls = ReducedOperator._thomas, []
 
-        def perturbed(self, y, mult):
-            thomas(self, y, mult)
+        def perturbed(self, y, piv):
+            thomas(self, y, piv)
             y += 1e-3
-            mult[:-1] /= 1.0 + 1e-3  # the multipliers -off/d' of pivots d' (1 + 1e-3)
-            mult[-1] *= 1.0 + 1e-3  # and d'_last
+            piv *= 1.0 + 1e-3  # pivots d' (1 + 1e-3): every multiplier and 1/d'_last move
             calls.append(y.shape)
 
         monkeypatch.setattr(ReducedOperator, "_thomas", perturbed)
